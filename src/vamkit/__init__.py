@@ -25,6 +25,7 @@ from .cohort import (
     ParseIssue,
     PupilRecord,
     SchoolRecord,
+    Table,
     ValidatedCohort,
     parse_pupils,
     parse_schools,
@@ -108,6 +109,7 @@ __all__ = [
     "SchoolScore",
     "SignificanceCategory",
     "SyntheticCohort",
+    "Table",
     "ValidatedCohort",
     "VamkitError",
     "Z95",

@@ -27,45 +27,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .categories import (
-    Ethnicity,
-    FirstLanguage,
-    Gender,
-    Month,
-    Sen,
-    Admissions,
-    AgeRange,
-    Region,
-    Religion,
-    SchoolGender,
-    SchoolType,
-)
-from .cohort import PupilRecord, SchoolRecord, ValidatedCohort
+from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Field
+from .cohort import ValidatedCohort
 from .design import MeasureKind
 from .errors import AnalysisError
-from .measures import PupilScore, SchoolScore
+from .measures import SchoolScore
 from .ols import Z95
 
-PUPIL_CHARACTERISTICS = (
-    "ks2_group",
-    "month_of_birth",
-    "gender",
-    "ethnicity",
-    "first_language",
-    "sen",
-    "fsm",
-    "idaci_decile",
-)
-
-SCHOOL_CHARACTERISTICS = (
-    "region",
-    "school_type",
-    "admissions",
-    "age_range",
-    "school_gender",
-    "religion",
-    "school_idaci_decile",
-)
+PUPIL_CHARACTERISTICS = tuple(f.name for f in PUPIL_FIELDS if f.levels)
+SCHOOL_CHARACTERISTICS = tuple(f.name for f in SCHOOL_FIELDS if f.levels)
 
 
 @dataclass(frozen=True)
@@ -211,93 +181,25 @@ def compare_measures(
 # ---------------------------------------------------------------------------
 
 
-def _pupil_category(pupil: PupilRecord, characteristic: str) -> str:
-    if characteristic == "ks2_group":
-        return "(missing)" if pupil.ks2_group is None else str(pupil.ks2_group)
-    if characteristic == "month_of_birth":
-        return pupil.month_of_birth.value
-    if characteristic == "gender":
-        return pupil.gender.value
-    if characteristic == "ethnicity":
-        return pupil.ethnicity.value
-    if characteristic == "first_language":
-        return pupil.first_language.value
-    if characteristic == "sen":
-        return pupil.sen.value
-    if characteristic == "fsm":
-        return "Eligible" if pupil.fsm else "Not eligible"
-    if characteristic == "idaci_decile":
-        return str(pupil.idaci_decile)
-    raise AnalysisError(
-        f"unknown pupil characteristic {characteristic!r}; "
-        f"valid: {', '.join(PUPIL_CHARACTERISTICS)}"
-    )
-
-
-def _school_category(school: SchoolRecord, characteristic: str) -> str:
-    if characteristic == "region":
-        return school.region.value
-    if characteristic == "school_type":
-        return school.school_type.value
-    if characteristic == "admissions":
-        return school.admissions.value
-    if characteristic == "age_range":
-        return school.age_range.value
-    if characteristic == "school_gender":
-        return school.school_gender.value
-    if characteristic == "religion":
-        return school.religion.value
-    if characteristic == "school_idaci_decile":
-        return str(school.school_idaci_decile)
-    raise AnalysisError(
-        f"unknown school characteristic {characteristic!r}; "
-        f"valid: {', '.join(SCHOOL_CHARACTERISTICS)}"
-    )
-
-
-_PUPIL_UNIVERSES = {
-    "ks2_group": [str(g) for g in range(1, 35)],
-    "month_of_birth": [m.value for m in Month],
-    "gender": [g.value for g in Gender],
-    "ethnicity": [e.value for e in Ethnicity],
-    "first_language": [f.value for f in FirstLanguage],
-    "sen": [s.value for s in Sen],
-    "fsm": ["Not eligible", "Eligible"],
-    "idaci_decile": [str(d) for d in range(1, 11)],
-}
-
-_SCHOOL_UNIVERSES = {
-    "region": [r.value for r in Region],
-    "school_type": [t.value for t in SchoolType],
-    "admissions": [a.value for a in Admissions],
-    "age_range": [a.value for a in AgeRange],
-    "school_gender": [g.value for g in SchoolGender],
-    "religion": [r.value for r in Religion],
-    "school_idaci_decile": [str(d) for d in range(1, 11)],
-}
+def _field(characteristic: str, valid: tuple[str, ...], what: str) -> Field:
+    if characteristic not in valid:
+        raise AnalysisError(
+            f"unknown {what} characteristic {characteristic!r}; valid: {', '.join(valid)}"
+        )
+    return FIELD[characteristic]
 
 
 def _aligned_scores(
-    cohort: ValidatedCohort,
-    scores_by_measure: Mapping[MeasureKind, Sequence[PupilScore]],
+    cohort: ValidatedCohort, scores_by_measure: Mapping[MeasureKind, np.ndarray]
 ) -> dict[MeasureKind, np.ndarray]:
-    index = {p.pupil_id: i for i, p in enumerate(cohort.pupils)}
+    """Each measure's pupil scores as a float array; one per pupil, in cohort order."""
     out: dict[MeasureKind, np.ndarray] = {}
     for kind, scores in scores_by_measure.items():
-        if len(scores) != cohort.n_pupils:
+        values = np.asarray(scores, dtype=float)
+        if values.shape != (cohort.n_pupils,):
             raise AnalysisError(
-                f"{kind.code}: {len(scores)} pupil scores for {cohort.n_pupils} pupils"
+                f"{kind.code}: {values.size} pupil scores for {cohort.n_pupils} pupils"
             )
-        values = np.empty(cohort.n_pupils)
-        seen = 0
-        for ps in scores:
-            i = index.get(ps.pupil_id)
-            if i is None:
-                raise AnalysisError(f"{kind.code}: unknown pupil_id {ps.pupil_id!r}")
-            values[i] = ps.score
-            seen += 1
-        if seen != cohort.n_pupils:
-            raise AnalysisError(f"{kind.code}: pupil scores do not cover the cohort")
         out[kind] = values
     return out
 
@@ -323,9 +225,9 @@ def _clustered_mean_flag(
 
 def _breakdown(
     grouping: str,
-    universe: list[str],
-    categories: np.ndarray,
-    school_of_pupil: np.ndarray,
+    universe: list[tuple[int, str]],
+    codes: np.ndarray,
+    school_index: np.ndarray,
     aligned: dict[MeasureKind, np.ndarray],
     n_pupils: int,
     percent_base: str,
@@ -334,10 +236,11 @@ def _breakdown(
     rows: list[BreakdownRow] = []
     footnotes: list[str] = []
     kinds = list(aligned)
-    for cat in universe:
-        mask = categories == cat
+    for code, cat in universe:
+        mask = codes == code
         n_cat = int(mask.sum())
-        schools_in_cat = np.unique(school_of_pupil[mask])
+        # the category's schools, numbered densely in school_id order
+        schools_in_cat, cluster = np.unique(school_index[mask], return_inverse=True)
         n_sch = int(schools_in_cat.size)
         if percent_base == "schools":
             percent = 100.0 * n_sch / n_schools_total
@@ -355,16 +258,13 @@ def _breakdown(
                 )
             )
             continue
-        # recode this category's school ids to a dense 0..n_sch-1 range
-        recode = {s: i for i, s in enumerate(schools_in_cat)}
-        codes = np.array([recode[s] for s in school_of_pupil[mask]])
         means: dict[MeasureKind, float | None] = {}
         flags: dict[MeasureKind, bool | None] = {}
         suppressed = False
         for kind in kinds:
             values = aligned[kind][mask]
             means[kind] = float(values.mean())
-            flag = _clustered_mean_flag(values, codes, n_sch)
+            flag = _clustered_mean_flag(values, cluster, n_sch)
             if flag is None:
                 suppressed = True
             flags[kind] = flag
@@ -387,26 +287,26 @@ def _breakdown(
 
 def pupil_breakdown(
     cohort: ValidatedCohort,
-    scores_by_measure: Mapping[MeasureKind, Sequence[PupilScore]],
+    scores_by_measure: Mapping[MeasureKind, np.ndarray],
     characteristic: str,
 ) -> BreakdownTable:
     """Category means per measure for one pupil characteristic.
 
-    Rows follow the category universe order; percents are pupil shares.
+    ``scores_by_measure`` maps each measure to its pupil scores in cohort
+    order (``MeasureResult.scores``). Rows follow the category universe
+    order; percents are pupil shares.
     """
     aligned = _aligned_scores(cohort, scores_by_measure)
-    categories = np.array(
-        [_pupil_category(p, characteristic) for p in cohort.pupils], dtype=object
-    )
-    school_of_pupil = np.array([p.school_id for p in cohort.pupils], dtype=object)
-    universe = list(_PUPIL_UNIVERSES[characteristic])
-    if characteristic == "ks2_group" and "(missing)" in categories:
-        universe.append("(missing)")
+    f = _field(characteristic, PUPIL_CHARACTERISTICS, "pupil")
+    codes = cohort.pupil_table[characteristic]
+    universe = list(enumerate(f.levels))
+    if f.optional and (codes < 0).any():
+        universe.append((-1, "(missing)"))
     return _breakdown(
         characteristic,
         universe,
-        categories,
-        school_of_pupil,
+        codes,
+        cohort.school_index,
         aligned,
         cohort.n_pupils,
         "pupils",
@@ -416,7 +316,7 @@ def pupil_breakdown(
 
 def school_breakdown(
     cohort: ValidatedCohort,
-    scores_by_measure: Mapping[MeasureKind, Sequence[PupilScore]],
+    scores_by_measure: Mapping[MeasureKind, np.ndarray],
     characteristic: str,
 ) -> BreakdownTable:
     """Category means per measure for one school characteristic.
@@ -426,18 +326,12 @@ def school_breakdown(
     the raw attainment mean, highest first, when that measure is present.
     """
     aligned = _aligned_scores(cohort, scores_by_measure)
-    attr_of_school = {
-        s.school_id: _school_category(s, characteristic) for s in cohort.schools
-    }
-    categories = np.array(
-        [attr_of_school[p.school_id] for p in cohort.pupils], dtype=object
-    )
-    school_of_pupil = np.array([p.school_id for p in cohort.pupils], dtype=object)
+    f = _field(characteristic, SCHOOL_CHARACTERISTICS, "school")
     table = _breakdown(
         characteristic,
-        list(_SCHOOL_UNIVERSES[characteristic]),
-        categories,
-        school_of_pupil,
+        list(enumerate(f.levels)),
+        cohort.school_table[characteristic][cohort.school_index],
+        cohort.school_index,
         aligned,
         cohort.n_pupils,
         "schools",

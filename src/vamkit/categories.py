@@ -1,14 +1,22 @@
-"""Closed category sets for pupil and school characteristics.
+"""Closed category sets and the field table of the pupil and school files.
 
 Each enum value is the canonical spelling used in CSV files and reports.
 Parsing is tolerant of case and surrounding/internal whitespace (including
 spaces around "/"), but the universes themselves are closed: anything that
 does not normalise onto a listed spelling is rejected.
+
+``PUPIL_FIELDS`` and ``SCHOOL_FIELDS`` are the one place that lists the
+columns of both files, their level universes, design reference levels and
+design-label rule. Parsing, serialising, design matrices, breakdowns and
+the synthetic generator are all driven by them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+from dataclasses import dataclass
+from typing import Callable
 
 
 class Month(enum.Enum):
@@ -125,13 +133,6 @@ class Religion(enum.Enum):
     SIKH = "Sikh"
 
 
-KS2_GROUP_MIN = 1
-KS2_GROUP_MAX = 34
-IDACI_DECILE_MIN = 1
-IDACI_DECILE_MAX = 10
-ATTAINMENT8_MAX = 90.0
-
-
 def _normalise(text: str) -> str:
     """Fold a category string to its matching key: trim, collapse whitespace,
     drop spaces around slashes, casefold."""
@@ -140,26 +141,9 @@ def _normalise(text: str) -> str:
     return parts.casefold()
 
 
+@functools.cache
 def _lookup_table(enum_cls: type[enum.Enum]) -> dict[str, enum.Enum]:
     return {_normalise(member.value): member for member in enum_cls}
-
-
-_TABLES: dict[type[enum.Enum], dict[str, enum.Enum]] = {
-    cls: _lookup_table(cls)
-    for cls in (
-        Month,
-        Gender,
-        Ethnicity,
-        FirstLanguage,
-        Sen,
-        Region,
-        SchoolType,
-        Admissions,
-        AgeRange,
-        SchoolGender,
-        Religion,
-    )
-}
 
 
 def parse_category(enum_cls: type[enum.Enum], text: str) -> enum.Enum:
@@ -168,8 +152,128 @@ def parse_category(enum_cls: type[enum.Enum], text: str) -> enum.Enum:
     Raises ValueError naming the valid spellings when the string does not
     normalise onto any member.
     """
-    member = _TABLES[enum_cls].get(_normalise(text))
+    member = _lookup_table(enum_cls).get(_normalise(text))
     if member is None:
         valid = ", ".join(m.value for m in enum_cls)
         raise ValueError(f"unknown value {text!r}; valid values: {valid}")
     return member
+
+
+class Kind(enum.Enum):
+    """How a column is spelled in CSV and held in memory."""
+
+    ID = "id"  # non-empty string, held as a numpy unicode array
+    FLOAT = "float"  # real number within bounds, held as float64
+    INT = "int"  # integer within bounds; held as the code value - low bound
+    ENUM = "enum"  # closed category set; held as the member's code
+    FLAG = "flag"  # 0 or 1; held as that code
+
+
+def _slug(level: str) -> str:
+    return "_".join(level.replace("/", " ").split())
+
+
+@dataclass(frozen=True)
+class Field:
+    """One CSV column: its kind, level universe in code order and design role.
+
+    ``reference`` is the level a covariate's design leaves out (None for a
+    column that is not a design covariate). Each other level gets the design
+    column ``<name>_<suffix(level)>``. Category codes are small ints; code
+    -1 marks a missing value of an ``optional`` INT column.
+    """
+
+    name: str
+    kind: Kind
+    levels: tuple[str, ...] = ()
+    reference: str | None = None
+    suffix: Callable[[str], str] = _slug
+    bounds: tuple = ()
+    category: type[enum.Enum] | None = None
+    optional: bool = False
+
+    @functools.cached_property
+    def spellings(self) -> tuple[str, ...]:
+        """CSV spelling of each code."""
+        return ("0", "1") if self.kind is Kind.FLAG else self.levels
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        """Record value of each code: enum members, ints or bools."""
+        if self.kind is Kind.ENUM:
+            return tuple(self.category)
+        if self.kind is Kind.INT:
+            return tuple(range(self.bounds[0], self.bounds[1] + 1))
+        return (False, True)
+
+    @functools.cached_property
+    def design_codes(self) -> tuple[int, ...]:
+        """Codes that get a design column: every level but the reference."""
+        ref = self.levels.index(self.reference)
+        return tuple(c for c in range(len(self.levels)) if c != ref)
+
+    @functools.cached_property
+    def design_labels(self) -> tuple[str, ...]:
+        return tuple(f"{self.name}_{self.suffix(self.levels[c])}" for c in self.design_codes)
+
+    def encode(self, text: str):
+        """Stored value of one stripped CSV cell; ValueError names the fault."""
+        if self.kind is Kind.ID:
+            if not text:
+                raise ValueError("must not be empty")
+            return text
+        if self.kind is Kind.FLOAT:
+            value = float(text)
+            lo, hi = self.bounds
+            if not lo <= value <= hi:
+                raise ValueError(f"must be in [{lo:g}, {hi:g}], got {value:g}")
+            return value
+        if self.kind is Kind.INT:
+            if self.optional and text == "":
+                return -1
+            lo, hi = self.bounds
+            value = int(text)
+            if not lo <= value <= hi:
+                raise ValueError(f"must be an integer in {lo}..{hi}, got {text!r}")
+            return value - lo
+        if self.kind is Kind.ENUM:
+            return self.values.index(parse_category(self.category, text))
+        if text not in self.spellings:
+            raise ValueError(f"must be 0 or 1, got {text!r}")
+        return self.spellings.index(text)
+
+
+def _ints(name: str, lo: int, hi: int, **role) -> Field:
+    return Field(name, Kind.INT, tuple(str(v) for v in range(lo, hi + 1)), bounds=(lo, hi), **role)
+
+
+def _enum(name: str, category: type[enum.Enum], **role) -> Field:
+    return Field(name, Kind.ENUM, tuple(m.value for m in category), category=category, **role)
+
+
+PUPIL_FIELDS = (
+    Field("pupil_id", Kind.ID),
+    Field("school_id", Kind.ID),
+    Field("attainment8_total", Kind.FLOAT, bounds=(0.0, 90.0)),
+    _ints("ks2_group", 1, 34, reference="1", optional=True),
+    _enum("month_of_birth", Month, reference=Month.SEPTEMBER.value),
+    _enum("gender", Gender, reference=Gender.MALE.value),
+    _enum("ethnicity", Ethnicity, reference=Ethnicity.WHITE_BRITISH.value),
+    _enum("first_language", FirstLanguage, reference=FirstLanguage.ENGLISH.value),
+    _enum("sen", Sen, reference=Sen.NONE.value),
+    Field("fsm", Kind.FLAG, ("Not eligible", "Eligible"), reference="Not eligible", suffix=str.lower),
+    _ints("idaci_decile", 1, 10, reference="1"),
+)
+
+SCHOOL_FIELDS = (
+    Field("school_id", Kind.ID),
+    _enum("region", Region),
+    _enum("school_type", SchoolType),
+    _enum("admissions", Admissions),
+    _enum("age_range", AgeRange),
+    _enum("school_gender", SchoolGender),
+    _enum("religion", Religion),
+    _ints("school_idaci_decile", 1, 10),
+)
+
+FIELD = {f.name: f for f in PUPIL_FIELDS + SCHOOL_FIELDS}

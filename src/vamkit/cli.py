@@ -8,9 +8,9 @@ the wall time. Identical inputs and flags produce byte-identical outputs
 (temp file + rename).
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
-Randomness exists only in `simulate --seed`; fitting is seed-free. The
-VAMKIT_THREADS environment variable caps how many measures are computed in
-parallel (default 1); results do not depend on it.
+Randomness exists only in `simulate --seed`; fitting is seed-free.
+
+Run as ``vamkit <command> ...`` or ``python -m vamkit.cli <command> ...``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -37,12 +38,12 @@ from .analysis import (
 )
 from .cohort import parse_pupils, parse_schools, validate_cohort
 from .design import MeasureKind
-from .errors import VamkitError
+from .errors import GeneratorError, VamkitError
 from .measures import (
     MeasureResult,
     SchoolScore,
     SignificanceCategory,
-    compute_measure,
+    compute_measures,
 )
 from .ols import cluster_robust_cov, coefficient_table
 from .synthgen import GeneratorConfig, generate_population, write_population_csv
@@ -105,31 +106,24 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("VAMKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# fit and breakdown list at most this many skipped rows per file on stderr
+_MAX_SKIPPED_LINES = 20
 
 
-def _compute_all(cohort, kinds) -> dict[MeasureKind, MeasureResult]:
-    workers = min(_thread_cap(), len(kinds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda k: compute_measure(cohort, k), kinds))
-    else:
-        results = [compute_measure(cohort, k) for k in kinds]
-    return {r.measure: r for r in results}
+def _report_skipped(path: Path, issues) -> None:
+    for issue in issues[:_MAX_SKIPPED_LINES]:
+        print(f"{path.name}: skipped {issue}", file=sys.stderr)
+    if issues:
+        by_column = Counter(issue.column for issue in issues)
+        counts = ", ".join(f"{column} {n}" for column, n in by_column.items())
+        print(f"{path.name}: skipped {len(issues)} row(s); by column: {counts}", file=sys.stderr)
 
 
 def _load_cohort(pupils_path: Path, schools_path: Path):
     pupils, pupil_issues = parse_pupils(pupils_path.read_bytes())
     schools, school_issues = parse_schools(schools_path.read_bytes())
-    for issue in pupil_issues:
-        print(f"{pupils_path.name}: skipped {issue}", file=sys.stderr)
-    for issue in school_issues:
-        print(f"{schools_path.name}: skipped {issue}", file=sys.stderr)
+    _report_skipped(pupils_path, pupil_issues)
+    _report_skipped(schools_path, school_issues)
     return validate_cohort(pupils, schools)
 
 
@@ -222,26 +216,51 @@ def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> byte
     return body
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _one_of(table: dict):
+    def parse(text: str):
+        if text not in table:
+            raise ValueError(f"unknown value {text!r}; valid values: {', '.join(table)}")
+        return table[text]
+
+    return parse
+
+
+_SCORE_COLUMNS = {
+    "school_id": str,
+    "measure": _one_of(_MEASURES_BY_CODE),
+    "score": _finite,
+    "n_pupils": int,
+    "ci_low": _finite,
+    "ci_high": _finite,
+    "category": _one_of(_CATEGORY_BY_VALUE),
+}
+
+
 def _read_school_scores(path: Path) -> list[SchoolScore]:
-    """Read a school_scores.csv produced by `fit`."""
-    text = path.read_bytes().decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    expected = {"school_id", "measure", "score", "n_pupils", "ci_low", "ci_high", "category"}
-    if reader.fieldnames is None or set(reader.fieldnames) != expected:
-        raise VamkitError(f"{path}: not a school_scores.csv file")
-    out = []
-    for row in reader:
-        out.append(
-            SchoolScore(
-                school_id=row["school_id"],
-                measure=_MEASURES_BY_CODE[row["measure"]],
-                score=float(row["score"]),
-                n_pupils=int(row["n_pupils"]),
-                ci_low=float(row["ci_low"]),
-                ci_high=float(row["ci_high"]),
-                category=_CATEGORY_BY_VALUE[row["category"]],
-            )
-        )
+    """Read a school_scores.csv produced by `fit`; a bad cell is fatal."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        if reader.fieldnames is None or set(reader.fieldnames) != set(_SCORE_COLUMNS):
+            raise VamkitError(f"{path}: not a school_scores.csv file")
+        out = []
+        for row_no, row in enumerate(reader, start=1):
+            cells = {}
+            for column, parse in _SCORE_COLUMNS.items():
+                try:
+                    cells[column] = parse(row[column])
+                except (TypeError, ValueError) as exc:
+                    raise VamkitError(f"{path}: row {row_no}, column {column}: {exc}") from exc
+            out.append(SchoolScore(**cells))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise VamkitError(f"{path}: unreadable CSV: {exc}") from exc
     if not out:
         raise VamkitError(f"{path}: no school scores")
     return out
@@ -258,7 +277,10 @@ def _cmd_simulate(args, out_dir: Path):
     if args.config is not None:
         config_path = Path(args.config)
         inputs[str(config_path)] = _sha256(config_path)
-        loaded = json.loads(config_path.read_text(encoding="utf-8"))
+        try:
+            loaded = json.loads(config_path.read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise VamkitError(f"{config_path}: not a JSON file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise VamkitError(f"{config_path}: config must be a JSON object")
         overrides.update(loaded)
@@ -266,14 +288,17 @@ def _cmd_simulate(args, out_dir: Path):
         overrides["n_schools"] = args.schools
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if "school_size_range" in overrides:
+    if isinstance(overrides.get("school_size_range"), list):
         overrides["school_size_range"] = tuple(overrides["school_size_range"])
+    source = f"{args.config}: " if args.config is not None else ""
     try:
         config = GeneratorConfig(**overrides)
     except TypeError as exc:
-        raise VamkitError(f"invalid generator config: {exc}") from exc
-
-    synthetic = generate_population(config)
+        raise VamkitError(f"{source}invalid generator config: {exc}") from exc
+    try:
+        synthetic = generate_population(config)
+    except GeneratorError as exc:
+        raise VamkitError(f"{source}{exc}") from exc
     outputs = write_population_csv(synthetic)
     for name, data in outputs.items():
         _write_atomic(out_dir / name, data)
@@ -284,10 +309,10 @@ def _cmd_fit(args, out_dir: Path):
     pupils_path, schools_path = Path(args.pupils), Path(args.schools)
     inputs = {str(pupils_path): _sha256(pupils_path), str(schools_path): _sha256(schools_path)}
     cohort = _load_cohort(pupils_path, schools_path)
-    cluster_ids = [p.school_id for p in cohort.pupils]
+    cluster_ids = cohort.school_index.tolist()
     fmt = _formatter(args.precision)
 
-    results = _compute_all(cohort, args.measures)
+    results = compute_measures(cohort, args.measures)
     written = []
     for kind in args.measures:
         res = results[kind]
@@ -340,8 +365,8 @@ def _cmd_breakdown(args, out_dir: Path):
     cohort = _load_cohort(pupils_path, schools_path)
     fmt = _formatter(args.precision)
 
-    results = _compute_all(cohort, args.measures)
-    scores = {kind: res.pupil_scores for kind, res in results.items()}
+    results = compute_measures(cohort, args.measures)
+    scores = {kind: res.scores for kind, res in results.items()}
     if args.by in PUPIL_CHARACTERISTICS:
         table = pupil_breakdown(cohort, scores, args.by)
     else:
@@ -461,3 +486,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

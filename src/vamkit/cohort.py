@@ -1,10 +1,16 @@
 """Pupil/school data model, CSV ingestion and validation.
 
 CSV is the sole ingestion format. Both schemas are flat tables with a fixed,
-ordered header (see ``PUPIL_COLUMNS`` / ``SCHOOL_COLUMNS``). Parsing never
-raises on malformed rows: each bad row becomes a :class:`ParseIssue` naming
-the row, column and reason, and the row is skipped. Structural problems
-(undecodable bytes, wrong header) raise :class:`CohortError`.
+ordered header, given by the field tables ``PUPIL_FIELDS`` and
+``SCHOOL_FIELDS`` (see :mod:`vamkit.categories`). Parsing never raises on
+malformed rows: each bad row becomes a :class:`ParseIssue` naming the row,
+its first failing column and the reason, and the row is skipped. Structural
+problems (undecodable bytes, wrong header) raise :class:`CohortError`.
+
+Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
+outcome as float64 and every category as a small-int code.
+:class:`PupilRecord` and :class:`SchoolRecord` are row views, built from the
+columns on request.
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
 that adjust for prior attainment reject cohorts containing such pupils; the
@@ -16,54 +22,33 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import BinaryIO, Iterable, Sequence
 
+import numpy as np
+
 from .categories import (
-    ATTAINMENT8_MAX,
+    PUPIL_FIELDS,
+    SCHOOL_FIELDS,
     Admissions,
     AgeRange,
     Ethnicity,
+    Field,
     FirstLanguage,
     Gender,
-    IDACI_DECILE_MAX,
-    IDACI_DECILE_MIN,
-    KS2_GROUP_MAX,
-    KS2_GROUP_MIN,
+    Kind,
     Month,
     Region,
     Religion,
     SchoolGender,
     SchoolType,
     Sen,
-    parse_category,
 )
 from .errors import CohortError
 
-PUPIL_COLUMNS = (
-    "pupil_id",
-    "school_id",
-    "attainment8_total",
-    "ks2_group",
-    "month_of_birth",
-    "gender",
-    "ethnicity",
-    "first_language",
-    "sen",
-    "fsm",
-    "idaci_decile",
-)
-
-SCHOOL_COLUMNS = (
-    "school_id",
-    "region",
-    "school_type",
-    "admissions",
-    "age_range",
-    "school_gender",
-    "religion",
-    "school_idaci_decile",
-)
+PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
+SCHOOL_COLUMNS = tuple(f.name for f in SCHOOL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -109,21 +94,84 @@ class ParseIssue:
         return f"row {self.row}, column {self.column}: {self.reason}"
 
 
-@dataclass(frozen=True)
+_DTYPE = {Kind.ID: str, Kind.FLOAT: np.float64}  # every other kind: int8 codes
+_RECORD = {PUPIL_FIELDS: PupilRecord, SCHOOL_FIELDS: SchoolRecord}
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """Rows of one schema held as equal-length numpy columns, keyed by name."""
+
+    fields: tuple[Field, ...]
+    columns: dict[str, np.ndarray] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.columns[self.fields[0].name])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def take(self, rows) -> Table:
+        """The given rows, in the given order."""
+        return Table(self.fields, {name: col[rows] for name, col in self.columns.items()})
+
+    def replace(self, **columns: np.ndarray) -> Table:
+        return Table(self.fields, {**self.columns, **columns})
+
+    def records(self) -> tuple:
+        """Row views: one PupilRecord or SchoolRecord per row."""
+        cells = []
+        for f in self.fields:
+            col = self.columns[f.name].tolist()
+            if f.kind not in _DTYPE:
+                col = list(map((f.values + (None,)).__getitem__, col))
+            cells.append(col)
+        record = _RECORD[self.fields]
+        return tuple(record(*row) for row in zip(*cells))
+
+
+def _as_table(rows: Table | Iterable, fields: tuple[Field, ...]) -> Table:
+    """A parsed table as it is; records (hand-built cohorts) converted to one."""
+    if isinstance(rows, Table):
+        return rows
+    rows = list(rows)
+    columns = {}
+    for f in fields:
+        values = [getattr(r, f.name) for r in rows]
+        if f.kind in _DTYPE:
+            columns[f.name] = np.array(values, dtype=_DTYPE[f.kind])
+        else:
+            # a value's position in (None, *f.values) is its code + 1
+            codes = map(((None,) + f.values).index, values)
+            columns[f.name] = np.fromiter(codes, dtype=np.int8, count=len(rows)) - 1
+    return Table(fields, columns)
+
+
+@dataclass(frozen=True, eq=False)
 class ValidatedCohort:
-    """Cross-referenced pupil and school lists, immutable after construction.
+    """Cross-referenced pupil and school columns, immutable after construction.
 
     Every pupil's school_id resolves to a school; every school has at least
-    one pupil; pupil ids are unique.
+    one pupil; pupil ids are unique. Pupils keep their input order; schools
+    are sorted by school_id, and ``school_index`` gives each pupil's row in
+    ``school_table``, so school k is the k-th smallest school_id.
     """
 
-    pupils: tuple[PupilRecord, ...]
-    schools: tuple[SchoolRecord, ...]
+    pupil_table: Table
+    school_table: Table
+    school_index: np.ndarray
     n_pupils: int
     n_schools: int
 
-    def school_by_id(self) -> dict[str, SchoolRecord]:
-        return {s.school_id: s for s in self.schools}
+    @cached_property
+    def pupils(self) -> tuple[PupilRecord, ...]:
+        """Row views of the pupils, in cohort order."""
+        return self.pupil_table.records()
+
+    @cached_property
+    def schools(self) -> tuple[SchoolRecord, ...]:
+        """Row views of the schools, in school_id order."""
+        return self.school_table.records()
 
 
 def _decode(source: BinaryIO | bytes) -> io.StringIO:
@@ -133,6 +181,7 @@ def _decode(source: BinaryIO | bytes) -> io.StringIO:
     except UnicodeDecodeError as exc:
         raise CohortError(f"input is not valid UTF-8: {exc}") from exc
     return io.StringIO(text, newline="")
+
 
 def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str) -> None:
     if row is None:
@@ -154,208 +203,137 @@ def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str)
         )
 
 
-def _parse_int(text: str, lo: int, hi: int) -> int:
-    value = int(text)
-    if not lo <= value <= hi:
-        raise ValueError(f"must be an integer in {lo}..{hi}, got {text!r}")
-    return value
+def _encode_column(f: Field, raw: np.ndarray) -> tuple[np.ndarray, dict[str, str]]:
+    """A column's stored values, and the reason for each bad raw spelling.
 
-
-def parse_pupils(source: BinaryIO | bytes) -> tuple[list[PupilRecord], list[ParseIssue]]:
-    """Parse a pupil CSV byte stream into records plus row-level issues.
-
-    Well-formed rows yield one record each; malformed rows are skipped with an
-    issue. A missing or reordered header is fatal (:class:`CohortError`).
+    Each spelling that may be bad is checked by ``Field.encode`` once; ids
+    and numbers that pass a vectorised check skip it. Bad cells hold a
+    placeholder.
     """
-    records: list[PupilRecord] = []
+    col, suspects = None, raw
+    if f.kind is Kind.ID:
+        col = np.char.strip(raw.astype(str))
+        suspects = raw[col == ""]
+    elif f.kind is Kind.FLOAT:
+        try:
+            col = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
+        except ValueError:
+            pass  # some cell is not a number: check every spelling
+        else:
+            suspects = raw[~((col >= f.bounds[0]) & (col <= f.bounds[1]))]
+    decoded, reasons = {}, {}
+    for text in set(suspects):
+        try:
+            decoded[text] = f.encode(text.strip())
+        except ValueError as exc:
+            decoded[text] = np.nan if f.kind is Kind.FLOAT else -1
+            reasons[text] = str(exc)
+    if col is None:
+        dtype = _DTYPE.get(f.kind, np.int8)
+        col = np.fromiter(map(decoded.__getitem__, raw), dtype=dtype, count=len(raw))
+    return col, reasons
+
+
+def _parse_table(
+    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
+) -> tuple[Table, list[ParseIssue]]:
+    """Read a CSV into columns; each bad row is skipped with one issue.
+
+    A row is reported under its first failing column in column order.
+    """
+    names = tuple(f.name for f in fields)
+    width = len(names)
     issues: list[ParseIssue] = []
+    rows: list[list[str]] = []
+    row_nos: list[int] = []
     reader = csv.reader(_decode(source))
     try:
-        header = next(reader, None)
-        _check_header(header, PUPIL_COLUMNS, "pupil CSV")
+        _check_header(next(reader, None), names, what)
         for row_no, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
+            # blank rows are skipped; a non-blank first cell settles it quickly
+            if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
                 continue
-            if len(row) != len(PUPIL_COLUMNS):
-                issues.append(
-                    ParseIssue(row_no, "(row)", f"expected {len(PUPIL_COLUMNS)} fields, got {len(row)}")
-                )
+            if len(row) != width:
+                issues.append(ParseIssue(row_no, "(row)", f"expected {width} fields, got {len(row)}"))
                 continue
-            cells = dict(zip(PUPIL_COLUMNS, (c.strip() for c in row)))
-            column = "(row)"
-            try:
-                column = "pupil_id"
-                pupil_id = cells["pupil_id"]
-                if not pupil_id:
-                    raise ValueError("must not be empty")
-                column = "school_id"
-                school_id = cells["school_id"]
-                if not school_id:
-                    raise ValueError("must not be empty")
-                column = "attainment8_total"
-                a8 = float(cells["attainment8_total"])
-                if not 0.0 <= a8 <= ATTAINMENT8_MAX:
-                    raise ValueError(f"must be in [0, {ATTAINMENT8_MAX:g}], got {a8:g}")
-                column = "ks2_group"
-                ks2 = (
-                    None
-                    if cells["ks2_group"] == ""
-                    else _parse_int(cells["ks2_group"], KS2_GROUP_MIN, KS2_GROUP_MAX)
-                )
-                column = "month_of_birth"
-                month = parse_category(Month, cells["month_of_birth"])
-                column = "gender"
-                gender = parse_category(Gender, cells["gender"])
-                column = "ethnicity"
-                ethnicity = parse_category(Ethnicity, cells["ethnicity"])
-                column = "first_language"
-                language = parse_category(FirstLanguage, cells["first_language"])
-                column = "sen"
-                sen = parse_category(Sen, cells["sen"])
-                column = "fsm"
-                if cells["fsm"] not in ("0", "1"):
-                    raise ValueError(f"must be 0 or 1, got {cells['fsm']!r}")
-                fsm = cells["fsm"] == "1"
-                column = "idaci_decile"
-                idaci = _parse_int(cells["idaci_decile"], IDACI_DECILE_MIN, IDACI_DECILE_MAX)
-            except ValueError as exc:
-                issues.append(ParseIssue(row_no, column, str(exc)))
-                continue
-            records.append(
-                PupilRecord(
-                    pupil_id=pupil_id,
-                    school_id=school_id,
-                    attainment8_total=a8,
-                    ks2_group=ks2,
-                    month_of_birth=month,
-                    gender=gender,
-                    ethnicity=ethnicity,
-                    first_language=language,
-                    sen=sen,
-                    fsm=fsm,
-                    idaci_decile=idaci,
-                )
-            )
+            rows.append(row)
+            row_nos.append(row_no)
     except csv.Error as exc:
-        raise CohortError(f"pupil CSV is malformed: {exc}") from exc
-    return records, issues
+        raise CohortError(f"{what} is malformed: {exc}") from exc
+
+    cells = np.array(rows, dtype=object).reshape(len(rows), width)
+    failed = np.zeros(len(rows), dtype=bool)
+    columns = {}
+    for j, f in enumerate(fields):
+        raw = cells[:, j]
+        columns[f.name], reasons = _encode_column(f, raw)
+        if reasons:
+            bad = np.fromiter(map(reasons.__contains__, raw), dtype=bool, count=len(raw))
+            for i in np.flatnonzero(bad & ~failed):
+                issues.append(ParseIssue(row_nos[i], f.name, reasons[raw[i]]))
+            failed |= bad
+    issues.sort(key=lambda issue: issue.row)
+    return Table(fields, columns).take(~failed), issues
 
 
-def parse_schools(source: BinaryIO | bytes) -> tuple[list[SchoolRecord], list[ParseIssue]]:
+def parse_pupils(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
+    """Parse a pupil CSV byte stream into columns plus row-level issues.
+
+    Well-formed rows are kept; malformed rows are skipped with an issue. A
+    missing or reordered header is fatal (:class:`CohortError`).
+    """
+    return _parse_table(source, PUPIL_FIELDS, "pupil CSV")
+
+
+def parse_schools(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
     """Parse a school CSV byte stream; same contract as :func:`parse_pupils`."""
-    records: list[SchoolRecord] = []
-    issues: list[ParseIssue] = []
-    reader = csv.reader(_decode(source))
-    try:
-        header = next(reader, None)
-        _check_header(header, SCHOOL_COLUMNS, "school CSV")
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(SCHOOL_COLUMNS):
-                issues.append(
-                    ParseIssue(row_no, "(row)", f"expected {len(SCHOOL_COLUMNS)} fields, got {len(row)}")
-                )
-                continue
-            cells = dict(zip(SCHOOL_COLUMNS, (c.strip() for c in row)))
-            column = "(row)"
-            try:
-                column = "school_id"
-                school_id = cells["school_id"]
-                if not school_id:
-                    raise ValueError("must not be empty")
-                column = "region"
-                region = parse_category(Region, cells["region"])
-                column = "school_type"
-                school_type = parse_category(SchoolType, cells["school_type"])
-                column = "admissions"
-                admissions = parse_category(Admissions, cells["admissions"])
-                column = "age_range"
-                age_range = parse_category(AgeRange, cells["age_range"])
-                column = "school_gender"
-                school_gender = parse_category(SchoolGender, cells["school_gender"])
-                column = "religion"
-                religion = parse_category(Religion, cells["religion"])
-                column = "school_idaci_decile"
-                decile = _parse_int(cells["school_idaci_decile"], IDACI_DECILE_MIN, IDACI_DECILE_MAX)
-            except ValueError as exc:
-                issues.append(ParseIssue(row_no, column, str(exc)))
-                continue
-            records.append(
-                SchoolRecord(
-                    school_id=school_id,
-                    region=region,
-                    school_type=school_type,
-                    admissions=admissions,
-                    age_range=age_range,
-                    school_gender=school_gender,
-                    religion=religion,
-                    school_idaci_decile=decile,
-                )
-            )
-    except csv.Error as exc:
-        raise CohortError(f"school CSV is malformed: {exc}") from exc
-    return records, issues
+    return _parse_table(source, SCHOOL_FIELDS, "school CSV")
+
+
+def _check_unique(ids: np.ndarray, name: str) -> None:
+    unique, counts = np.unique(ids, return_counts=True)
+    if unique.size != ids.size:
+        raise CohortError(f"duplicate {name} values: {', '.join(unique[counts > 1].tolist())}")
 
 
 def validate_cohort(
-    pupils: Iterable[PupilRecord], schools: Iterable[SchoolRecord]
+    pupils: Table | Iterable[PupilRecord], schools: Table | Iterable[SchoolRecord]
 ) -> ValidatedCohort:
     """Cross-reference parsed pupils and schools into an immutable cohort.
 
-    Schools with zero pupils are dropped with a warning. Unresolvable
-    school_ids or duplicate ids are fatal.
+    Takes the parsers' tables, or sequences of records. Schools with zero
+    pupils are dropped with a warning. Unresolvable school_ids or duplicate
+    ids are fatal.
     """
-    pupils = tuple(pupils)
-    schools = tuple(schools)
-    if not pupils:
+    pupils = _as_table(pupils, PUPIL_FIELDS)
+    schools = _as_table(schools, SCHOOL_FIELDS)
+    if not len(pupils):
         raise CohortError("cohort has no pupils")
+    _check_unique(pupils["pupil_id"], "pupil_id")
+    school_ids = schools["school_id"]
+    _check_unique(school_ids, "school_id")
 
-    seen_pupils: set[str] = set()
-    dup_pupils: list[str] = []
-    for p in pupils:
-        if p.pupil_id in seen_pupils:
-            dup_pupils.append(p.pupil_id)
-        seen_pupils.add(p.pupil_id)
-    if dup_pupils:
-        raise CohortError(f"duplicate pupil_id values: {', '.join(sorted(set(dup_pupils)))}")
-
-    seen_schools: set[str] = set()
-    dup_schools: list[str] = []
-    for s in schools:
-        if s.school_id in seen_schools:
-            dup_schools.append(s.school_id)
-        seen_schools.add(s.school_id)
-    if dup_schools:
-        raise CohortError(f"duplicate school_id values: {', '.join(sorted(set(dup_schools)))}")
-
-    unresolved = sorted({p.school_id for p in pupils} - seen_schools)
+    # kept: the referenced school ids, sorted; school_index: each pupil's position in it
+    kept, school_index = np.unique(pupils["school_id"], return_inverse=True)
+    unresolved = np.setdiff1d(kept, school_ids).tolist()
     if unresolved:
         raise CohortError(f"pupils reference unknown school_id values: {', '.join(unresolved)}")
-
-    referenced = {p.school_id for p in pupils}
-    kept = tuple(s for s in schools if s.school_id in referenced)
-    empty = [s.school_id for s in schools if s.school_id not in referenced]
+    empty = np.setdiff1d(school_ids, kept).tolist()
     if empty:
         warnings.warn(
-            f"dropping {len(empty)} school(s) with no pupils: {', '.join(sorted(empty))}",
+            f"dropping {len(empty)} school(s) with no pupils: {', '.join(empty)}",
             stacklevel=2,
         )
 
-    if not kept:
-        raise CohortError("cohort has no schools")
-
+    by_id = np.argsort(school_ids, kind="stable")
+    rows = by_id[np.searchsorted(school_ids[by_id], kept)]
     return ValidatedCohort(
-        pupils=pupils, schools=kept, n_pupils=len(pupils), n_schools=len(kept)
+        pupil_table=pupils,
+        school_table=schools.take(rows),
+        school_index=school_index,
+        n_pupils=len(pupils),
+        n_schools=kept.size,
     )
-
-
-def _csv_bytes(header: Sequence[str], rows: Iterable[Sequence[str]]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
 
 
 def _num(value: float) -> str:
@@ -365,40 +343,28 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
-def serialize_pupils(records: Iterable[PupilRecord]) -> bytes:
-    """Write pupil records as canonical CSV bytes (inverse of parse_pupils)."""
-    rows = (
-        (
-            p.pupil_id,
-            p.school_id,
-            _num(p.attainment8_total),
-            "" if p.ks2_group is None else str(p.ks2_group),
-            p.month_of_birth.value,
-            p.gender.value,
-            p.ethnicity.value,
-            p.first_language.value,
-            p.sen.value,
-            "1" if p.fsm else "0",
-            str(p.idaci_decile),
-        )
-        for p in records
-    )
-    return _csv_bytes(PUPIL_COLUMNS, rows)
+def _serialize(rows: Table | Iterable, fields: tuple[Field, ...]) -> bytes:
+    table = _as_table(rows, fields)
+    cells = []
+    for f in fields:
+        col = table[f.name].tolist()
+        if f.kind is Kind.FLOAT:
+            col = list(map(_num, col))
+        elif f.kind is not Kind.ID:
+            col = list(map((f.spellings + ("",)).__getitem__, col))
+        cells.append(col)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(f.name for f in fields)
+    writer.writerows(zip(*cells))
+    return buf.getvalue().encode("utf-8")
 
 
-def serialize_schools(records: Iterable[SchoolRecord]) -> bytes:
-    """Write school records as canonical CSV bytes (inverse of parse_schools)."""
-    rows = (
-        (
-            s.school_id,
-            s.region.value,
-            s.school_type.value,
-            s.admissions.value,
-            s.age_range.value,
-            s.school_gender.value,
-            s.religion.value,
-            str(s.school_idaci_decile),
-        )
-        for s in records
-    )
-    return _csv_bytes(SCHOOL_COLUMNS, rows)
+def serialize_pupils(pupils: Table | Iterable[PupilRecord]) -> bytes:
+    """Write pupils as canonical CSV bytes (inverse of parse_pupils)."""
+    return _serialize(pupils, PUPIL_FIELDS)
+
+
+def serialize_schools(schools: Table | Iterable[SchoolRecord]) -> bytes:
+    """Write schools as canonical CSV bytes (inverse of parse_schools)."""
+    return _serialize(schools, SCHOOL_FIELDS)

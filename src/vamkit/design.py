@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import (
-    Ethnicity,
-    FirstLanguage,
-    Gender,
-    IDACI_DECILE_MAX,
-    KS2_GROUP_MAX,
-    Month,
-    Sen,
-)
+from .categories import FIELD, PUPIL_FIELDS, Field
 from .cohort import ValidatedCohort
 from .errors import DesignError
 
@@ -75,41 +67,22 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def _slug(category: str) -> str:
-    out = category.replace("/", " ")
-    return "_".join(out.split())
+_PRIOR = "ks2_group"
+_COVARIATES = tuple(f for f in PUPIL_FIELDS if f.reference is not None)
 
 
-REFERENCE_CATEGORIES = {
-    "ks2_group": "1",
-    "month_of_birth": Month.SEPTEMBER.value,
-    "gender": Gender.MALE.value,
-    "ethnicity": Ethnicity.WHITE_BRITISH.value,
-    "first_language": FirstLanguage.ENGLISH.value,
-    "sen": Sen.NONE.value,
-    "fsm": "0",
-    "idaci_decile": "1",
-}
-
-KS2_LABELS = tuple(f"ks2_group_{g}" for g in range(2, KS2_GROUP_MAX + 1))
-MONTH_LABELS = tuple(f"month_of_birth_{m.value}" for m in list(Month)[1:])
-ETHNICITY_LABELS = tuple(f"ethnicity_{_slug(e.value)}" for e in list(Ethnicity)[1:])
-SEN_LABELS = ("sen_SEN_support", "sen_Statement")
-IDACI_LABELS = tuple(f"idaci_decile_{d}" for d in range(2, IDACI_DECILE_MAX + 1))
-BACKGROUND_LABELS = (
-    MONTH_LABELS + ("gender_Female",) + ETHNICITY_LABELS
-    + ("first_language_Other",) + SEN_LABELS + ("fsm_eligible",) + IDACI_LABELS
-)
+def _blocks(spec: ModelSpec) -> tuple[Field, ...]:
+    """The covariate fields a spec adjusts for, in design-block order."""
+    return tuple(
+        f
+        for f in _COVARIATES
+        if (spec.include_prior_attainment if f.name == _PRIOR else spec.include_background)
+    )
 
 
 def design_labels(spec: ModelSpec) -> tuple[str, ...]:
     """Deterministic column labels for a model spec (cohort-independent)."""
-    labels: tuple[str, ...] = ("constant",)
-    if spec.include_prior_attainment:
-        labels += KS2_LABELS
-    if spec.include_background:
-        labels += BACKGROUND_LABELS
-    return labels
+    return ("constant",) + tuple(label for f in _blocks(spec) for label in f.design_labels)
 
 
 def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatrix:
@@ -119,12 +92,10 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
     ks2_group. Category levels with no pupils produce all-zero columns and a
     warning; they are pruned later by the estimation rank guard.
     """
-    pupils = cohort.pupils
-    n = len(pupils)
-    columns: list[np.ndarray] = [np.ones(n)]
-
+    pupils = cohort.pupil_table
+    blocks = _blocks(spec)
     if spec.include_prior_attainment:
-        missing = [p.pupil_id for p in pupils if p.ks2_group is None]
+        missing = pupils["pupil_id"][pupils[_PRIOR] < 0].tolist()
         if missing:
             shown = ", ".join(missing[:20])
             more = "" if len(missing) <= 20 else f" (and {len(missing) - 20} more)"
@@ -132,51 +103,34 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
                 "model adjusts for prior attainment but ks2_group is missing "
                 f"for pupils: {shown}{more}"
             )
-        ks2 = np.array([p.ks2_group for p in pupils], dtype=np.intp)
-        for g in range(2, KS2_GROUP_MAX + 1):
-            columns.append((ks2 == g).astype(float))
-
-    if spec.include_background:
-        month = np.array([list(Month).index(p.month_of_birth) for p in pupils], dtype=np.intp)
-        for idx in range(1, len(Month)):
-            columns.append((month == idx).astype(float))
-        columns.append(
-            np.array([1.0 if p.gender is Gender.FEMALE else 0.0 for p in pupils])
-        )
-        eth = np.array([list(Ethnicity).index(p.ethnicity) for p in pupils], dtype=np.intp)
-        for idx in range(1, len(Ethnicity)):
-            columns.append((eth == idx).astype(float))
-        columns.append(
-            np.array([1.0 if p.first_language is FirstLanguage.OTHER else 0.0 for p in pupils])
-        )
-        columns.append(np.array([1.0 if p.sen is Sen.SUPPORT else 0.0 for p in pupils]))
-        columns.append(np.array([1.0 if p.sen is Sen.STATEMENT else 0.0 for p in pupils]))
-        columns.append(np.array([1.0 if p.fsm else 0.0 for p in pupils]))
-        idaci = np.array([p.idaci_decile for p in pupils], dtype=np.intp)
-        for d in range(2, IDACI_DECILE_MAX + 1):
-            columns.append((idaci == d).astype(float))
 
     labels = design_labels(spec)
-    values = np.column_stack(columns)
-    assert values.shape == (n, len(labels))
+    values = np.zeros((cohort.n_pupils, len(labels)))
+    values[:, 0] = 1.0
+    rows = np.arange(cohort.n_pupils)
+    empty: list[str] = []
+    start = 1
+    for f in blocks:
+        codes = pupils[f.name]
+        # column of each code; the reference level maps onto the constant,
+        # which already holds 1.0
+        column = np.zeros(len(f.levels), dtype=np.intp)
+        column[list(f.design_codes)] = np.arange(start, start + len(f.design_codes))
+        values[rows, column[codes]] = 1.0
+        counts = np.bincount(codes, minlength=len(f.levels))
+        empty += [lab for c, lab in zip(f.design_codes, f.design_labels) if not counts[c]]
+        start += len(f.design_codes)
 
-    empty = [labels[j] for j in range(1, values.shape[1]) if not values[:, j].any()]
     if empty:
         warnings.warn(
             f"category level(s) absent from cohort (all-zero columns): {', '.join(empty)}",
             stacklevel=2,
         )
-
-    refs = {
-        name: ref
-        for name, ref in REFERENCE_CATEGORIES.items()
-        if (name == "ks2_group" and spec.include_prior_attainment)
-        or (name != "ks2_group" and spec.include_background)
-    }
+    refs = {f.name: f.spellings[f.levels.index(f.reference)] for f in blocks}
     return DesignMatrix(values=values, column_labels=labels, reference_categories=refs)
 
 
-def band_ks2(fine_scores, n_groups: int = KS2_GROUP_MAX) -> list[int]:
+def band_ks2(fine_scores, n_groups: int = len(FIELD[_PRIOR].levels)) -> list[int]:
     """Assign prior-attainment groups 1..n_groups by empirical quantile cut.
 
     Cut points are the j/n_groups empirical quantiles; a score lands in

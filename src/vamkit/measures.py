@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class SignificanceCategory(enum.Enum):
 
 @dataclass(frozen=True)
 class PupilScore:
-    """A pupil's measure score in grades per subject (residual / 10)."""
+    """Row view of one pupil's measure score in grades per subject (residual / 10)."""
 
     pupil_id: str
     measure: MeasureKind
@@ -75,44 +76,56 @@ class MeasureSummary:
     national_mean_grades: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureResult:
-    """Everything one measure run produces, in cohort pupil order."""
+    """Everything one measure run produces; ``scores`` is in cohort pupil order."""
 
     measure: MeasureKind
     fit: FitResult
     design: DesignMatrix
-    pupil_scores: list[PupilScore]
+    pupil_ids: np.ndarray
+    scores: np.ndarray
     school_scores: list[SchoolScore]
     summary: MeasureSummary
 
+    @cached_property
+    def pupil_scores(self) -> list[PupilScore]:
+        """Row views of ``scores``: one PupilScore per pupil."""
+        return [
+            PupilScore(pupil_id=pid, measure=self.measure, score=s)
+            for pid, s in zip(self.pupil_ids.tolist(), self.scores.tolist())
+        ]
+
 
 def school_scores(
-    pupil_scores: Sequence[PupilScore],
-    school_ids: Mapping[str, str],
+    measure: MeasureKind,
+    scores: np.ndarray,
+    school_index: np.ndarray,
+    school_ids: Sequence[str],
     national_sd: float,
     *,
     within_school_sd: bool = False,
 ) -> list[SchoolScore]:
     """Average pupil scores within school and attach 95% CIs.
 
-    ``school_ids`` maps pupil_id to school_id. With ``within_school_sd`` the
-    CI uses each school's own pupil-score SD instead of the national one
-    (schools with a single pupil fall back to the national SD). Output is
-    sorted by school_id.
+    ``school_index`` gives each pupil's school as a position in
+    ``school_ids``. With ``within_school_sd`` the CI uses each school's own
+    pupil-score SD instead of the national one (schools with a single pupil
+    fall back to the national SD). Output follows ``school_ids`` order and
+    skips schools without pupils.
     """
     if national_sd <= 0.0:
         raise AnalysisError(f"national_sd must be positive, got {national_sd!r}")
-    by_school: dict[str, list[float]] = {}
-    measure = None
-    for ps in pupil_scores:
-        measure = ps.measure
-        by_school.setdefault(school_ids[ps.pupil_id], []).append(ps.score)
-
+    school_index = np.asarray(school_index)
+    by_school = np.asarray(scores, dtype=float)[np.argsort(school_index, kind="stable")]
+    counts = np.bincount(school_index, minlength=len(school_ids)).tolist()
     out: list[SchoolScore] = []
-    for school_id in sorted(by_school):
-        values = np.asarray(by_school[school_id])
-        n = values.size
+    end = 0
+    for school_id, n in zip(school_ids, counts):
+        if n == 0:
+            continue
+        values = by_school[end : end + n]
+        end += n
         mean = float(values.mean())
         sd = national_sd
         if within_school_sd and n >= 2:
@@ -141,19 +154,19 @@ def school_scores(
 
 def measure_summary(
     fit: FitResult,
-    pupil_scores: Sequence[PupilScore],
+    scores: np.ndarray,
     school_scores_: Sequence[SchoolScore],
     *,
     national_mean_grades: float = float("nan"),
 ) -> MeasureSummary:
-    """Summary statistics for one measure run.
+    """Summary statistics for one measure run from its pupil and school scores.
 
     SDs use the sample (N-1) convention; the school-score SD is unweighted,
     each school counting once. A single-school cohort reports 0 with a
     warning. ``national_mean_grades`` is the uncentred outcome mean / 10,
     reported alongside the centred scores.
     """
-    pupil_values = np.asarray([p.score for p in pupil_scores])
+    pupil_values = np.asarray(scores, dtype=float)
     school_values = np.asarray([s.score for s in school_scores_])
     if school_values.size >= 2:
         sd_school = float(school_values.std(ddof=1))
@@ -161,11 +174,11 @@ def measure_summary(
         warnings.warn("single school: school-score SD reported as 0", stacklevel=2)
         sd_school = 0.0
     return MeasureSummary(
-        measure=pupil_scores[0].measure,
+        measure=school_scores_[0].measure,
         adjusted_r_squared=fit.adjusted_r_squared,
         sd_pupil_scores=float(pupil_values.std(ddof=1)) if pupil_values.size >= 2 else 0.0,
         sd_school_scores=sd_school,
-        n_pupils=len(pupil_scores),
+        n_pupils=pupil_values.size,
         n_schools=len(school_scores_),
         national_mean_grades=national_mean_grades,
     )
@@ -179,22 +192,22 @@ def compute_measure(
 ) -> MeasureResult:
     """Run the full pipeline for one measure on a validated cohort."""
     design = build_design_matrix(cohort, kind.model_spec)
-    outcome = np.array([p.attainment8_total for p in cohort.pupils])
+    outcome = cohort.pupil_table["attainment8_total"]
     fit = fit_ols(design, outcome)
 
     scores = fit.residuals / POINTS_PER_GRADE
-    pupil_scores = [
-        PupilScore(pupil_id=p.pupil_id, measure=kind, score=float(s))
-        for p, s in zip(cohort.pupils, scores)
-    ]
     national_sd = float(scores.std(ddof=1))
-    mapping = {p.pupil_id: p.school_id for p in cohort.pupils}
     schools = school_scores(
-        pupil_scores, mapping, national_sd, within_school_sd=within_school_sd
+        kind,
+        scores,
+        cohort.school_index,
+        cohort.school_table["school_id"].tolist(),
+        national_sd,
+        within_school_sd=within_school_sd,
     )
     summary = measure_summary(
         fit,
-        pupil_scores,
+        scores,
         schools,
         national_mean_grades=float(outcome.mean()) / POINTS_PER_GRADE,
     )
@@ -202,7 +215,8 @@ def compute_measure(
         measure=kind,
         fit=fit,
         design=design,
-        pupil_scores=pupil_scores,
+        pupil_ids=cohort.pupil_table["pupil_id"],
+        scores=scores,
         school_scores=schools,
         summary=summary,
     )

@@ -30,22 +30,9 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .categories import (
-    Admissions,
-    AgeRange,
-    Ethnicity,
-    FirstLanguage,
-    Gender,
-    Month,
-    Region,
-    Religion,
-    SchoolGender,
-    SchoolType,
-    Sen,
-)
+from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind
 from .cohort import (
-    PupilRecord,
-    SchoolRecord,
+    Table,
     ValidatedCohort,
     serialize_pupils,
     serialize_schools,
@@ -54,32 +41,33 @@ from .cohort import (
 from .design import ModelSpec, build_design_matrix, design_labels
 from .errors import GeneratorError
 
-# National 2016 pupil counts by category (same order as the enums / groups).
-KS2_GROUP_COUNTS = (
-    960, 1164, 7692, 3133, 2413, 2417, 3287, 3359, 4757, 5228,
-    6357, 7499, 8337, 10041, 12033, 13679, 16026, 19589, 23473, 25852,
-    29549, 30450, 30669, 31371, 30990, 29952, 28983, 27346, 24938, 21913,
-    18167, 12225, 6505, 2497,
-)
-MONTH_COUNTS = (
-    43346, 41981, 41113, 42700, 42124, 38949, 42158, 40458, 42601, 40983, 43493, 42945,
-)
-GENDER_COUNTS = (253733, 249118)
-ETHNICITY_COUNTS = (
-    380949, 1606, 104, 659, 17129, 14379, 6650, 2690, 12426, 18722,
-    7709, 6900, 1585, 2390, 6873, 4656, 6983, 6198, 2098, 2145,
-)
-LANGUAGE_COUNTS = (438585, 64266)
-SEN_COUNTS = (436229, 55601, 11021)
+# National 2016 counts per level, in code order: pupils for pupil fields,
+# schools for school fields.
+NATIONAL_COUNTS = {
+    "ks2_group": (
+        960, 1164, 7692, 3133, 2413, 2417, 3287, 3359, 4757, 5228,
+        6357, 7499, 8337, 10041, 12033, 13679, 16026, 19589, 23473, 25852,
+        29549, 30450, 30669, 31371, 30990, 29952, 28983, 27346, 24938, 21913,
+        18167, 12225, 6505, 2497,
+    ),
+    "month_of_birth": (
+        43346, 41981, 41113, 42700, 42124, 38949, 42158, 40458, 42601, 40983, 43493, 42945,
+    ),
+    "gender": (253733, 249118),
+    "ethnicity": (
+        380949, 1606, 104, 659, 17129, 14379, 6650, 2690, 12426, 18722,
+        7709, 6900, 1585, 2390, 6873, 4656, 6983, 6198, 2098, 2145,
+    ),
+    "first_language": (438585, 64266),
+    "sen": (436229, 55601, 11021),
+    "region": (431, 474, 309, 373, 447, 152, 298, 269, 345),
+    "school_type": (538, 275, 273, 34, 3, 560, 1320, 27, 30, 26, 12),
+    "admissions": (2819, 162, 117),
+    "age_range": (1881, 971, 135, 83, 28),
+    "school_gender": (2738, 151, 209),
+    "religion": (2524, 176, 310, 68, 11, 8, 1),
+}
 FSM_ELIGIBLE_SHARE = 133704 / 502851
-
-# National 2016 school counts by attribute (enum order).
-REGION_COUNTS = (431, 474, 309, 373, 447, 152, 298, 269, 345)
-SCHOOL_TYPE_COUNTS = (538, 275, 273, 34, 3, 560, 1320, 27, 30, 26, 12)
-ADMISSIONS_COUNTS = (2819, 162, 117)
-AGE_RANGE_COUNTS = (1881, 971, 135, 83, 28)
-SCHOOL_GENDER_COUNTS = (2738, 151, 209)
-RELIGION_COUNTS = (2524, 176, 310, 68, 11, 8, 1)
 
 # Pupil-level correlation between the deprivation latent and the prior
 # attainment latent (negative link: more deprived, lower attainment).
@@ -149,6 +137,14 @@ class SyntheticCohort:
     n_clipped: int
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and bool(np.isfinite(value))
+
+
 def dgp_from_coefficients(table: Mapping[str, float]) -> dict[str, dict[str, float]]:
     """Validate a coefficient table as generating truth.
 
@@ -156,9 +152,14 @@ def dgp_from_coefficients(table: Mapping[str, float]) -> dict[str, dict[str, flo
     design label present; labels missing from the input default to 0 with a
     warning, unknown labels are fatal.
     """
+    if not isinstance(table, Mapping):
+        raise GeneratorError("coefficient table must map design labels to numbers")
     unknown = sorted(set(table) - set(_AP8_LABELS))
     if unknown:
         raise GeneratorError(f"unknown coefficient label(s): {', '.join(unknown)}")
+    bad = [lab for lab, value in table.items() if not _is_number(value)]
+    if bad:
+        raise GeneratorError(f"coefficient(s) must be finite numbers: {', '.join(bad)}")
     missing = [lab for lab in _AP8_LABELS if lab not in table]
     if missing:
         warnings.warn(
@@ -169,8 +170,21 @@ def dgp_from_coefficients(table: Mapping[str, float]) -> dict[str, dict[str, flo
     return {"coefficient_set": full}
 
 
+
+
 def _check_config(config: GeneratorConfig) -> None:
-    lo, hi = config.school_size_range
+    for name in ("n_schools", "seed"):
+        if not _is_int(getattr(config, name)):
+            raise GeneratorError(f"{name} must be an integer, got {getattr(config, name)!r}")
+    for name in ("true_school_effect_sd", "noise_sd", "intake_gradient"):
+        if not _is_number(getattr(config, name)):
+            raise GeneratorError(f"{name} must be a finite number, got {getattr(config, name)!r}")
+    sizes = config.school_size_range
+    if not (isinstance(sizes, tuple) and len(sizes) == 2 and all(map(_is_int, sizes))):
+        raise GeneratorError(f"school_size_range must be two integers, got {sizes!r}")
+    lo, hi = sizes
+    if config.seed < 0:
+        raise GeneratorError(f"seed must be nonnegative, got {config.seed}")
     if config.n_schools < 1:
         raise GeneratorError(f"n_schools must be >= 1, got {config.n_schools}")
     if lo < 1 or hi < lo:
@@ -188,10 +202,25 @@ def _shares(counts) -> np.ndarray:
     return arr / arr.sum()
 
 
-def _draw_members(rng, enum_cls, counts, size):
-    members = list(enum_cls)
-    idx = rng.choice(len(members), size=size, p=_shares(counts))
-    return [members[i] for i in idx]
+def _draw(rng, fields, size: int) -> dict[str, np.ndarray]:
+    """Codes of every enum field, drawn independently from the national counts."""
+    return {
+        f.name: rng.choice(len(f.levels), size=size, p=_shares(NATIONAL_COUNTS[f.name]))
+        .astype(np.int8)
+        for f in fields
+        if f.kind is Kind.ENUM
+    }
+
+
+def _decile_codes(latent: np.ndarray) -> np.ndarray:
+    """Deprivation decile code of a standard-normal latent."""
+    n = len(FIELD["idaci_decile"].levels)
+    return np.clip(np.floor(ndtr(latent) * n).astype(int), 0, n - 1).astype(np.int8)
+
+
+def _ids(prefix: str, n: int, width: int) -> np.ndarray:
+    """prefix + zero-padded 1..n."""
+    return np.char.add(prefix, np.char.zfill(np.arange(1, n + 1).astype(str), width))
 
 
 def generate_population(config: GeneratorConfig) -> SyntheticCohort:
@@ -201,45 +230,25 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     rng = np.random.default_rng(config.seed)
 
     n_schools = config.n_schools
-    width = max(4, len(str(n_schools)))
-    school_ids = [f"S{i + 1:0{width}d}" for i in range(n_schools)]
+    school_ids = _ids("S", n_schools, max(4, len(str(n_schools))))
 
     lo, hi = config.school_size_range
     sizes = rng.integers(lo, hi + 1, size=n_schools)
-
-    regions = _draw_members(rng, Region, REGION_COUNTS, n_schools)
-    types = _draw_members(rng, SchoolType, SCHOOL_TYPE_COUNTS, n_schools)
-    admissions = _draw_members(rng, Admissions, ADMISSIONS_COUNTS, n_schools)
-    age_ranges = _draw_members(rng, AgeRange, AGE_RANGE_COUNTS, n_schools)
-    school_genders = _draw_members(rng, SchoolGender, SCHOOL_GENDER_COUNTS, n_schools)
-    religions = _draw_members(rng, Religion, RELIGION_COUNTS, n_schools)
+    schools = _draw(rng, SCHOOL_FIELDS, n_schools)
 
     # School deprivation latent: drives the school decile and, weighted by
     # the intake gradient, every pupil-level deprivation draw.
     dep_latent = rng.standard_normal(n_schools)
-    school_deciles = np.clip(np.floor(ndtr(dep_latent) * 10).astype(int) + 1, 1, 10)
+    schools["school_idaci_decile"] = _decile_codes(dep_latent)
+    schools["school_id"] = school_ids
     true_effects = rng.normal(0.0, config.true_school_effect_sd, n_schools)
-
-    schools = [
-        SchoolRecord(
-            school_id=school_ids[i],
-            region=regions[i],
-            school_type=types[i],
-            admissions=admissions[i],
-            age_range=age_ranges[i],
-            school_gender=school_genders[i],
-            religion=religions[i],
-            school_idaci_decile=int(school_deciles[i]),
-        )
-        for i in range(n_schools)
-    ]
 
     n_total = int(sizes.sum())
     school_idx = np.repeat(np.arange(n_schools), sizes)
 
     grad = config.intake_gradient
     pupil_dep = grad * dep_latent[school_idx] + np.sqrt(1.0 - grad * grad) * rng.standard_normal(n_total)
-    idaci = np.clip(np.floor(ndtr(pupil_dep) * 10).astype(int) + 1, 1, 10)
+    idaci = _decile_codes(pupil_dep)
 
     # Probit link calibrated so the FSM marginal matches the national share
     # whatever the gradient (the pupil latent is standard normal).
@@ -248,48 +257,31 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
 
     link = _DEPRIVATION_ATTAINMENT_LINK
     ability = -link * pupil_dep + np.sqrt(1.0 - link * link) * rng.standard_normal(n_total)
-    ks2_boundaries = np.cumsum(_shares(KS2_GROUP_COUNTS))[:-1]
-    ks2 = np.searchsorted(ks2_boundaries, ndtr(ability), side="right") + 1
+    ks2_boundaries = np.cumsum(_shares(NATIONAL_COUNTS["ks2_group"]))[:-1]
+    ks2 = np.searchsorted(ks2_boundaries, ndtr(ability), side="right")
 
-    months = _draw_members(rng, Month, MONTH_COUNTS, n_total)
-    genders = _draw_members(rng, Gender, GENDER_COUNTS, n_total)
-    ethnicities = _draw_members(rng, Ethnicity, ETHNICITY_COUNTS, n_total)
-    languages = _draw_members(rng, FirstLanguage, LANGUAGE_COUNTS, n_total)
-    sens = _draw_members(rng, Sen, SEN_COUNTS, n_total)
+    pupils = _draw(rng, PUPIL_FIELDS, n_total)
     noise = rng.normal(0.0, config.noise_sd, n_total)
+    pupils.update(
+        pupil_id=_ids("P", n_total, max(6, len(str(n_total)))),
+        school_id=school_ids[school_idx],
+        attainment8_total=np.zeros(n_total),
+        ks2_group=ks2.astype(np.int8),
+        fsm=fsm.astype(np.int8),
+        idaci_decile=idaci,
+    )
 
-    id_width = max(6, len(str(n_total)))
-    pupils = [
-        PupilRecord(
-            pupil_id=f"P{i + 1:0{id_width}d}",
-            school_id=school_ids[school_idx[i]],
-            attainment8_total=0.0,
-            ks2_group=int(ks2[i]),
-            month_of_birth=months[i],
-            gender=genders[i],
-            ethnicity=ethnicities[i],
-            first_language=languages[i],
-            sen=sens[i],
-            fsm=bool(fsm[i]),
-            idaci_decile=int(idaci[i]),
-        )
-        for i in range(n_total)
-    ]
-
-    base = validate_cohort(pupils, schools)
+    cohort = validate_cohort(Table(PUPIL_FIELDS, pupils), Table(SCHOOL_FIELDS, schools))
     design = build_design_matrix(
-        base, ModelSpec(include_prior_attainment=True, include_background=True)
+        cohort, ModelSpec(include_prior_attainment=True, include_background=True)
     )
     beta = np.array([coefficients[lab] for lab in design.column_labels])
     raw = design.values @ beta + true_effects[school_idx] + noise
-    outcome = np.clip(raw, 0.0, 90.0)
+    outcome = np.clip(raw, *FIELD["attainment8_total"].bounds)
     n_clipped = int(np.sum(outcome != raw))
 
-    pupils = [
-        replace(p, attainment8_total=float(v)) for p, v in zip(pupils, outcome)
-    ]
-    cohort = validate_cohort(pupils, schools)
-    truth = {sid: float(w) for sid, w in zip(school_ids, true_effects)}
+    cohort = replace(cohort, pupil_table=cohort.pupil_table.replace(attainment8_total=outcome))
+    truth = dict(zip(school_ids.tolist(), true_effects.tolist()))
     return SyntheticCohort(cohort=cohort, true_school_effects=truth, n_clipped=n_clipped)
 
 
@@ -304,7 +296,7 @@ def serialize_truth(synthetic: SyntheticCohort) -> bytes:
 def write_population_csv(synthetic: SyntheticCohort) -> dict[str, bytes]:
     """The three output files of a simulation run, keyed by file name."""
     return {
-        "pupils.csv": serialize_pupils(synthetic.cohort.pupils),
-        "schools.csv": serialize_schools(synthetic.cohort.schools),
+        "pupils.csv": serialize_pupils(synthetic.cohort.pupil_table),
+        "schools.csv": serialize_schools(synthetic.cohort.school_table),
         "truth.csv": serialize_truth(synthetic),
     }

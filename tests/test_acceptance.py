@@ -141,7 +141,7 @@ def test_criterion_3_zero_category_means(default_population, default_results):
         if not adjusted:
             continue
         table = {
-            ch: pupil_breakdown(cohort, {kind: result.pupil_scores}, ch)
+            ch: pupil_breakdown(cohort, {kind: result.scores}, ch)
             for ch in adjusted
         }
         for ch, breakdown in table.items():

@@ -203,7 +203,7 @@ def test_compare_measures_report():
 
 def two_school_scores(cohort):
     result = compute_measure(cohort, A8)
-    return {A8: result.pupil_scores}
+    return {A8: result.scores}
 
 
 def test_fsm_breakdown_counts_and_means():
@@ -226,7 +226,7 @@ def test_fsm_breakdown_counts_and_means():
 def test_adjusted_characteristic_means_zero_no_stars(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, AA8)
-    table = pupil_breakdown(cohort, {AA8: result.pupil_scores}, "fsm")
+    table = pupil_breakdown(cohort, {AA8: result.scores}, "fsm")
     for row in table.rows:
         assert abs(row.means[AA8]) <= 1e-9
         assert row.significant[AA8] is False
@@ -236,7 +236,7 @@ def test_breakdown_pupil_counts_sum_and_percent(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
     for characteristic in ("ethnicity", "idaci_decile", "month_of_birth"):
-        table = pupil_breakdown(cohort, {A8: result.pupil_scores}, characteristic)
+        table = pupil_breakdown(cohort, {A8: result.scores}, characteristic)
         assert sum(r.n_pupils for r in table.rows) == cohort.n_pupils
         assert sum(r.percent for r in table.rows) == pytest.approx(100.0, abs=0.2)
 
@@ -244,7 +244,7 @@ def test_breakdown_pupil_counts_sum_and_percent(midsize_population):
 def test_breakdown_weighted_mean_is_zero(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
-    table = pupil_breakdown(cohort, {A8: result.pupil_scores}, "sen")
+    table = pupil_breakdown(cohort, {A8: result.scores}, "sen")
     weighted = sum(r.n_pupils * r.means[A8] for r in table.rows if r.n_pupils)
     assert abs(weighted / cohort.n_pupils) <= 1e-9
 
@@ -262,7 +262,7 @@ def test_single_school_category_suppressed():
     ]
     cohort = validate_cohort(pupils, schools)
     result = compute_measure(cohort, A8)
-    table = school_breakdown(cohort, {A8: result.pupil_scores}, "region")
+    table = school_breakdown(cohort, {A8: result.scores}, "region")
     rows = {r.category: r for r in table.rows}
     assert rows["London"].significant[A8] is None
     assert rows["North East"].significant[A8] is None
@@ -278,7 +278,7 @@ def test_shared_region_single_row_mean_zero(midsize_population):
                for s in cohort.schools]
     shared = validate_cohort(pupils, schools)
     result = compute_measure(shared, A8)
-    table = school_breakdown(shared, {A8: result.pupil_scores}, "region")
+    table = school_breakdown(shared, {A8: result.scores}, "region")
     filled = [r for r in table.rows if r.n_pupils > 0]
     assert len(filled) == 1
     assert filled[0].category == "South West"
@@ -289,7 +289,7 @@ def test_shared_region_single_row_mean_zero(midsize_population):
 def test_school_breakdown_sorted_by_raw_attainment(midsize_population):
     cohort = midsize_population.cohort
     results = compute_measures(cohort, [A8, AP8])
-    scores = {k: r.pupil_scores for k, r in results.items()}
+    scores = {k: r.scores for k, r in results.items()}
     table = school_breakdown(cohort, scores, "school_idaci_decile")
     means = [r.means[A8] for r in table.rows if r.means[A8] is not None]
     assert means == sorted(means, reverse=True)
@@ -302,13 +302,13 @@ def test_unknown_characteristic_fatal(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
     with pytest.raises(AnalysisError, match="unknown pupil characteristic"):
-        pupil_breakdown(cohort, {A8: result.pupil_scores}, "shoe_size")
+        pupil_breakdown(cohort, {A8: result.scores}, "shoe_size")
     with pytest.raises(AnalysisError, match="unknown school characteristic"):
-        school_breakdown(cohort, {A8: result.pupil_scores}, "shoe_size")
+        school_breakdown(cohort, {A8: result.scores}, "shoe_size")
 
 
 def test_scores_must_cover_cohort(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
     with pytest.raises(AnalysisError, match="pupil scores"):
-        pupil_breakdown(cohort, {A8: result.pupil_scores[:-1]}, "fsm")
+        pupil_breakdown(cohort, {A8: result.scores[:-1]}, "fsm")

@@ -1,9 +1,14 @@
 import csv
 import json
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vamkit
 from vamkit.cli import run
 
 
@@ -272,18 +277,85 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_thread_cap_does_not_change_outputs(tmp_path, sim_dir, monkeypatch):
-    args = [
-        "fit",
-        "--pupils", str(sim_dir / "pupils.csv"),
-        "--schools", str(sim_dir / "schools.csv"),
-        "--measures", "all",
+def test_module_entry_point_runs(sim_dir):
+    src = str(Path(vamkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "vamkit.cli", "validate",
+            "--pupils", str(sim_dir / "pupils.csv"),
+            "--schools", str(sim_dir / "schools.csv"),
+        ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("OK: ") and "40 schools" in proc.stdout
+
+
+def _edited_scores(tmp_path, fit_dir, row, column, value):
+    rows = read_csv(fit_dir / "school_scores_a8.csv")
+    rows[row - 1][column] = value
+    path = tmp_path / "edited_scores.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    argv = ["compare", "--scores", str(fit_dir / "school_scores_a8.csv"), "--scores", str(path)]
+    return argv, path
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return ["simulate", "--config", str(path)], path
+
+
+@pytest.mark.parametrize(
+    "make, fragments",
+    [
+        (lambda t, f: _edited_scores(t, f, 3, "score", "abc"), ["row 3", "column score"]),
+        (lambda t, f: _edited_scores(t, f, 2, "measure", "zz"), ["row 2", "column measure", "zz"]),
+        (lambda t, f: _edited_scores(t, f, 1, "score", "nan"), ["row 1", "column score", "finite"]),
+        (lambda t, f: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
+        (lambda t, f: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
+        (lambda t, f: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
+    ],
+    ids=[
+        "non-numeric-score", "unknown-measure", "nan-score", "truncated-json",
+        "string-n_schools", "nan-coefficient",
+    ],
+)
+def test_bad_input_is_one_line_error(tmp_path, fit_dir, capsys, make, fragments):
+    argv, path = make(tmp_path, fit_dir)
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert str(path) in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_skipped_rows_are_capped_on_stderr(tmp_path, sim_dir, capsys):
+    lines = (sim_dir / "pupils.csv").read_text().splitlines()
+    gender, sen = lines[0].split(",").index("gender"), lines[0].split(",").index("sen")
+    for i in range(1, 51):
+        cells = lines[i].split(",")
+        cells[gender if i % 2 else sen] = "?"
+        lines[i] = ",".join(cells)
+    bad = tmp_path / "pupils.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    schools = str(sim_dir / "schools.csv")
+
+    capsys.readouterr()
+    run_ok(["fit", "--pupils", str(bad), "--schools", schools, "--measures", "a8",
+            "--out", str(tmp_path / "fit")])
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if "skipped row " in line]) == 20
+    assert [line for line in err if "by column" in line] == [
+        "pupils.csv: skipped 50 row(s); by column: gender 25, sen 25"
     ]
-    monkeypatch.delenv("VAMKIT_THREADS", raising=False)
-    run_ok(args + ["--out", str(tmp_path / "serial")])
-    monkeypatch.setenv("VAMKIT_THREADS", "4")
-    run_ok(args + ["--out", str(tmp_path / "parallel")])
-    for path in sorted((tmp_path / "serial").iterdir()):
-        if path.name == "manifest.json":
-            continue
-        assert path.read_bytes() == (tmp_path / "parallel" / path.name).read_bytes()
+
+    assert run(["validate", "--pupils", str(bad), "--schools", schools]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("pupils.csv: row ")]) == 50

@@ -19,6 +19,7 @@ from vamkit.cohort import (
     PUPIL_COLUMNS,
     SCHOOL_COLUMNS,
     CohortError,
+    Table,
     parse_pupils,
     parse_schools,
     serialize_pupils,
@@ -49,14 +50,14 @@ GOOD_PUPIL = "P1,S1,51.5,34,September,Female,White British,English,None,1,3"
 
 
 def test_header_only_pupils():
-    records, issues = parse_pupils(pupil_csv())
-    assert records == [] and issues == []
+    table, issues = parse_pupils(pupil_csv())
+    assert len(table) == 0 and issues == []
 
 
 def test_single_pupil_row_fields():
-    records, issues = parse_pupils(pupil_csv(GOOD_PUPIL))
+    table, issues = parse_pupils(pupil_csv(GOOD_PUPIL))
     assert issues == []
-    (p,) = records
+    (p,) = table.records()
     assert p.pupil_id == "P1" and p.school_id == "S1"
     assert p.attainment8_total == 51.5
     assert p.ks2_group == 34
@@ -67,9 +68,9 @@ def test_single_pupil_row_fields():
 
 def test_category_matching_is_case_and_space_insensitive():
     row = "P1,S1,40, 12 ,  october, FEMALE , gypsy/roma ,OTHER, sen SUPPORT ,0,10"
-    records, issues = parse_pupils(pupil_csv(row))
+    table, issues = parse_pupils(pupil_csv(row))
     assert issues == []
-    (p,) = records
+    (p,) = table.records()
     assert p.month_of_birth is Month.OCTOBER
     assert p.gender is Gender.FEMALE
     assert p.ethnicity is Ethnicity.GYPSY_ROMA
@@ -81,7 +82,7 @@ def test_ks2_group_out_of_range_is_row_issue():
     records, issues = parse_pupils(
         pupil_csv("P1,S1,40,35,September,Male,White British,English,None,0,5")
     )
-    assert records == []
+    assert len(records) == 0
     (issue,) = issues
     assert issue.row == 1 and issue.column == "ks2_group"
     assert "1..34" in issue.reason
@@ -92,7 +93,7 @@ def test_missing_ks2_group_is_allowed():
         pupil_csv("P1,S1,40,,September,Male,White British,English,None,0,5")
     )
     assert issues == []
-    assert records[0].ks2_group is None
+    assert records.records()[0].ks2_group is None
 
 
 def test_missing_required_field_is_issue():
@@ -100,7 +101,7 @@ def test_missing_required_field_is_issue():
     records, issues = parse_pupils(
         pupil_csv("P1,S1,40,3,September,,White British,English,None,0,5")
     )
-    assert records == []
+    assert len(records) == 0
     assert issues[0].column == "gender"
 
 
@@ -108,7 +109,7 @@ def test_attainment_out_of_bounds():
     bad_hi = "P1,S1,90.5,3,September,Male,White British,English,None,0,5"
     bad_lo = "P2,S1,-1,3,September,Male,White British,English,None,0,5"
     records, issues = parse_pupils(pupil_csv(bad_hi, bad_lo))
-    assert records == []
+    assert len(records) == 0
     assert [i.column for i in issues] == ["attainment8_total", "attainment8_total"]
     assert issues[0].row == 1 and issues[1].row == 2
 
@@ -117,7 +118,7 @@ def test_fsm_must_be_binary():
     records, issues = parse_pupils(
         pupil_csv("P1,S1,40,3,September,Male,White British,English,None,yes,5")
     )
-    assert records == [] and issues[0].column == "fsm"
+    assert len(records) == 0 and issues[0].column == "fsm"
 
 
 def test_unknown_category_skips_row_and_keeps_rest():
@@ -127,7 +128,7 @@ def test_unknown_category_skips_row_and_keeps_rest():
             GOOD_PUPIL.replace("P1", "P2"),
         )
     )
-    assert [p.pupil_id for p in records] == ["P2"]
+    assert records["pupil_id"].tolist() == ["P2"]
     assert issues[0].column == "ethnicity"
     assert "Martian" in issues[0].reason
 
@@ -152,7 +153,7 @@ def test_not_utf8_fatal():
 
 def test_wrong_field_count_is_issue():
     records, issues = parse_pupils(pupil_csv("P1,S1,40"))
-    assert records == [] and "fields" in issues[0].reason
+    assert len(records) == 0 and "fields" in issues[0].reason
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +162,16 @@ def test_wrong_field_count_is_issue():
 
 
 def test_header_only_schools():
-    assert parse_schools(school_csv()) == ([], [])
+    table, issues = parse_schools(school_csv())
+    assert len(table) == 0 and issues == []
 
 
 def test_school_row_enums():
-    records, issues = parse_schools(
+    table, issues = parse_schools(
         school_csv("S1,North East,Community,Grammar,11-18,Mixed,None,4")
     )
     assert issues == []
-    (s,) = records
+    (s,) = table.records()
     assert s.admissions is Admissions.GRAMMAR
     assert s.region is Region.NORTH_EAST
     assert s.age_range is AgeRange.AGE_11_18
@@ -179,7 +181,7 @@ def test_unknown_region_names_all_nine():
     records, issues = parse_schools(
         school_csv("S1,Mars,Community,Comprehensive,11-18,Mixed,None,4")
     )
-    assert records == []
+    assert len(records) == 0
     (issue,) = issues
     assert issue.column == "region"
     for region in Region:
@@ -190,7 +192,7 @@ def test_school_decile_bounds():
     records, issues = parse_schools(
         school_csv("S1,London,Community,Comprehensive,11-18,Mixed,None,11")
     )
-    assert records == [] and issues[0].column == "school_idaci_decile"
+    assert len(records) == 0 and issues[0].column == "school_idaci_decile"
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +241,18 @@ def test_empty_cohort_fatal():
 
 
 def test_pupil_round_trip(midsize_population):
-    data = serialize_pupils(midsize_population.cohort.pupils)
+    data = serialize_pupils(midsize_population.cohort.pupil_table)
     records, issues = parse_pupils(data)
     assert issues == []
-    assert tuple(records) == midsize_population.cohort.pupils
+    assert records.records() == midsize_population.cohort.pupils
     assert serialize_pupils(records) == data
 
 
 def test_school_round_trip(midsize_population):
-    data = serialize_schools(midsize_population.cohort.schools)
+    data = serialize_schools(midsize_population.cohort.school_table)
     records, issues = parse_schools(data)
     assert issues == []
-    assert tuple(records) == midsize_population.cohort.schools
+    assert records.records() == midsize_population.cohort.schools
     assert serialize_schools(records) == data
 
 
@@ -276,7 +278,7 @@ def test_parse_never_raises_unexpectedly_on_arbitrary_bytes():
             records, issues = parse_pupils(blob)
         except CohortError:
             continue
-        assert isinstance(records, list) and isinstance(issues, list)
+        assert isinstance(records, Table) and isinstance(issues, list)
         for issue in issues:
             assert issue.row >= 1 and issue.reason
 
@@ -295,3 +297,92 @@ def test_mutated_valid_rows_give_located_issues():
     assert len(records) + len(issues) == 50
     for issue in issues:
         assert 1 <= issue.row <= 50
+
+
+# ---------------------------------------------------------------------------
+# First failing column wins, with a fixed reason text
+# ---------------------------------------------------------------------------
+
+GOOD_SCHOOL = "S1,London,Community,Comprehensive,11-18,Mixed,None,4"
+
+# column -> (bad cell, the reason reported for it)
+PUPIL_FAULTS = {
+    "pupil_id": ("", "must not be empty"),
+    "school_id": ("  ", "must not be empty"),
+    "attainment8_total": ("91", "must be in [0, 90], got 91"),
+    "ks2_group": ("35", "must be an integer in 1..34, got '35'"),
+    "month_of_birth": (
+        "Smarch",
+        "unknown value 'Smarch'; valid values: September, October, November, December, "
+        "January, February, March, April, May, June, July, August",
+    ),
+    "gender": ("X", "unknown value 'X'; valid values: Male, Female"),
+    "ethnicity": (
+        "Martian",
+        "unknown value 'Martian'; valid values: White British, White Irish, "
+        "Traveller of Irish Heritage, Gypsy / Roma, Any Other White Background, "
+        "Black African, Black Caribbean, Any Other Black Background, Indian, Pakistani, "
+        "Bangladeshi, Any Other Asian Background, Chinese, White and Black African, "
+        "White and Black Caribbean, White and Asian, Any Other Mixed Background, "
+        "Any Other Ethnic Group, Information Not Yet Obtained, Refused",
+    ),
+    "first_language": ("Klingon", "unknown value 'Klingon'; valid values: English, Other"),
+    "sen": (" maybe ", "unknown value 'maybe'; valid values: None, SEN support, Statement"),
+    "fsm": ("yes", "must be 0 or 1, got 'yes'"),
+    "idaci_decile": ("x", "invalid literal for int() with base 10: 'x'"),
+}
+
+SCHOOL_FAULTS = {
+    "school_id": ("", "must not be empty"),
+    "region": (
+        "Mars",
+        "unknown value 'Mars'; valid values: London, South East, South West, West Midlands, "
+        "North West, North East, Yorkshire & Humber, East Midlands, East of England",
+    ),
+    "school_type": (
+        "Castle",
+        "unknown value 'Castle'; valid values: Community, Foundation, Voluntary aided, "
+        "Voluntary controlled, City tech. college, Sponsored academy, Converter academy, "
+        "Free, Studio, Uni. tech. college, Further ed. college",
+    ),
+    "admissions": (
+        "Lottery",
+        "unknown value 'Lottery'; valid values: Comprehensive, Grammar, Secondary modern",
+    ),
+    "age_range": ("3-5", "unknown value '3-5'; valid values: 11-18, 11-16, 14-18, 4-18, 4-16"),
+    "school_gender": ("Any", "unknown value 'Any'; valid values: Mixed, Boys, Girls"),
+    "religion": (
+        "Jedi",
+        "unknown value 'Jedi'; valid values: None, Church of England, Roman catholic, "
+        "Other Christian faith, Jewish, Muslim, Sikh",
+    ),
+    "school_idaci_decile": ("0", "must be an integer in 1..10, got '0'"),
+}
+
+
+def _broken_from(good, columns, faults, column):
+    """The good row with ``column`` and every later column made bad."""
+    cells = good.split(",")
+    for j in range(columns.index(column), len(columns)):
+        cells[j] = faults[columns[j]][0]
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "parse, make_csv, good, columns, faults, column",
+    [
+        (parse_pupils, pupil_csv, GOOD_PUPIL, PUPIL_COLUMNS, PUPIL_FAULTS, c)
+        for c in PUPIL_COLUMNS
+    ]
+    + [
+        (parse_schools, school_csv, GOOD_SCHOOL, SCHOOL_COLUMNS, SCHOOL_FAULTS, c)
+        for c in SCHOOL_COLUMNS
+    ],
+    ids=[f"pupils-{c}" for c in PUPIL_COLUMNS] + [f"schools-{c}" for c in SCHOOL_COLUMNS],
+)
+def test_first_failing_column_is_reported_once(parse, make_csv, good, columns, faults, column):
+    # a blank line still counts in the row numbering
+    broken = _broken_from(good, columns, faults, column)
+    table, issues = parse(make_csv(good, "", broken, good.replace("1,", "2,", 1)))
+    assert len(table) == 2
+    assert [(i.row, i.column, i.reason) for i in issues] == [(3, column, faults[column][1])]

@@ -7,7 +7,6 @@ from vamkit.cohort import validate_cohort
 from vamkit.design import MeasureKind
 from vamkit.errors import AnalysisError
 from vamkit.measures import (
-    PupilScore,
     SignificanceCategory,
     compute_measure,
     compute_measures,
@@ -21,11 +20,9 @@ A8 = MeasureKind.ATTAINMENT8
 P8 = MeasureKind.PROGRESS8
 
 
-def scores_for(school_id, values, measure=A8, start=0):
-    return [
-        PupilScore(pupil_id=f"{school_id}_{start + i}", measure=measure, score=v)
-        for i, v in enumerate(values)
-    ]
+def one_school(values, national_sd=1.0, **kwargs):
+    scores = np.asarray(values, dtype=float)
+    return school_scores(A8, scores, np.zeros(scores.size, dtype=int), ["S1"], national_sd, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -34,17 +31,13 @@ def scores_for(school_id, values, measure=A8, start=0):
 
 
 def test_all_zero_school_is_average():
-    pupils = scores_for("S1", [0.0, 0.0, 0.0])
-    mapping = {p.pupil_id: "S1" for p in pupils}
-    (score,) = school_scores(pupils, mapping, national_sd=1.0)
+    (score,) = one_school([0.0, 0.0, 0.0])
     assert score.score == 0.0
     assert score.category is SignificanceCategory.NOT_SIGNIFICANT
 
 
 def test_ci_hand_example_four_pupils():
-    pupils = scores_for("S1", [0.2, 0.4, 0.6, 0.8])
-    mapping = {p.pupil_id: "S1" for p in pupils}
-    (score,) = school_scores(pupils, mapping, national_sd=1.0)
+    (score,) = one_school([0.2, 0.4, 0.6, 0.8])
     assert score.score == pytest.approx(0.5, abs=1e-12)
     assert score.n_pupils == 4
     assert score.ci_low == pytest.approx(0.5 - 1.959964 / 2.0, abs=1e-12)   # -0.479982
@@ -53,27 +46,23 @@ def test_ci_hand_example_four_pupils():
 
 
 def test_ci_hand_example_four_hundred_pupils():
-    pupils = scores_for("S1", [0.5] * 400)
-    mapping = {p.pupil_id: "S1" for p in pupils}
-    (score,) = school_scores(pupils, mapping, national_sd=1.0)
+    (score,) = one_school([0.5] * 400)
     assert score.ci_low == pytest.approx(0.4020018, abs=1e-7)
     assert score.ci_high == pytest.approx(0.5979982, abs=1e-7)
     assert score.category is SignificanceCategory.SIGNIFICANTLY_ABOVE
 
 
 def test_significantly_below():
-    pupils = scores_for("S1", [-0.5] * 400)
-    mapping = {p.pupil_id: "S1" for p in pupils}
-    (score,) = school_scores(pupils, mapping, national_sd=1.0)
+    (score,) = one_school([-0.5] * 400)
     assert score.category is SignificanceCategory.SIGNIFICANTLY_BELOW
 
 
 def test_within_school_sd_flag():
     values = [0.2, 0.4, 0.6, 0.8]
-    pupils = scores_for("S1", values) + scores_for("S2", [3.0])
-    mapping = {p.pupil_id: p.pupil_id.split("_")[0] for p in pupils}
+    scores = np.array(values + [3.0])
+    index = np.array([0, 0, 0, 0, 1])
     national, within = (
-        school_scores(pupils, mapping, 1.0, within_school_sd=flag)
+        school_scores(A8, scores, index, ["S1", "S2"], 1.0, within_school_sd=flag)
         for flag in (False, True)
     )
     own_sd = float(np.std(values, ddof=1))
@@ -86,9 +75,8 @@ def test_within_school_sd_flag():
 
 
 def test_national_sd_must_be_positive():
-    pupils = scores_for("S1", [0.1])
     with pytest.raises(AnalysisError):
-        school_scores(pupils, {pupils[0].pupil_id: "S1"}, 0.0)
+        one_school([0.1], national_sd=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +214,25 @@ def test_single_school_summary_warns():
 
 
 def test_measure_summary_sample_convention():
-    pupils = scores_for("S1", [0.0, 1.0]) + scores_for("S2", [2.0, 3.0])
-    mapping = {p.pupil_id: p.pupil_id.split("_")[0] for p in pupils}
-    sch = school_scores(pupils, mapping, national_sd=1.0)
+    scores = np.array([0.0, 1.0, 2.0, 3.0])
+    sch = school_scores(A8, scores, np.array([0, 0, 1, 1]), ["S1", "S2"], national_sd=1.0)
     fit = compute_measure(build_two_school_cohort(), A8).fit  # any fit for the R^2 slot
-    summary = measure_summary(fit, pupils, sch, national_mean_grades=5.0)
+    summary = measure_summary(fit, scores, sch, national_mean_grades=5.0)
     assert summary.sd_pupil_scores == pytest.approx(np.std([0, 1, 2, 3], ddof=1))
     assert summary.sd_school_scores == pytest.approx(np.std([0.5, 2.5], ddof=1))
     assert summary.n_pupils == 4 and summary.n_schools == 2
+
+
+def test_school_scores_equal_per_school_loop(midsize_population):
+    # reference: collect each school's pupil scores in cohort order, then mean
+    cohort = midsize_population.cohort
+    for kind in (A8, MeasureKind.ADJUSTED_PROGRESS8):
+        result = compute_measure(cohort, kind)
+        by_school = {}
+        for pupil, ps in zip(cohort.pupils, result.pupil_scores):
+            by_school.setdefault(pupil.school_id, []).append(ps.score)
+        assert [s.school_id for s in result.school_scores] == sorted(by_school)
+        for school in result.school_scores:
+            values = np.asarray(by_school[school.school_id])
+            assert school.n_pupils == values.size
+            assert school.score == float(values.mean())
