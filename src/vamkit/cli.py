@@ -138,7 +138,7 @@ def _csv_lines(header: list[str], rows: list[list[str]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _coefficients_csv(result: MeasureResult, cluster_ids: list[str], fmt) -> bytes:
+def _coefficients_csv(result: MeasureResult, cluster_ids, fmt) -> bytes:
     cov = cluster_robust_cov(result.fit, result.design, cluster_ids)
     rows = []
     for row in coefficient_table(result.fit, cov):
@@ -309,7 +309,6 @@ def _cmd_fit(args, out_dir: Path):
     pupils_path, schools_path = Path(args.pupils), Path(args.schools)
     inputs = {str(pupils_path): _sha256(pupils_path), str(schools_path): _sha256(schools_path)}
     cohort = _load_cohort(pupils_path, schools_path)
-    cluster_ids = cohort.school_index.tolist()
     fmt = _formatter(args.precision)
 
     results = compute_measures(cohort, args.measures)
@@ -317,7 +316,7 @@ def _cmd_fit(args, out_dir: Path):
     for kind in args.measures:
         res = results[kind]
         name = f"coefficients_{kind.code}.csv"
-        _write_atomic(out_dir / name, _coefficients_csv(res, cluster_ids, fmt))
+        _write_atomic(out_dir / name, _coefficients_csv(res, cohort.school_index, fmt))
         written.append(name)
         name = f"school_scores_{kind.code}.csv"
         _write_atomic(out_dir / name, _school_scores_csv(res.school_scores, fmt))

@@ -8,6 +8,11 @@ labels are stable across cohorts; the least-squares rank guard prunes them.
 
 Covariate block order: prior attainment group, month of birth, gender,
 ethnicity, first language, SEN, FSM, neighbourhood deprivation decile.
+
+A design built from a cohort is categorical: it keeps each block's integer
+code column, not the N x k indicator array. X'X is then a set of
+cross-tabs of counts (exact in integers), X'y and the per-cluster sums
+X_g'e are bincounts, and X beta gathers one coefficient per block.
 """
 
 from __future__ import annotations
@@ -50,28 +55,141 @@ class MeasureKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """N x k dummy design with stable column labels and reference metadata."""
+# Rows per run of sequential additions in _Block.sums.
+_RUN = 256
 
-    values: np.ndarray
-    column_labels: tuple[str, ...]
-    reference_categories: dict[str, str]
+
+@dataclass(frozen=True)
+class _Block:
+    """One dummy block: each row's level code and the level -> column map.
+
+    Level ``coded[i]`` has design column ``columns[i]``; a level not listed
+    (a covariate's reference) has none. The constant is the block with one
+    level, code 0 on every row.
+    """
+
+    codes: np.ndarray
+    levels: int
+    coded: np.ndarray
+    columns: np.ndarray
+
+    def bins(self, major: np.ndarray) -> np.ndarray:
+        """Each row's flat bin in a (major index, own level) table."""
+        return major.astype(np.intp) * self.levels + self.codes
+
+    def sums(self, weights: np.ndarray) -> np.ndarray:
+        """Sum of ``weights`` over each level's rows.
+
+        Rows are added in order within runs of _RUN rows and the run sums
+        pairwise, so the rounding error grows with _RUN + log2(runs), not
+        with the level's row count. A plain bincount's error grows with the
+        cohort, and the normal equations recover the reference level's sum
+        as the total minus the other levels: at national size that is about
+        1e-9 points of error in the progress coefficients, against 2e-12
+        this way.
+        """
+        runs = -(-self.codes.size // _RUN)
+        keys = self.codes.astype(np.intp) * runs + np.arange(self.codes.size) // _RUN
+        table = np.bincount(keys, weights=weights, minlength=self.levels * runs)
+        return table.reshape(self.levels, runs).sum(axis=1)
+
+
+class DesignMatrix:
+    """N x k design with stable column labels and reference metadata.
+
+    A dense design holds its N x k ``values`` (``DesignMatrix(values=...)``).
+    A categorical design, as built by :func:`build_design_matrix`, holds one
+    code column per dummy block instead; it computes every statistic from
+    counts and bincounts over the codes, and builds ``values`` only when
+    they are read. Both kinds give the statistics a least-squares fit and
+    its clustered covariance need: ``gram``, ``xty``, ``predict`` and
+    ``cluster_sums``.
+    """
+
+    def __init__(
+        self,
+        values=None,
+        column_labels: tuple[str, ...] = (),
+        reference_categories: dict[str, str] | None = None,
+        *,
+        blocks: tuple[_Block, ...] = (),
+    ):
+        if (values is None) == (not blocks):
+            raise DesignError("a design has either dense values or categorical blocks")
+        self.column_labels = tuple(column_labels)
+        self.reference_categories = dict(reference_categories or {})
+        self._values = None if values is None else np.asarray(values, dtype=float)
+        self._blocks = blocks
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self._values.shape[0] if self._values is not None else self._blocks[0].codes.size
 
     @property
     def k(self) -> int:
-        return self.values.shape[1]
+        return len(self.column_labels)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The N x k array; a categorical design builds a new one on each read."""
+        if self._values is not None:
+            return self._values
+        out = np.zeros((self.n, self.k))
+        for b in self._blocks:
+            out[:, b.columns] = b.codes[:, None] == b.coded
+        return out
+
+    def gram(self) -> np.ndarray:
+        """X'X; for a categorical design, one cross-tab of counts per pair of blocks."""
+        if self._values is not None:
+            return self._values.T @ self._values
+        out = np.zeros((self.k, self.k))
+        for i, a in enumerate(self._blocks):
+            for b in self._blocks[i:]:
+                counts = np.bincount(b.bins(a.codes), minlength=a.levels * b.levels)
+                counts = counts.reshape(a.levels, b.levels)[np.ix_(a.coded, b.coded)]
+                out[np.ix_(a.columns, b.columns)] = counts
+                out[np.ix_(b.columns, a.columns)] = counts.T
+        return out
+
+    def xty(self, y: np.ndarray) -> np.ndarray:
+        """X'y: for each column, the sum of y over the rows where it is 1."""
+        if self._values is not None:
+            return self._values.T @ y
+        out = np.zeros(self.k)
+        for b in self._blocks:
+            out[b.columns] = b.sums(y)[b.coded]
+        return out
+
+    def predict(self, beta: np.ndarray) -> np.ndarray:
+        """X beta, given a coefficient for every design column."""
+        if self._values is not None:
+            return self._values @ beta
+        out = np.zeros(self.n)
+        for b in self._blocks:
+            per_level = np.zeros(b.levels)
+            per_level[b.coded] = beta[b.columns]
+            out += per_level[b.codes]
+        return out
+
+    def cluster_sums(self, e: np.ndarray, cluster: np.ndarray, n_clusters: int) -> np.ndarray:
+        """G x k sums X_g'e_g, where ``cluster`` numbers each row's cluster 0..G-1."""
+        out = np.zeros((n_clusters, self.k))
+        if self._values is not None:
+            for j in range(self.k):
+                out[:, j] = np.bincount(cluster, weights=self._values[:, j] * e, minlength=n_clusters)
+            return out
+        for b in self._blocks:
+            sums = np.bincount(b.bins(cluster), weights=e, minlength=n_clusters * b.levels)
+            out[:, b.columns] = sums.reshape(n_clusters, b.levels)[:, b.coded]
+        return out
 
 
 _PRIOR = "ks2_group"
 _COVARIATES = tuple(f for f in PUPIL_FIELDS if f.reference is not None)
 
 
-def _blocks(spec: ModelSpec) -> tuple[Field, ...]:
+def _fields(spec: ModelSpec) -> tuple[Field, ...]:
     """The covariate fields a spec adjusts for, in design-block order."""
     return tuple(
         f
@@ -82,7 +200,7 @@ def _blocks(spec: ModelSpec) -> tuple[Field, ...]:
 
 def design_labels(spec: ModelSpec) -> tuple[str, ...]:
     """Deterministic column labels for a model spec (cohort-independent)."""
-    return ("constant",) + tuple(label for f in _blocks(spec) for label in f.design_labels)
+    return ("constant",) + tuple(label for f in _fields(spec) for label in f.design_labels)
 
 
 def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatrix:
@@ -93,7 +211,7 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
     warning; they are pruned later by the estimation rank guard.
     """
     pupils = cohort.pupil_table
-    blocks = _blocks(spec)
+    fields = _fields(spec)
     if spec.include_prior_attainment:
         missing = pupils["pupil_id"][pupils[_PRIOR] < 0].tolist()
         if missing:
@@ -104,30 +222,30 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
                 f"for pupils: {shown}{more}"
             )
 
-    labels = design_labels(spec)
-    values = np.zeros((cohort.n_pupils, len(labels)))
-    values[:, 0] = 1.0
-    rows = np.arange(cohort.n_pupils)
+    n = cohort.n_pupils
+    constant = _Block(np.zeros(n, dtype=np.int8), 1, np.array([0]), np.array([0]))
+    design_blocks = [constant]
     empty: list[str] = []
     start = 1
-    for f in blocks:
+    for f in fields:
         codes = pupils[f.name]
-        # column of each code; the reference level maps onto the constant,
-        # which already holds 1.0
-        column = np.zeros(len(f.levels), dtype=np.intp)
-        column[list(f.design_codes)] = np.arange(start, start + len(f.design_codes))
-        values[rows, column[codes]] = 1.0
+        coded = np.array(f.design_codes)
+        design_blocks.append(
+            _Block(codes, len(f.levels), coded, np.arange(start, start + coded.size))
+        )
         counts = np.bincount(codes, minlength=len(f.levels))
         empty += [lab for c, lab in zip(f.design_codes, f.design_labels) if not counts[c]]
-        start += len(f.design_codes)
+        start += coded.size
 
     if empty:
         warnings.warn(
             f"category level(s) absent from cohort (all-zero columns): {', '.join(empty)}",
             stacklevel=2,
         )
-    refs = {f.name: f.spellings[f.levels.index(f.reference)] for f in blocks}
-    return DesignMatrix(values=values, column_labels=labels, reference_categories=refs)
+    refs = {f.name: f.spellings[f.levels.index(f.reference)] for f in fields}
+    return DesignMatrix(
+        column_labels=design_labels(spec), reference_categories=refs, blocks=tuple(design_blocks)
+    )
 
 
 def band_ks2(fine_scores, n_groups: int = len(FIELD[_PRIOR].levels)) -> list[int]:

@@ -117,19 +117,20 @@ def school_scores(
     if national_sd <= 0.0:
         raise AnalysisError(f"national_sd must be positive, got {national_sd!r}")
     school_index = np.asarray(school_index)
-    by_school = np.asarray(scores, dtype=float)[np.argsort(school_index, kind="stable")]
-    counts = np.bincount(school_index, minlength=len(school_ids)).tolist()
+    scores = np.asarray(scores, dtype=float)
+    n_schools = len(school_ids)
+    counts = np.bincount(school_index, minlength=n_schools)
+    means = np.bincount(school_index, weights=scores, minlength=n_schools) / np.maximum(counts, 1)
+    sds = np.full(n_schools, national_sd)
+    if within_school_sd:
+        deviations = scores - means[school_index]
+        squares = np.bincount(school_index, weights=deviations * deviations, minlength=n_schools)
+        several = counts >= 2
+        sds[several] = np.sqrt(squares[several] / (counts[several] - 1))
     out: list[SchoolScore] = []
-    end = 0
-    for school_id, n in zip(school_ids, counts):
+    for school_id, n, mean, sd in zip(school_ids, counts.tolist(), means.tolist(), sds.tolist()):
         if n == 0:
             continue
-        values = by_school[end : end + n]
-        end += n
-        mean = float(values.mean())
-        sd = national_sd
-        if within_school_sd and n >= 2:
-            sd = float(values.std(ddof=1))
         half = Z95 * sd / np.sqrt(n)
         low, high = mean - half, mean + half
         if low > 0.0:

@@ -1,9 +1,14 @@
 """Ordinary least squares with fit statistics and school-clustered inference.
 
-Estimation is QR-based. Exact-collinear columns (including all-zero columns
-from empty category levels) are pruned deterministically left to right by a
-Gram-matrix rank guard before the solve, and reported, so coefficient tables
-stay reproducible rather than depending on a pseudo-inverse.
+Estimation solves the normal equations X'X b = X'y by Cholesky. The design
+supplies the statistics (see ``design.DesignMatrix``): X'X is ``x.T @ x``
+for a dense design and a set of integer cross-tabs for a categorical one,
+so a cohort's fit never forms its N x k indicator matrix. A left-to-right
+rank guard on X'X prunes exact-collinear columns (including all-zero
+columns from empty category levels) deterministically and reports them, so
+coefficient tables stay reproducible rather than depending on a
+pseudo-inverse; the Cholesky factor it builds of the retained columns is
+the one the solve and (X'X)^-1 use. Residuals are y - X b.
 
 The clustered covariance is the CR1 sandwich,
 
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .design import DesignMatrix
 from .errors import FitError
@@ -80,12 +84,13 @@ class CoefficientRow:
     significant: bool
 
 
-def _prune_collinear(gram: np.ndarray) -> tuple[list[int], list[int]]:
+def _prune_collinear(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
     """Left-to-right exact-collinearity scan on the Gram matrix.
 
     Walks columns in order, keeping a Cholesky factor of the retained block;
     a column whose conditional variance falls below _RANK_TOL of its own
-    norm is dropped. Deterministic: earlier columns always win.
+    norm is dropped. Deterministic: earlier columns always win. Returns the
+    kept and dropped columns and the lower Cholesky factor of the kept block.
     """
     k = gram.shape[0]
     kept: list[int] = []
@@ -98,7 +103,7 @@ def _prune_collinear(gram: np.ndarray) -> tuple[list[int], list[int]]:
             continue
         m = len(kept)
         if m:
-            w = solve_triangular(chol[:m, :m], gram[kept, j], lower=True)
+            w = np.linalg.solve(chol[:m, :m], gram[kept, j])
             d = gjj - float(w @ w)
         else:
             w = np.empty(0)
@@ -109,17 +114,8 @@ def _prune_collinear(gram: np.ndarray) -> tuple[list[int], list[int]]:
         chol[m, :m] = w
         chol[m, m] = np.sqrt(d)
         kept.append(j)
-    return kept, dropped
-
-
-def _qr_residualise(
-    x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Solve min ||y - x b|| by reduced QR; return (b, residuals, rss, R)."""
-    q, r = np.linalg.qr(x)
-    beta = solve_triangular(r, q.T @ y, lower=False)
-    resid = y - x @ beta
-    return beta, resid, float(resid @ resid), r
+    m = len(kept)
+    return kept, dropped, chol[:m, :m]
 
 
 def fit_ols(design: DesignMatrix, outcome) -> FitResult:
@@ -129,33 +125,32 @@ def fit_ols(design: DesignMatrix, outcome) -> FitResult:
     ``dropped_columns``. Fatal if the outcome is non-finite or there are no
     more observations than retained parameters.
     """
-    x = design.values
     y = np.asarray(outcome, dtype=float)
-    n = x.shape[0]
+    n = design.n
     if y.shape != (n,):
         raise FitError(f"outcome length {y.shape} does not match design rows {n}")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise FitError(f"outcome is non-finite at row {int(bad[0]) + 1}")
 
-    gram = x.T @ x
-    kept, dropped = _prune_collinear(gram)
-    if n <= len(kept):
-        raise FitError(
-            f"cannot fit: {n} observations for {len(kept)} retained parameters"
-        )
+    kept, dropped, chol = _prune_collinear(design.gram())
+    k_eff = len(kept)
+    if n <= k_eff:
+        raise FitError(f"cannot fit: {n} observations for {k_eff} retained parameters")
 
-    xs = x[:, kept]
-    beta, resid, rss, r_factor = _qr_residualise(xs, y)
+    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, design.xty(y)[kept]))
+    chol_inv = np.linalg.inv(chol)
+    xtx_inv = chol_inv.T @ chol_inv
+    full = np.zeros(design.k)
+    full[kept] = beta
+    resid = y - design.predict(full)
+    rss = float(resid @ resid)
 
-    # Total sum of squares through the same solver on the constant column
-    # alone; for an intercept-only design this makes rss and tss bitwise
-    # equal, so r_squared is exactly 0.
-    if len(kept) == 1 and kept[0] == 0:
+    # For an intercept-only design rss and tss are bitwise equal, so
+    # r_squared is exactly 0.
+    if kept == [0]:
         tss = rss
-    elif kept and kept[0] == 0:
-        tss = _qr_residualise(x[:, :1], y)[2]
-    else:  # degenerate design without a usable leading constant
+    else:
         centred = y - y.mean()
         tss = float(centred @ centred)
 
@@ -163,11 +158,7 @@ def fit_ols(design: DesignMatrix, outcome) -> FitResult:
         r2 = min(1.0, max(0.0, 1.0 - rss / tss))
     else:
         r2 = 0.0
-    k_eff = len(kept)
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k_eff)
-
-    r_inv = solve_triangular(r_factor, np.eye(k_eff), lower=False)
-    xtx_inv = r_inv @ r_inv.T
 
     labels = design.column_labels
     return FitResult(
@@ -194,22 +185,18 @@ def cluster_robust_cov(fit: FitResult, design: DesignMatrix, cluster_ids) -> Clu
     """
     if fit.design_labels != design.column_labels or design.n != fit.n:
         raise FitError("fit was not produced from this design")
-    ids = list(cluster_ids)
-    if len(ids) != fit.n:
-        raise FitError(f"expected {fit.n} cluster ids, got {len(ids)}")
-    codes, idx = np.unique(np.asarray(ids, dtype=object), return_inverse=True)
+    ids = np.asarray(cluster_ids)
+    if ids.shape != (fit.n,):
+        raise FitError(f"expected {fit.n} cluster ids, got {ids.size}")
+    codes, idx = np.unique(ids, return_inverse=True)
     n_clusters = codes.size
     if n_clusters < 2:
         raise FitError("clustered inference undefined: fewer than 2 clusters")
 
     kept = [design.column_labels.index(lab) for lab in fit.labels]
-    xs = design.values[:, kept]
-    xe = xs * fit.residuals[:, None]
-    k_eff = fit.k_effective
-    sums = np.empty((n_clusters, k_eff))
-    for j in range(k_eff):
-        sums[:, j] = np.bincount(idx, weights=xe[:, j], minlength=n_clusters)
+    sums = design.cluster_sums(fit.residuals, idx, n_clusters)[:, kept]
     meat = sums.T @ sums
+    k_eff = fit.k_effective
 
     n = fit.n
     correction = (n_clusters / (n_clusters - 1)) * ((n - 1) / (n - k_eff))

@@ -28,7 +28,10 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+# scipy.special is imported inside the functions that call it, so that
+# importing the CLI, whose fit/compare/breakdown need only numpy, does not
+# load scipy.
 
 from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind
 from .cohort import (
@@ -214,6 +217,8 @@ def _draw(rng, fields, size: int) -> dict[str, np.ndarray]:
 
 def _decile_codes(latent: np.ndarray) -> np.ndarray:
     """Deprivation decile code of a standard-normal latent."""
+    from scipy.special import ndtr
+
     n = len(FIELD["idaci_decile"].levels)
     return np.clip(np.floor(ndtr(latent) * n).astype(int), 0, n - 1).astype(np.int8)
 
@@ -225,6 +230,8 @@ def _ids(prefix: str, n: int, width: int) -> np.ndarray:
 
 def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     """Generate a synthetic cohort; deterministic for a given seed."""
+    from scipy.special import ndtr, ndtri
+
     _check_config(config)
     coefficients = dgp_from_coefficients(config.coefficient_set)["coefficient_set"]
     rng = np.random.default_rng(config.seed)
@@ -276,7 +283,7 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
         cohort, ModelSpec(include_prior_attainment=True, include_background=True)
     )
     beta = np.array([coefficients[lab] for lab in design.column_labels])
-    raw = design.values @ beta + true_effects[school_idx] + noise
+    raw = design.predict(beta) + true_effects[school_idx] + noise
     outcome = np.clip(raw, *FIELD["attainment8_total"].bounds)
     n_clipped = int(np.sum(outcome != raw))
 

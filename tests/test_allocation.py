@@ -1,0 +1,48 @@
+"""Peak allocations of the fitting path and the generator stay far below one N x k design.
+
+A categorical design is fitted from its code columns, so neither fitting
+a measure with its clustered covariance nor generating a cohort's outcome
+should allocate an N x k float64 array (about 28 MB on the default
+cohort). tracemalloc sees numpy's array buffers.
+"""
+
+import tracemalloc
+import warnings
+
+from vamkit.design import MeasureKind, design_labels
+from vamkit.measures import compute_measure
+from vamkit.ols import cluster_robust_cov
+from vamkit.synthgen import GeneratorConfig, generate_population
+
+AP8 = MeasureKind.ADJUSTED_PROGRESS8
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def fit_ap8(cohort):
+    result = compute_measure(cohort, AP8)
+    return cluster_robust_cov(result.fit, result.design, cohort.school_index)
+
+
+def test_fit_and_generator_allocate_no_design_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        generate_population(GeneratorConfig(n_schools=2, seed=1))  # imports scipy.special
+        pop, gen_peak = traced_peak(lambda: generate_population(GeneratorConfig(seed=612)))
+        _, fit_peak = traced_peak(lambda: fit_ap8(pop.cohort))
+
+    design_mb = pop.cohort.n_pupils * len(design_labels(AP8.model_spec)) * 8 / 1e6
+    # The fit holds a few length-N vectors (outcome, residuals, scores, bin
+    # keys): a quarter of the design is ample. The generator also holds the
+    # cohort's own columns, about twenty length-N arrays: half the design.
+    assert fit_peak / 1e6 < design_mb / 4, f"fit peak {fit_peak / 1e6:.1f} MB, design {design_mb:.1f} MB"
+    assert gen_peak / 1e6 < design_mb / 2, f"generator peak {gen_peak / 1e6:.1f} MB, design {design_mb:.1f} MB"

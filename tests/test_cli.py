@@ -292,6 +292,19 @@ def test_module_entry_point_runs(sim_dir):
     assert proc.stdout.startswith("OK: ") and "40 schools" in proc.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # fit, compare and breakdown need only numpy; scipy would add about
+    # half a second to every CLI start
+    src = str(Path(vamkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, vamkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _edited_scores(tmp_path, fit_dir, row, column, value):
     rows = read_csv(fit_dir / "school_scores_a8.csv")
     rows[row - 1][column] = value

@@ -5,6 +5,7 @@ from vamkit.categories import Ethnicity, FirstLanguage, Gender, Month, Sen
 from vamkit.cohort import validate_cohort
 from vamkit.design import (
     DesignError,
+    DesignMatrix,
     MeasureKind,
     ModelSpec,
     band_ks2,
@@ -164,6 +165,25 @@ def test_permuting_rows_permutes_design(midsize_population):
     design2 = build_design_matrix(shuffled, ModelSpec(True, True))
     assert design2.column_labels == design.column_labels
     assert np.array_equal(design2.values, design.values[perm])
+
+
+def test_categorical_statistics_equal_dense(midsize_population):
+    cohort = midsize_population.cohort
+    y = cohort.pupil_table["attainment8_total"]
+    rng = np.random.default_rng(5)
+    for kind in MeasureKind:
+        design = build_design_matrix(cohort, kind.model_spec)
+        dense = DesignMatrix(values=design.values, column_labels=design.column_labels)
+        # counts are exact in floating point
+        assert np.array_equal(design.gram(), dense.gram())
+        np.testing.assert_allclose(design.xty(y), dense.xty(y), rtol=1e-12)
+        beta = rng.normal(size=design.k)
+        np.testing.assert_allclose(design.predict(beta), dense.predict(beta), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            design.cluster_sums(y, cohort.school_index, cohort.n_schools),
+            dense.cluster_sums(y, cohort.school_index, cohort.n_schools),
+            rtol=1e-12,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from vamkit.measures import (
     measure_summary,
     school_scores,
 )
+from vamkit.ols import Z95
 
 from conftest import make_pupil, make_school, random_cohort
 
@@ -224,15 +225,23 @@ def test_measure_summary_sample_convention():
 
 
 def test_school_scores_equal_per_school_loop(midsize_population):
-    # reference: collect each school's pupil scores in cohort order, then mean
+    # reference: collect each school's pupil scores in cohort order, then
+    # mean and SD. school_scores sums by bincount in row order and numpy
+    # sums pairwise, so each mean may differ from the reference by up to
+    # 2 * n * eps * max|score|; the within-school SD agrees to 1e-12 relative.
     cohort = midsize_population.cohort
+    eps = np.finfo(float).eps
     for kind in (A8, MeasureKind.ADJUSTED_PROGRESS8):
         result = compute_measure(cohort, kind)
+        own_sd = compute_measure(cohort, kind, within_school_sd=True).school_scores
         by_school = {}
         for pupil, ps in zip(cohort.pupils, result.pupil_scores):
             by_school.setdefault(pupil.school_id, []).append(ps.score)
         assert [s.school_id for s in result.school_scores] == sorted(by_school)
-        for school in result.school_scores:
+        for school, own in zip(result.school_scores, own_sd):
             values = np.asarray(by_school[school.school_id])
             assert school.n_pupils == values.size
-            assert school.score == float(values.mean())
+            tol = 2 * values.size * eps * np.abs(values).max()
+            assert abs(school.score - float(values.mean())) <= tol
+            half = Z95 * float(values.std(ddof=1)) / np.sqrt(values.size)
+            assert (own.ci_high - own.ci_low) / 2 == pytest.approx(half, rel=1e-12)
