@@ -2,10 +2,10 @@
 
 Every writing subcommand gets an --out directory and leaves exactly one
 manifest.json there recording the command line, SHA-256 digests of the
-input files, the seed (if any), the tool version, the output file list and
-the wall time. Identical inputs and flags produce byte-identical outputs
-(manifests differ only in wall time). Files are written atomically
-(temp file + rename).
+bytes read from each input file, the seed (if any), the tool version, the
+output file list and the wall time. Identical inputs and flags produce
+byte-identical outputs (manifests differ only in wall time). Files are
+written atomically (temp file + rename).
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
 Randomness exists only in `simulate --seed`; fitting is seed-free.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -36,15 +38,10 @@ from .analysis import (
     pupil_breakdown,
     school_breakdown,
 )
-from .cohort import parse_pupils, parse_schools, validate_cohort
+from .cohort import csv_bytes, parse_pupils, parse_schools, validate_cohort
 from .design import MeasureKind
 from .errors import GeneratorError, VamkitError
-from .measures import (
-    MeasureResult,
-    SchoolScore,
-    SignificanceCategory,
-    compute_measures,
-)
+from .measures import SchoolScore, SignificanceCategory, compute_measures
 from .ols import cluster_robust_cov, coefficient_table
 from .synthgen import GeneratorConfig, generate_population, write_population_csv
 
@@ -96,8 +93,11 @@ def _formatter(precision):
     return lambda x: f"{float(x):.{precision}f}"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_input(path: Path, inputs: dict[str, str]) -> bytes:
+    """The file's bytes; their SHA-256 is recorded in ``inputs`` under the path."""
+    data = path.read_bytes()
+    inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -119,12 +119,16 @@ def _report_skipped(path: Path, issues) -> None:
         print(f"{path.name}: skipped {len(issues)} row(s); by column: {counts}", file=sys.stderr)
 
 
-def _load_cohort(pupils_path: Path, schools_path: Path):
-    pupils, pupil_issues = parse_pupils(pupils_path.read_bytes())
-    schools, school_issues = parse_schools(schools_path.read_bytes())
+def _fit_measures(args):
+    """Inputs read, cohort and fitted --measures of a fit or breakdown."""
+    pupils_path, schools_path = Path(args.pupils), Path(args.schools)
+    inputs = {}
+    pupils, pupil_issues = parse_pupils(_read_input(pupils_path, inputs))
+    schools, school_issues = parse_schools(_read_input(schools_path, inputs))
     _report_skipped(pupils_path, pupil_issues)
     _report_skipped(schools_path, school_issues)
-    return validate_cohort(pupils, schools)
+    cohort = validate_cohort(pupils, schools)
+    return inputs, cohort, compute_measures(cohort, args.measures)
 
 
 # ---------------------------------------------------------------------------
@@ -132,68 +136,23 @@ def _load_cohort(pupils_path: Path, schools_path: Path):
 # ---------------------------------------------------------------------------
 
 
-def _csv_lines(header: list[str], rows: list[list[str]]) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _cell(value, fmt) -> str:
+    """None is blank, a flag 1/0, an enum its value and a float ``fmt(value)``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # an int subclass: caught before str()
+        return "1" if value else "0"
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
 
 
-def _coefficients_csv(result: MeasureResult, cluster_ids, fmt) -> bytes:
-    cov = cluster_robust_cov(result.fit, result.design, cluster_ids)
-    rows = []
-    for row in coefficient_table(result.fit, cov):
-        if row.estimate is None:
-            rows.append([row.label, "", "", "0"])
-        else:
-            rows.append([row.label, fmt(row.estimate), fmt(row.se), "1" if row.significant else "0"])
-    return _csv_lines(["label", "estimate", "se", "significant"], rows)
-
-
-def _school_scores_csv(scores: list[SchoolScore], fmt) -> bytes:
-    rows = [
-        [
-            s.school_id,
-            s.measure.code,
-            fmt(s.score),
-            str(s.n_pupils),
-            fmt(s.ci_low),
-            fmt(s.ci_high),
-            s.category.value,
-        ]
-        for s in scores
-    ]
-    return _csv_lines(
-        ["school_id", "measure", "score", "n_pupils", "ci_low", "ci_high", "category"], rows
-    )
-
-
-def _summary_csv(results: dict[MeasureKind, MeasureResult], fmt) -> bytes:
-    rows = []
-    for kind, res in results.items():
-        s = res.summary
-        rows.append(
-            [
-                kind.code,
-                fmt(s.adjusted_r_squared),
-                fmt(s.sd_pupil_scores),
-                fmt(s.sd_school_scores),
-                str(s.n_pupils),
-                str(s.n_schools),
-                fmt(s.national_mean_grades),
-            ]
-        )
-    return _csv_lines(
-        [
-            "measure",
-            "adjusted_r_squared",
-            "sd_pupil_scores",
-            "sd_school_scores",
-            "n_pupils",
-            "n_schools",
-            "national_mean_grades",
-        ],
-        rows,
-    )
+def _rows_csv(rows: list, fmt) -> bytes:
+    """CSV of a non-empty list of one row dataclass; the header is its field names."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    return csv_bytes(names, ([_cell(getattr(row, n), fmt) for n in names] for row in rows))
 
 
 def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> bytes:
@@ -204,12 +163,9 @@ def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> byte
     for row in table.rows:
         out = [row.category, str(row.n_pupils), str(row.n_schools), f"{row.percent:.1f}"]
         for kind in kinds:
-            mean = row.means[kind]
-            flag = row.significant[kind]
-            out.append("" if mean is None else fmt(mean))
-            out.append("" if flag is None else ("1" if flag else "0"))
+            out += [_cell(row.means[kind], fmt), _cell(row.significant[kind], fmt)]
         rows.append(out)
-    body = _csv_lines(header, rows)
+    body = csv_bytes(header, rows)
     if table.footnotes:
         notes = "".join(f"# {note}\n" for note in table.footnotes)
         body += notes.encode("utf-8")
@@ -243,10 +199,10 @@ _SCORE_COLUMNS = {
 }
 
 
-def _read_school_scores(path: Path) -> list[SchoolScore]:
+def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]:
     """Read a school_scores.csv produced by `fit`; a bad cell is fatal."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = _read_input(path, inputs).decode("utf-8")
         reader = csv.DictReader(io.StringIO(text, newline=""))
         if reader.fieldnames is None or set(reader.fieldnames) != set(_SCORE_COLUMNS):
             raise VamkitError(f"{path}: not a school_scores.csv file")
@@ -276,9 +232,8 @@ def _cmd_simulate(args, out_dir: Path):
     inputs = {}
     if args.config is not None:
         config_path = Path(args.config)
-        inputs[str(config_path)] = _sha256(config_path)
         try:
-            loaded = json.loads(config_path.read_bytes().decode("utf-8"))
+            loaded = json.loads(_read_input(config_path, inputs).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise VamkitError(f"{config_path}: not a JSON file: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -306,33 +261,24 @@ def _cmd_simulate(args, out_dir: Path):
 
 
 def _cmd_fit(args, out_dir: Path):
-    pupils_path, schools_path = Path(args.pupils), Path(args.schools)
-    inputs = {str(pupils_path): _sha256(pupils_path), str(schools_path): _sha256(schools_path)}
-    cohort = _load_cohort(pupils_path, schools_path)
+    inputs, cohort, results = _fit_measures(args)
     fmt = _formatter(args.precision)
-
-    results = compute_measures(cohort, args.measures)
-    written = []
-    for kind in args.measures:
-        res = results[kind]
-        name = f"coefficients_{kind.code}.csv"
-        _write_atomic(out_dir / name, _coefficients_csv(res, cohort.school_index, fmt))
-        written.append(name)
-        name = f"school_scores_{kind.code}.csv"
-        _write_atomic(out_dir / name, _school_scores_csv(res.school_scores, fmt))
-        written.append(name)
-    _write_atomic(out_dir / "summary.csv", _summary_csv(results, fmt))
-    written.append("summary.csv")
-    return inputs, None, sorted(written)
+    tables = {}
+    for kind, res in results.items():
+        cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
+        tables[f"coefficients_{kind.code}.csv"] = _rows_csv(coefficient_table(res.fit, cov), fmt)
+        tables[f"school_scores_{kind.code}.csv"] = _rows_csv(res.school_scores, fmt)
+    tables["summary.csv"] = _rows_csv([res.summary for res in results.values()], fmt)
+    for name, data in tables.items():
+        _write_atomic(out_dir / name, data)
+    return inputs, None, sorted(tables)
 
 
 def _cmd_compare(args, out_dir: Path):
     if len(args.scores) != 2:
         raise VamkitError("compare needs exactly two --scores files")
-    path_a, path_b = (Path(p) for p in args.scores)
-    inputs = {str(path_a): _sha256(path_a), str(path_b): _sha256(path_b)}
-    a = _read_school_scores(path_a)
-    b = _read_school_scores(path_b)
+    inputs = {}
+    a, b = (_read_school_scores(Path(p), inputs) for p in args.scores)
     report = compare_measures(a, b, args.thresholds)
     payload = {
         "pair": list(report.measure_pair),
@@ -359,19 +305,14 @@ def _cmd_compare(args, out_dir: Path):
 
 
 def _cmd_breakdown(args, out_dir: Path):
-    pupils_path, schools_path = Path(args.pupils), Path(args.schools)
-    inputs = {str(pupils_path): _sha256(pupils_path), str(schools_path): _sha256(schools_path)}
-    cohort = _load_cohort(pupils_path, schools_path)
-    fmt = _formatter(args.precision)
-
-    results = compute_measures(cohort, args.measures)
+    inputs, cohort, results = _fit_measures(args)
     scores = {kind: res.scores for kind, res in results.items()}
     if args.by in PUPIL_CHARACTERISTICS:
         table = pupil_breakdown(cohort, scores, args.by)
     else:
         table = school_breakdown(cohort, scores, args.by)
     name = f"breakdown_{args.by}.csv"
-    _write_atomic(out_dir / name, _breakdown_csv(table, args.measures, fmt))
+    _write_atomic(out_dir / name, _breakdown_csv(table, args.measures, _formatter(args.precision)))
     return inputs, None, [name]
 
 
@@ -407,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schools", type=int, default=None, help="number of schools")
     p.add_argument("--config", default=None, help="JSON file of generator settings")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit measures and emit scores and coefficients")
     p.add_argument("--pupils", required=True)
@@ -416,6 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=_parse_precision, default=None,
                    help="'full' (default) or decimal places for scores")
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("compare", help="compare two school_scores.csv files")
     p.add_argument("--scores", action="append", required=True,
@@ -423,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_parse_thresholds, default=[500, 1000],
                    help="rank-movement thresholds, e.g. 500,1000")
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("breakdown", help="category means per measure for a characteristic")
     p.add_argument("--pupils", required=True)
@@ -432,10 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=list(PUPIL_CHARACTERISTICS) + list(SCHOOL_CHARACTERISTICS))
     p.add_argument("--precision", type=_parse_precision, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_breakdown)
 
     p = sub.add_parser("validate", help="schema-check pupil and school files")
     p.add_argument("--pupils", required=True)
     p.add_argument("--schools", required=True)
+    p.set_defaults(handler=_cmd_validate)
 
     return parser
 
@@ -451,19 +397,10 @@ def run(argv=None) -> int:
     started = time.monotonic()
     try:
         if args.command == "validate":
-            return _cmd_validate(args)
+            return args.handler(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            inputs, seed, outputs = _cmd_simulate(args, out_dir)
-        elif args.command == "fit":
-            inputs, seed, outputs = _cmd_fit(args, out_dir)
-        elif args.command == "compare":
-            inputs, seed, outputs = _cmd_compare(args, out_dir)
-        elif args.command == "breakdown":
-            inputs, seed, outputs = _cmd_breakdown(args, out_dir)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        inputs, seed, outputs = args.handler(args, out_dir)
     except VamkitError as exc:
         print(str(exc), file=sys.stderr)
         return 1

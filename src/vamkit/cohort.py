@@ -174,13 +174,20 @@ class ValidatedCohort:
         return self.school_table.records()
 
 
-def _decode(source: BinaryIO | bytes) -> io.StringIO:
+def _decode(source: BinaryIO | bytes) -> io.TextIOWrapper:
+    """A text stream over the input's bytes, once they are known to be UTF-8.
+
+    The whole input is decoded once as the check, so an error names its
+    byte position in the file; the text is then decoded again as it is read,
+    which holds no copy of it. Only a private ``BytesIO`` is wrapped: a
+    ``TextIOWrapper`` closes what it wraps when it is collected.
+    """
     raw = source if isinstance(source, bytes) else source.read()
     try:
-        text = raw.decode("utf-8-sig")
+        raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CohortError(f"input is not valid UTF-8: {exc}") from exc
-    return io.StringIO(text, newline="")
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
 
 def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str) -> None:
@@ -246,20 +253,22 @@ def _parse_table(
     issues: list[ParseIssue] = []
     rows: list[list[str]] = []
     row_nos: list[int] = []
-    reader = csv.reader(_decode(source))
-    try:
-        _check_header(next(reader, None), names, what)
-        for row_no, row in enumerate(reader, start=1):
-            # blank rows are skipped; a non-blank first cell settles it quickly
-            if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
-                continue
-            if len(row) != width:
-                issues.append(ParseIssue(row_no, "(row)", f"expected {width} fields, got {len(row)}"))
-                continue
-            rows.append(row)
-            row_nos.append(row_no)
-    except csv.Error as exc:
-        raise CohortError(f"{what} is malformed: {exc}") from exc
+    with _decode(source) as text:
+        reader = csv.reader(text)
+        try:
+            _check_header(next(reader, None), names, what)
+            for row_no, row in enumerate(reader, start=1):
+                # blank rows are skipped; a non-blank first cell settles it quickly
+                if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    reason = f"expected {width} fields, got {len(row)}"
+                    issues.append(ParseIssue(row_no, "(row)", reason))
+                    continue
+                rows.append(row)
+                row_nos.append(row_no)
+        except csv.Error as exc:
+            raise CohortError(f"{what} is malformed: {exc}") from exc
 
     cells = np.array(rows, dtype=object).reshape(len(rows), width)
     failed = np.zeros(len(rows), dtype=bool)
@@ -343,6 +352,15 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
+def csv_bytes(header: Iterable[str], rows: Iterable[Iterable]) -> bytes:
+    """UTF-8 CSV with "\\n" line ends; a cell is quoted only where CSV needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 def _serialize(rows: Table | Iterable, fields: tuple[Field, ...]) -> bytes:
     table = _as_table(rows, fields)
     cells = []
@@ -353,11 +371,7 @@ def _serialize(rows: Table | Iterable, fields: tuple[Field, ...]) -> bytes:
         elif f.kind is not Kind.ID:
             col = list(map((f.spellings + ("",)).__getitem__, col))
         cells.append(col)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(f.name for f in fields)
-    writer.writerows(zip(*cells))
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes((f.name for f in fields), zip(*cells))
 
 
 def serialize_pupils(pupils: Table | Iterable[PupilRecord]) -> bytes:

@@ -37,6 +37,7 @@ from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind
 from .cohort import (
     Table,
     ValidatedCohort,
+    csv_bytes,
     serialize_pupils,
     serialize_schools,
     validate_cohort,
@@ -294,10 +295,9 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
 
 def serialize_truth(synthetic: SyntheticCohort) -> bytes:
     """truth.csv bytes: school_id, true_effect_points."""
-    lines = ["school_id,true_effect_points"]
-    for sid in sorted(synthetic.true_school_effects):
-        lines.append(f"{sid},{synthetic.true_school_effects[sid]!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    effects = synthetic.true_school_effects
+    rows = ((sid, repr(effects[sid])) for sid in sorted(effects))
+    return csv_bytes(["school_id", "true_effect_points"], rows)
 
 
 def write_population_csv(synthetic: SyntheticCohort) -> dict[str, bytes]:

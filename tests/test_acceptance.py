@@ -7,7 +7,6 @@ data and are treated as documentation (see README); acceptance rests on the
 property/oracle checks below.
 """
 
-import dataclasses
 import itertools
 import json
 import time
@@ -294,17 +293,14 @@ def test_criterion_7_ci_coverage():
             cohort = pop.cohort
             held = set(sorted(pop.true_school_effects)[::2])
             # null the held-out schools by removing their known true effect
-            pupils = [
-                dataclasses.replace(
-                    p,
-                    attainment8_total=p.attainment8_total
-                    - pop.true_school_effects[p.school_id],
-                )
-                if p.school_id in held
-                else p
-                for p in cohort.pupils
-            ]
-            nulled = validate_cohort(pupils, cohort.schools)
+            school_ids = cohort.school_table["school_id"].tolist()
+            removed = np.array(
+                [pop.true_school_effects[sid] if sid in held else 0.0 for sid in school_ids]
+            )
+            outcome = cohort.pupil_table["attainment8_total"] - removed[cohort.school_index]
+            nulled = validate_cohort(
+                cohort.pupil_table.replace(attainment8_total=outcome), cohort.school_table
+            )
             result = compute_measure(nulled, A8)
             for school in result.school_scores:
                 if school.school_id in held:

@@ -4,12 +4,16 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import vamkit
 from vamkit.cli import run
+from vamkit.cohort import serialize_pupils, serialize_schools
+
+from conftest import random_cohort
 
 
 def run_ok(argv):
@@ -200,6 +204,33 @@ def test_compare_composes_with_fit(tmp_path, fit_dir):
     assert q["nw"] + q["ne"] + q["sw"] + q["se"] == 40
     counts = {m["threshold"]: m["count"] for m in report["movements"]}
     assert counts[5] >= counts[10]
+
+
+def test_ids_that_need_quoting_round_trip(tmp_path):
+    renamed = {"S000": "S1,North", "S001": 'S2"x'}
+    cohort = random_cohort(7)
+    pupils = [replace(p, school_id=renamed.get(p.school_id, p.school_id)) for p in cohort.pupils]
+    schools = [replace(s, school_id=renamed.get(s.school_id, s.school_id)) for s in cohort.schools]
+    (tmp_path / "pupils.csv").write_bytes(serialize_pupils(pupils))
+    (tmp_path / "schools.csv").write_bytes(serialize_schools(schools))
+    fit = tmp_path / "fit"
+    run_ok([
+        "fit",
+        "--pupils", str(tmp_path / "pupils.csv"),
+        "--schools", str(tmp_path / "schools.csv"),
+        "--measures", "a8,p8",
+        "--out", str(fit),
+    ])
+    run_ok([
+        "compare",
+        "--scores", str(fit / "school_scores_a8.csv"),
+        "--scores", str(fit / "school_scores_p8.csv"),
+        "--out", str(tmp_path / "cmp"),
+    ])
+    for code in ("a8", "p8"):
+        with open(fit / f"school_scores_{code}.csv", newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
+        assert sorted(ids) == sorted(s.school_id for s in schools)
 
 
 def test_breakdown_adjusted_characteristic_zero_means(tmp_path, sim_dir):

@@ -1,3 +1,6 @@
+import gc
+import io
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from vamkit.cohort import (
     serialize_schools,
     validate_cohort,
 )
+from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_pupil, make_school
 
@@ -149,6 +153,19 @@ def test_reordered_header_fatal():
 def test_not_utf8_fatal():
     with pytest.raises(CohortError, match="UTF-8"):
         parse_pupils(b"\xff\xfe\x00bad")
+
+
+@pytest.mark.parametrize("as_stream", [False, True], ids=["bytes", "stream"])
+def test_not_utf8_names_byte_position_in_file(as_stream):
+    cohort = generate_population(GeneratorConfig(n_schools=40, seed=0)).cohort
+    data = bytearray(serialize_pupils(cohort.pupil_table))
+    data[20_000] = 0xFF
+    source = io.BytesIO(bytes(data)) if as_stream else bytes(data)
+    with pytest.raises(CohortError, match="UTF-8.*position 20000"):
+        parse_pupils(source)
+    if as_stream:
+        gc.collect()
+        assert not source.closed  # the caller's stream is never wrapped
 
 
 def test_wrong_field_count_is_issue():
