@@ -12,7 +12,8 @@ on a boundary are assigned to the lower/left side.
 
 Breakdowns report, per category of a pupil or school characteristic, the
 pupil count, share and mean pupil score for each measure, with a test of
-mean = 0 whose variance clusters on schools:
+mean = 0, the CR1 test of an intercept-only fit clustered on school (k = 1,
+so (N-1)/(N-k) is 1 and (X'X)^-1 is 1/n_c):
 
     V = G_c/(G_c - 1) * (1/n_c^2) * sum_g ( sum_{i in g, cat c} (s_i - m_c) )^2
 
@@ -29,10 +30,10 @@ import numpy as np
 
 from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Field
 from .cohort import ValidatedCohort
-from .design import MeasureKind
+from .design import DesignMatrix, MeasureKind
 from .errors import AnalysisError
 from .measures import SchoolScore
-from .ols import Z95
+from .ols import cluster_robust_cov, coefficient_table, fit_ols
 
 PUPIL_CHARACTERISTICS = tuple(f.name for f in PUPIL_FIELDS if f.levels)
 SCHOOL_CHARACTERISTICS = tuple(f.name for f in SCHOOL_FIELDS if f.levels)
@@ -165,6 +166,8 @@ def compare_measures(
     thresholds: Sequence[int],
 ) -> ComparisonReport:
     """Full comparison report between two measures' school scores."""
+    if not a or not b:
+        raise AnalysisError("cannot compare: a score list is empty")
     counts, max_change = rank_movement(a, b, thresholds)
     return ComparisonReport(
         measure_pair=(a[0].measure.code, b[0].measure.code),
@@ -204,23 +207,11 @@ def _aligned_scores(
     return out
 
 
-def _clustered_mean_flag(
-    values: np.ndarray, school_codes: np.ndarray, n_schools_in_cat: int
-) -> bool | None:
-    """Significance of mean(values) != 0 with school-clustered variance.
-
-    Returns None (suppressed) when the category spans fewer than 2 schools.
-    """
-    if n_schools_in_cat < 2:
-        return None
-    n = values.size
-    mean = values.mean()
-    deviations = values - mean
-    sums = np.bincount(school_codes, weights=deviations)
-    v = (n_schools_in_cat / (n_schools_in_cat - 1)) * float(sums @ sums) / (n * n)
-    if v <= 0.0:
-        return False
-    return bool(abs(mean) / np.sqrt(v) > Z95)
+def _mean_flag(values: np.ndarray, cluster: np.ndarray) -> bool:
+    """Whether mean(values) != 0 at 5%: the intercept's CR1 test, clustered on ``cluster``."""
+    design = DesignMatrix(values=np.ones((values.size, 1)), column_labels=("mean",))
+    fit = fit_ols(design, values)
+    return coefficient_table(fit, cluster_robust_cov(fit, design, cluster))[0].significant
 
 
 def _breakdown(
@@ -235,7 +226,6 @@ def _breakdown(
 ) -> BreakdownTable:
     rows: list[BreakdownRow] = []
     footnotes: list[str] = []
-    kinds = list(aligned)
     for code, cat in universe:
         mask = codes == code
         n_cat = int(mask.sum())
@@ -246,29 +236,13 @@ def _breakdown(
             percent = 100.0 * n_sch / n_schools_total
         else:
             percent = 100.0 * n_cat / n_pupils
-        if n_cat == 0:
-            rows.append(
-                BreakdownRow(
-                    category=cat,
-                    n_pupils=0,
-                    n_schools=0,
-                    percent=percent,
-                    means={k: None for k in kinds},
-                    significant={k: None for k in kinds},
-                )
-            )
-            continue
         means: dict[MeasureKind, float | None] = {}
         flags: dict[MeasureKind, bool | None] = {}
-        suppressed = False
-        for kind in kinds:
-            values = aligned[kind][mask]
-            means[kind] = float(values.mean())
-            flag = _clustered_mean_flag(values, cluster, n_sch)
-            if flag is None:
-                suppressed = True
-            flags[kind] = flag
-        if suppressed:
+        for kind, scores in aligned.items():
+            values = scores[mask]
+            means[kind] = float(values.mean()) if n_cat else None
+            flags[kind] = _mean_flag(values, cluster) if n_sch >= 2 else None
+        if n_sch == 1:
             footnotes.append(
                 f"{cat}: significance suppressed (category spans fewer than 2 schools)"
             )

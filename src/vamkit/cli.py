@@ -16,16 +16,15 @@ Run as ``vamkit <command> ...`` or ``python -m vamkit.cli <command> ...``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import enum
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 import time
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -38,15 +37,14 @@ from .analysis import (
     pupil_breakdown,
     school_breakdown,
 )
-from .cohort import csv_bytes, parse_pupils, parse_schools, validate_cohort
+from .cohort import csv_bytes, parse_pupils, parse_schools, read_rows, validate_cohort
 from .design import MeasureKind
-from .errors import GeneratorError, VamkitError
-from .measures import SchoolScore, SignificanceCategory, compute_measures
+from .errors import AnalysisError, CohortError, GeneratorError, VamkitError
+from .measures import SchoolScore, compute_measures
 from .ols import cluster_robust_cov, coefficient_table
 from .synthgen import GeneratorConfig, generate_population, write_population_csv
 
 _MEASURES_BY_CODE = {kind.code: kind for kind in MeasureKind}
-_CATEGORY_BY_VALUE = {c.value: c for c in SignificanceCategory}
 
 
 def _parse_measures(text: str) -> list[MeasureKind]:
@@ -100,6 +98,15 @@ def _read_input(path: Path, inputs: dict[str, str]) -> bytes:
     return data
 
 
+def _parse_input(path: Path, inputs: dict[str, str], parse):
+    """``parse`` of the file's bytes (see ``_read_input``); a CohortError names the file."""
+    data = _read_input(path, inputs)
+    try:
+        return parse(data)
+    except CohortError as exc:
+        raise CohortError(f"{path}: {exc}") from exc
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".tmp.{path.name}")
     tmp.write_bytes(data)
@@ -123,8 +130,8 @@ def _fit_measures(args):
     """Inputs read, cohort and fitted --measures of a fit or breakdown."""
     pupils_path, schools_path = Path(args.pupils), Path(args.schools)
     inputs = {}
-    pupils, pupil_issues = parse_pupils(_read_input(pupils_path, inputs))
-    schools, school_issues = parse_schools(_read_input(schools_path, inputs))
+    pupils, pupil_issues = _parse_input(pupils_path, inputs, parse_pupils)
+    schools, school_issues = _parse_input(schools_path, inputs, parse_schools)
     _report_skipped(pupils_path, pupil_issues)
     _report_skipped(schools_path, school_issues)
     cohort = validate_cohort(pupils, schools)
@@ -188,37 +195,34 @@ def _one_of(table: dict):
     return parse
 
 
-_SCORE_COLUMNS = {
-    "school_id": str,
-    "measure": _one_of(_MEASURES_BY_CODE),
-    "score": _finite,
-    "n_pupils": int,
-    "ci_low": _finite,
-    "ci_high": _finite,
-    "category": _one_of(_CATEGORY_BY_VALUE),
-}
+def _cell_parser(tp):
+    """The inverse of ``_cell`` for a field annotated ``tp``."""
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return _one_of({member.value: member for member in tp})
+    return _finite if tp is float else tp
 
 
 def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]:
-    """Read a school_scores.csv produced by `fit`; a bad cell is fatal."""
-    try:
-        text = _read_input(path, inputs).decode("utf-8")
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        if reader.fieldnames is None or set(reader.fieldnames) != set(_SCORE_COLUMNS):
-            raise VamkitError(f"{path}: not a school_scores.csv file")
-        out = []
-        for row_no, row in enumerate(reader, start=1):
-            cells = {}
-            for column, parse in _SCORE_COLUMNS.items():
-                try:
-                    cells[column] = parse(row[column])
-                except (TypeError, ValueError) as exc:
-                    raise VamkitError(f"{path}: row {row_no}, column {column}: {exc}") from exc
-            out.append(SchoolScore(**cells))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise VamkitError(f"{path}: unreadable CSV: {exc}") from exc
-    if not out:
-        raise VamkitError(f"{path}: no school scores")
+    """Read a school_scores CSV produced by `fit`; a bad row or cell is fatal."""
+    hints = typing.get_type_hints(SchoolScore)
+    names = [f.name for f in dataclasses.fields(SchoolScore)]
+    parsers = [_cell_parser(hints[name]) for name in names]
+    rows, row_nos, issues = _parse_input(
+        path, inputs, lambda data: read_rows(data, names, "school_scores CSV")
+    )
+    out = []
+    for row_no, row in zip(row_nos, rows):
+        if issues and issues[0].row < row_no:
+            break
+        cells = []
+        for name, parse, text in zip(names, parsers, row):
+            try:
+                cells.append(parse(text))
+            except ValueError as exc:
+                raise CohortError(f"{path}: row {row_no}, column {name}: {exc}") from exc
+        out.append(SchoolScore(*cells))
+    if issues:
+        raise CohortError(f"{path}: {issues[0]}")
     return out
 
 
@@ -279,7 +283,10 @@ def _cmd_compare(args, out_dir: Path):
         raise VamkitError("compare needs exactly two --scores files")
     inputs = {}
     a, b = (_read_school_scores(Path(p), inputs) for p in args.scores)
-    report = compare_measures(a, b, args.thresholds)
+    try:
+        report = compare_measures(a, b, args.thresholds)
+    except AnalysisError as exc:
+        raise AnalysisError(f"{args.scores[0]}, {args.scores[1]}: {exc}") from exc
     payload = {
         "pair": list(report.measure_pair),
         "pearson_r": report.pearson_r,
@@ -318,8 +325,8 @@ def _cmd_breakdown(args, out_dir: Path):
 
 def _cmd_validate(args) -> int:
     pupils_path, schools_path = Path(args.pupils), Path(args.schools)
-    pupils, pupil_issues = parse_pupils(pupils_path.read_bytes())
-    schools, school_issues = parse_schools(schools_path.read_bytes())
+    pupils, pupil_issues = _parse_input(pupils_path, {}, parse_pupils)
+    schools, school_issues = _parse_input(schools_path, {}, parse_schools)
     for issue in pupil_issues:
         print(f"{pupils_path.name}: {issue}", file=sys.stderr)
     for issue in school_issues:

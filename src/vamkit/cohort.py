@@ -202,6 +202,9 @@ def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str)
             detail.append(f"missing columns: {', '.join(missing)}")
         if extra:
             detail.append(f"unexpected columns: {', '.join(extra)}")
+        duplicated = [c for c in dict.fromkeys(got) if got.count(c) > 1]
+        if duplicated:
+            detail.append(f"duplicate columns: {', '.join(duplicated)}")
         if not detail:
             detail.append("columns out of order")
         raise CohortError(
@@ -241,17 +244,18 @@ def _encode_column(f: Field, raw: np.ndarray) -> tuple[np.ndarray, dict[str, str
     return col, reasons
 
 
-def _parse_table(
-    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
-) -> tuple[Table, list[ParseIssue]]:
-    """Read a CSV into columns; each bad row is skipped with one issue.
-
-    A row is reported under its first failing column in column order.
+def read_rows(
+    source: BinaryIO | bytes, names: Sequence[str], what: str
+) -> tuple[list[tuple[str, ...]], list[int], list[ParseIssue]]:
+    """The rows of a CSV whose header is exactly ``names``, their 1-based
+    numbers (blank rows are skipped but counted) and an issue for each row of
+    the wrong width. Bad bytes, header or quoting raise :class:`CohortError`.
     """
-    names = tuple(f.name for f in fields)
     width = len(names)
     issues: list[ParseIssue] = []
-    rows: list[list[str]] = []
+    # tuples, not the reader's lists: the cyclic GC untracks a tuple of str,
+    # but rescans every kept list on each pass
+    rows: list[tuple[str, ...]] = []
     row_nos: list[int] = []
     with _decode(source) as text:
         reader = csv.reader(text)
@@ -265,11 +269,22 @@ def _parse_table(
                     reason = f"expected {width} fields, got {len(row)}"
                     issues.append(ParseIssue(row_no, "(row)", reason))
                     continue
-                rows.append(row)
+                rows.append(tuple(row))
                 row_nos.append(row_no)
         except csv.Error as exc:
             raise CohortError(f"{what} is malformed: {exc}") from exc
+    return rows, row_nos, issues
 
+
+def _parse_table(
+    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
+) -> tuple[Table, list[ParseIssue]]:
+    """Read a CSV into columns; each bad row is skipped with one issue.
+
+    A row is reported under its first failing column in column order.
+    """
+    width = len(fields)
+    rows, row_nos, issues = read_rows(source, tuple(f.name for f in fields), what)
     cells = np.array(rows, dtype=object).reshape(len(rows), width)
     failed = np.zeros(len(rows), dtype=bool)
     columns = {}

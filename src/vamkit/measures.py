@@ -167,6 +167,8 @@ def measure_summary(
     warning. ``national_mean_grades`` is the uncentred outcome mean / 10,
     reported alongside the centred scores.
     """
+    if not school_scores_:
+        raise AnalysisError("cannot summarise a measure with no school scores")
     pupil_values = np.asarray(scores, dtype=float)
     school_values = np.asarray([s.score for s in school_scores_])
     if school_values.size >= 2:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from vamkit.analysis import (
+    PUPIL_CHARACTERISTICS,
+    SCHOOL_CHARACTERISTICS,
     compare_measures,
     correlate,
     pupil_breakdown,
@@ -9,11 +11,12 @@ from vamkit.analysis import (
     rank_movement,
     school_breakdown,
 )
-from vamkit.categories import Region
+from vamkit.categories import FIELD, Region
 from vamkit.cohort import validate_cohort
 from vamkit.design import MeasureKind
 from vamkit.errors import AnalysisError
 from vamkit.measures import SchoolScore, SignificanceCategory, compute_measure, compute_measures
+from vamkit.ols import Z95
 
 from conftest import make_pupil, make_school
 
@@ -196,6 +199,13 @@ def test_compare_measures_report():
     assert report.max_rank_change <= 24
 
 
+def test_empty_score_lists_fatal():
+    with pytest.raises(AnalysisError, match="empty"):
+        compare_measures([], [], [5])
+    with pytest.raises(AnalysisError, match="empty"):
+        compare_measures(score_list([1.0, 2.0]), [], [5])
+
+
 # ---------------------------------------------------------------------------
 # breakdowns
 # ---------------------------------------------------------------------------
@@ -312,3 +322,47 @@ def test_scores_must_cover_cohort(midsize_population):
     result = compute_measure(cohort, A8)
     with pytest.raises(AnalysisError, match="pupil scores"):
         pupil_breakdown(cohort, {A8: result.scores[:-1]}, "fsm")
+
+
+def clustered_mean_flag(values, school_codes):
+    """Hand oracle: mean != 0 at 5% with school-clustered variance.
+
+    V = G/(G-1) * sum_g S_g^2 / n^2, where S_g sums the deviations from
+    the category mean over the category's pupils in school g.
+    """
+    schools, cluster = np.unique(school_codes, return_inverse=True)
+    g, n = schools.size, values.size
+    mean = values.mean()
+    sums = np.bincount(cluster, weights=values - mean)
+    v = (g / (g - 1)) * float(sums @ sums) / (n * n)
+    return v > 0.0 and bool(abs(mean) / np.sqrt(v) > Z95)
+
+
+def test_breakdown_flags_match_clustered_mean_oracle(midsize_population):
+    cohort = midsize_population.cohort
+    results = compute_measures(cohort, list(MeasureKind))
+    scores = {k: r.scores for k, r in results.items()}
+    checked = []
+    for characteristics, breakdown, codes_of in (
+        (PUPIL_CHARACTERISTICS, pupil_breakdown, lambda c: cohort.pupil_table[c]),
+        (
+            SCHOOL_CHARACTERISTICS,
+            school_breakdown,
+            lambda c: cohort.school_table[c][cohort.school_index],
+        ),
+    ):
+        for characteristic in characteristics:
+            codes = codes_of(characteristic)
+            levels = FIELD[characteristic].levels
+            table = breakdown(cohort, scores, characteristic)
+            for row in table.rows:
+                code = levels.index(row.category) if row.category in levels else -1
+                mask = codes == code
+                for kind, flag in row.significant.items():
+                    if row.n_schools < 2:
+                        assert flag is None
+                        continue
+                    expected = clustered_mean_flag(scores[kind][mask], cohort.school_index[mask])
+                    assert flag is expected, (characteristic, row.category, kind)
+                    checked.append(flag)
+    assert True in checked and False in checked

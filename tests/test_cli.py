@@ -348,6 +348,40 @@ def _edited_scores(tmp_path, fit_dir, row, column, value):
     return argv, path
 
 
+def _rewritten_scores(tmp_path, fit_dir, header, row):
+    """school_scores_a8.csv with its header and every data row rewritten.
+
+    ``row(row_no, line)`` rewrites the data row numbered ``row_no`` from 1.
+    """
+    lines = (fit_dir / "school_scores_a8.csv").read_text().splitlines()
+    rows = [row(i, line) for i, line in enumerate(lines[1:], start=1)]
+    path = tmp_path / "rewritten_scores.csv"
+    path.write_text("\n".join([header(lines[0])] + rows) + "\n")
+    argv = ["compare", "--scores", str(fit_dir / "school_scores_a8.csv"), "--scores", str(path)]
+    return argv, path
+
+
+def _bad_cell_before_wide_row(row_no, line):
+    if row_no == 2:
+        return line.replace(",a8,", ",zz,")
+    return line + ",x" if row_no == 3 else line
+
+
+def _edited_cohort(tmp_path, sim_dir, command, name, edit):
+    """``command`` on the simulated cohort with file ``name`` passed through ``edit``."""
+    path = tmp_path / name
+    path.write_bytes(edit((sim_dir / name).read_bytes()))
+    files = {n: str(path if n == name else sim_dir / n) for n in ("pupils.csv", "schools.csv")}
+    argv = [command, "--pupils", files["pupils.csv"], "--schools", files["schools.csv"]]
+    if command == "breakdown":
+        argv += ["--by", "fsm"]
+    return argv, path
+
+
+def _not_utf8(data):
+    return data[:500] + b"\xff" + data[500:]
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -357,22 +391,56 @@ def _config(tmp_path, text):
 @pytest.mark.parametrize(
     "make, fragments",
     [
-        (lambda t, f: _edited_scores(t, f, 3, "score", "abc"), ["row 3", "column score"]),
-        (lambda t, f: _edited_scores(t, f, 2, "measure", "zz"), ["row 2", "column measure", "zz"]),
-        (lambda t, f: _edited_scores(t, f, 1, "score", "nan"), ["row 1", "column score", "finite"]),
-        (lambda t, f: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
-        (lambda t, f: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
-        (lambda t, f: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
+        (lambda t, f, s: _edited_scores(t, f, 3, "score", "abc"), ["row 3", "column score"]),
+        (lambda t, f, s: _edited_scores(t, f, 2, "measure", "zz"), ["row 2", "column measure", "zz"]),
+        (lambda t, f, s: _edited_scores(t, f, 1, "score", "nan"), ["row 1", "column score", "finite"]),
+        (
+            lambda t, f, s: _rewritten_scores(t, f, lambda h: h, lambda i, r: r + ",x"),
+            ["row 1", "expected 7 fields, got 8"],
+        ),
+        (
+            lambda t, f, s: _rewritten_scores(t, f, lambda h: h, _bad_cell_before_wide_row),
+            ["row 2", "column measure", "zz"],
+        ),
+        (
+            lambda t, f, s: _rewritten_scores(
+                t, f, lambda h: h + ",score", lambda i, r: r + ",9.5"
+            ),
+            ["duplicate columns: score"],
+        ),
+        (lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _not_utf8), ["not valid UTF-8"]),
+        (
+            lambda t, f, s: _edited_cohort(t, s, "validate", "schools.csv", _not_utf8),
+            ["not valid UTF-8"],
+        ),
+        (
+            lambda t, f, s: _edited_cohort(
+                t, s, "breakdown", "pupils.csv", lambda d: d.replace(b"gender", b"sex", 1)
+            ),
+            ["missing columns: gender", "unexpected columns: sex"],
+        ),
+        (
+            lambda t, f, s: _edited_cohort(
+                t, s, "fit", "schools.csv", lambda d: d.replace(b"region", b"school_type", 1)
+            ),
+            ["missing columns: region", "duplicate columns: school_type"],
+        ),
+        (lambda t, f, s: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
+        (lambda t, f, s: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
+        (lambda t, f, s: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
     ],
     ids=[
-        "non-numeric-score", "unknown-measure", "nan-score", "truncated-json",
-        "string-n_schools", "nan-coefficient",
+        "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
+        "first-bad-score-row", "duplicate-score-column", "pupils-not-utf8", "schools-not-utf8", "pupils-bad-header",
+        "schools-bad-header", "truncated-json", "string-n_schools", "nan-coefficient",
     ],
 )
-def test_bad_input_is_one_line_error(tmp_path, fit_dir, capsys, make, fragments):
-    argv, path = make(tmp_path, fit_dir)
+def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):
+    argv, path = make(tmp_path, fit_dir, sim_dir)
+    if argv[0] != "validate":
+        argv = argv + ["--out", str(tmp_path / "out")]
     capsys.readouterr()
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert str(path) in err

@@ -224,6 +224,12 @@ def test_measure_summary_sample_convention():
     assert summary.n_pupils == 4 and summary.n_schools == 2
 
 
+def test_measure_summary_rejects_empty_scores():
+    fit = compute_measure(build_two_school_cohort(), A8).fit
+    with pytest.raises(AnalysisError, match="no school scores"):
+        measure_summary(fit, np.array([0.0, 1.0]), [])
+
+
 def test_school_scores_equal_per_school_loop(midsize_population):
     # reference: collect each school's pupil scores in cohort order, then
     # mean and SD. school_scores sums by bincount in row order and numpy
