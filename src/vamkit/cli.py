@@ -8,6 +8,7 @@ byte-identical outputs (manifests differ only in wall time). Files are
 written atomically (temp file + rename).
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
+Each warning goes to stderr as one ``warning: <message>`` line.
 Randomness exists only in `simulate --seed`; fitting is seed-free.
 
 Run as ``vamkit <command> ...`` or ``python -m vamkit.cli <command> ...``.
@@ -25,6 +26,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -126,15 +128,33 @@ def _report_skipped(path: Path, issues) -> None:
         print(f"{path.name}: skipped {len(issues)} row(s); by column: {counts}", file=sys.stderr)
 
 
+def _list_issues(path: Path, issues) -> None:
+    for issue in issues:
+        print(f"{path.name}: {issue}", file=sys.stderr)
+
+
+def _read_cohort(args, inputs: dict[str, str], report):
+    """The cohort of --pupils and --schools, and the issues of each file.
+
+    The issues go to ``report(path, issues)`` before validation; a
+    ``validate_cohort`` error names the file or files at fault.
+    """
+    paths = {"pupils": Path(args.pupils), "schools": Path(args.schools)}
+    pupils, pupil_issues = _parse_input(paths["pupils"], inputs, parse_pupils)
+    schools, school_issues = _parse_input(paths["schools"], inputs, parse_schools)
+    report(paths["pupils"], pupil_issues)
+    report(paths["schools"], school_issues)
+    try:
+        cohort = validate_cohort(pupils, schools)
+    except CohortError as exc:
+        raise CohortError(f"{', '.join(str(paths[i]) for i in exc.inputs)}: {exc}") from exc
+    return cohort, pupil_issues, school_issues
+
+
 def _fit_measures(args):
     """Inputs read, cohort and fitted --measures of a fit or breakdown."""
-    pupils_path, schools_path = Path(args.pupils), Path(args.schools)
     inputs = {}
-    pupils, pupil_issues = _parse_input(pupils_path, inputs, parse_pupils)
-    schools, school_issues = _parse_input(schools_path, inputs, parse_schools)
-    _report_skipped(pupils_path, pupil_issues)
-    _report_skipped(schools_path, school_issues)
-    cohort = validate_cohort(pupils, schools)
+    cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
     return inputs, cohort, compute_measures(cohort, args.measures)
 
 
@@ -324,14 +344,7 @@ def _cmd_breakdown(args, out_dir: Path):
 
 
 def _cmd_validate(args) -> int:
-    pupils_path, schools_path = Path(args.pupils), Path(args.schools)
-    pupils, pupil_issues = _parse_input(pupils_path, {}, parse_pupils)
-    schools, school_issues = _parse_input(schools_path, {}, parse_schools)
-    for issue in pupil_issues:
-        print(f"{pupils_path.name}: {issue}", file=sys.stderr)
-    for issue in school_issues:
-        print(f"{schools_path.name}: {issue}", file=sys.stderr)
-    cohort = validate_cohort(pupils, schools)
+    cohort, pupil_issues, school_issues = _read_cohort(args, {}, _list_issues)
     if pupil_issues or school_issues:
         print(
             f"validation failed: {len(pupil_issues)} pupil issue(s), "
@@ -403,15 +416,14 @@ def run(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        if args.command == "validate":
-            return args.handler(args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        inputs, seed, outputs = args.handler(args, out_dir)
-    except VamkitError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            if args.command == "validate":
+                return args.handler(args)
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            inputs, seed, outputs = args.handler(args, out_dir)
+    except (VamkitError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -8,9 +8,11 @@ its first failing column and the reason, and the row is skipped. Structural
 problems (undecodable bytes, wrong header) raise :class:`CohortError`.
 
 Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
-outcome as float64 and every category as a small-int code.
-:class:`PupilRecord` and :class:`SchoolRecord` are row views, built from the
-columns on request.
+outcome as float64 and every category as a small-int code. Every function
+that takes pupils or schools takes a :class:`Table`. :class:`PupilRecord`
+and :class:`SchoolRecord` are output-only row views, built from the columns
+on request; they remain only because the benchmark under ``perfbench/``
+reads them, and go when it reads columns (ROADMAP items 3 and 4).
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
 that adjust for prior attainment reject cohorts containing such pupils; the
@@ -130,23 +132,6 @@ class Table:
         return tuple(record(*row) for row in zip(*cells))
 
 
-def _as_table(rows: Table | Iterable, fields: tuple[Field, ...]) -> Table:
-    """A parsed table as it is; records (hand-built cohorts) converted to one."""
-    if isinstance(rows, Table):
-        return rows
-    rows = list(rows)
-    columns = {}
-    for f in fields:
-        values = [getattr(r, f.name) for r in rows]
-        if f.kind in _DTYPE:
-            columns[f.name] = np.array(values, dtype=_DTYPE[f.kind])
-        else:
-            # a value's position in (None, *f.values) is its code + 1
-            codes = map(((None,) + f.values).index, values)
-            columns[f.name] = np.fromiter(codes, dtype=np.int8, count=len(rows)) - 1
-    return Table(fields, columns)
-
-
 @dataclass(frozen=True, eq=False)
 class ValidatedCohort:
     """Cross-referenced pupil and school columns, immutable after construction.
@@ -160,8 +145,8 @@ class ValidatedCohort:
     pupil_table: Table
     school_table: Table
     school_index: np.ndarray
-    n_pupils: int
-    n_schools: int
+    n_pupils = property(lambda self: len(self.pupil_table))
+    n_schools = property(lambda self: len(self.school_table))
 
     @cached_property
     def pupils(self) -> tuple[PupilRecord, ...]:
@@ -314,34 +299,38 @@ def parse_schools(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
     return _parse_table(source, SCHOOL_FIELDS, "school CSV")
 
 
-def _check_unique(ids: np.ndarray, name: str) -> None:
+def _fault(message: str, *inputs: str) -> CohortError:
+    """A CohortError tagged with the ``validate_cohort`` argument(s) at fault."""
+    exc = CohortError(message)
+    exc.inputs = inputs
+    return exc
+
+
+def _check_unique(ids: np.ndarray, name: str, what: str) -> None:
     unique, counts = np.unique(ids, return_counts=True)
     if unique.size != ids.size:
-        raise CohortError(f"duplicate {name} values: {', '.join(unique[counts > 1].tolist())}")
+        raise _fault(f"duplicate {name} values: {', '.join(unique[counts > 1].tolist())}", what)
 
 
-def validate_cohort(
-    pupils: Table | Iterable[PupilRecord], schools: Table | Iterable[SchoolRecord]
-) -> ValidatedCohort:
+def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
     """Cross-reference parsed pupils and schools into an immutable cohort.
 
-    Takes the parsers' tables, or sequences of records. Schools with zero
-    pupils are dropped with a warning. Unresolvable school_ids or duplicate
-    ids are fatal.
+    Schools with zero pupils are dropped with a warning. An empty cohort,
+    unresolvable school_ids or duplicate ids are fatal; the
+    :class:`CohortError` names the argument(s) at fault in ``inputs``.
     """
-    pupils = _as_table(pupils, PUPIL_FIELDS)
-    schools = _as_table(schools, SCHOOL_FIELDS)
     if not len(pupils):
-        raise CohortError("cohort has no pupils")
-    _check_unique(pupils["pupil_id"], "pupil_id")
+        raise _fault("cohort has no pupils", "pupils")
+    _check_unique(pupils["pupil_id"], "pupil_id", "pupils")
     school_ids = schools["school_id"]
-    _check_unique(school_ids, "school_id")
+    _check_unique(school_ids, "school_id", "schools")
 
     # kept: the referenced school ids, sorted; school_index: each pupil's position in it
     kept, school_index = np.unique(pupils["school_id"], return_inverse=True)
     unresolved = np.setdiff1d(kept, school_ids).tolist()
     if unresolved:
-        raise CohortError(f"pupils reference unknown school_id values: {', '.join(unresolved)}")
+        message = f"pupils reference unknown school_id values: {', '.join(unresolved)}"
+        raise _fault(message, "pupils", "schools")
     empty = np.setdiff1d(school_ids, kept).tolist()
     if empty:
         warnings.warn(
@@ -351,13 +340,7 @@ def validate_cohort(
 
     by_id = np.argsort(school_ids, kind="stable")
     rows = by_id[np.searchsorted(school_ids[by_id], kept)]
-    return ValidatedCohort(
-        pupil_table=pupils,
-        school_table=schools.take(rows),
-        school_index=school_index,
-        n_pupils=len(pupils),
-        n_schools=kept.size,
-    )
+    return ValidatedCohort(pupils, schools.take(rows), school_index)
 
 
 def _num(value: float) -> str:
@@ -376,24 +359,23 @@ def csv_bytes(header: Iterable[str], rows: Iterable[Iterable]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _serialize(rows: Table | Iterable, fields: tuple[Field, ...]) -> bytes:
-    table = _as_table(rows, fields)
+def _serialize(table: Table) -> bytes:
     cells = []
-    for f in fields:
+    for f in table.fields:
         col = table[f.name].tolist()
         if f.kind is Kind.FLOAT:
             col = list(map(_num, col))
         elif f.kind is not Kind.ID:
             col = list(map((f.spellings + ("",)).__getitem__, col))
         cells.append(col)
-    return csv_bytes((f.name for f in fields), zip(*cells))
+    return csv_bytes((f.name for f in table.fields), zip(*cells))
 
 
-def serialize_pupils(pupils: Table | Iterable[PupilRecord]) -> bytes:
+def serialize_pupils(pupils: Table) -> bytes:
     """Write pupils as canonical CSV bytes (inverse of parse_pupils)."""
-    return _serialize(pupils, PUPIL_FIELDS)
+    return _serialize(pupils)
 
 
-def serialize_schools(schools: Table | Iterable[SchoolRecord]) -> bytes:
+def serialize_schools(schools: Table) -> bytes:
     """Write schools as canonical CSV bytes (inverse of parse_schools)."""
-    return _serialize(schools, SCHOOL_FIELDS)
+    return _serialize(schools)

@@ -12,6 +12,8 @@ class VamkitError(ValueError):
 class CohortError(VamkitError):
     """Fatal problem in pupil/school data: bad header, broken cross-references."""
 
+    inputs: tuple[str, ...] = ()  # validate_cohort's argument(s) at fault, in order
+
 
 class DesignError(VamkitError):
     """Design matrix cannot be built, e.g. missing prior attainment."""

@@ -1,54 +1,64 @@
 import numpy as np
 import pytest
 
-from vamkit.categories import (
-    Admissions,
-    AgeRange,
-    Ethnicity,
-    FirstLanguage,
-    Gender,
-    Month,
-    Region,
-    Religion,
-    SchoolGender,
-    SchoolType,
-    Sen,
+from vamkit.categories import FIELD
+from vamkit.cohort import (
+    PUPIL_COLUMNS,
+    SCHOOL_COLUMNS,
+    csv_bytes,
+    parse_pupils,
+    parse_schools,
+    validate_cohort,
 )
-from vamkit.cohort import PupilRecord, SchoolRecord, validate_cohort
 from vamkit.synthgen import GeneratorConfig, generate_population
 
+# cells are written as csv writes them: a str as it is, a number by str(),
+# None as an empty cell
+PUPIL_DEFAULTS = dict(
+    attainment8_total=50.0,
+    ks2_group=20,
+    month_of_birth="September",
+    gender="Male",
+    ethnicity="White British",
+    first_language="English",
+    sen="None",
+    fsm=0,
+    idaci_decile=5,
+)
 
-def make_pupil(pupil_id, school_id, **overrides):
-    fields = dict(
-        pupil_id=pupil_id,
-        school_id=school_id,
-        attainment8_total=50.0,
-        ks2_group=20,
-        month_of_birth=Month.SEPTEMBER,
-        gender=Gender.MALE,
-        ethnicity=Ethnicity.WHITE_BRITISH,
-        first_language=FirstLanguage.ENGLISH,
-        sen=Sen.NONE,
-        fsm=False,
-        idaci_decile=5,
+SCHOOL_DEFAULTS = dict(
+    region="London",
+    school_type="Community",
+    admissions="Comprehensive",
+    age_range="11-18",
+    school_gender="Mixed",
+    religion="None",
+    school_idaci_decile=5,
+)
+
+
+def make_pupil(pupil_id, school_id, **cells):
+    """One pupils.csv row, by column name."""
+    return {"pupil_id": pupil_id, "school_id": school_id, **PUPIL_DEFAULTS, **cells}
+
+
+def make_school(school_id, **cells):
+    """One schools.csv row, by column name."""
+    return {"school_id": school_id, **SCHOOL_DEFAULTS, **cells}
+
+
+def _parse_clean(parse, columns, rows):
+    table, issues = parse(csv_bytes(columns, ([row[c] for c in columns] for row in rows)))
+    assert issues == []
+    return table
+
+
+def make_cohort(pupils, schools):
+    """The validated cohort of pupils.csv and schools.csv holding these rows."""
+    return validate_cohort(
+        _parse_clean(parse_pupils, PUPIL_COLUMNS, pupils),
+        _parse_clean(parse_schools, SCHOOL_COLUMNS, schools),
     )
-    fields.update(overrides)
-    return PupilRecord(**fields)
-
-
-def make_school(school_id, **overrides):
-    fields = dict(
-        school_id=school_id,
-        region=Region.LONDON,
-        school_type=SchoolType.COMMUNITY,
-        admissions=Admissions.COMPREHENSIVE,
-        age_range=AgeRange.AGE_11_18,
-        school_gender=SchoolGender.MIXED,
-        religion=Religion.NONE,
-        school_idaci_decile=5,
-    )
-    fields.update(overrides)
-    return SchoolRecord(**fields)
 
 
 def random_cohort(seed, n_schools=6, pupils_per_school=25):
@@ -57,9 +67,9 @@ def random_cohort(seed, n_schools=6, pupils_per_school=25):
     schools = [make_school(f"S{i:03d}", school_idaci_decile=int(rng.integers(1, 11)))
                for i in range(n_schools)]
     pupils = []
-    months = list(Month)
-    ethnicities = list(Ethnicity)
-    sens = list(Sen)
+    months = FIELD["month_of_birth"].levels
+    ethnicities = FIELD["ethnicity"].levels
+    sens = FIELD["sen"].levels
     pid = 0
     for school in schools:
         for _ in range(pupils_per_school):
@@ -67,19 +77,19 @@ def random_cohort(seed, n_schools=6, pupils_per_school=25):
             pupils.append(
                 make_pupil(
                     f"P{pid:05d}",
-                    school.school_id,
+                    school["school_id"],
                     attainment8_total=float(np.round(rng.uniform(5.0, 85.0), 4)),
                     ks2_group=int(rng.integers(1, 35)),
                     month_of_birth=months[rng.integers(0, 12)],
-                    gender=Gender.FEMALE if rng.random() < 0.5 else Gender.MALE,
+                    gender="Female" if rng.random() < 0.5 else "Male",
                     ethnicity=ethnicities[rng.integers(0, len(ethnicities))],
-                    first_language=FirstLanguage.OTHER if rng.random() < 0.15 else FirstLanguage.ENGLISH,
+                    first_language="Other" if rng.random() < 0.15 else "English",
                     sen=sens[rng.integers(0, 3)],
-                    fsm=bool(rng.random() < 0.3),
+                    fsm=int(rng.random() < 0.3),
                     idaci_decile=int(rng.integers(1, 11)),
                 )
             )
-    return validate_cohort(pupils, schools)
+    return make_cohort(pupils, schools)
 
 
 @pytest.fixture(scope="session")

@@ -11,14 +11,14 @@ from vamkit.analysis import (
     rank_movement,
     school_breakdown,
 )
-from vamkit.categories import FIELD, Region
+from vamkit.categories import FIELD
 from vamkit.cohort import validate_cohort
 from vamkit.design import MeasureKind
 from vamkit.errors import AnalysisError
 from vamkit.measures import SchoolScore, SignificanceCategory, compute_measure, compute_measures
 from vamkit.ols import Z95
 
-from conftest import make_pupil, make_school
+from conftest import make_cohort, make_pupil, make_school
 
 A8 = MeasureKind.ATTAINMENT8
 AA8 = MeasureKind.ADJUSTED_ATTAINMENT8
@@ -218,12 +218,12 @@ def two_school_scores(cohort):
 
 def test_fsm_breakdown_counts_and_means():
     pupils = [
-        make_pupil("P1", "S1", fsm=True, attainment8_total=20.0),
-        make_pupil("P2", "S1", fsm=False, attainment8_total=60.0),
-        make_pupil("P3", "S2", fsm=True, attainment8_total=30.0),
-        make_pupil("P4", "S2", fsm=False, attainment8_total=70.0),
+        make_pupil("P1", "S1", fsm=1, attainment8_total=20.0),
+        make_pupil("P2", "S1", fsm=0, attainment8_total=60.0),
+        make_pupil("P3", "S2", fsm=1, attainment8_total=30.0),
+        make_pupil("P4", "S2", fsm=0, attainment8_total=70.0),
     ]
-    cohort = validate_cohort(pupils, [make_school("S1"), make_school("S2")])
+    cohort = make_cohort(pupils, [make_school("S1"), make_school("S2")])
     table = pupil_breakdown(cohort, two_school_scores(cohort), "fsm")
     rows = {r.category: r for r in table.rows}
     assert rows["Eligible"].n_pupils == 2 and rows["Not eligible"].n_pupils == 2
@@ -267,10 +267,10 @@ def test_single_school_category_suppressed():
         make_pupil("P4", "S2", attainment8_total=70.0),
     ]
     schools = [
-        make_school("S1", region=Region.LONDON),
-        make_school("S2", region=Region.NORTH_EAST),
+        make_school("S1", region="London"),
+        make_school("S2", region="North East"),
     ]
-    cohort = validate_cohort(pupils, schools)
+    cohort = make_cohort(pupils, schools)
     result = compute_measure(cohort, A8)
     table = school_breakdown(cohort, {A8: result.scores}, "region")
     rows = {r.category: r for r in table.rows}
@@ -282,11 +282,11 @@ def test_single_school_category_suppressed():
 
 def test_shared_region_single_row_mean_zero(midsize_population):
     cohort = midsize_population.cohort
-    pupils = cohort.pupils
-    schools = [make_school(s.school_id, region=Region.SOUTH_WEST,
-                           school_idaci_decile=s.school_idaci_decile)
-               for s in cohort.schools]
-    shared = validate_cohort(pupils, schools)
+    south_west = FIELD["region"].encode("South West")
+    schools = cohort.school_table.replace(
+        region=np.full(cohort.n_schools, south_west, dtype=np.int8)
+    )
+    shared = validate_cohort(cohort.pupil_table, schools)
     result = compute_measure(shared, A8)
     table = school_breakdown(shared, {A8: result.scores}, "region")
     filled = [r for r in table.rows if r.n_pupils > 0]

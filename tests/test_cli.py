@@ -4,9 +4,9 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vamkit
@@ -209,8 +209,12 @@ def test_compare_composes_with_fit(tmp_path, fit_dir):
 def test_ids_that_need_quoting_round_trip(tmp_path):
     renamed = {"S000": "S1,North", "S001": 'S2"x'}
     cohort = random_cohort(7)
-    pupils = [replace(p, school_id=renamed.get(p.school_id, p.school_id)) for p in cohort.pupils]
-    schools = [replace(s, school_id=renamed.get(s.school_id, s.school_id)) for s in cohort.schools]
+
+    def rename(table):
+        ids = [renamed.get(sid, sid) for sid in table["school_id"].tolist()]
+        return table.replace(school_id=np.array(ids))
+
+    pupils, schools = rename(cohort.pupil_table), rename(cohort.school_table)
     (tmp_path / "pupils.csv").write_bytes(serialize_pupils(pupils))
     (tmp_path / "schools.csv").write_bytes(serialize_schools(schools))
     fit = tmp_path / "fit"
@@ -230,7 +234,7 @@ def test_ids_that_need_quoting_round_trip(tmp_path):
     for code in ("a8", "p8"):
         with open(fit / f"school_scores_{code}.csv", newline="") as fh:
             ids = [row[0] for row in csv.reader(fh)][1:]
-        assert sorted(ids) == sorted(s.school_id for s in schools)
+        assert sorted(ids) == sorted(schools["school_id"].tolist())
 
 
 def test_breakdown_adjusted_characteristic_zero_means(tmp_path, sim_dir):
@@ -382,6 +386,22 @@ def _not_utf8(data):
     return data[:500] + b"\xff" + data[500:]
 
 
+def _first_row_repeated(data):
+    return data + data.split(b"\n", 2)[1] + b"\n"
+
+
+def _header_only(data):
+    return data.split(b"\n", 1)[0] + b"\n"
+
+
+def _first_pupil_in_s9999(data):
+    lines = data.split(b"\n")
+    cells = lines[1].split(b",")
+    cells[1] = b"S9999"
+    lines[1] = b",".join(cells)
+    return b"\n".join(lines)
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -425,6 +445,19 @@ def _config(tmp_path, text):
             ),
             ["missing columns: region", "duplicate columns: school_type"],
         ),
+        (
+            lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _first_row_repeated),
+            ["duplicate pupil_id values: P"],
+        ),
+        (
+            lambda t, f, s: _edited_cohort(t, s, "breakdown", "schools.csv", _first_row_repeated),
+            ["duplicate school_id values: S"],
+        ),
+        (
+            lambda t, f, s: _edited_cohort(t, s, "validate", "pupils.csv", _first_pupil_in_s9999),
+            ["pupils.csv, ", "schools.csv: pupils reference unknown school_id values: S9999"],
+        ),
+        (lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _header_only), ["no pupils"]),
         (lambda t, f, s: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
         (lambda t, f, s: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
         (lambda t, f, s: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
@@ -432,7 +465,8 @@ def _config(tmp_path, text):
     ids=[
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
         "first-bad-score-row", "duplicate-score-column", "pupils-not-utf8", "schools-not-utf8", "pupils-bad-header",
-        "schools-bad-header", "truncated-json", "string-n_schools", "nan-coefficient",
+        "schools-bad-header", "duplicate-pupil-row", "duplicate-school-row", "unknown-school-id",
+        "no-pupils", "truncated-json", "string-n_schools", "nan-coefficient",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):
@@ -446,6 +480,15 @@ def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, f
     assert str(path) in err
     for fragment in fragments:
         assert fragment in err
+
+
+def test_warnings_are_one_line_each(tmp_path, capsys):
+    capsys.readouterr()
+    run_ok(["simulate", "--schools", "3", "--seed", "0", "--out", str(tmp_path / "sim")])
+    err = capsys.readouterr().err.splitlines()
+    assert err  # three schools leave category levels absent
+    for line in err:
+        assert line.startswith("warning: ") and ".py:" not in line, line
 
 
 def test_skipped_rows_are_capped_on_stderr(tmp_path, sim_dir, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 
@@ -27,11 +28,10 @@ from vamkit.cohort import (
     parse_schools,
     serialize_pupils,
     serialize_schools,
-    validate_cohort,
 )
 from vamkit.synthgen import GeneratorConfig, generate_population
 
-from conftest import make_pupil, make_school
+from conftest import make_cohort, make_pupil, make_school
 
 PUPIL_HEADER = ",".join(PUPIL_COLUMNS)
 SCHOOL_HEADER = ",".join(SCHOOL_COLUMNS)
@@ -83,56 +83,56 @@ def test_category_matching_is_case_and_space_insensitive():
 
 
 def test_ks2_group_out_of_range_is_row_issue():
-    records, issues = parse_pupils(
+    table, issues = parse_pupils(
         pupil_csv("P1,S1,40,35,September,Male,White British,English,None,0,5")
     )
-    assert len(records) == 0
+    assert len(table) == 0
     (issue,) = issues
     assert issue.row == 1 and issue.column == "ks2_group"
     assert "1..34" in issue.reason
 
 
 def test_missing_ks2_group_is_allowed():
-    records, issues = parse_pupils(
+    table, issues = parse_pupils(
         pupil_csv("P1,S1,40,,September,Male,White British,English,None,0,5")
     )
     assert issues == []
-    assert records.records()[0].ks2_group is None
+    assert table.records()[0].ks2_group is None
 
 
 def test_missing_required_field_is_issue():
     # empty string is only legal for ks2_group
-    records, issues = parse_pupils(
+    table, issues = parse_pupils(
         pupil_csv("P1,S1,40,3,September,,White British,English,None,0,5")
     )
-    assert len(records) == 0
+    assert len(table) == 0
     assert issues[0].column == "gender"
 
 
 def test_attainment_out_of_bounds():
     bad_hi = "P1,S1,90.5,3,September,Male,White British,English,None,0,5"
     bad_lo = "P2,S1,-1,3,September,Male,White British,English,None,0,5"
-    records, issues = parse_pupils(pupil_csv(bad_hi, bad_lo))
-    assert len(records) == 0
+    table, issues = parse_pupils(pupil_csv(bad_hi, bad_lo))
+    assert len(table) == 0
     assert [i.column for i in issues] == ["attainment8_total", "attainment8_total"]
     assert issues[0].row == 1 and issues[1].row == 2
 
 
 def test_fsm_must_be_binary():
-    records, issues = parse_pupils(
+    table, issues = parse_pupils(
         pupil_csv("P1,S1,40,3,September,Male,White British,English,None,yes,5")
     )
-    assert len(records) == 0 and issues[0].column == "fsm"
+    assert len(table) == 0 and issues[0].column == "fsm"
 
 
 def test_unknown_category_skips_row_and_keeps_rest():
-    records, issues = parse_pupils(
+    table, issues = parse_pupils(
         pupil_csv(
             "P1,S1,40,3,September,Male,Martian,English,None,0,5",
             GOOD_PUPIL.replace("P1", "P2"),
         )
     )
-    assert records["pupil_id"].tolist() == ["P2"]
+    assert table["pupil_id"].tolist() == ["P2"]
     assert issues[0].column == "ethnicity"
     assert "Martian" in issues[0].reason
 
@@ -169,8 +169,8 @@ def test_not_utf8_names_byte_position_in_file(as_stream):
 
 
 def test_wrong_field_count_is_issue():
-    records, issues = parse_pupils(pupil_csv("P1,S1,40"))
-    assert len(records) == 0 and "fields" in issues[0].reason
+    table, issues = parse_pupils(pupil_csv("P1,S1,40"))
+    assert len(table) == 0 and "fields" in issues[0].reason
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,10 @@ def test_school_row_enums():
 
 
 def test_unknown_region_names_all_nine():
-    records, issues = parse_schools(
+    table, issues = parse_schools(
         school_csv("S1,Mars,Community,Comprehensive,11-18,Mixed,None,4")
     )
-    assert len(records) == 0
+    assert len(table) == 0
     (issue,) = issues
     assert issue.column == "region"
     for region in Region:
@@ -206,10 +206,10 @@ def test_unknown_region_names_all_nine():
 
 
 def test_school_decile_bounds():
-    records, issues = parse_schools(
+    table, issues = parse_schools(
         school_csv("S1,London,Community,Comprehensive,11-18,Mixed,None,11")
     )
-    assert len(records) == 0 and issues[0].column == "school_idaci_decile"
+    assert len(table) == 0 and issues[0].column == "school_idaci_decile"
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +219,47 @@ def test_school_decile_bounds():
 
 def test_validate_counts():
     pupils = [make_pupil("P1", "S1"), make_pupil("P2", "S1")]
-    cohort = validate_cohort(pupils, [make_school("S1")])
+    cohort = make_cohort(pupils, [make_school("S1")])
     assert cohort.n_pupils == 2 and cohort.n_schools == 1
 
 
 def test_unresolvable_school_fatal():
-    with pytest.raises(CohortError, match="S9"):
-        validate_cohort([make_pupil("P1", "S9")], [make_school("S1")])
+    with pytest.raises(CohortError, match="S9") as exc:
+        make_cohort([make_pupil("P1", "S9")], [make_school("S1")])
+    assert exc.value.inputs == ("pupils", "schools")
 
 
 def test_empty_school_dropped_with_warning():
     pupils = [make_pupil("P1", "S1")]
     schools = [make_school("S1"), make_school("S2")]
     with pytest.warns(UserWarning, match="S2"):
-        cohort = validate_cohort(pupils, schools)
+        cohort = make_cohort(pupils, schools)
     assert cohort.n_schools == 1
 
 
 def test_duplicate_pupil_id_fatal():
     pupils = [make_pupil("P1", "S1"), make_pupil("P1", "S1")]
-    with pytest.raises(CohortError, match="duplicate pupil_id.*P1"):
-        validate_cohort(pupils, [make_school("S1")])
+    with pytest.raises(CohortError, match="duplicate pupil_id.*P1") as exc:
+        make_cohort(pupils, [make_school("S1")])
+    assert exc.value.inputs == ("pupils",)
 
 
 def test_duplicate_school_id_fatal():
-    with pytest.raises(CohortError, match="duplicate school_id"):
-        validate_cohort([make_pupil("P1", "S1")], [make_school("S1"), make_school("S1")])
+    with pytest.raises(CohortError, match="duplicate school_id") as exc:
+        make_cohort([make_pupil("P1", "S1")], [make_school("S1"), make_school("S1")])
+    assert exc.value.inputs == ("schools",)
 
 
 def test_empty_cohort_fatal():
-    with pytest.raises(CohortError, match="no pupils"):
-        validate_cohort([], [make_school("S1")])
+    with pytest.raises(CohortError, match="no pupils") as exc:
+        make_cohort([], [make_school("S1")])
+    assert exc.value.inputs == ("pupils",)
+
+
+def test_counts_follow_replaced_tables():
+    cohort = make_cohort([make_pupil("P1", "S1"), make_pupil("P2", "S1")], [make_school("S1")])
+    fewer = dataclasses.replace(cohort, pupil_table=cohort.pupil_table.take([0]))
+    assert (fewer.n_pupils, fewer.n_schools) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +269,18 @@ def test_empty_cohort_fatal():
 
 def test_pupil_round_trip(midsize_population):
     data = serialize_pupils(midsize_population.cohort.pupil_table)
-    records, issues = parse_pupils(data)
+    table, issues = parse_pupils(data)
     assert issues == []
-    assert records.records() == midsize_population.cohort.pupils
-    assert serialize_pupils(records) == data
+    assert table.records() == midsize_population.cohort.pupils
+    assert serialize_pupils(table) == data
 
 
 def test_school_round_trip(midsize_population):
     data = serialize_schools(midsize_population.cohort.school_table)
-    records, issues = parse_schools(data)
+    table, issues = parse_schools(data)
     assert issues == []
-    assert records.records() == midsize_population.cohort.schools
-    assert serialize_schools(records) == data
+    assert table.records() == midsize_population.cohort.schools
+    assert serialize_schools(table) == data
 
 
 def test_every_category_spelling_parses_back():
@@ -292,10 +302,10 @@ def test_parse_never_raises_unexpectedly_on_arbitrary_bytes():
         if trial % 3 == 0:
             blob = PUPIL_HEADER.encode() + b"\n" + blob
         try:
-            records, issues = parse_pupils(blob)
+            table, issues = parse_pupils(blob)
         except CohortError:
             continue
-        assert isinstance(records, Table) and isinstance(issues, list)
+        assert isinstance(table, Table) and isinstance(issues, list)
         for issue in issues:
             assert issue.row >= 1 and issue.reason
 
@@ -310,8 +320,8 @@ def test_mutated_valid_rows_give_located_issues():
         col = int(rng.integers(2, len(row)))
         row[col] = rng.choice(["?", "999", "-3", ""])
         rows.append(",".join(row))
-    records, issues = parse_pupils(pupil_csv(*rows))
-    assert len(records) + len(issues) == 50
+    table, issues = parse_pupils(pupil_csv(*rows))
+    assert len(table) + len(issues) == 50
     for issue in issues:
         assert 1 <= issue.row <= 50
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vamkit.categories import Ethnicity, FirstLanguage, Gender, Month, Sen
 from vamkit.cohort import validate_cohort
 from vamkit.design import (
     DesignError,
@@ -13,7 +12,7 @@ from vamkit.design import (
     design_labels,
 )
 
-from conftest import make_pupil, make_school
+from conftest import make_cohort, make_pupil, make_school
 
 
 def tiny_cohort(**pupil_overrides):
@@ -22,7 +21,7 @@ def tiny_cohort(**pupil_overrides):
         make_pupil("P2", "S1"),
         make_pupil("P3", "S2"),
     ]
-    return validate_cohort(pupils, [make_school("S1"), make_school("S2")])
+    return make_cohort(pupils, [make_school("S1"), make_school("S2")])
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +91,17 @@ def test_row_encoding():
             "P1",
             "S1",
             ks2_group=2,
-            month_of_birth=Month.AUGUST,
-            gender=Gender.FEMALE,
-            ethnicity=Ethnicity.CHINESE,
-            first_language=FirstLanguage.OTHER,
-            sen=Sen.STATEMENT,
-            fsm=True,
+            month_of_birth="August",
+            gender="Female",
+            ethnicity="Chinese",
+            first_language="Other",
+            sen="Statement",
+            fsm=1,
             idaci_decile=10,
         ),
         make_pupil("P2", "S1", ks2_group=1, idaci_decile=1),  # all reference categories
     ]
-    cohort = validate_cohort(pupils, [make_school("S1")])
+    cohort = make_cohort(pupils, [make_school("S1")])
     with pytest.warns(UserWarning):
         design = build_design_matrix(cohort, ModelSpec(True, True))
     labels = design.column_labels
@@ -161,7 +160,7 @@ def test_permuting_rows_permutes_design(midsize_population):
     design = build_design_matrix(cohort, ModelSpec(True, True))
     rng = np.random.default_rng(3)
     perm = rng.permutation(cohort.n_pupils)
-    shuffled = validate_cohort([cohort.pupils[i] for i in perm], cohort.schools)
+    shuffled = validate_cohort(cohort.pupil_table.take(perm), cohort.school_table)
     design2 = build_design_matrix(shuffled, ModelSpec(True, True))
     assert design2.column_labels == design.column_labels
     assert np.array_equal(design2.values, design.values[perm])

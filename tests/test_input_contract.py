@@ -4,7 +4,8 @@ Random truncations and byte or cell mutations of a small valid cohort and of
 one of its score files are fed to ``fit``, ``breakdown``, ``validate`` and
 ``compare`` through ``run()``. Whatever the input, no exception escapes and
 the exit code is 0 or 1; a failing ``compare`` prints one stderr line naming
-the mutated file; and exit 0 means every numeric output cell is finite.
+the mutated file, and a failing ``validate`` names it too; and exit 0 means
+every numeric output cell is finite.
 """
 
 import csv
@@ -108,7 +109,9 @@ def test_mutated_cohort_file(inputs, capsys, name, data):
         by = data.draw(st.sampled_from(["fsm", "ethnicity", "region"]))
         out = tmp / "breakdown"
         run_contract(["breakdown", *cohort, "--by", by, "--out", str(out)], out, capsys)
-        run_contract(["validate", *cohort], tmp / "none", capsys)
+        code, err = run_contract(["validate", *cohort], tmp / "none", capsys)
+        if code == 1:
+            assert name in err, err
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from vamkit.measures import (
 )
 from vamkit.ols import Z95
 
-from conftest import make_pupil, make_school, random_cohort
+from conftest import make_cohort, make_pupil, make_school, random_cohort
 
 A8 = MeasureKind.ATTAINMENT8
 P8 = MeasureKind.PROGRESS8
@@ -97,7 +95,7 @@ def build_two_school_cohort():
     ]
     for pid, sid, ks2, a8 in data:
         pupils.append(make_pupil(pid, sid, ks2_group=ks2, attainment8_total=a8))
-    return validate_cohort(pupils, [make_school("S1"), make_school("S2")])
+    return make_cohort(pupils, [make_school("S1"), make_school("S2")])
 
 
 def test_attainment8_scores_are_centred_outcome():
@@ -173,11 +171,10 @@ def test_nested_sd_orderings(midsize_population):
 def test_outcome_scaling_preserves_ranks_and_categories():
     cohort = build_two_school_cohort()
     base = compute_measure(cohort, A8)
-    scaled_pupils = [
-        dataclasses.replace(p, attainment8_total=p.attainment8_total / 10.0)
-        for p in cohort.pupils
-    ]
-    scaled_cohort = validate_cohort(scaled_pupils, cohort.schools)
+    scaled_pupils = cohort.pupil_table.replace(
+        attainment8_total=cohort.pupil_table["attainment8_total"] / 10.0
+    )
+    scaled_cohort = validate_cohort(scaled_pupils, cohort.school_table)
     scaled = compute_measure(scaled_cohort, A8)
     for s_base, s_scaled in zip(base.school_scores, scaled.school_scores):
         assert s_scaled.school_id == s_base.school_id
@@ -194,7 +191,7 @@ def test_missing_ks2_rejected_for_progress_measures():
         make_pupil("P2", "S1", ks2_group=3, attainment8_total=30.0),
         make_pupil("P3", "S1", ks2_group=4, attainment8_total=60.0),
     ]
-    cohort = validate_cohort(pupils, [make_school("S1")])
+    cohort = make_cohort(pupils, [make_school("S1")])
     from vamkit.errors import DesignError
 
     with pytest.raises(DesignError, match="P1"):
@@ -208,7 +205,7 @@ def test_single_school_summary_warns():
         make_pupil("P1", "S1", attainment8_total=30.0),
         make_pupil("P2", "S1", attainment8_total=60.0),
     ]
-    cohort = validate_cohort(pupils, [make_school("S1")])
+    cohort = make_cohort(pupils, [make_school("S1")])
     with pytest.warns(UserWarning, match="single school"):
         result = compute_measure(cohort, A8)
     assert result.summary.sd_school_scores == 0.0
