@@ -41,7 +41,7 @@ from .analysis import (
 )
 from .cohort import csv_bytes, parse_pupils, parse_schools, read_rows, validate_cohort
 from .design import MeasureKind
-from .errors import AnalysisError, CohortError, GeneratorError, VamkitError
+from .errors import AnalysisError, CohortError, DesignError, GeneratorError, VamkitError
 from .measures import SchoolScore, compute_measures
 from .ols import cluster_robust_cov, coefficient_table
 from .synthgen import GeneratorConfig, generate_population, write_population_csv
@@ -155,7 +155,11 @@ def _fit_measures(args):
     """Inputs read, cohort and fitted --measures of a fit or breakdown."""
     inputs = {}
     cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
-    return inputs, cohort, compute_measures(cohort, args.measures)
+    try:
+        return inputs, cohort, compute_measures(cohort, args.measures)
+    except DesignError as exc:
+        # the only pupil fault a design can find: a missing ks2_group
+        raise DesignError(f"{args.pupils}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +183,7 @@ def _cell(value, fmt) -> str:
 def _rows_csv(rows: list, fmt) -> bytes:
     """CSV of a non-empty list of one row dataclass; the header is its field names."""
     names = [f.name for f in dataclasses.fields(rows[0])]
-    return csv_bytes(names, ([_cell(getattr(row, n), fmt) for n in names] for row in rows))
+    return csv_bytes(names, [[_cell(getattr(row, n), fmt) for row in rows] for n in names])
 
 
 def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> bytes:
@@ -192,7 +196,7 @@ def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> byte
         for kind in kinds:
             out += [_cell(row.means[kind], fmt), _cell(row.significant[kind], fmt)]
         rows.append(out)
-    body = csv_bytes(header, rows)
+    body = csv_bytes(header, [list(column) for column in zip(*rows)])
     if table.footnotes:
         notes = "".join(f"# {note}\n" for note in table.footnotes)
         body += notes.encode("utf-8")

@@ -26,7 +26,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -350,13 +350,37 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
-def csv_bytes(header: Iterable[str], rows: Iterable[Iterable]) -> bytes:
-    """UTF-8 CSV with "\\n" line ends; a cell is quoted only where CSV needs it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+# a CSV cell holding any of these is quoted, with its " doubled
+_SPECIAL = (",", '"', "\r", "\n")
+
+# rows joined and encoded at a time, so no str of the whole file is held
+_BLOCK_ROWS = 8192
+
+
+def _needs_quotes(text: str) -> bool:
+    # a substring scan is a memchr; a regex character class is ten times slower
+    return any(c in text for c in _SPECIAL)
+
+
+def _fields(cells: list[str]) -> list[str]:
+    """A column's CSV fields. The column is searched once, as one string; a
+    column that needs no quoting is returned as it is."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
+
+
+def csv_bytes(header: Sequence[str], columns: Sequence[list[str]]) -> bytes:
+    """UTF-8 CSV with "\\n" line ends from equal-length columns of str."""
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("csv_bytes needs columns of equal length")
+    columns = [_fields(col) for col in columns]
+    buf = io.BytesIO()
+    buf.write((",".join(_fields(list(header))) + "\n").encode("utf-8"))
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+        rows = zip(*(col[start : start + _BLOCK_ROWS] for col in columns))
+        buf.write(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
+    return buf.getvalue()
 
 
 def _serialize(table: Table) -> bytes:
@@ -368,7 +392,7 @@ def _serialize(table: Table) -> bytes:
         elif f.kind is not Kind.ID:
             col = list(map((f.spellings + ("",)).__getitem__, col))
         cells.append(col)
-    return csv_bytes((f.name for f in table.fields), zip(*cells))
+    return csv_bytes([f.name for f in table.fields], cells)
 
 
 def serialize_pupils(pupils: Table) -> bytes:

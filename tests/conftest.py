@@ -48,7 +48,8 @@ def make_school(school_id, **cells):
 
 
 def _parse_clean(parse, columns, rows):
-    table, issues = parse(csv_bytes(columns, ([row[c] for c in columns] for row in rows)))
+    cells = [["" if row[c] is None else str(row[c]) for row in rows] for c in columns]
+    table, issues = parse(csv_bytes(columns, cells))
     assert issues == []
     return table
 

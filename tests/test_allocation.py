@@ -36,7 +36,8 @@ def fit_ap8(cohort):
 def test_fit_and_generator_allocate_no_design_matrix():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        generate_population(GeneratorConfig(n_schools=2, seed=1))  # imports scipy.special
+        # a warm-up call keeps one-time costs out of the traced peak
+        generate_population(GeneratorConfig(n_schools=2, seed=1))
         pop, gen_peak = traced_peak(lambda: generate_population(GeneratorConfig(seed=612)))
         _, fit_peak = traced_peak(lambda: fit_ap8(pop.cohort))
 

@@ -207,7 +207,7 @@ def test_compare_composes_with_fit(tmp_path, fit_dir):
 
 
 def test_ids_that_need_quoting_round_trip(tmp_path):
-    renamed = {"S000": "S1,North", "S001": 'S2"x'}
+    renamed = {"S000": "S1,North", "S001": 'S2"x', "S002": "S3\rx"}
     cohort = random_cohort(7)
 
     def rename(table):
@@ -327,17 +327,22 @@ def test_module_entry_point_runs(sim_dir):
     assert proc.stdout.startswith("OK: ") and "40 schools" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # fit, compare and breakdown need only numpy; scipy would add about
-    # half a second to every CLI start
+def test_cli_import_loads_no_scipy(tmp_path):
+    # vamkit needs only numpy; scipy would add about a third of a second to
+    # every CLI start
     src = str(Path(vamkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, vamkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    show = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    simulate = ["simulate", "--schools", "3", "--seed", "0", "--out", str(tmp_path / "sim")]
+    for code in (
+        f"import sys, vamkit.cli; {show}",
+        f"import sys, vamkit.cli; assert vamkit.cli.run({simulate!r}) == 0; {show}",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def _edited_scores(tmp_path, fit_dir, row, column, value):
@@ -371,12 +376,13 @@ def _bad_cell_before_wide_row(row_no, line):
     return line + ",x" if row_no == 3 else line
 
 
-def _edited_cohort(tmp_path, sim_dir, command, name, edit):
-    """``command`` on the simulated cohort with file ``name`` passed through ``edit``."""
+def _edited_cohort(tmp_path, sim_dir, command, name, edit, *flags):
+    """``command`` with ``flags`` on the simulated cohort with file ``name``
+    passed through ``edit``."""
     path = tmp_path / name
     path.write_bytes(edit((sim_dir / name).read_bytes()))
     files = {n: str(path if n == name else sim_dir / n) for n in ("pupils.csv", "schools.csv")}
-    argv = [command, "--pupils", files["pupils.csv"], "--schools", files["schools.csv"]]
+    argv = [command, "--pupils", files["pupils.csv"], "--schools", files["schools.csv"], *flags]
     if command == "breakdown":
         argv += ["--by", "fsm"]
     return argv, path
@@ -398,6 +404,14 @@ def _first_pupil_in_s9999(data):
     lines = data.split(b"\n")
     cells = lines[1].split(b",")
     cells[1] = b"S9999"
+    lines[1] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def _first_ks2_emptied(data):
+    lines = data.split(b"\n")
+    cells = lines[1].split(b",")
+    cells[lines[0].split(b",").index(b"ks2_group")] = b""
     lines[1] = b",".join(cells)
     return b"\n".join(lines)
 
@@ -458,6 +472,16 @@ def _config(tmp_path, text):
             ["pupils.csv, ", "schools.csv: pupils reference unknown school_id values: S9999"],
         ),
         (lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _header_only), ["no pupils"]),
+        (
+            lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _first_ks2_emptied),
+            ["ks2_group is missing for pupils: P"],
+        ),
+        (
+            lambda t, f, s: _edited_cohort(
+                t, s, "breakdown", "pupils.csv", _first_ks2_emptied, "--measures", "p8"
+            ),
+            ["ks2_group is missing for pupils: P"],
+        ),
         (lambda t, f, s: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
         (lambda t, f, s: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
         (lambda t, f, s: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
@@ -466,7 +490,8 @@ def _config(tmp_path, text):
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
         "first-bad-score-row", "duplicate-score-column", "pupils-not-utf8", "schools-not-utf8", "pupils-bad-header",
         "schools-bad-header", "duplicate-pupil-row", "duplicate-school-row", "unknown-school-id",
-        "no-pupils", "truncated-json", "string-n_schools", "nan-coefficient",
+        "no-pupils", "fit-missing-ks2", "breakdown-missing-ks2", "truncated-json",
+        "string-n_schools", "nan-coefficient",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):

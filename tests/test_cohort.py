@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import io
@@ -24,6 +25,7 @@ from vamkit.cohort import (
     SCHOOL_COLUMNS,
     CohortError,
     Table,
+    csv_bytes,
     parse_pupils,
     parse_schools,
     serialize_pupils,
@@ -281,6 +283,24 @@ def test_school_round_trip(midsize_population):
     assert issues == []
     assert table.records() == midsize_population.cohort.schools
     assert serialize_schools(table) == data
+
+
+def test_csv_bytes_round_trips_any_cell():
+    # more rows than one encoded block, cells with every character CSV quotes
+    rng = np.random.default_rng(3)
+    chars = rng.choice(list('ab ,"\r\n'), size=(3, 20000, 4)).tolist()
+    lengths = rng.integers(0, 5, size=(3, 20000)).tolist()
+    columns = [["".join(c[:n]) for c, n in zip(*col)] for col in zip(chars, lengths)]
+    data = csv_bytes(["x", "y,z", 'w"'], columns)
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    assert rows == [["x", "y,z", 'w"']] + [list(row) for row in zip(*columns)]
+
+
+def test_csv_bytes_quotes_only_where_needed():
+    assert csv_bytes(["a", "b"], [["1", "x\ry"], ["", 'q"']]) == b'a,b\n1,\n"x\ry","q"""\n'
+    assert csv_bytes(["a", "b"], [[], []]) == b"a,b\n"
+    with pytest.raises(ValueError):
+        csv_bytes(["a", "b"], [["1"], []])
 
 
 def test_every_category_spelling_parses_back():

@@ -7,7 +7,11 @@ from vamkit.measures import compute_measure
 from vamkit.synthgen import (
     DEFAULT_COEFFICIENTS,
     FSM_ELIGIBLE_SHARE,
+    NATIONAL_COUNTS,
     GeneratorConfig,
+    _codes,
+    _cut_points,
+    _normal_cdf,
     dgp_from_coefficients,
     generate_population,
     serialize_truth,
@@ -94,6 +98,25 @@ def test_marginals_match_targets():
     assert np.mean(groups == 23) > 3 * np.mean(groups == 1)
     sen_share = np.mean([p.sen.value != "None" for p in pupils])
     assert sen_share == pytest.approx(0.132, abs=0.02)
+
+
+def test_normal_cut_points_match_scipy():
+    # the generator's codes and FSM probabilities were scipy.special's
+    # ndtr/ndtri; the stdlib forms must give the same cohorts
+    from scipy.special import ndtr, ndtri
+
+    decile_cuts, ks2_cuts, fsm_quantile = _cut_points()
+    assert fsm_quantile == pytest.approx(ndtri(FSM_ELIGIBLE_SHARE), rel=1e-15)
+    z = np.random.default_rng(2016).standard_normal(10**6)
+    deciles = np.clip(np.floor(ndtr(z) * 10).astype(int), 0, 9)
+    assert np.array_equal(_codes(decile_cuts, z), deciles)
+    counts = np.asarray(NATIONAL_COUNTS["ks2_group"], dtype=float)
+    boundaries = np.cumsum(counts / counts.sum())[:-1]
+    assert np.array_equal(_codes(ks2_cuts, z), np.searchsorted(boundaries, ndtr(z), side="right"))
+
+    intercept = ndtri(FSM_ELIGIBLE_SHARE) * np.sqrt(2.0)
+    for latent in (intercept + z, 4.0 * z):  # the generator's range, then deep tails
+        np.testing.assert_allclose(_normal_cdf(latent), ndtr(latent), rtol=1e-13, atol=0)
 
 
 def test_gradient_links_deprivation_fsm_and_ks2(midsize_population):
