@@ -5,136 +5,61 @@ attainment, attainment adjusted for pupil background, progress relative to
 prior attainment, and progress adjusted for both. All four are least-squares
 residual measures with school-clustered inference; a seeded synthetic
 generator makes the whole pipeline testable without confidential data.
+
+The public names below are imported from their modules on first use
+(PEP 562), so ``import vamkit`` loads no numpy and a CLI subcommand loads
+only the modules it runs.
 """
 
-from .analysis import (
-    BreakdownRow,
-    BreakdownTable,
-    ComparisonReport,
-    PUPIL_CHARACTERISTICS,
-    QuadrantCounts,
-    SCHOOL_CHARACTERISTICS,
-    compare_measures,
-    correlate,
-    pupil_breakdown,
-    quadrant_classify,
-    rank_movement,
-    school_breakdown,
-)
-from .cohort import (
-    ParseIssue,
-    PupilRecord,
-    SchoolRecord,
-    Table,
-    ValidatedCohort,
-    parse_pupils,
-    parse_schools,
-    serialize_pupils,
-    serialize_schools,
-    validate_cohort,
-)
-from .design import (
-    DesignMatrix,
-    MeasureKind,
-    ModelSpec,
-    band_ks2,
-    build_design_matrix,
-    design_labels,
-)
-from .errors import (
-    AnalysisError,
-    CohortError,
-    DesignError,
-    FitError,
-    GeneratorError,
-    VamkitError,
-)
-from .measures import (
-    MeasureResult,
-    MeasureSummary,
-    PupilScore,
-    SchoolScore,
-    SignificanceCategory,
-    compute_measure,
-    compute_measures,
-    measure_summary,
-    school_scores,
-)
-from .ols import (
-    ClusterCovariance,
-    CoefficientRow,
-    FitResult,
-    Z95,
-    cluster_robust_cov,
-    coefficient_table,
-    fit_ols,
-)
-from .synthgen import (
-    DEFAULT_COEFFICIENTS,
-    GeneratorConfig,
-    SyntheticCohort,
-    dgp_from_coefficients,
-    generate_population,
-    serialize_truth,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "BreakdownRow",
-    "BreakdownTable",
-    "ClusterCovariance",
-    "CoefficientRow",
-    "CohortError",
-    "ComparisonReport",
-    "DEFAULT_COEFFICIENTS",
-    "DesignError",
-    "DesignMatrix",
-    "FitError",
-    "FitResult",
-    "GeneratorConfig",
-    "GeneratorError",
-    "MeasureKind",
-    "MeasureResult",
-    "MeasureSummary",
-    "ModelSpec",
-    "ParseIssue",
-    "PUPIL_CHARACTERISTICS",
-    "PupilRecord",
-    "PupilScore",
-    "QuadrantCounts",
-    "SCHOOL_CHARACTERISTICS",
-    "SchoolRecord",
-    "SchoolScore",
-    "SignificanceCategory",
-    "SyntheticCohort",
-    "Table",
-    "ValidatedCohort",
-    "VamkitError",
-    "Z95",
-    "band_ks2",
-    "build_design_matrix",
-    "cluster_robust_cov",
-    "coefficient_table",
-    "compare_measures",
-    "compute_measure",
-    "compute_measures",
-    "correlate",
-    "design_labels",
-    "dgp_from_coefficients",
-    "fit_ols",
-    "generate_population",
-    "measure_summary",
-    "parse_pupils",
-    "parse_schools",
-    "pupil_breakdown",
-    "quadrant_classify",
-    "rank_movement",
-    "school_breakdown",
-    "school_scores",
-    "serialize_pupils",
-    "serialize_schools",
-    "serialize_truth",
-    "validate_cohort",
-]
+# each public name, by the module that defines it
+_HOMES = {
+    "analysis": ("BreakdownRow", "BreakdownTable", "pupil_breakdown", "school_breakdown"),
+    "categories": (
+        "MeasureKind", "ModelSpec", "PUPIL_CHARACTERISTICS", "SCHOOL_CHARACTERISTICS",
+        "SignificanceCategory",
+    ),
+    "cohort": (
+        "PupilRecord", "SchoolRecord", "Table", "ValidatedCohort", "parse_pupils", "parse_schools",
+        "serialize_pupils", "serialize_schools", "validate_cohort",
+    ),
+    "compare": (
+        "ComparisonReport", "QuadrantCounts", "SchoolScore", "compare_measures", "correlate",
+        "quadrant_classify", "rank_movement",
+    ),
+    "csvio": ("ParseIssue",),
+    "design": ("DesignMatrix", "band_ks2", "build_design_matrix", "design_labels"),
+    "errors": (
+        "AnalysisError", "CohortError", "DesignError", "FitError", "GeneratorError", "VamkitError",
+    ),
+    "measures": (
+        "MeasureResult", "MeasureSummary", "PupilScore", "compute_measure", "compute_measures",
+        "measure_summary", "school_scores",
+    ),
+    "ols": (
+        "ClusterCovariance", "CoefficientRow", "FitResult", "Z95", "cluster_robust_cov",
+        "coefficient_table", "fit_ols",
+    ),
+    "synthgen": (
+        "DEFAULT_COEFFICIENTS", "GeneratorConfig", "SyntheticCohort", "dgp_from_coefficients",
+        "generate_population", "serialize_truth",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME, key=str.casefold)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,14 +1,4 @@
-"""Cross-measure comparison and characteristic breakdowns.
-
-Comparisons match two school-score lists on school_id and report the Pearson
-correlation, quadrant counts and league-table rank movement. Ranks put the
-highest score first and break ties by school_id ascending, so league tables
-are deterministic. Movement at threshold t counts schools whose rank changed
-by t or more places.
-
-Quadrants are taken relative to the national mean of each measure, which is
-zero by construction (pupil scores are centred residuals); schools exactly
-on a boundary are assigned to the lower/left side.
+"""Characteristic breakdowns.
 
 Breakdowns report, per category of a pupil or school characteristic, the
 pupil count, share and mean pupil score for each measure, with a test of
@@ -24,41 +14,23 @@ than two schools have their flag suppressed with a footnote.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Field
+from .categories import FIELD, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, Field, MeasureKind
 from .cohort import ValidatedCohort
-from .design import DesignMatrix, MeasureKind
+from .compare import (  # noqa: F401  (their old import path)
+    ComparisonReport,
+    QuadrantCounts,
+    compare_measures,
+    correlate,
+    quadrant_classify,
+    rank_movement,
+)
+from .design import DesignMatrix
 from .errors import AnalysisError
-from .measures import SchoolScore
 from .ols import cluster_robust_cov, coefficient_table, fit_ols
-
-PUPIL_CHARACTERISTICS = tuple(f.name for f in PUPIL_FIELDS if f.levels)
-SCHOOL_CHARACTERISTICS = tuple(f.name for f in SCHOOL_FIELDS if f.levels)
-
-
-@dataclass(frozen=True)
-class QuadrantCounts:
-    """School counts by quadrant of an (a, b) score scatter; a is the x axis."""
-
-    nw: int
-    ne: int
-    sw: int
-    se: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Correlation, quadrants and rank movement between two measures."""
-
-    measure_pair: tuple[str, str]
-    pearson_r: float
-    n_schools: int
-    quadrant_counts: QuadrantCounts
-    movement_counts: dict[int, int]
-    max_rank_change: int
 
 
 @dataclass(frozen=True)
@@ -78,110 +50,6 @@ class BreakdownTable:
     grouping: str
     rows: list[BreakdownRow]
     footnotes: list[str] = field(default_factory=list)
-
-
-def _match(
-    a: Sequence[SchoolScore], b: Sequence[SchoolScore]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Align two school-score lists on school_id; fatal on any mismatch."""
-    map_a = {s.school_id: s.score for s in a}
-    map_b = {s.school_id: s.score for s in b}
-    if len(map_a) != len(a) or len(map_b) != len(b):
-        raise AnalysisError("duplicate school_id in score list")
-    only_a = sorted(set(map_a) - set(map_b))
-    only_b = sorted(set(map_b) - set(map_a))
-    if only_a or only_b:
-        parts = []
-        if only_a:
-            parts.append(f"only in first: {', '.join(only_a)}")
-        if only_b:
-            parts.append(f"only in second: {', '.join(only_b)}")
-        raise AnalysisError(f"school sets differ; {'; '.join(parts)}")
-    ids = sorted(map_a)
-    return (
-        ids,
-        np.array([map_a[i] for i in ids]),
-        np.array([map_b[i] for i in ids]),
-    )
-
-
-def correlate(a: Sequence[SchoolScore], b: Sequence[SchoolScore]) -> float:
-    """Pearson correlation of two matched school-score lists."""
-    _, x, y = _match(a, b)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
-    if vx == 0.0 or vy == 0.0:
-        raise AnalysisError("cannot correlate: zero variance in school scores")
-    return float((xc @ yc) / np.sqrt(vx * vy))
-
-
-def _ranks(ids: list[str], scores: np.ndarray) -> dict[str, int]:
-    """Rank 1 = highest score; ties broken by school_id ascending."""
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return {ids[i]: pos + 1 for pos, i in enumerate(order)}
-
-
-def rank_movement(
-    a: Sequence[SchoolScore],
-    b: Sequence[SchoolScore],
-    thresholds: Sequence[int],
-) -> tuple[dict[int, int], int]:
-    """League-table movement between two measures.
-
-    Returns (counts per threshold of schools moving >= threshold places,
-    maximum absolute rank change).
-    """
-    if any(t <= 0 for t in thresholds):
-        raise AnalysisError("thresholds must be positive")
-    ids, x, y = _match(a, b)
-    ra = _ranks(ids, x)
-    rb = _ranks(ids, y)
-    moves = np.array([abs(ra[i] - rb[i]) for i in ids])
-    counts = {int(t): int(np.sum(moves >= t)) for t in thresholds}
-    return counts, int(moves.max()) if len(ids) else 0
-
-
-def quadrant_classify(a: Sequence[SchoolScore], b: Sequence[SchoolScore]) -> QuadrantCounts:
-    """Count schools per quadrant of the (a, b) scatter around (0, 0).
-
-    Each measure's national mean is zero by construction, so the axes sit at
-    the origin; boundary schools go to the lower/left side.
-    """
-    _, x, y = _match(a, b)
-    east = x > 0.0
-    north = y > 0.0
-    return QuadrantCounts(
-        nw=int(np.sum(~east & north)),
-        ne=int(np.sum(east & north)),
-        sw=int(np.sum(~east & ~north)),
-        se=int(np.sum(east & ~north)),
-    )
-
-
-def compare_measures(
-    a: Sequence[SchoolScore],
-    b: Sequence[SchoolScore],
-    thresholds: Sequence[int],
-) -> ComparisonReport:
-    """Full comparison report between two measures' school scores."""
-    if not a or not b:
-        raise AnalysisError("cannot compare: a score list is empty")
-    counts, max_change = rank_movement(a, b, thresholds)
-    return ComparisonReport(
-        measure_pair=(a[0].measure.code, b[0].measure.code),
-        pearson_r=correlate(a, b),
-        n_schools=len(a),
-        quadrant_counts=quadrant_classify(a, b),
-        movement_counts=counts,
-        max_rank_change=max_change,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Characteristic breakdowns
-# ---------------------------------------------------------------------------
 
 
 def _field(characteristic: str, valid: tuple[str, ...], what: str) -> Field:

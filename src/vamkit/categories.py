@@ -9,6 +9,10 @@ does not normalise onto a listed spelling is rejected.
 columns of both files, their level universes, design reference levels and
 design-label rule. Parsing, serialising, design matrices, breakdowns and
 the synthetic generator are all driven by them.
+
+The measure codes (:class:`MeasureKind`, with the :class:`ModelSpec` of
+each) and the school significance categories live here too, so that the
+CLI's comparison path can name them without importing numpy.
 """
 
 from __future__ import annotations
@@ -277,3 +281,39 @@ SCHOOL_FIELDS = (
 )
 
 FIELD = {f.name: f for f in PUPIL_FIELDS + SCHOOL_FIELDS}
+
+PUPIL_CHARACTERISTICS = tuple(f.name for f in PUPIL_FIELDS if f.levels)
+SCHOOL_CHARACTERISTICS = tuple(f.name for f in SCHOOL_FIELDS if f.levels)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Which covariate blocks a model adjusts for."""
+
+    include_prior_attainment: bool
+    include_background: bool
+
+
+class MeasureKind(enum.Enum):
+    """The four school performance measures; values are the CLI short codes."""
+
+    ATTAINMENT8 = "a8"
+    ADJUSTED_ATTAINMENT8 = "aa8"
+    PROGRESS8 = "p8"
+    ADJUSTED_PROGRESS8 = "ap8"
+
+    @property
+    def model_spec(self) -> ModelSpec:
+        prior = self in (MeasureKind.PROGRESS8, MeasureKind.ADJUSTED_PROGRESS8)
+        background = self in (MeasureKind.ADJUSTED_ATTAINMENT8, MeasureKind.ADJUSTED_PROGRESS8)
+        return ModelSpec(include_prior_attainment=prior, include_background=background)
+
+    @property
+    def code(self) -> str:
+        return self.value
+
+
+class SignificanceCategory(enum.Enum):
+    SIGNIFICANTLY_ABOVE = "significantly_above"
+    NOT_SIGNIFICANT = "not_significant"
+    SIGNIFICANTLY_BELOW = "significantly_below"

@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
 Each warning goes to stderr as one ``warning: <message>`` line.
 Randomness exists only in `simulate --seed`; fitting is seed-free.
 
+Each subcommand imports only the modules it runs: ``compare`` needs the
+standard library alone, while ``simulate``, ``fit``, ``breakdown`` and
+``validate`` import numpy and the model modules when their handler starts.
+
 Run as ``vamkit <command> ...`` or ``python -m vamkit.cli <command> ...``.
 """
 
@@ -31,20 +35,13 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    PUPIL_CHARACTERISTICS,
-    SCHOOL_CHARACTERISTICS,
-    BreakdownTable,
-    compare_measures,
-    pupil_breakdown,
-    school_breakdown,
-)
-from .cohort import csv_bytes, parse_pupils, parse_schools, read_rows, validate_cohort
-from .design import MeasureKind
+from .categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
+from .compare import SchoolScore, compare_measures
+from .csvio import csv_bytes, read_rows
 from .errors import AnalysisError, CohortError, DesignError, GeneratorError, VamkitError
-from .measures import SchoolScore, compute_measures
-from .ols import cluster_robust_cov, coefficient_table
-from .synthgen import GeneratorConfig, generate_population, write_population_csv
+
+if typing.TYPE_CHECKING:
+    from .analysis import BreakdownTable
 
 _MEASURES_BY_CODE = {kind.code: kind for kind in MeasureKind}
 
@@ -139,6 +136,8 @@ def _read_cohort(args, inputs: dict[str, str], report):
     The issues go to ``report(path, issues)`` before validation; a
     ``validate_cohort`` error names the file or files at fault.
     """
+    from .cohort import parse_pupils, parse_schools, validate_cohort
+
     paths = {"pupils": Path(args.pupils), "schools": Path(args.schools)}
     pupils, pupil_issues = _parse_input(paths["pupils"], inputs, parse_pupils)
     schools, school_issues = _parse_input(paths["schools"], inputs, parse_schools)
@@ -153,6 +152,8 @@ def _read_cohort(args, inputs: dict[str, str], report):
 
 def _fit_measures(args):
     """Inputs read, cohort and fitted --measures of a fit or breakdown."""
+    from .measures import compute_measures
+
     inputs = {}
     cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
     try:
@@ -256,6 +257,8 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]
 
 
 def _cmd_simulate(args, out_dir: Path):
+    from .synthgen import GeneratorConfig, generate_population, write_population_csv
+
     overrides = {}
     inputs = {}
     if args.config is not None:
@@ -289,6 +292,8 @@ def _cmd_simulate(args, out_dir: Path):
 
 
 def _cmd_fit(args, out_dir: Path):
+    from .ols import cluster_robust_cov, coefficient_table
+
     inputs, cohort, results = _fit_measures(args)
     fmt = _formatter(args.precision)
     tables = {}
@@ -336,6 +341,8 @@ def _cmd_compare(args, out_dir: Path):
 
 
 def _cmd_breakdown(args, out_dir: Path):
+    from .analysis import pupil_breakdown, school_breakdown
+
     inputs, cohort, results = _fit_measures(args)
     scores = {kind: res.scores for kind, res in results.items()}
     if args.by in PUPIL_CHARACTERISTICS:

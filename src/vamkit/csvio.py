@@ -1,0 +1,135 @@
+"""CSV reading and writing shared by every file vamkit reads or writes.
+
+Reading: the input's bytes must be UTF-8 (a BOM is allowed), the header
+must be exactly the expected column names, blank rows are skipped and a row
+of the wrong width becomes a :class:`ParseIssue`. Writing: UTF-8 with "\\n"
+line ends, a cell quoted only when it needs to be.
+
+This module needs only the standard library, so the CLI's ``compare``
+reads and writes without importing numpy.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from dataclasses import dataclass
+from typing import BinaryIO, Sequence
+
+from .errors import CohortError
+
+
+@dataclass(frozen=True)
+class ParseIssue:
+    """A skipped CSV row: 1-based data row number, offending column, reason."""
+
+    row: int
+    column: str
+    reason: str
+
+    def __str__(self) -> str:
+        return f"row {self.row}, column {self.column}: {self.reason}"
+
+
+def _decode(source: BinaryIO | bytes) -> io.TextIOWrapper:
+    """A text stream over the input's bytes, once they are known to be UTF-8.
+
+    The whole input is decoded once as the check, so an error names its
+    byte position in the file; the text is then decoded again as it is read,
+    which holds no copy of it. Only a private ``BytesIO`` is wrapped: a
+    ``TextIOWrapper`` closes what it wraps when it is collected.
+    """
+    raw = source if isinstance(source, bytes) else source.read()
+    try:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CohortError(f"input is not valid UTF-8: {exc}") from exc
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+
+
+def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str) -> None:
+    if row is None:
+        raise CohortError(f"{what} file is empty: expected header {','.join(expected)}")
+    got = [c.strip() for c in row]
+    if got != list(expected):
+        missing = [c for c in expected if c not in got]
+        extra = [c for c in got if c not in expected]
+        detail = []
+        if missing:
+            detail.append(f"missing columns: {', '.join(missing)}")
+        if extra:
+            detail.append(f"unexpected columns: {', '.join(extra)}")
+        duplicated = [c for c in dict.fromkeys(got) if got.count(c) > 1]
+        if duplicated:
+            detail.append(f"duplicate columns: {', '.join(duplicated)}")
+        if not detail:
+            detail.append("columns out of order")
+        raise CohortError(
+            f"{what} header mismatch ({'; '.join(detail)}); "
+            f"expected exactly: {','.join(expected)}"
+        )
+
+
+def read_rows(
+    source: BinaryIO | bytes, names: Sequence[str], what: str
+) -> tuple[list[tuple[str, ...]], list[int], list[ParseIssue]]:
+    """The rows of a CSV whose header is exactly ``names``, their 1-based
+    numbers (blank rows are skipped but counted) and an issue for each row of
+    the wrong width. Bad bytes, header or quoting raise :class:`CohortError`.
+    """
+    width = len(names)
+    issues: list[ParseIssue] = []
+    # tuples, not the reader's lists: the cyclic GC untracks a tuple of str,
+    # but rescans every kept list on each pass
+    rows: list[tuple[str, ...]] = []
+    row_nos: list[int] = []
+    with _decode(source) as text:
+        reader = csv.reader(text)
+        try:
+            _check_header(next(reader, None), names, what)
+            for row_no, row in enumerate(reader, start=1):
+                # blank rows are skipped; a non-blank first cell settles it quickly
+                if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    reason = f"expected {width} fields, got {len(row)}"
+                    issues.append(ParseIssue(row_no, "(row)", reason))
+                    continue
+                rows.append(tuple(row))
+                row_nos.append(row_no)
+        except csv.Error as exc:
+            raise CohortError(f"{what} is malformed: {exc}") from exc
+    return rows, row_nos, issues
+
+
+# a CSV cell holding any of these is quoted, with its " doubled
+_SPECIAL = (",", '"', "\r", "\n")
+
+# rows joined and encoded at a time, so no str of the whole file is held
+_BLOCK_ROWS = 8192
+
+
+def _needs_quotes(text: str) -> bool:
+    # a substring scan is a memchr; a regex character class is ten times slower
+    return any(c in text for c in _SPECIAL)
+
+
+def _fields(cells: list[str]) -> list[str]:
+    """A column's CSV fields. The column is searched once, as one string; a
+    column that needs no quoting is returned as it is."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
+
+
+def csv_bytes(header: Sequence[str], columns: Sequence[list[str]]) -> bytes:
+    """UTF-8 CSV with "\\n" line ends from equal-length columns of str."""
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("csv_bytes needs columns of equal length")
+    columns = [_fields(col) for col in columns]
+    buf = io.BytesIO()
+    buf.write((",".join(_fields(list(header))) + "\n").encode("utf-8"))
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+        rows = zip(*(col[start : start + _BLOCK_ROWS] for col in columns))
+        buf.write(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
+    return buf.getvalue()

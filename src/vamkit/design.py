@@ -17,42 +17,15 @@ X_g'e are bincounts, and X beta gathers one coefficient per block.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import FIELD, PUPIL_FIELDS, Field
+from .categories import FIELD, PUPIL_FIELDS, Field, ModelSpec
+from .categories import MeasureKind  # noqa: F401  (its old import path)
 from .cohort import ValidatedCohort
 from .errors import DesignError
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which covariate blocks a model adjusts for."""
-
-    include_prior_attainment: bool
-    include_background: bool
-
-
-class MeasureKind(enum.Enum):
-    """The four school performance measures; values are the CLI short codes."""
-
-    ATTAINMENT8 = "a8"
-    ADJUSTED_ATTAINMENT8 = "aa8"
-    PROGRESS8 = "p8"
-    ADJUSTED_PROGRESS8 = "ap8"
-
-    @property
-    def model_spec(self) -> ModelSpec:
-        prior = self in (MeasureKind.PROGRESS8, MeasureKind.ADJUSTED_PROGRESS8)
-        background = self in (MeasureKind.ADJUSTED_ATTAINMENT8, MeasureKind.ADJUSTED_PROGRESS8)
-        return ModelSpec(include_prior_attainment=prior, include_background=background)
-
-    @property
-    def code(self) -> str:
-        return self.value
 
 
 # Rows per run of sequential additions in _Block.sums.

@@ -19,7 +19,6 @@ R-squared is exactly 0.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,18 +26,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .categories import MeasureKind, SignificanceCategory
 from .cohort import ValidatedCohort
-from .design import DesignMatrix, MeasureKind, build_design_matrix
+from .compare import SchoolScore
+from .design import DesignMatrix, build_design_matrix
 from .errors import AnalysisError
 from .ols import FitResult, Z95, fit_ols
 
 POINTS_PER_GRADE = 10.0
-
-
-class SignificanceCategory(enum.Enum):
-    SIGNIFICANTLY_ABOVE = "significantly_above"
-    NOT_SIGNIFICANT = "not_significant"
-    SIGNIFICANTLY_BELOW = "significantly_below"
 
 
 @dataclass(frozen=True)
@@ -48,19 +43,6 @@ class PupilScore:
     pupil_id: str
     measure: MeasureKind
     score: float
-
-
-@dataclass(frozen=True)
-class SchoolScore:
-    """A school's measure score (mean of its pupil scores) with 95% CI."""
-
-    school_id: str
-    measure: MeasureKind
-    score: float
-    n_pupils: int
-    ci_low: float
-    ci_high: float
-    category: SignificanceCategory
 
 
 @dataclass(frozen=True)

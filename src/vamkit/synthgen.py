@@ -30,16 +30,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind
-from .cohort import (
-    Table,
-    ValidatedCohort,
-    csv_bytes,
-    serialize_pupils,
-    serialize_schools,
-    validate_cohort,
-)
-from .design import ModelSpec, build_design_matrix, design_labels
+from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind, ModelSpec
+from .cohort import Table, ValidatedCohort, serialize_pupils, serialize_schools, validate_cohort
+from .csvio import csv_bytes
+from .design import build_design_matrix, design_labels
 from .errors import GeneratorError
 
 # National 2016 counts per level, in code order: pupils for pupil fields,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,14 @@ def test_correlate_is_symmetric():
     a = score_list(rng.normal(size=30).tolist())
     b = score_list(rng.normal(size=30).tolist())
     assert correlate(a, b) == pytest.approx(correlate(b, a), abs=1e-15)
+
+
+def test_correlate_matches_numpy_on_every_measure_pair(midsize_population):
+    results = compute_measures(midsize_population.cohort, list(MeasureKind))
+    for a, b in itertools.combinations([res.school_scores for res in results.values()], 2):
+        r = np.corrcoef([s.score for s in a], [s.score for s in b])[0, 1]
+        assert correlate(a, b) == pytest.approx(r, abs=1e-15)
+        assert correlate(a, b) == correlate(b, a)
 
 
 def test_mismatched_sets_fatal():

@@ -327,22 +327,31 @@ def test_module_entry_point_runs(sim_dir):
     assert proc.stdout.startswith("OK: ") and "40 schools" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    # vamkit needs only numpy; scipy would add about a third of a second to
-    # every CLI start
+@pytest.mark.parametrize(
+    "case, package",
+    [("import", "numpy"), ("package", "numpy"), ("compare", "numpy"), ("simulate", "scipy")],
+)
+def test_cli_import_loads_no_scipy(tmp_path, fit_dir, case, package):
+    # vamkit needs only numpy, and scipy would add about a third of a second to
+    # every CLI start; compare needs only the standard library, so neither the
+    # import nor a compare run loads numpy
     src = str(Path(vamkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    show = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    simulate = ["simulate", "--schools", "3", "--seed", "0", "--out", str(tmp_path / "sim")]
-    for code in (
-        f"import sys, vamkit.cli; {show}",
-        f"import sys, vamkit.cli; assert vamkit.cli.run({simulate!r}) == 0; {show}",
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    scores = [str(fit_dir / f"school_scores_{code}.csv") for code in ("a8", "p8")]
+    argv = {
+        "simulate": ["simulate", "--schools", "3", "--seed", "0", "--out", str(tmp_path / "sim")],
+        "compare": ["compare", "--scores", scores[0], "--scores", scores[1],
+                    "--out", str(tmp_path / "cmp")],
+    }.get(case)
+    code = "import sys, vamkit" if case == "package" else "import sys, vamkit.cli"
+    if argv is not None:
+        code += f"; assert vamkit.cli.run({argv!r}) == 0"
+    code += f"; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _edited_scores(tmp_path, fit_dir, row, column, value):

@@ -35,8 +35,9 @@ def test_same_seed_identical_bytes():
 
 
 def test_different_seed_differs():
-    a = write_population_csv(generate_population(GeneratorConfig(seed=1, **SMALL)))
-    b = write_population_csv(generate_population(GeneratorConfig(seed=2, **SMALL)))
+    with pytest.warns(UserWarning, match="absent from cohort"):
+        a = write_population_csv(generate_population(GeneratorConfig(seed=1, **SMALL)))
+        b = write_population_csv(generate_population(GeneratorConfig(seed=2, **SMALL)))
     assert a["pupils.csv"] != b["pupils.csv"]
 
 
@@ -145,9 +146,10 @@ def test_raw_attainment_tracks_intake(midsize_population):
 
 
 def test_no_gradient_breaks_the_link():
-    pop = generate_population(
-        GeneratorConfig(intake_gradient=0.0, seed=77, **SMALL)
-    )
+    with pytest.warns(UserWarning, match="absent from cohort"):
+        pop = generate_population(
+            GeneratorConfig(intake_gradient=0.0, seed=77, **SMALL)
+        )
     cohort = pop.cohort
     by_school = {s.school_id: [] for s in cohort.schools}
     for p in cohort.pupils:
@@ -158,7 +160,8 @@ def test_no_gradient_breaks_the_link():
 
 
 def test_clipping_below_one_percent_default():
-    pop = generate_population(GeneratorConfig(seed=41, **SMALL))
+    with pytest.warns(UserWarning, match="absent from cohort"):
+        pop = generate_population(GeneratorConfig(seed=41, **SMALL))
     assert pop.n_clipped / pop.cohort.n_pupils < 0.01
 
 
