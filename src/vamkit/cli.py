@@ -37,7 +37,7 @@ from pathlib import Path
 from . import __version__
 from .categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from .compare import SchoolScore, compare_measures
-from .csvio import csv_bytes, read_rows
+from .csvio import csv_bytes, read_blocks
 from .errors import AnalysisError, CohortError, DesignError, GeneratorError, VamkitError
 
 if typing.TYPE_CHECKING:
@@ -228,27 +228,29 @@ def _cell_parser(tp):
 
 
 def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]:
-    """Read a school_scores CSV produced by `fit`; a bad row or cell is fatal."""
+    """Read a school_scores CSV produced by `fit`; the first bad row or cell is fatal."""
     hints = typing.get_type_hints(SchoolScore)
     names = [f.name for f in dataclasses.fields(SchoolScore)]
     parsers = [_cell_parser(hints[name]) for name in names]
-    rows, row_nos, issues = _parse_input(
-        path, inputs, lambda data: read_rows(data, names, "school_scores CSV")
-    )
-    out = []
-    for row_no, row in zip(row_nos, rows):
-        if issues and issues[0].row < row_no:
-            break
-        cells = []
-        for name, parse, text in zip(names, parsers, row):
-            try:
-                cells.append(parse(text))
-            except ValueError as exc:
-                raise CohortError(f"{path}: row {row_no}, column {name}: {exc}") from exc
-        out.append(SchoolScore(*cells))
-    if issues:
-        raise CohortError(f"{path}: {issues[0]}")
-    return out
+
+    def parse(data: bytes) -> list[SchoolScore]:
+        issues, out = [], []
+        for rows, row_nos in read_blocks(data, names, "school_scores CSV", issues):
+            for row_no, row in zip(row_nos, rows):
+                if issues and issues[0].row < row_no:
+                    raise CohortError(str(issues[0]))
+                cells = []
+                for name, parse_cell, text in zip(names, parsers, row):
+                    try:
+                        cells.append(parse_cell(text))
+                    except ValueError as exc:
+                        raise CohortError(f"row {row_no}, column {name}: {exc}") from exc
+                out.append(SchoolScore(*cells))
+        if issues:
+            raise CohortError(str(issues[0]))
+        return out
+
+    return _parse_input(path, inputs, parse)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ malformed rows: each bad row becomes a :class:`ParseIssue` naming the row,
 its first failing column and the reason, and the row is skipped. Structural
 problems (undecodable bytes, wrong header) raise :class:`CohortError`.
 The CSV reader and writer themselves live in :mod:`vamkit.csvio`, which
-needs no numpy; this module turns rows into columns and back.
+needs no numpy; this module turns rows into columns and back. A file is
+encoded one block of rows at a time, so a parse holds the file's columns
+and one block of Python strings, not a string per cell of the file.
 
 Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
 outcome as float64 and every category as a small-int code. Every function
@@ -47,8 +49,8 @@ from .categories import (
     SchoolType,
     Sen,
 )
-from .csvio import ParseIssue, csv_bytes, read_rows
-from .errors import CohortError
+from .csvio import ParseIssue, csv_bytes, read_blocks
+from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
 SCHOOL_COLUMNS = tuple(f.name for f in SCHOOL_FIELDS)
@@ -148,26 +150,31 @@ class ValidatedCohort:
         return self.school_table.records()
 
 
-def _encode_column(f: Field, raw: np.ndarray) -> tuple[np.ndarray, dict[str, str]]:
-    """A column's stored values, and the reason for each bad raw spelling.
+def _encode_column(
+    f: Field, raw: tuple[str, ...], decoded: dict, reasons: dict[str, str]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A block's stored values for one column, and which of its cells are
+    bad (None when none is).
 
-    Each spelling that may be bad is checked by ``Field.encode`` once; ids
-    and numbers that pass a vectorised check skip it. Bad cells hold a
-    placeholder.
+    ``decoded`` and ``reasons`` map each raw spelling met so far in the file
+    to its stored value and, if it is bad, its reason; a spelling not yet in
+    them is checked by ``Field.encode`` once. Ids and numbers that pass a
+    vectorised check skip it. Bad cells hold a placeholder.
     """
     col, suspects = None, raw
     if f.kind is Kind.ID:
-        col = np.char.strip(raw.astype(str))
-        suspects = raw[col == ""]
+        col = np.char.strip(np.array(raw, dtype=str))
+        suspects = [raw[i] for i in np.flatnonzero(col == "")]
     elif f.kind is Kind.FLOAT:
         try:
             col = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
         except ValueError:
             pass  # some cell is not a number: check every spelling
         else:
-            suspects = raw[~((col >= f.bounds[0]) & (col <= f.bounds[1]))]
-    decoded, reasons = {}, {}
-    for text in set(suspects):
+            ok = (col >= f.bounds[0]) & (col <= f.bounds[1])
+            suspects = [raw[i] for i in np.flatnonzero(~ok)]
+    suspects = set(suspects)
+    for text in suspects - decoded.keys():
         try:
             decoded[text] = f.encode(text.strip())
         except ValueError as exc:
@@ -176,7 +183,9 @@ def _encode_column(f: Field, raw: np.ndarray) -> tuple[np.ndarray, dict[str, str
     if col is None:
         dtype = _DTYPE.get(f.kind, np.int8)
         col = np.fromiter(map(decoded.__getitem__, raw), dtype=dtype, count=len(raw))
-    return col, reasons
+    if suspects.isdisjoint(reasons):
+        return col, None
+    return col, np.fromiter(map(reasons.__contains__, raw), dtype=bool, count=len(raw))
 
 
 def _parse_table(
@@ -184,23 +193,29 @@ def _parse_table(
 ) -> tuple[Table, list[ParseIssue]]:
     """Read a CSV into columns; each bad row is skipped with one issue.
 
-    A row is reported under its first failing column in column order.
+    A row is reported under its first failing column in column order. The
+    rows are encoded a block at a time and each column's kept values are
+    joined at the end; each column's spellings are checked once per file.
     """
-    width = len(fields)
-    rows, row_nos, issues = read_rows(source, tuple(f.name for f in fields), what)
-    cells = np.array(rows, dtype=object).reshape(len(rows), width)
-    failed = np.zeros(len(rows), dtype=bool)
-    columns = {}
-    for j, f in enumerate(fields):
-        raw = cells[:, j]
-        columns[f.name], reasons = _encode_column(f, raw)
-        if reasons:
-            bad = np.fromiter(map(reasons.__contains__, raw), dtype=bool, count=len(raw))
-            for i in np.flatnonzero(bad & ~failed):
-                issues.append(ParseIssue(row_nos[i], f.name, reasons[raw[i]]))
-            failed |= bad
+    issues: list[ParseIssue] = []
+    spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
+    # a zero-length chunk first types a column that gets no rows
+    chunks = [[np.array((), dtype=_DTYPE.get(f.kind, np.int8))] for f in fields]
+    for rows, row_nos in read_blocks(source, tuple(f.name for f in fields), what, issues):
+        failed = np.zeros(len(rows), dtype=bool)
+        block = []
+        for f, raw, (decoded, reasons) in zip(fields, zip(*rows), spellings):
+            col, bad = _encode_column(f, raw, decoded, reasons)
+            if bad is not None:
+                for i in np.flatnonzero(bad & ~failed):
+                    issues.append(ParseIssue(row_nos[i], f.name, reasons[raw[i]]))
+                failed |= bad
+            block.append(col)
+        for chunk, col in zip(chunks, block):
+            chunk.append(col[~failed])
     issues.sort(key=lambda issue: issue.row)
-    return Table(fields, columns).take(~failed), issues
+    columns = {f.name: np.concatenate(chunk) for f, chunk in zip(fields, chunks)}
+    return Table(fields, columns), issues
 
 
 def parse_pupils(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
@@ -227,7 +242,7 @@ def _fault(message: str, *inputs: str) -> CohortError:
 def _check_unique(ids: np.ndarray, name: str, what: str) -> None:
     unique, counts = np.unique(ids, return_counts=True)
     if unique.size != ids.size:
-        raise _fault(f"duplicate {name} values: {', '.join(unique[counts > 1].tolist())}", what)
+        raise _fault(f"duplicate {name} values: {id_list(unique[counts > 1].tolist())}", what)
 
 
 def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
@@ -247,12 +262,12 @@ def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
     kept, school_index = np.unique(pupils["school_id"], return_inverse=True)
     unresolved = np.setdiff1d(kept, school_ids).tolist()
     if unresolved:
-        message = f"pupils reference unknown school_id values: {', '.join(unresolved)}"
+        message = f"pupils reference unknown school_id values: {id_list(unresolved)}"
         raise _fault(message, "pupils", "schools")
     empty = np.setdiff1d(school_ids, kept).tolist()
     if empty:
         warnings.warn(
-            f"dropping {len(empty)} school(s) with no pupils: {', '.join(empty)}",
+            f"dropping {len(empty)} school(s) with no pupils: {id_list(empty)}",
             stacklevel=2,
         )
 

@@ -2,8 +2,10 @@
 
 Reading: the input's bytes must be UTF-8 (a BOM is allowed), the header
 must be exactly the expected column names, blank rows are skipped and a row
-of the wrong width becomes a :class:`ParseIssue`. Writing: UTF-8 with "\\n"
-line ends, a cell quoted only when it needs to be.
+of the wrong width becomes a :class:`ParseIssue`. Rows come in blocks of a
+few thousand, so a reader holds one block of Python strings, never the
+whole file's. Writing: UTF-8 with "\\n" line ends, a cell quoted only when
+it needs to be, joined and encoded a block of rows at a time.
 
 This module needs only the standard library, so the CLI's ``compare``
 reads and writes without importing numpy.
@@ -14,9 +16,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .errors import CohortError
+
+# rows per block read or written: their Python strs are held a block at a time
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -70,15 +75,17 @@ def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str)
         )
 
 
-def read_rows(
-    source: BinaryIO | bytes, names: Sequence[str], what: str
-) -> tuple[list[tuple[str, ...]], list[int], list[ParseIssue]]:
-    """The rows of a CSV whose header is exactly ``names``, their 1-based
-    numbers (blank rows are skipped but counted) and an issue for each row of
-    the wrong width. Bad bytes, header or quoting raise :class:`CohortError`.
+def read_blocks(
+    source: BinaryIO | bytes, names: Sequence[str], what: str, issues: list[ParseIssue]
+) -> Iterator[tuple[list[tuple[str, ...]], list[int]]]:
+    """The rows of a CSV whose header is exactly ``names``, in blocks of at
+    most ``_BLOCK_ROWS``: each block is a list of rows and a list of their
+    1-based numbers (blank rows are skipped but counted). A row of the wrong
+    width is skipped and appended to ``issues`` as it is read, so when a
+    block is yielded ``issues`` holds every such row up to its last row.
+    Bad bytes, header or quoting raise :class:`CohortError` when reached.
     """
     width = len(names)
-    issues: list[ParseIssue] = []
     # tuples, not the reader's lists: the cyclic GC untracks a tuple of str,
     # but rescans every kept list on each pass
     rows: list[tuple[str, ...]] = []
@@ -97,16 +104,17 @@ def read_rows(
                     continue
                 rows.append(tuple(row))
                 row_nos.append(row_no)
+                if len(rows) == _BLOCK_ROWS:
+                    yield rows, row_nos
+                    rows, row_nos = [], []
         except csv.Error as exc:
             raise CohortError(f"{what} is malformed: {exc}") from exc
-    return rows, row_nos, issues
+    if rows:
+        yield rows, row_nos
 
 
 # a CSV cell holding any of these is quoted, with its " doubled
 _SPECIAL = (",", '"', "\r", "\n")
-
-# rows joined and encoded at a time, so no str of the whole file is held
-_BLOCK_ROWS = 8192
 
 
 def _needs_quotes(text: str) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 from .categories import FIELD, PUPIL_FIELDS, Field, ModelSpec
 from .categories import MeasureKind  # noqa: F401  (its old import path)
 from .cohort import ValidatedCohort
-from .errors import DesignError
+from .errors import DesignError, id_list
 
 
 # Rows per run of sequential additions in _Block.sums.
@@ -188,11 +188,9 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
     if spec.include_prior_attainment:
         missing = pupils["pupil_id"][pupils[_PRIOR] < 0].tolist()
         if missing:
-            shown = ", ".join(missing[:20])
-            more = "" if len(missing) <= 20 else f" (and {len(missing) - 20} more)"
             raise DesignError(
                 "model adjusts for prior attainment but ks2_group is missing "
-                f"for pupils: {shown}{more}"
+                f"for pupils: {id_list(missing)}"
             )
 
     n = cohort.n_pupils

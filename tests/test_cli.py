@@ -83,6 +83,25 @@ def test_validate_rejects_bad_rows(tmp_path, sim_dir, capsys):
     assert "ethnicity" in capsys.readouterr().err
 
 
+def test_validate_caps_long_id_lists(tmp_path, capsys):
+    # every pupil of the default cohort twice: the error lists 20 ids and a count
+    sim = tmp_path / "sim"
+    run_ok(["simulate", "--schools", "300", "--seed", "612", "--out", str(sim)])
+    data = (sim / "pupils.csv").read_bytes()
+    header, body = data.split(b"\n", 1)
+    n_pupils = body.count(b"\n")
+    pupils = tmp_path / "pupils.csv"
+    pupils.write_bytes(header + b"\n" + body + body)
+
+    capsys.readouterr()
+    assert run(["validate", "--pupils", str(pupils), "--schools", str(sim / "schools.csv")]) == 1
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert len(line.encode()) < 2048
+    assert "duplicate pupil_id values: P000001, " in line
+    assert line.endswith(f"(and {n_pupils - 20} more; {n_pupils} in all)")
+
+
 def test_config_file_overrides(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -31,6 +31,7 @@ from vamkit.cohort import (
     serialize_pupils,
     serialize_schools,
 )
+from vamkit.csvio import _BLOCK_ROWS, read_blocks
 from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_cohort, make_pupil, make_school
@@ -433,3 +434,71 @@ def test_first_failing_column_is_reported_once(parse, make_csv, good, columns, f
     table, issues = parse(make_csv(good, "", broken, good.replace("1,", "2,", 1)))
     assert len(table) == 2
     assert [(i.row, i.column, i.reason) for i in issues] == [(3, column, faults[column][1])]
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: a file is read and encoded a block of rows at a time
+# ---------------------------------------------------------------------------
+
+
+def _pupil_row(row_no, **cells):
+    """GOOD_PUPIL with pupil_id P<row_no> and the given columns replaced."""
+    values = dict(zip(PUPIL_COLUMNS, GOOD_PUPIL.split(",")), pupil_id=f"P{row_no}", **cells)
+    return ",".join(values[c] for c in PUPIL_COLUMNS)
+
+
+def test_block_boundaries_keep_rows_and_issues():
+    B = _BLOCK_ROWS
+    lines = {r: _pupil_row(r) for r in range(1, 2 * B + 6)}
+    bad = {  # row -> column made bad
+        B + 1: "gender",  # last row of block 1
+        B + 3: "ks2_group",  # first row of block 2
+        2 * B + 2: "attainment8_total",  # last row of block 2
+        2 * B + 3: "sen",  # first row of block 3
+    }
+    for r, column in bad.items():
+        lines[r] = _pupil_row(r, **{column: PUPIL_FAULTS[column][0]})
+    lines[3] = _pupil_row(3) + ",extra"  # wrong width: the first block ends a row later
+    lines[B + 2] = ""  # blank, between blocks 1 and 2
+    # quoted ids holding a newline: one row over two lines ends block 2, one is kept
+    lines[2 * B + 2] = lines[2 * B + 2].replace(f"P{2 * B + 2}", '"P\nlast of block 2"', 1)
+    lines[2 * B + 4] = lines[2 * B + 4].replace(f"P{2 * B + 4}", '"P\nkept"', 1)
+    data = pupil_csv(*(lines[r] for r in sorted(lines)))
+
+    issues = []
+    blocks = [row_nos for _, row_nos in read_blocks(data, PUPIL_COLUMNS, "pupil CSV", issues)]
+    assert [(b[0], b[-1], len(b)) for b in blocks] == [
+        (1, B + 1, B), (B + 3, 2 * B + 2, B), (2 * B + 3, 2 * B + 5, 3)
+    ]
+
+    table, issues = parse_pupils(data)
+    skipped = {3, B + 2, *bad}
+    expected_ids = [f"P{r}" for r in range(1, 2 * B + 6) if r not in skipped]
+    expected_ids[expected_ids.index(f"P{2 * B + 4}")] = "P\nkept"
+    assert table["pupil_id"].tolist() == expected_ids
+    wide = (3, "(row)", "expected 11 fields, got 12")
+    assert [(i.row, i.column, i.reason) for i in issues] == [wide] + [
+        (r, column, PUPIL_FAULTS[column][1]) for r, column in bad.items()
+    ]
+
+
+def _column_types(table):
+    """Each column's dtype; an id column's width follows the longest cell read."""
+    return {name: "str" if c.dtype.kind == "U" else c.dtype for name, c in table.columns.items()}
+
+
+def test_all_bad_block_and_header_only_give_typed_empty_columns():
+    types = _column_types(parse_pupils(pupil_csv(GOOD_PUPIL))[0])
+    assert types["pupil_id"] == "str" and types["attainment8_total"] == np.float64
+    assert types["gender"] == np.int8
+
+    table, issues = parse_pupils(pupil_csv())
+    assert len(table) == 0 and issues == [] and _column_types(table) == types
+    all_bad = [_pupil_row(r, gender="X") for r in range(1, _BLOCK_ROWS + 3)]  # two blocks
+    table, issues = parse_pupils(pupil_csv(*all_bad))
+    assert len(table) == 0 and len(issues) == _BLOCK_ROWS + 2
+    assert _column_types(table) == types
+    # a block of bad rows before a good one
+    table, issues = parse_pupils(pupil_csv(*all_bad[:_BLOCK_ROWS], GOOD_PUPIL))
+    assert table["pupil_id"].tolist() == ["P1"] and len(issues) == _BLOCK_ROWS
+    assert _column_types(table) == types
