@@ -7,8 +7,11 @@ so (N-1)/(N-k) is 1 and (X'X)^-1 is 1/n_c):
 
     V = G_c/(G_c - 1) * (1/n_c^2) * sum_g ( sum_{i in g, cat c} (s_i - m_c) )^2
 
-over the G_c schools present in the category. Categories spanning fewer
-than two schools have their flag suppressed with a footnote.
+over the G_c schools present in the category. Each school's inner sum is
+its category score sum minus m_c times its category count; the counts and
+sums of every category and school come from one bincount per measure.
+Categories spanning fewer than two schools have their flag suppressed with
+a footnote.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from .compare import (  # noqa: F401  (their old import path)
     quadrant_classify,
     rank_movement,
 )
-from .design import DesignMatrix
 from .errors import AnalysisError
-from .ols import cluster_robust_cov, coefficient_table, fit_ols
+from .ols import Z95
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,10 @@ def _aligned_scores(
             raise AnalysisError(
                 f"{kind.code}: {values.size} pupil scores for {cohort.n_pupils} pupils"
             )
+        if not np.isfinite(values).all():
+            raise AnalysisError(f"{kind.code}: pupil scores must be finite")
         out[kind] = values
     return out
-
-
-def _mean_flag(values: np.ndarray, cluster: np.ndarray) -> bool:
-    """Whether mean(values) != 0 at 5%: the intercept's CR1 test, clustered on ``cluster``."""
-    design = DesignMatrix(values=np.ones((values.size, 1)), column_labels=("mean",))
-    fit = fit_ols(design, values)
-    return coefficient_table(fit, cluster_robust_cov(fit, design, cluster))[0].significant
 
 
 def _breakdown(
@@ -92,14 +89,23 @@ def _breakdown(
     percent_base: str,
     n_schools_total: int,
 ) -> BreakdownTable:
+    # one bincount pass per measure over key (code + 1) * G + school, so row
+    # code + 1 of each table holds a category's per-school counts and sums
+    g = n_schools_total
+    key = (codes.astype(np.intp) + 1) * g + school_index
+    size = (max(code for code, _ in universe) + 2) * g
+    counts = np.bincount(key, minlength=size).reshape(-1, g)
+    sums = {
+        kind: np.bincount(key, weights=scores, minlength=size).reshape(-1, g)
+        for kind, scores in aligned.items()
+    }
     rows: list[BreakdownRow] = []
     footnotes: list[str] = []
     for code, cat in universe:
         mask = codes == code
-        n_cat = int(mask.sum())
-        # the category's schools, numbered densely in school_id order
-        schools_in_cat, cluster = np.unique(school_index[mask], return_inverse=True)
-        n_sch = int(schools_in_cat.size)
+        present = np.flatnonzero(counts[code + 1])  # the category's schools
+        n_cat = int(counts[code + 1].sum())
+        n_sch = int(present.size)
         if percent_base == "schools":
             percent = 100.0 * n_sch / n_schools_total
         else:
@@ -107,9 +113,14 @@ def _breakdown(
         means: dict[MeasureKind, float | None] = {}
         flags: dict[MeasureKind, bool | None] = {}
         for kind, scores in aligned.items():
-            values = scores[mask]
-            means[kind] = float(values.mean()) if n_cat else None
-            flags[kind] = _mean_flag(values, cluster) if n_sch >= 2 else None
+            mean = float(scores[mask].mean()) if n_cat else None
+            means[kind] = mean
+            flags[kind] = None
+            if n_sch >= 2:
+                # each school's sum of deviations from the category mean
+                dev = sums[kind][code + 1, present] - mean * counts[code + 1, present]
+                v = n_sch / (n_sch - 1) * float(dev @ dev) / n_cat**2
+                flags[kind] = v > 0.0 and abs(mean) / v**0.5 > Z95
         if n_sch == 1:
             footnotes.append(
                 f"{cat}: significance suppressed (category spans fewer than 2 schools)"

@@ -6,10 +6,20 @@ ordered header, given by the field tables ``PUPIL_FIELDS`` and
 malformed rows: each bad row becomes a :class:`ParseIssue` naming the row,
 its first failing column and the reason, and the row is skipped. Structural
 problems (undecodable bytes, wrong header) raise :class:`CohortError`.
-The CSV reader and writer themselves live in :mod:`vamkit.csvio`, which
-needs no numpy; this module turns rows into columns and back. A file is
-encoded one block of rows at a time, so a parse holds the file's columns
-and one block of Python strings, not a string per cell of the file.
+The CSV reader and writer live in :mod:`vamkit.csvio`, which needs no
+numpy; this module turns rows into columns and back. A file is read and
+encoded one block at a time by one of two routes, which give the same
+columns, dtypes and issues:
+
+- the byte route, for a file that is ASCII and holds no quote, carriage
+  return or NUL (every file ``simulate`` writes): numpy finds a block's
+  separators and gathers each column's cells into a fixed-width byte
+  array, and only lines that may be blank or of the wrong width are split
+  in Python;
+- the csv route, for every other file: ``csvio.read_blocks`` rows of str.
+
+Either way a parse holds the file's columns and one block, not a Python
+string per cell of the file.
 
 Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
 outcome as float64 and every category as a small-int code. Every function
@@ -28,9 +38,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .categories import (
     PUPIL_FIELDS,
@@ -49,7 +60,7 @@ from .categories import (
     SchoolType,
     Sen,
 )
-from .csvio import ParseIssue, csv_bytes, read_blocks
+from .csvio import _BLOCK_ROWS, ParseIssue, _check_header, csv_bytes, read_blocks
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
@@ -150,11 +161,26 @@ class ValidatedCohort:
         return self.school_table.records()
 
 
+def _learn(f: Field, texts, decoded: dict, reasons: dict[str, str]) -> None:
+    """Check each spelling not met before in the file with ``Field.encode``."""
+    for text in set(texts) - decoded.keys():
+        try:
+            decoded[text] = f.encode(text.strip())
+        except ValueError as exc:
+            decoded[text] = np.nan if f.kind is Kind.FLOAT else -1
+            reasons[text] = str(exc)
+
+
+def _faults(rows, texts, reasons: dict[str, str]) -> dict[int, str] | None:
+    """Row -> reason for the given rows whose spelling is bad; None when none is."""
+    return {int(i): reasons[t] for i, t in zip(rows, texts) if t in reasons} or None
+
+
 def _encode_column(
     f: Field, raw: tuple[str, ...], decoded: dict, reasons: dict[str, str]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """A block's stored values for one column, and which of its cells are
-    bad (None when none is).
+) -> tuple[np.ndarray, dict[int, str] | None]:
+    """A block's stored values for one column, and the reason of each of its
+    bad cells by row (None when none is bad).
 
     ``decoded`` and ``reasons`` map each raw spelling met so far in the file
     to its stored value and, if it is bad, its reason; a spelling not yet in
@@ -174,18 +200,229 @@ def _encode_column(
             ok = (col >= f.bounds[0]) & (col <= f.bounds[1])
             suspects = [raw[i] for i in np.flatnonzero(~ok)]
     suspects = set(suspects)
-    for text in suspects - decoded.keys():
-        try:
-            decoded[text] = f.encode(text.strip())
-        except ValueError as exc:
-            decoded[text] = np.nan if f.kind is Kind.FLOAT else -1
-            reasons[text] = str(exc)
+    _learn(f, suspects, decoded, reasons)
     if col is None:
         dtype = _DTYPE.get(f.kind, np.int8)
         col = np.fromiter(map(decoded.__getitem__, raw), dtype=dtype, count=len(raw))
     if suspects.isdisjoint(reasons):
         return col, None
-    return col, np.fromiter(map(reasons.__contains__, raw), dtype=bool, count=len(raw))
+    return col, _faults(range(len(raw)), raw, reasons)
+
+
+# a word of bytes times this odd constant, plus the next word, hashes a cell
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _encode_cells(
+    f: Field, cells: np.ndarray, decoded: dict, reasons: dict[str, str]
+) -> tuple[np.ndarray, dict[int, str] | None]:
+    """:func:`_encode_column` for one column of gathered cells: an (n, width)
+    uint8 array, each cell's bytes zero-padded. A category's spellings are
+    told apart by a hash of each cell's 8-byte words, checked cell by cell
+    against the spelling; a block this does not settle takes the str route.
+    """
+    n, width = cells.shape
+    text = cells.view(f"S{width}")[:, 0]
+    if f.kind is Kind.ID:
+        # as wide as the longest cell, as np.array(cells, dtype=str) would be
+        longest = max(int(cells.any(axis=0).sum()), 1)
+        col = np.char.strip(cells[:, :longest].astype(np.uint32).view(f"U{longest}")[:, 0])
+        bad = np.flatnonzero(col == "")
+        spelt = [t.decode() for t in text[bad].tolist()]
+        _learn(f, spelt, decoded, reasons)
+        return col, _faults(bad, spelt, reasons)
+    if f.kind is Kind.FLOAT:
+        raw = text.tolist()
+        try:
+            col = np.fromiter(map(float, raw), dtype=np.float64, count=n)
+        except ValueError:
+            return _encode_column(f, [t.decode() for t in raw], decoded, reasons)
+        bad = np.flatnonzero(~((col >= f.bounds[0]) & (col <= f.bounds[1])))
+        spelt = [raw[i].decode() for i in bad]
+        _learn(f, spelt, decoded, reasons)
+        return col, _faults(bad, spelt, reasons)
+    words = cells.view(np.uint64)
+    key = words[:, 0]
+    for j in range(1, words.shape[1]):
+        key = key * _MIX + words[:, j]
+    _, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(inverse.max() + 1, dtype=np.intp)
+    first[inverse] = np.arange(n)  # a cell of each spelling
+    if words.shape[1] > 1 and not (words == words[first[inverse]]).all():
+        return _encode_column(f, [t.decode() for t in text.tolist()], decoded, reasons)
+    spelt = [t.decode() for t in text[first].tolist()]
+    _learn(f, spelt, decoded, reasons)
+    col = np.array([decoded[t] for t in spelt], dtype=np.int8)[inverse]
+    bad_spelt = np.array([t in reasons for t in spelt])
+    if not bad_spelt.any():
+        return col, None
+    bad = np.flatnonzero(bad_spelt[inverse])
+    return col, _faults(bad, [spelt[i] for i in inverse[bad]], reasons)
+
+
+class _TooWide(Exception):
+    """A cell longer than ``_GATHER_CAP``: the file takes the csv route."""
+
+
+# bytes gathered per cell at most; the csv module's default field limit is
+# 131,072 characters, so a cell it would refuse never takes the byte route
+_GATHER_CAP = 256
+# _HEAD[k, n]: the mask of a little-endian 8-byte word that keeps the bytes
+# of word k of a cell n bytes long
+_HEAD = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)[
+    np.clip(np.arange(_GATHER_CAP + 1) - np.arange(0, _GATHER_CAP, 8)[:, None], 0, 8)
+]
+# bytes per block of the byte route: about _BLOCK_ROWS lines of a cohort file
+_BLOCK_BYTES = 80 * _BLOCK_ROWS
+_NEWLINE, _COMMA = ord("\n"), ord(",")
+# first bytes that send a line to the Python split: an empty first cell or
+# line (a comma, or the line's own newline) or one that str.strip()
+# shortens, which might be blank
+_RARE_LEAD = np.array([b == _COMMA or chr(b).isspace() for b in range(256)])
+
+
+def _tokenizable(data: bytes) -> bool:
+    """Whether a file is read the same by splitting its lines at commas as
+    by the csv module: ASCII, with no quote, carriage return or NUL."""
+    return data.isascii() and b"\n" in data and not any(c in data for c in (b'"', b"\r", b"\0"))
+
+
+def _block_end(data: bytes, start: int) -> int:
+    """Where the block that begins at ``start`` ends: past the last newline
+    within ``_BLOCK_BYTES``, else past the next one, else at the file's end."""
+    stop = start + _BLOCK_BYTES
+    if stop >= len(data):
+        return len(data)
+    return (data.rfind(b"\n", start, stop) + 1) or (data.find(b"\n", stop) + 1) or len(data)
+
+
+def _byte_blocks(
+    data: bytes, names: tuple[str, ...], what: str, issues: list[ParseIssue]
+) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """:func:`read_blocks` for a :func:`_tokenizable` file, in numpy: each
+    block of whole lines, about ``_BLOCK_BYTES`` long, gives its kept rows'
+    cells, one gathered (n, width) array per column, and the rows' 1-based
+    numbers.
+
+    A line with as many commas as the header and a first cell that starts
+    with neither a comma nor whitespace is a row. Any other line is split
+    in Python: skipped if blank, a ``(row)`` issue if of the wrong width,
+    else a row. Raises :class:`_TooWide` for a cell longer than
+    ``_GATHER_CAP``.
+    """
+    width = len(names)
+    head = data.index(b"\n")
+    header = data[:head].decode()
+    _check_header(header.split(",") if header else [], names, what)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    start, row_no = head + 1, 1
+    while start < len(data):
+        end = _block_end(data, start)
+        block = buf[start:end]
+        # the block, a newline that ends a last line without one, and zeros
+        # under the widest window a cell is gathered through
+        padded = np.zeros(block.size + _GATHER_CAP + 8, dtype=np.uint8)
+        padded[: block.size] = block
+        padded[block.size] = _NEWLINE
+        seps = np.flatnonzero((block == _COMMA) | (block == _NEWLINE))
+        if block[-1] != _NEWLINE:
+            seps = np.append(seps, block.size)
+        line_seps = np.flatnonzero(padded[seps] == _NEWLINE)  # each line's last separator
+        ends = seps[line_seps]
+        begins = np.concatenate(([0], ends[:-1] + 1))
+        regular = np.diff(line_seps, prepend=-1) == width  # width - 1 commas and a newline
+        keep = regular & ~_RARE_LEAD[padded[begins]]
+        for i in np.flatnonzero(~keep):
+            line = block[begins[i] : ends[i]].tobytes().decode()
+            row = line.split(",") if line else []
+            if any(len(cell) > _GATHER_CAP for cell in row):
+                raise _TooWide
+            if not any(cell.strip() for cell in row):
+                continue  # blank: skipped but counted
+            if regular[i]:
+                keep[i] = True
+            else:
+                reason = f"expected {width} fields, got {len(row)}"
+                issues.append(ParseIssue(row_no + int(i), "(row)", reason))
+        rows = np.flatnonzero(keep)
+        if rows.size:
+            if rows.size * width == seps.size:  # every line is a row
+                stops = seps.reshape(-1, width)
+            else:
+                stops = seps[line_seps[rows, None] + np.arange(1 - width, 1)]
+            firsts = np.empty_like(stops)
+            firsts[:, 0] = begins[rows]
+            firsts[:, 1:] = stops[:, :-1] + 1
+            sizes = stops - firsts
+            cells = []
+            for j in range(width):
+                w = int(sizes[:, j].max())
+                if w > _GATHER_CAP:
+                    raise _TooWide
+                w = -(-max(w, 1) // 8) * 8  # whole 8-byte words
+                col = as_strided(padded, shape=(block.size + 1, w), strides=(1, 1))[firsts[:, j]]
+                # zero each cell's bytes past its end, a word at a time
+                words = col.view("<u8")
+                for k in range(int(sizes[:, j].min()) // 8, w // 8):
+                    words[:, k] &= _HEAD[k, sizes[:, j]]
+                cells.append(col)
+            yield cells, row_no + rows
+        row_no += ends.size
+        start = end
+
+
+def _columns(
+    fields: tuple[Field, ...], blocks: Iterator, issues: list[ParseIssue], encode
+) -> tuple[Table, list[ParseIssue]]:
+    """Encode blocks of raw cells into a Table; each bad row is skipped with
+    one issue, under its first failing column in column order.
+
+    Each block is one raw column per field and the rows' numbers; ``encode``
+    is :func:`_encode_column` or :func:`_encode_cells`. Each column's kept
+    values are joined at the end, and its blocks freed as it is joined.
+    """
+    spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
+    # a zero-length chunk first types a column that gets no rows
+    chunks = [[np.array((), dtype=_DTYPE.get(f.kind, np.int8))] for f in fields]
+    for raws, row_nos in blocks:
+        failed = np.zeros(len(row_nos), dtype=bool)
+        block = []
+        for f, raw, (decoded, reasons) in zip(fields, raws, spellings):
+            col, why = encode(f, raw, decoded, reasons)
+            if why:
+                bad = np.zeros(len(row_nos), dtype=bool)
+                bad[list(why)] = True
+                for i in np.flatnonzero(bad & ~failed):
+                    issues.append(ParseIssue(int(row_nos[i]), f.name, why[i]))
+                failed |= bad
+            block.append(col)
+        for chunk, col in zip(chunks, block):
+            chunk.append(col[~failed])
+    issues.sort(key=lambda issue: issue.row)
+    columns = {}
+    for f, chunk in zip(fields, chunks):
+        columns[f.name] = np.concatenate(chunk)
+        chunk.clear()
+    return Table(fields, columns), issues
+
+
+def _parse_bytes(
+    data: bytes, fields: tuple[Field, ...], what: str
+) -> tuple[Table, list[ParseIssue]]:
+    """The byte route: a :func:`_tokenizable` file cut into cells by numpy."""
+    issues: list[ParseIssue] = []
+    names = tuple(f.name for f in fields)
+    return _columns(fields, _byte_blocks(data, names, what, issues), issues, _encode_cells)
+
+
+def _parse_text(
+    data: bytes, fields: tuple[Field, ...], what: str
+) -> tuple[Table, list[ParseIssue]]:
+    """The csv route: any file, read by the csv module into blocks of str."""
+    issues: list[ParseIssue] = []
+    names = tuple(f.name for f in fields)
+    rows = ((zip(*rows), row_nos) for rows, row_nos in read_blocks(data, names, what, issues))
+    return _columns(fields, rows, issues, _encode_column)
 
 
 def _parse_table(
@@ -193,29 +430,17 @@ def _parse_table(
 ) -> tuple[Table, list[ParseIssue]]:
     """Read a CSV into columns; each bad row is skipped with one issue.
 
-    A row is reported under its first failing column in column order. The
-    rows are encoded a block at a time and each column's kept values are
-    joined at the end; each column's spellings are checked once per file.
+    A :func:`_tokenizable` file takes the byte route unless a cell is longer
+    than ``_GATHER_CAP``; every other file takes the csv route. Both routes
+    give the same columns, dtypes and issues.
     """
-    issues: list[ParseIssue] = []
-    spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
-    # a zero-length chunk first types a column that gets no rows
-    chunks = [[np.array((), dtype=_DTYPE.get(f.kind, np.int8))] for f in fields]
-    for rows, row_nos in read_blocks(source, tuple(f.name for f in fields), what, issues):
-        failed = np.zeros(len(rows), dtype=bool)
-        block = []
-        for f, raw, (decoded, reasons) in zip(fields, zip(*rows), spellings):
-            col, bad = _encode_column(f, raw, decoded, reasons)
-            if bad is not None:
-                for i in np.flatnonzero(bad & ~failed):
-                    issues.append(ParseIssue(row_nos[i], f.name, reasons[raw[i]]))
-                failed |= bad
-            block.append(col)
-        for chunk, col in zip(chunks, block):
-            chunk.append(col[~failed])
-    issues.sort(key=lambda issue: issue.row)
-    columns = {f.name: np.concatenate(chunk) for f, chunk in zip(fields, chunks)}
-    return Table(fields, columns), issues
+    data = source if isinstance(source, bytes) else source.read()
+    if _tokenizable(data):
+        try:
+            return _parse_bytes(data, fields, what)
+        except _TooWide:
+            pass
+    return _parse_text(data, fields, what)
 
 
 def parse_pupils(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:

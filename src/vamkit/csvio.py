@@ -7,6 +7,11 @@ few thousand, so a reader holds one block of Python strings, never the
 whole file's. Writing: UTF-8 with "\\n" line ends, a cell quoted only when
 it needs to be, joined and encoded a block of rows at a time.
 
+These reading rules hold for every file vamkit reads. A cohort file that
+is ASCII and holds no quote, carriage return or NUL is cut into cells by
+numpy in :mod:`vamkit.cohort` under the same rules; :func:`read_blocks`
+reads every other cohort file and the score files ``compare`` reads.
+
 This module needs only the standard library, so the CLI's ``compare``
 reads and writes without importing numpy.
 """

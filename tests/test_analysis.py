@@ -15,12 +15,13 @@ from vamkit.analysis import (
 )
 from vamkit.categories import FIELD
 from vamkit.cohort import validate_cohort
-from vamkit.design import MeasureKind
+from vamkit.design import DesignMatrix, MeasureKind
 from vamkit.errors import AnalysisError
 from vamkit.measures import SchoolScore, SignificanceCategory, compute_measure, compute_measures
-from vamkit.ols import Z95
+from vamkit.ols import Z95, cluster_robust_cov, coefficient_table, fit_ols
+from vamkit.synthgen import GeneratorConfig, generate_population
 
-from conftest import make_cohort, make_pupil, make_school
+from conftest import make_cohort, make_pupil, make_school, random_cohort
 
 A8 = MeasureKind.ATTAINMENT8
 AA8 = MeasureKind.ADJUSTED_ATTAINMENT8
@@ -348,8 +349,16 @@ def clustered_mean_flag(values, school_codes):
     return v > 0.0 and bool(abs(mean) / np.sqrt(v) > Z95)
 
 
-def test_breakdown_flags_match_clustered_mean_oracle(midsize_population):
-    cohort = midsize_population.cohort
+def cr1_mean_flag(values, school_codes):
+    """Fit oracle: the intercept's CR1 test from an n x 1 dense design,
+    clustered on school, as breakdown flags were once computed."""
+    design = DesignMatrix(values=np.ones((values.size, 1)), column_labels=("mean",))
+    fit = fit_ols(design, values)
+    return coefficient_table(fit, cluster_robust_cov(fit, design, school_codes))[0].significant
+
+
+def assert_flags_match(cohort, oracle):
+    """Every flag of all 15 breakdowns, four measures each, equals the oracle's."""
     results = compute_measures(cohort, list(MeasureKind))
     scores = {k: r.scores for k, r in results.items()}
     checked = []
@@ -372,7 +381,32 @@ def test_breakdown_flags_match_clustered_mean_oracle(midsize_population):
                     if row.n_schools < 2:
                         assert flag is None
                         continue
-                    expected = clustered_mean_flag(scores[kind][mask], cohort.school_index[mask])
+                    expected = oracle(scores[kind][mask], cohort.school_index[mask])
                     assert flag is expected, (characteristic, row.category, kind)
                     checked.append(flag)
+    return checked
+
+
+def test_breakdown_flags_match_clustered_mean_oracle(midsize_population):
+    checked = assert_flags_match(midsize_population.cohort, clustered_mean_flag)
     assert True in checked and False in checked
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # levels absent from a small cohort
+@pytest.mark.parametrize("seed", range(4))
+def test_breakdown_flags_match_cr1_fit_on_random_cohorts(seed):
+    assert_flags_match(random_cohort(seed, n_schools=5 + seed, pupils_per_school=20), cr1_mean_flag)
+
+
+def test_breakdown_flags_match_cr1_fit_at_default_size():
+    pop = generate_population(GeneratorConfig(seed=612))
+    checked = assert_flags_match(pop.cohort, cr1_mean_flag)
+    assert True in checked and False in checked
+
+
+def test_breakdown_rejects_non_finite_scores(midsize_population):
+    cohort = midsize_population.cohort
+    scores = compute_measure(cohort, A8).scores.copy()
+    scores[3] = np.nan
+    with pytest.raises(AnalysisError, match="finite"):
+        pupil_breakdown(cohort, {A8: scores}, "fsm")
