@@ -3,9 +3,10 @@
 Every writing subcommand gets an --out directory and leaves exactly one
 manifest.json there recording the command line, SHA-256 digests of the
 bytes read from each input file, the seed (if any), the tool version, the
-output file list and the wall time. Identical inputs and flags produce
-byte-identical outputs (manifests differ only in wall time). Files are
-written atomically (temp file + rename).
+output file list, a run report (``simulate`` only: ``n_clipped``, the
+outcomes clipped to the score range) and the wall time. Identical inputs
+and flags produce byte-identical outputs (manifests differ only in wall
+time). Files are written atomically (temp file + rename).
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
 Each warning goes to stderr as one ``warning: <message>`` line.
@@ -254,7 +255,7 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns (inputs, seed, outputs written)
+# Subcommand handlers; each returns (inputs, seed, outputs written, report or None)
 # ---------------------------------------------------------------------------
 
 
@@ -290,7 +291,7 @@ def _cmd_simulate(args, out_dir: Path):
     outputs = write_population_csv(synthetic)
     for name, data in outputs.items():
         _write_atomic(out_dir / name, data)
-    return inputs, config.seed, sorted(outputs)
+    return inputs, config.seed, sorted(outputs), {"n_clipped": synthetic.n_clipped}
 
 
 def _cmd_fit(args, out_dir: Path):
@@ -306,7 +307,7 @@ def _cmd_fit(args, out_dir: Path):
     tables["summary.csv"] = _rows_csv([res.summary for res in results.values()], fmt)
     for name, data in tables.items():
         _write_atomic(out_dir / name, data)
-    return inputs, None, sorted(tables)
+    return inputs, None, sorted(tables), None
 
 
 def _cmd_compare(args, out_dir: Path):
@@ -339,7 +340,7 @@ def _cmd_compare(args, out_dir: Path):
         "max_rank_change": report.max_rank_change,
     }
     _write_atomic(out_dir / "comparison.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-    return inputs, None, ["comparison.json"]
+    return inputs, None, ["comparison.json"], None
 
 
 def _cmd_breakdown(args, out_dir: Path):
@@ -353,7 +354,7 @@ def _cmd_breakdown(args, out_dir: Path):
         table = school_breakdown(cohort, scores, args.by)
     name = f"breakdown_{args.by}.csv"
     _write_atomic(out_dir / name, _breakdown_csv(table, args.measures, _formatter(args.precision)))
-    return inputs, None, [name]
+    return inputs, None, [name], None
 
 
 def _cmd_validate(args) -> int:
@@ -435,7 +436,7 @@ def run(argv=None) -> int:
                 return args.handler(args)
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            inputs, seed, outputs = args.handler(args, out_dir)
+            inputs, seed, outputs, report = args.handler(args, out_dir)
     except (VamkitError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -446,6 +447,7 @@ def run(argv=None) -> int:
         "seed": seed,
         "version": __version__,
         "outputs": outputs,
+        **({"report": report} if report is not None else {}),
         "wall_time_s": round(time.monotonic() - started, 6),
     }
     _write_atomic(out_dir / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))

@@ -6,10 +6,10 @@ ordered header, given by the field tables ``PUPIL_FIELDS`` and
 malformed rows: each bad row becomes a :class:`ParseIssue` naming the row,
 its first failing column and the reason, and the row is skipped. Structural
 problems (undecodable bytes, wrong header) raise :class:`CohortError`.
-The CSV reader and writer live in :mod:`vamkit.csvio`, which needs no
-numpy; this module turns rows into columns and back. A file is read and
-encoded one block at a time by one of two routes, which give the same
-columns, dtypes and issues:
+The CSV reader and writer of other files live in :mod:`vamkit.csvio`,
+which needs no numpy; this module turns rows into columns and back. A file
+is read and encoded one block at a time by one of two routes, which give
+the same columns, dtypes and issues:
 
 - the byte route, for a file that is ASCII and holds no quote, carriage
   return or NUL (every file ``simulate`` writes): numpy finds a block's
@@ -19,7 +19,10 @@ columns, dtypes and issues:
 - the csv route, for every other file: ``csvio.read_blocks`` rows of str.
 
 Either way a parse holds the file's columns and one block, not a Python
-string per cell of the file.
+string per cell of the file. The writer mirrors the byte route: each block
+of rows is put together from one byte array per column, and the only
+Python string it makes per cell is an outcome's ``repr``. It writes the
+bytes ``csvio.csv_bytes`` writes for the same cells.
 
 Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
 outcome as float64 and every category as a small-int code. Every function
@@ -35,6 +38,7 @@ gap is representable here because real extracts have them.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,7 +64,15 @@ from .categories import (
     SchoolType,
     Sen,
 )
-from .csvio import _BLOCK_ROWS, ParseIssue, _check_header, csv_bytes, read_blocks
+from .csvio import (
+    _BLOCK_ROWS,
+    _SPECIAL,
+    ParseIssue,
+    _check_header,
+    _fields,
+    csv_bytes,  # noqa: F401  (an old import path, still exported)
+    read_blocks,
+)
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
@@ -464,7 +476,21 @@ def _fault(message: str, *inputs: str) -> CohortError:
     return exc
 
 
+def unique_inverse(ids) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)``, sorting only the first id of
+    each run of equal ids: one per school when pupils come grouped by
+    school, as in every file vamkit writes."""
+    ids = np.asarray(ids)
+    if not ids.size:
+        return np.unique(ids, return_inverse=True)
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    kept, inverse = np.unique(ids[starts], return_inverse=True)
+    return kept, np.repeat(inverse, np.diff(starts, append=ids.size))
+
+
 def _check_unique(ids: np.ndarray, name: str, what: str) -> None:
+    if (ids[1:] > ids[:-1]).all():
+        return  # strictly ascending, as files vamkit writes are: no sort needed
     unique, counts = np.unique(ids, return_counts=True)
     if unique.size != ids.size:
         raise _fault(f"duplicate {name} values: {id_list(unique[counts > 1].tolist())}", what)
@@ -484,7 +510,7 @@ def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
     _check_unique(school_ids, "school_id", "schools")
 
     # kept: the referenced school ids, sorted; school_index: each pupil's position in it
-    kept, school_index = np.unique(pupils["school_id"], return_inverse=True)
+    kept, school_index = unique_inverse(pupils["school_id"])
     unresolved = np.setdiff1d(kept, school_ids).tolist()
     if unresolved:
         message = f"pupils reference unknown school_id values: {id_list(unresolved)}"
@@ -501,23 +527,105 @@ def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
     return ValidatedCohort(pupils, schools.take(rows), school_index)
 
 
-def _num(value: float) -> str:
-    """Shortest exact decimal form; integers without trailing .0."""
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+# The writer mirrors the byte route: a block's cells of one column are an
+# (n, width) uint8 array, each cell's bytes followed by _PAD, a byte no
+# UTF-8 text holds, up to the width.
+_PAD = 0xFF
+# bytes that make a cell quoted, as csvio._fields quotes
+_QUOTED = np.zeros(256, dtype=bool)
+_QUOTED[[ord(c) for c in _SPECIAL]] = True
+
+
+def _pad(cells: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Overwrite each cell's bytes past its length with ``_PAD``."""
+    if lengths.size and lengths.min() < cells.shape[1]:
+        cells[np.arange(cells.shape[1]) >= lengths[:, None]] = _PAD
+    return cells
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """Cells of a column of str, quoted as ``csv_bytes`` quotes them and
+    UTF-8 encoded."""
+    data = [t.encode() for t in _fields(texts)]
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    width = max(int(lengths.max(initial=0)), 1)
+    cells = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return _pad(cells, lengths)
+
+
+def _id_cells(ids: np.ndarray) -> np.ndarray:
+    """:func:`_text_cells` of a block of ids: their code units when every
+    cell is ASCII and needs no quotes, else cell by cell."""
+    ids = np.ascontiguousarray(ids, dtype=str)
+    units = ids.view(np.uint32).reshape(ids.size, -1)
+    if units.max(initial=0) < 128:
+        cells = units.astype(np.uint8)
+        if not _QUOTED[cells].any():
+            # cut at each str's length, not at its first NUL: a cell may hold one
+            return _pad(cells, np.char.str_len(ids))
+    return _text_cells(ids.tolist())
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """Cells of a block of numbers: each one's shortest round-trip repr, but
+    an integer value without its ".0"."""
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
+        return np.zeros((0, 1), dtype=np.uint8)
+    # a list's repr is each float's repr between "[", ", " and "]"
+    text = np.frombuffer(repr(values.tolist()).encode(), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(text == _COMMA), text.size - 1)
+    starts = np.concatenate(([1], ends[:-1] + 2))
+    lengths = ends - starts
+    whole = np.flatnonzero(np.isfinite(values) & (values == np.trunc(values)))
+    ints = [str(int(v)).encode() for v in values[whole].tolist()]
+    width = max(int(lengths.max()), max(map(len, ints), default=0))
+    padded = np.zeros(text.size + width, dtype=np.uint8)
+    padded[: text.size] = text
+    cells = as_strided(padded, shape=(text.size, width), strides=(1, 1))[starts]
+    if ints:
+        cells[whole] = np.array(ints, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        lengths[whole] = list(map(len, ints))
+    return _pad(cells, lengths)
+
+
+def _join_rows(columns: list[np.ndarray]) -> bytes:
+    """CSV lines from a block's cells: each row's cells and separators side
+    by side, less the padding."""
+    line = np.empty((len(columns[0]), sum(cells.shape[1] + 1 for cells in columns)), np.uint8)
+    at = 0
+    for cells in columns:
+        line[:, at : at + cells.shape[1]] = cells
+        at += cells.shape[1]
+        line[:, at] = _COMMA
+        at += 1
+    line[:, -1] = _NEWLINE
+    line = line.ravel()
+    return line[line != _PAD].tobytes()
 
 
 def _serialize(table: Table) -> bytes:
-    cells = []
-    for f in table.fields:
-        col = table[f.name].tolist()
-        if f.kind is Kind.FLOAT:
-            col = list(map(_num, col))
-        elif f.kind is not Kind.ID:
-            col = list(map((f.spellings + ("",)).__getitem__, col))
-        cells.append(col)
-    return csv_bytes([f.name for f in table.fields], cells)
+    """A Table as the CSV bytes ``csv_bytes`` writes for its cells' text, a
+    block of ``_BLOCK_ROWS`` rows at a time. A category's cells are gathered
+    from a table of its spellings by code (code -1: the empty cell)."""
+    fields = table.fields
+    spellings = {
+        f.name: _text_cells(list(f.spellings + ("",))) for f in fields if f.kind not in _DTYPE
+    }
+    buf = io.BytesIO()
+    buf.write((",".join(_fields([f.name for f in fields])) + "\n").encode())
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = []
+        for f in fields:
+            col = table[f.name][start : start + _BLOCK_ROWS]
+            if f.kind is Kind.ID:
+                block.append(_id_cells(col))
+            elif f.kind is Kind.FLOAT:
+                block.append(_float_cells(col))
+            else:
+                block.append(spellings[f.name][col])
+        buf.write(_join_rows(block))
+    return buf.getvalue()
 
 
 def serialize_pupils(pupils: Table) -> bytes:

@@ -11,6 +11,9 @@ These reading rules hold for every file vamkit reads. A cohort file that
 is ASCII and holds no quote, carriage return or NUL is cut into cells by
 numpy in :mod:`vamkit.cohort` under the same rules; :func:`read_blocks`
 reads every other cohort file and the score files ``compare`` reads.
+Likewise :func:`csv_bytes` writes ``truth.csv`` and the CLI's outputs,
+while :mod:`vamkit.cohort` writes the cohort files, byte for byte as
+:func:`csv_bytes` would, with numpy.
 
 This module needs only the standard library, so the CLI's ``compare``
 reads and writes without importing numpy.

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohort import unique_inverse
 from .design import DesignMatrix
 from .errors import FitError
 
@@ -188,7 +189,7 @@ def cluster_robust_cov(fit: FitResult, design: DesignMatrix, cluster_ids) -> Clu
     ids = np.asarray(cluster_ids)
     if ids.shape != (fit.n,):
         raise FitError(f"expected {fit.n} cluster ids, got {ids.size}")
-    codes, idx = np.unique(ids, return_inverse=True)
+    codes, idx = unique_inverse(ids)
     n_clusters = codes.size
     if n_clusters < 2:
         raise FitError("clustered inference undefined: fewer than 2 clusters")

@@ -237,8 +237,16 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 
 
 def _ids(prefix: str, n: int, width: int) -> np.ndarray:
-    """prefix + zero-padded 1..n."""
-    return np.char.add(prefix, np.char.zfill(np.arange(1, n + 1).astype(str), width))
+    """prefix + 1..n, zero-padded to ``width`` digits or to n's if more: a
+    unicode array built from its code points, one digit column at a time."""
+    size = len(prefix) + max(width, len(str(n)))
+    units = np.empty((n, size), dtype=np.uint32)
+    units[:, : len(prefix)] = [ord(c) for c in prefix]
+    number = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    for j in range(size - 1, len(prefix) - 1, -1):
+        number, digit = np.divmod(number, 10)
+        units[:, j] = digit + ord("0")
+    return units.view(f"U{size}").reshape(n)
 
 
 def generate_population(config: GeneratorConfig) -> SyntheticCohort:
@@ -249,7 +257,7 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     decile_cuts, ks2_cuts, fsm_quantile = _cut_points()
 
     n_schools = config.n_schools
-    school_ids = _ids("S", n_schools, max(4, len(str(n_schools))))
+    school_ids = _ids("S", n_schools, 4)
 
     lo, hi = config.school_size_range
     sizes = rng.integers(lo, hi + 1, size=n_schools)
@@ -280,7 +288,7 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     pupils = _draw(rng, PUPIL_FIELDS, n_total)
     noise = rng.normal(0.0, config.noise_sd, n_total)
     pupils.update(
-        pupil_id=_ids("P", n_total, max(6, len(str(n_total)))),
+        pupil_id=_ids("P", n_total, 6),
         school_id=school_ids[school_idx],
         attainment8_total=np.zeros(n_total),
         ks2_group=_codes(ks2_cuts, ability),

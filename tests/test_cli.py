@@ -59,6 +59,33 @@ def test_simulate_outputs_and_manifest(sim_dir):
     assert "wall_time_s" in manifest
 
 
+# SHA-256 of `simulate --schools 40 --seed 0`'s files. A change that alters
+# them on purpose updates these and says why.
+SIMULATE_40_0 = {
+    "pupils.csv": "1e162cbe70c2f9e41544f847052b459644e148940f8f5c9e090d316943cd878d",
+    "schools.csv": "8b50acea3fd09a13c1a729eee59c62d492fc264a77df45905071b3ebaace8730",
+    "truth.csv": "f4848c46f45108933fa294ccd4f4387758d74bcc3a3cf8633b45136a0d921f82",
+}
+
+
+def test_simulate_output_is_pinned(tmp_path):
+    run_ok(["simulate", "--schools", "40", "--seed", "0", "--out", str(tmp_path)])
+    for name, digest in SIMULATE_40_0.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_simulate_reports_clipped_outcomes(tmp_path):
+    from vamkit.synthgen import GeneratorConfig, generate_population
+
+    reports = []
+    for run_dir in ("a", "b"):
+        run_ok(["simulate", "--schools", "40", "--seed", "7", "--out", str(tmp_path / run_dir)])
+        reports.append(json.loads((tmp_path / run_dir / "manifest.json").read_text())["report"])
+    n_clipped = generate_population(GeneratorConfig(n_schools=40, seed=7)).n_clipped
+    assert n_clipped > 0
+    assert reports == [{"n_clipped": n_clipped}] * 2
+
+
 def test_validate_clean_cohort(sim_dir, capsys):
     run_ok([
         "validate",

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,11 @@ from vamkit.cohort import (
     parse_schools,
     serialize_pupils,
     serialize_schools,
+    unique_inverse,
+    validate_cohort,
 )
 from vamkit.csvio import _BLOCK_ROWS, read_blocks
+from vamkit.errors import id_list
 from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_cohort, make_pupil, make_school
@@ -257,6 +261,80 @@ def test_empty_cohort_fatal():
     with pytest.raises(CohortError, match="no pupils") as exc:
         make_cohort([], [make_school("S1")])
     assert exc.value.inputs == ("pupils",)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.array([], dtype=np.intp),
+        np.array(["S1"]),
+        np.repeat(np.arange(5), [3, 1, 4, 1, 5]),
+        np.random.default_rng(0).integers(0, 9, 60),
+        np.tile(["b", "a", "c"], 7),
+        np.array(["S3", "S3", "S1", "S2", "S2", "S3", "S1"]),
+        np.array([2.0, np.nan, np.nan, 1.0, np.nan, 2.0]),
+    ],
+)
+def test_unique_inverse_matches_np_unique(ids):
+    kept, inverse = unique_inverse(ids)
+    want_kept, want_inverse = np.unique(ids, return_inverse=True)
+    assert kept.dtype == want_kept.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(kept, want_kept, equal_nan=kept.dtype.kind == "f")
+    assert np.array_equal(inverse, want_inverse)
+
+
+def _unique_path(pupils, schools):
+    """What validate_cohort gave by sorting every id: school_index, the
+    school order, the dropped-school warning and any duplicate-id message."""
+    for ids, name in ((pupils["pupil_id"], "pupil_id"), (schools["school_id"], "school_id")):
+        unique, counts = np.unique(ids, return_counts=True)
+        if unique.size != ids.size:
+            return f"duplicate {name} values: {id_list(unique[counts > 1].tolist())}"
+    kept, index = np.unique(pupils["school_id"], return_inverse=True)
+    empty = np.setdiff1d(schools["school_id"], kept).tolist()
+    warned = [f"dropping {len(empty)} school(s) with no pupils: {id_list(empty)}"] if empty else []
+    return index, kept, warned
+
+
+@pytest.mark.parametrize("order", ["grouped", "shuffled", "interleaved", "reversed"])
+@pytest.mark.parametrize("fault", [None, "empty schools", "duplicate pupil", "duplicate school"])
+def test_validate_matches_sorting_every_id(midsize_population, order, fault):
+    cohort = midsize_population.cohort
+    pupils, schools = cohort.pupil_table, cohort.school_table
+    rng = np.random.default_rng(11)
+    if fault == "empty schools":
+        pupils = pupils.take(np.flatnonzero(cohort.school_index % 7 != 3))
+    elif fault == "duplicate pupil":
+        ids = pupils["pupil_id"].copy()
+        ids[[3, 40, 41, 900]] = ids[[2, 7, 900, 899]]
+        pupils = pupils.replace(pupil_id=ids)
+    elif fault == "duplicate school":
+        schools = schools.take(np.append(np.arange(len(schools)), [4, 2]))
+    index = np.arange(len(pupils))
+    if order == "shuffled":
+        index = rng.permutation(index)
+    elif order == "interleaved":  # each pupil's rank within its school, then school
+        school_of = pupils["school_id"]
+        rank = index - np.searchsorted(school_of, school_of)
+        index = np.lexsort((school_of, rank))
+    elif order == "reversed":
+        index = index[::-1]
+    pupils = pupils.take(index)
+    schools = schools.take(rng.permutation(len(schools)))
+    want = _unique_path(pupils, schools)
+    if isinstance(want, str):
+        with pytest.raises(CohortError) as exc:
+            validate_cohort(pupils, schools)
+        assert str(exc.value) == want
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = validate_cohort(pupils, schools)
+    index, kept, warned = want
+    assert got.school_index.dtype == index.dtype
+    assert np.array_equal(got.school_index, index)
+    assert np.array_equal(got.school_table["school_id"], kept)
+    assert [str(w.message) for w in caught] == warned
 
 
 def test_counts_follow_replaced_tables():

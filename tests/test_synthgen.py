@@ -11,6 +11,7 @@ from vamkit.synthgen import (
     GeneratorConfig,
     _codes,
     _cut_points,
+    _ids,
     _normal_cdf,
     dgp_from_coefficients,
     generate_population,
@@ -39,6 +40,17 @@ def test_different_seed_differs():
         a = write_population_csv(generate_population(GeneratorConfig(seed=1, **SMALL)))
         b = write_population_csv(generate_population(GeneratorConfig(seed=2, **SMALL)))
     assert a["pupils.csv"] != b["pupils.csv"]
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 99999, 999999, 1000000])
+@pytest.mark.parametrize("prefix, width", [("P", 6), ("S", 4)])
+def test_ids_match_zero_filled_strings(n, prefix, width):
+    # the ids as np.char built them: the same values and dtype
+    digits = max(width, len(str(n)))
+    want = np.char.add(prefix, np.char.zfill(np.arange(1, n + 1).astype(str), digits))
+    got = _ids(prefix, n, width)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
