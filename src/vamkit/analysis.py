@@ -23,14 +23,6 @@ import numpy as np
 
 from .categories import FIELD, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, Field, MeasureKind
 from .cohort import ValidatedCohort
-from .compare import (  # noqa: F401  (their old import path)
-    ComparisonReport,
-    QuadrantCounts,
-    compare_measures,
-    correlate,
-    quadrant_classify,
-    rank_movement,
-)
 from .errors import AnalysisError
 from .ols import Z95
 

@@ -27,9 +27,10 @@ bytes ``csvio.csv_bytes`` writes for the same cells.
 Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
 outcome as float64 and every category as a small-int code. Every function
 that takes pupils or schools takes a :class:`Table`. :class:`PupilRecord`
-and :class:`SchoolRecord` are output-only row views, built from the columns
-on request; they remain only because the benchmark under ``perfbench/``
-reads them, and go when it reads columns (ROADMAP items 3 and 4).
+and :class:`SchoolRecord` are output-only row views, built from the field
+tables and filled from the columns on request; they remain only because the
+benchmark under ``perfbench/`` reads them, and go when it reads columns
+(ROADMAP item 6).
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
 that adjust for prior attainment reject cohorts containing such pupils; the
@@ -40,74 +41,32 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from functools import cached_property
 from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .categories import (
-    PUPIL_FIELDS,
-    SCHOOL_FIELDS,
-    Admissions,
-    AgeRange,
-    Ethnicity,
-    Field,
-    FirstLanguage,
-    Gender,
-    Kind,
-    Month,
-    Region,
-    Religion,
-    SchoolGender,
-    SchoolType,
-    Sen,
-)
-from .csvio import (
-    _BLOCK_ROWS,
-    _SPECIAL,
-    ParseIssue,
-    _check_header,
-    _fields,
-    csv_bytes,  # noqa: F401  (an old import path, still exported)
-    read_blocks,
-)
+from .categories import PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
+from .csvio import _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, read_blocks
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
 SCHOOL_COLUMNS = tuple(f.name for f in SCHOOL_FIELDS)
 
 
-@dataclass(frozen=True)
-class PupilRecord:
-    """One pupil's outcome, prior attainment group and background characteristics."""
-
-    pupil_id: str
-    school_id: str
-    attainment8_total: float
-    ks2_group: int | None
-    month_of_birth: Month
-    gender: Gender
-    ethnicity: Ethnicity
-    first_language: FirstLanguage
-    sen: Sen
-    fsm: bool
-    idaci_decile: int
+def _row_view(name: str, fields: tuple[Field, ...]) -> type:
+    """A frozen dataclass with one attribute per column, in table order. A
+    row holds each cell's ``Field.values`` entry: a category's level
+    spelling, an int (None where ``ks2_group`` is missing) or a bool."""
+    cls = make_dataclass(name, [f.name for f in fields], frozen=True)
+    cls.__module__ = __name__
+    return cls
 
 
-@dataclass(frozen=True)
-class SchoolRecord:
-    """One school's attributes, all drawn from closed category sets."""
-
-    school_id: str
-    region: Region
-    school_type: SchoolType
-    admissions: Admissions
-    age_range: AgeRange
-    school_gender: SchoolGender
-    religion: Religion
-    school_idaci_decile: int
+PupilRecord = _row_view("PupilRecord", PUPIL_FIELDS)
+SchoolRecord = _row_view("SchoolRecord", SCHOOL_FIELDS)
 
 
 _DTYPE = {Kind.ID: str, Kind.FLOAT: np.float64}  # every other kind: int8 codes

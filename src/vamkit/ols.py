@@ -61,9 +61,6 @@ class FitResult:
     k_effective: int
     xtx_inverse: np.ndarray
 
-    def coefficient(self, label: str) -> float:
-        return float(self.coefficients[self.labels.index(label)])
-
 
 @dataclass(frozen=True)
 class ClusterCovariance:

@@ -5,11 +5,11 @@ from vamkit.categories import FIELD
 from vamkit.cohort import (
     PUPIL_COLUMNS,
     SCHOOL_COLUMNS,
-    csv_bytes,
     parse_pupils,
     parse_schools,
     validate_cohort,
 )
+from vamkit.csvio import csv_bytes
 from vamkit.synthgen import GeneratorConfig, generate_population
 
 # cells are written as csv writes them: a str as it is, a number by str(),

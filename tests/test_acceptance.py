@@ -15,9 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from vamkit.analysis import pupil_breakdown, rank_movement
+from vamkit.analysis import pupil_breakdown
 from vamkit.cli import run
 from vamkit.cohort import validate_cohort
+from vamkit.compare import rank_movement
 from vamkit.design import DesignMatrix, MeasureKind
 from vamkit.measures import SignificanceCategory, compute_measure, compute_measures
 from vamkit.ols import cluster_robust_cov, fit_ols

@@ -6,15 +6,12 @@ import pytest
 from vamkit.analysis import (
     PUPIL_CHARACTERISTICS,
     SCHOOL_CHARACTERISTICS,
-    compare_measures,
-    correlate,
     pupil_breakdown,
-    quadrant_classify,
-    rank_movement,
     school_breakdown,
 )
 from vamkit.categories import FIELD
 from vamkit.cohort import validate_cohort
+from vamkit.compare import compare_measures, correlate, quadrant_classify, rank_movement
 from vamkit.design import DesignMatrix, MeasureKind
 from vamkit.errors import AnalysisError
 from vamkit.measures import SchoolScore, SignificanceCategory, compute_measure, compute_measures

@@ -154,7 +154,7 @@ def test_zero_category_means_for_adjusted_covariates():
     fsm = np.array([p.fsm for p in cohort.pupils])
     assert abs(scores[fsm].mean()) <= 1e-9
     assert abs(scores[~fsm].mean()) <= 1e-9
-    genders = np.array([p.gender.value for p in cohort.pupils])
+    genders = np.array([p.gender for p in cohort.pupils])
     for g in ("Male", "Female"):
         assert abs(scores[genders == g].mean()) <= 1e-9
 

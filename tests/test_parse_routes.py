@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vamkit import cohort
@@ -113,7 +113,13 @@ def assert_same_parse(got, expected):
         assert np.array_equal(table[name], col, equal_nan=col.dtype.kind == "f"), name
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+# no shrink phase: a failure is reported on its first example, not minutes later
+@settings(
+    max_examples=12,
+    derandomize=True,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 @given(
     at=st.lists(st.integers(0, N_ROWS - 1), min_size=len(COVER), max_size=len(COVER)),
     changes=st.lists(edits(), max_size=40),

@@ -11,7 +11,7 @@ block of ``_BLOCK_ROWS``.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS, Kind
@@ -74,7 +74,13 @@ def tables(draw):
     return Table(fields, columns)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+# no shrink phase: a failure is reported on its first example, not minutes later
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 @given(table=tables())
 def test_writer_matches_per_cell_reference(table):
     assert WRITERS[table.fields](table) == serialize(table)

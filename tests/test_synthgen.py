@@ -109,7 +109,7 @@ def test_marginals_match_targets():
     # KS2 marginal follows the national (bell-shaped) shares: middle groups common
     groups = np.array([p.ks2_group for p in pupils])
     assert np.mean(groups == 23) > 3 * np.mean(groups == 1)
-    sen_share = np.mean([p.sen.value != "None" for p in pupils])
+    sen_share = np.mean([p.sen != "None" for p in pupils])
     assert sen_share == pytest.approx(0.132, abs=0.02)
 
 
