@@ -41,7 +41,6 @@ class BreakdownRow:
 class BreakdownTable:
     """Category means with clustered significance for one characteristic."""
 
-    grouping: str
     rows: list[BreakdownRow]
     footnotes: list[str] = field(default_factory=list)
 
@@ -72,7 +71,6 @@ def _aligned_scores(
 
 
 def _breakdown(
-    grouping: str,
     universe: list[tuple[int, str]],
     codes: np.ndarray,
     school_index: np.ndarray,
@@ -127,7 +125,7 @@ def _breakdown(
                 significant=flags,
             )
         )
-    return BreakdownTable(grouping=grouping, rows=rows, footnotes=footnotes)
+    return BreakdownTable(rows=rows, footnotes=footnotes)
 
 
 def pupil_breakdown(
@@ -148,7 +146,6 @@ def pupil_breakdown(
     if f.optional and (codes < 0).any():
         universe.append((-1, "(missing)"))
     return _breakdown(
-        characteristic,
         universe,
         codes,
         cohort.school_index,
@@ -173,7 +170,6 @@ def school_breakdown(
     aligned = _aligned_scores(cohort, scores_by_measure)
     f = _field(characteristic, SCHOOL_CHARACTERISTICS, "school")
     table = _breakdown(
-        characteristic,
         list(enumerate(f.levels)),
         cohort.school_table[characteristic][cohort.school_index],
         cohort.school_index,

@@ -22,6 +22,7 @@ Run as ``vamkit <command> ...`` or ``python -m vamkit.cli <command> ...``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -39,7 +40,7 @@ from . import __version__
 from .categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from .compare import SchoolScore, compare_measures
 from .csvio import csv_bytes, read_blocks
-from .errors import AnalysisError, CohortError, DesignError, GeneratorError, VamkitError
+from .errors import AnalysisError, CohortError, DesignError, FitError, GeneratorError, VamkitError
 
 if typing.TYPE_CHECKING:
     from .analysis import BreakdownTable
@@ -151,17 +152,24 @@ def _read_cohort(args, inputs: dict[str, str], report):
     return cohort, pupil_issues, school_issues
 
 
+@contextlib.contextmanager
+def _pupil_fault(args):
+    """Name --pupils in a model error: once the cohort is valid, a design,
+    fit or score that fails does so on the pupil data."""
+    try:
+        yield
+    except (AnalysisError, DesignError, FitError) as exc:
+        raise type(exc)(f"{args.pupils}: {exc}") from exc
+
+
 def _fit_measures(args):
     """Inputs read, cohort and fitted --measures of a fit or breakdown."""
     from .measures import compute_measures
 
     inputs = {}
     cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
-    try:
+    with _pupil_fault(args):
         return inputs, cohort, compute_measures(cohort, args.measures)
-    except DesignError as exc:
-        # the only pupil fault a design can find: a missing ks2_group
-        raise DesignError(f"{args.pupils}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +309,8 @@ def _cmd_fit(args, out_dir: Path):
     fmt = _formatter(args.precision)
     tables = {}
     for kind, res in results.items():
-        cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
+        with _pupil_fault(args):
+            cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
         tables[f"coefficients_{kind.code}.csv"] = _rows_csv(coefficient_table(res.fit, cov), fmt)
         tables[f"school_scores_{kind.code}.csv"] = _rows_csv(res.school_scores, fmt)
     tables["summary.csv"] = _rows_csv([res.summary for res in results.values()], fmt)

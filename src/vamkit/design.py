@@ -2,9 +2,9 @@
 
 Every design has a leading all-ones "constant" column. Each categorical
 covariate contributes (levels - 1) indicator columns against a fixed
-reference category; the references are carried as metadata. Category levels
-absent from a cohort still get their (all-zero) column so that coefficient
-labels are stable across cohorts; the least-squares rank guard prunes them.
+reference category, which has no column. Category levels absent from a
+cohort still get their (all-zero) column so that coefficient labels are
+stable across cohorts; the least-squares rank guard prunes them.
 
 Covariate block order: prior attainment group, month of birth, gender,
 ethnicity, first language, SEN, FSM, neighbourhood deprivation decile.
@@ -68,7 +68,7 @@ class _Block:
 
 
 class DesignMatrix:
-    """N x k design with stable column labels and reference metadata.
+    """N x k design with stable column labels.
 
     A dense design holds its N x k ``values`` (``DesignMatrix(values=...)``).
     A categorical design, as built by :func:`build_design_matrix`, holds one
@@ -83,14 +83,12 @@ class DesignMatrix:
         self,
         values=None,
         column_labels: tuple[str, ...] = (),
-        reference_categories: dict[str, str] | None = None,
         *,
         blocks: tuple[_Block, ...] = (),
     ):
         if (values is None) == (not blocks):
             raise DesignError("a design has either dense values or categorical blocks")
         self.column_labels = tuple(column_labels)
-        self.reference_categories = dict(reference_categories or {})
         self._values = None if values is None else np.asarray(values, dtype=float)
         self._blocks = blocks
 
@@ -213,10 +211,7 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
             f"category level(s) absent from cohort (all-zero columns): {', '.join(empty)}",
             stacklevel=2,
         )
-    refs = {f.name: f.spellings[f.levels.index(f.reference)] for f in fields}
-    return DesignMatrix(
-        column_labels=design_labels(spec), reference_categories=refs, blocks=tuple(design_blocks)
-    )
+    return DesignMatrix(column_labels=design_labels(spec), blocks=tuple(design_blocks))
 
 
 def band_ks2(fine_scores, n_groups: int = len(FIELD[_PRIOR].levels)) -> list[int]:
@@ -242,5 +237,4 @@ def band_ks2(fine_scores, n_groups: int = len(FIELD[_PRIOR].levels)) -> list[int
         return [1] * scores.size
 
     cuts = np.quantile(scores, [j / n_groups for j in range(1, n_groups)])
-    groups = 1 + np.sum(scores[:, None] > cuts[None, :], axis=1)
-    return [int(g) for g in groups]
+    return (1 + np.searchsorted(cuts, scores, side="left")).tolist()

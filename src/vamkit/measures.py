@@ -8,9 +8,8 @@ subject, average within school, and attach a 95% confidence interval
 
 where national_sd is the measure's pupil-score standard deviation across the
 whole cohort (the construction published alongside national performance
-tables, and stable for small schools). A per-school standard deviation is
-available behind the ``within_school_sd`` flag. A school is significantly
-above (below) average when its interval lies entirely above (below) zero.
+tables, and stable for small schools). A school is significantly above
+(below) average when its interval lies entirely above (below) zero.
 
 Raw attainment enters as the intercept-only model, so its pupil scores are
 exactly the outcome centred on the national mean, and its adjusted
@@ -85,16 +84,12 @@ def school_scores(
     school_index: np.ndarray,
     school_ids: Sequence[str],
     national_sd: float,
-    *,
-    within_school_sd: bool = False,
 ) -> list[SchoolScore]:
     """Average pupil scores within school and attach 95% CIs.
 
     ``school_index`` gives each pupil's school as a position in
-    ``school_ids``. With ``within_school_sd`` the CI uses each school's own
-    pupil-score SD instead of the national one (schools with a single pupil
-    fall back to the national SD). Output follows ``school_ids`` order and
-    skips schools without pupils.
+    ``school_ids``. Each CI is score +/- Z95 * national_sd / sqrt(n).
+    Output follows ``school_ids`` order and skips schools without pupils.
     """
     if national_sd <= 0.0:
         raise AnalysisError(f"national_sd must be positive, got {national_sd!r}")
@@ -103,17 +98,11 @@ def school_scores(
     n_schools = len(school_ids)
     counts = np.bincount(school_index, minlength=n_schools)
     means = np.bincount(school_index, weights=scores, minlength=n_schools) / np.maximum(counts, 1)
-    sds = np.full(n_schools, national_sd)
-    if within_school_sd:
-        deviations = scores - means[school_index]
-        squares = np.bincount(school_index, weights=deviations * deviations, minlength=n_schools)
-        several = counts >= 2
-        sds[several] = np.sqrt(squares[several] / (counts[several] - 1))
     out: list[SchoolScore] = []
-    for school_id, n, mean, sd in zip(school_ids, counts.tolist(), means.tolist(), sds.tolist()):
+    for school_id, n, mean in zip(school_ids, counts.tolist(), means.tolist()):
         if n == 0:
             continue
-        half = Z95 * sd / np.sqrt(n)
+        half = Z95 * national_sd / np.sqrt(n)
         low, high = mean - half, mean + half
         if low > 0.0:
             category = SignificanceCategory.SIGNIFICANTLY_ABOVE
@@ -169,12 +158,7 @@ def measure_summary(
     )
 
 
-def compute_measure(
-    cohort: ValidatedCohort,
-    kind: MeasureKind,
-    *,
-    within_school_sd: bool = False,
-) -> MeasureResult:
+def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult:
     """Run the full pipeline for one measure on a validated cohort."""
     design = build_design_matrix(cohort, kind.model_spec)
     outcome = cohort.pupil_table["attainment8_total"]
@@ -188,7 +172,6 @@ def compute_measure(
         cohort.school_index,
         cohort.school_table["school_id"].tolist(),
         national_sd,
-        within_school_sd=within_school_sd,
     )
     summary = measure_summary(
         fit,
@@ -208,13 +191,7 @@ def compute_measure(
 
 
 def compute_measures(
-    cohort: ValidatedCohort,
-    kinds: Iterable[MeasureKind],
-    *,
-    within_school_sd: bool = False,
+    cohort: ValidatedCohort, kinds: Iterable[MeasureKind]
 ) -> dict[MeasureKind, MeasureResult]:
     """Compute several measures on one cohort (independent runs)."""
-    return {
-        kind: compute_measure(cohort, kind, within_school_sd=within_school_sd)
-        for kind in kinds
-    }
+    return {kind: compute_measure(cohort, kind) for kind in kinds}

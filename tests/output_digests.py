@@ -2,16 +2,17 @@
 
 The pipeline, run in a temporary directory at one generator size and seed:
 ``simulate``; ``fit --measures all`` at full precision and with
-``--precision 2``; ``breakdown --measures all`` by ethnicity and by region;
-and ``compare`` on all six pairs of the full-precision school scores. Each
-written file except ``manifest.json`` (it records wall time and the
-temporary paths) is printed as ``sha256  relative/path``, sorted by path,
-so two checkouts can be compared with ``diff``:
+``--precision 2``; ``breakdown --measures all`` by each of the 15 pupil and
+school characteristics; and ``compare`` on all six pairs of the
+full-precision school scores. Each written file except ``manifest.json``
+(it records wall time and the temporary paths) is printed as
+``sha256  relative/path``, sorted by path, so two checkouts can be compared
+with ``diff``:
 
     PYTHONPATH=src python tests/output_digests.py --schools 300 --seed 612
 
 Kept out of the test suite: a national run (``--schools 3098 --seed 1``)
-takes about a minute.
+takes about half a minute.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS
 from vamkit.cli import run
 from vamkit.design import MeasureKind
 
@@ -37,7 +39,7 @@ def run_pipeline(root: Path, schools: int, seed: int) -> None:
     cohort = ["--pupils", str(sim / "pupils.csv"), "--schools", str(sim / "schools.csv")]
     cli("fit", *cohort, "--measures", "all", "--out", str(root / "fit"))
     cli("fit", *cohort, "--measures", "all", "--precision", "2", "--out", str(root / "fit_p2"))
-    for by in ("ethnicity", "region"):
+    for by in PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS:
         out = str(root / f"breakdown_{by}")
         cli("breakdown", *cohort, "--measures", "all", "--by", by, "--out", out)
     for a, b in itertools.combinations([kind.code for kind in MeasureKind], 2):

@@ -49,11 +49,7 @@ def default_results(default_population):
 
 
 def plain_design(values, labels):
-    return DesignMatrix(
-        values=np.asarray(values, dtype=float),
-        column_labels=tuple(labels),
-        reference_categories={},
-    )
+    return DesignMatrix(values=np.asarray(values, dtype=float), column_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------

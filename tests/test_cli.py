@@ -471,6 +471,20 @@ def _first_ks2_emptied(data):
     return b"\n".join(lines)
 
 
+def _column_set(name, value):
+    """An edit that sets column ``name`` of every data row to ``value``."""
+
+    def edit(data):
+        lines = data.rstrip(b"\n").split(b"\n")
+        j = lines[0].split(b",").index(name)
+        rows = [line.split(b",") for line in lines[1:]]
+        for cells in rows:
+            cells[j] = value
+        return b"\n".join([lines[0]] + [b",".join(cells) for cells in rows]) + b"\n"
+
+    return edit
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -537,6 +551,20 @@ def _config(tmp_path, text):
             ),
             ["ks2_group is missing for pupils: P"],
         ),
+        (
+            lambda t, f, s: _edited_cohort(
+                t, s, "fit", "pupils.csv", _column_set(b"attainment8_total", b"50"),
+                "--measures", "a8",
+            ),
+            ["national_sd must be positive"],
+        ),
+        (
+            lambda t, f, s: _edited_cohort(
+                t, s, "breakdown", "pupils.csv", _column_set(b"attainment8_total", b"50"),
+                "--measures", "a8",
+            ),
+            ["national_sd must be positive"],
+        ),
         (lambda t, f, s: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
         (lambda t, f, s: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
         (lambda t, f, s: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
@@ -545,7 +573,8 @@ def _config(tmp_path, text):
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
         "first-bad-score-row", "duplicate-score-column", "pupils-not-utf8", "schools-not-utf8", "pupils-bad-header",
         "schools-bad-header", "duplicate-pupil-row", "duplicate-school-row", "unknown-school-id",
-        "no-pupils", "fit-missing-ks2", "breakdown-missing-ks2", "truncated-json",
+        "no-pupils", "fit-missing-ks2", "breakdown-missing-ks2", "fit-constant-outcome",
+        "breakdown-constant-outcome", "truncated-json",
         "string-n_schools", "nan-coefficient",
     ],
 )
@@ -560,6 +589,21 @@ def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, f
     assert str(path) in err
     for fragment in fragments:
         assert fragment in err
+
+
+def test_one_school_fit_error_names_the_pupils_file(tmp_path, sim_dir, capsys):
+    first = read_csv(sim_dir / "schools.csv")[0]["school_id"].encode()
+    argv, path = _edited_cohort(
+        tmp_path, sim_dir, "fit", "pupils.csv", _column_set(b"school_id", first),
+        "--measures", "a8", "--out", str(tmp_path / "out"),
+    )
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"{path}: "), err
+    assert "fewer than 2 clusters" in err[-1]
+    # the empty schools are dropped and the single school's SD is reported as 0
+    assert len(err) == 3 and all(line.startswith("warning: ") for line in err[:-1]), err
 
 
 def test_warnings_are_one_line_each(tmp_path, capsys):

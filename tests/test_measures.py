@@ -56,21 +56,13 @@ def test_significantly_below():
     assert score.category is SignificanceCategory.SIGNIFICANTLY_BELOW
 
 
-def test_within_school_sd_flag():
-    values = [0.2, 0.4, 0.6, 0.8]
-    scores = np.array(values + [3.0])
+def test_school_ci_uses_national_sd():
+    # the school's own pupil-score SD (0.26 here) plays no part
+    scores = np.array([0.2, 0.4, 0.6, 0.8, 3.0])
     index = np.array([0, 0, 0, 0, 1])
-    national, within = (
-        school_scores(A8, scores, index, ["S1", "S2"], 1.0, within_school_sd=flag)
-        for flag in (False, True)
-    )
-    own_sd = float(np.std(values, ddof=1))
-    assert within[0].ci_high - within[0].ci_low == pytest.approx(
-        2 * 1.959964 * own_sd / 2.0, abs=1e-12
-    )
-    assert national[0].ci_high - national[0].ci_low == pytest.approx(2 * 1.959964 / 2.0)
-    # single-pupil school falls back to the national SD
-    assert within[1].ci_high - within[1].ci_low == pytest.approx(2 * 1.959964, abs=1e-12)
+    four, single = school_scores(A8, scores, index, ["S1", "S2"], 1.0)
+    assert four.ci_high - four.ci_low == pytest.approx(2 * 1.959964 / 2.0)
+    assert single.ci_high - single.ci_low == pytest.approx(2 * 1.959964, abs=1e-12)
 
 
 def test_national_sd_must_be_positive():
@@ -229,22 +221,22 @@ def test_measure_summary_rejects_empty_scores():
 
 def test_school_scores_equal_per_school_loop(midsize_population):
     # reference: collect each school's pupil scores in cohort order, then
-    # mean and SD. school_scores sums by bincount in row order and numpy
+    # their mean. school_scores sums by bincount in row order and numpy
     # sums pairwise, so each mean may differ from the reference by up to
-    # 2 * n * eps * max|score|; the within-school SD agrees to 1e-12 relative.
+    # 2 * n * eps * max|score|; each CI half-width is Z95 * national SD / sqrt(n).
     cohort = midsize_population.cohort
     eps = np.finfo(float).eps
     for kind in (A8, MeasureKind.ADJUSTED_PROGRESS8):
         result = compute_measure(cohort, kind)
-        own_sd = compute_measure(cohort, kind, within_school_sd=True).school_scores
+        national_sd = float(result.scores.std(ddof=1))
         by_school = {}
         for pupil, ps in zip(cohort.pupils, result.pupil_scores):
             by_school.setdefault(pupil.school_id, []).append(ps.score)
         assert [s.school_id for s in result.school_scores] == sorted(by_school)
-        for school, own in zip(result.school_scores, own_sd):
+        for school in result.school_scores:
             values = np.asarray(by_school[school.school_id])
             assert school.n_pupils == values.size
             tol = 2 * values.size * eps * np.abs(values).max()
             assert abs(school.score - float(values.mean())) <= tol
-            half = Z95 * float(values.std(ddof=1)) / np.sqrt(values.size)
-            assert (own.ci_high - own.ci_low) / 2 == pytest.approx(half, rel=1e-12)
+            half = Z95 * national_sd / np.sqrt(values.size)
+            assert (school.ci_high - school.ci_low) / 2 == pytest.approx(half, rel=1e-12)

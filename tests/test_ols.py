@@ -16,9 +16,7 @@ from vamkit.ols import (
 
 def plain_design(values, labels):
     values = np.asarray(values, dtype=float)
-    return DesignMatrix(
-        values=values, column_labels=tuple(labels), reference_categories={}
-    )
+    return DesignMatrix(values=values, column_labels=tuple(labels))
 
 
 def random_design(rng, n, k):
