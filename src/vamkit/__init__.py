@@ -31,7 +31,7 @@ _HOMES = {
         "quadrant_classify", "rank_movement",
     ),
     "csvio": ("ParseIssue",),
-    "design": ("DesignMatrix", "band_ks2", "build_design_matrix", "design_labels"),
+    "design": ("DesignMatrix", "build_design_matrix", "design_labels"),
     "errors": (
         "AnalysisError", "CohortError", "DesignError", "FitError", "GeneratorError", "VamkitError",
     ),

@@ -180,11 +180,7 @@ def school_breakdown(
     )
     if MeasureKind.ATTAINMENT8 in aligned:
         a8 = MeasureKind.ATTAINMENT8
-        order = {row.category: i for i, row in enumerate(table.rows)}
-        table.rows.sort(
-            key=lambda row: (
-                -(row.means[a8] if row.means[a8] is not None else -np.inf),
-                order[row.category],
-            )
-        )
+        # highest first, empty categories last; the sort is stable, so ties
+        # keep universe order
+        table.rows.sort(key=lambda row: np.inf if row.means[a8] is None else -row.means[a8])
     return table

@@ -332,12 +332,7 @@ def _cmd_compare(args, out_dir: Path):
         "pair": list(report.measure_pair),
         "pearson_r": report.pearson_r,
         "n_schools": report.n_schools,
-        "quadrants": {
-            "nw": report.quadrant_counts.nw,
-            "ne": report.quadrant_counts.ne,
-            "sw": report.quadrant_counts.sw,
-            "se": report.quadrant_counts.se,
-        },
+        "quadrants": dataclasses.asdict(report.quadrant_counts),
         "movements": [
             {
                 "threshold": t,

@@ -30,7 +30,7 @@ that takes pupils or schools takes a :class:`Table`. :class:`PupilRecord`
 and :class:`SchoolRecord` are output-only row views, built from the field
 tables and filled from the columns on request; they remain only because the
 benchmark under ``perfbench/`` reads them, and go when it reads columns
-(ROADMAP item 6).
+(ROADMAP items 8 and 9).
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
 that adjust for prior attainment reject cohorts containing such pupils; the

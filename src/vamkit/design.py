@@ -9,10 +9,10 @@ stable across cohorts; the least-squares rank guard prunes them.
 Covariate block order: prior attainment group, month of birth, gender,
 ethnicity, first language, SEN, FSM, neighbourhood deprivation decile.
 
-A design built from a cohort is categorical: it keeps each block's integer
-code column, not the N x k indicator array. X'X is then a set of
-cross-tabs of counts (exact in integers), X'y and the per-cluster sums
-X_g'e are bincounts, and X beta gathers one coefficient per block.
+A design keeps each block's integer code column, not the N x k indicator
+array. X'X is then a set of cross-tabs of counts (exact in integers), X'y
+and the per-cluster sums X_g'e are bincounts, and X beta gathers one
+coefficient per block.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import FIELD, PUPIL_FIELDS, Field, ModelSpec
+from .categories import PUPIL_FIELDS, Field, ModelSpec
 from .categories import MeasureKind  # noqa: F401  (its old import path)
 from .cohort import ValidatedCohort
 from .errors import DesignError, id_list
@@ -68,33 +68,22 @@ class _Block:
 
 
 class DesignMatrix:
-    """N x k design with stable column labels.
+    """N x k dummy design with stable column labels, held as code columns.
 
-    A dense design holds its N x k ``values`` (``DesignMatrix(values=...)``).
-    A categorical design, as built by :func:`build_design_matrix`, holds one
-    code column per dummy block instead; it computes every statistic from
-    counts and bincounts over the codes, and builds ``values`` only when
-    they are read. Both kinds give the statistics a least-squares fit and
-    its clustered covariance need: ``gram``, ``xty``, ``predict`` and
-    ``cluster_sums``.
+    Each dummy block keeps one integer code column, never the N x k
+    indicator array. Every statistic a least-squares fit and its clustered
+    covariance need (``gram``, ``xty``, ``predict`` and ``cluster_sums``)
+    comes from counts and bincounts over the codes; ``values`` builds the
+    indicator array only when it is read.
     """
 
-    def __init__(
-        self,
-        values=None,
-        column_labels: tuple[str, ...] = (),
-        *,
-        blocks: tuple[_Block, ...] = (),
-    ):
-        if (values is None) == (not blocks):
-            raise DesignError("a design has either dense values or categorical blocks")
+    def __init__(self, column_labels: tuple[str, ...], blocks: tuple[_Block, ...]):
         self.column_labels = tuple(column_labels)
-        self._values = None if values is None else np.asarray(values, dtype=float)
         self._blocks = blocks
 
     @property
     def n(self) -> int:
-        return self._values.shape[0] if self._values is not None else self._blocks[0].codes.size
+        return self._blocks[0].codes.size
 
     @property
     def k(self) -> int:
@@ -102,18 +91,14 @@ class DesignMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """The N x k array; a categorical design builds a new one on each read."""
-        if self._values is not None:
-            return self._values
+        """The N x k indicator array, built anew on each read."""
         out = np.zeros((self.n, self.k))
         for b in self._blocks:
             out[:, b.columns] = b.codes[:, None] == b.coded
         return out
 
     def gram(self) -> np.ndarray:
-        """X'X; for a categorical design, one cross-tab of counts per pair of blocks."""
-        if self._values is not None:
-            return self._values.T @ self._values
+        """X'X: one cross-tab of counts per pair of blocks."""
         out = np.zeros((self.k, self.k))
         for i, a in enumerate(self._blocks):
             for b in self._blocks[i:]:
@@ -125,8 +110,6 @@ class DesignMatrix:
 
     def xty(self, y: np.ndarray) -> np.ndarray:
         """X'y: for each column, the sum of y over the rows where it is 1."""
-        if self._values is not None:
-            return self._values.T @ y
         out = np.zeros(self.k)
         for b in self._blocks:
             out[b.columns] = b.sums(y)[b.coded]
@@ -134,8 +117,6 @@ class DesignMatrix:
 
     def predict(self, beta: np.ndarray) -> np.ndarray:
         """X beta, given a coefficient for every design column."""
-        if self._values is not None:
-            return self._values @ beta
         out = np.zeros(self.n)
         for b in self._blocks:
             per_level = np.zeros(b.levels)
@@ -146,10 +127,6 @@ class DesignMatrix:
     def cluster_sums(self, e: np.ndarray, cluster: np.ndarray, n_clusters: int) -> np.ndarray:
         """G x k sums X_g'e_g, where ``cluster`` numbers each row's cluster 0..G-1."""
         out = np.zeros((n_clusters, self.k))
-        if self._values is not None:
-            for j in range(self.k):
-                out[:, j] = np.bincount(cluster, weights=self._values[:, j] * e, minlength=n_clusters)
-            return out
         for b in self._blocks:
             sums = np.bincount(b.bins(cluster), weights=e, minlength=n_clusters * b.levels)
             out[:, b.columns] = sums.reshape(n_clusters, b.levels)[:, b.coded]
@@ -211,30 +188,5 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
             f"category level(s) absent from cohort (all-zero columns): {', '.join(empty)}",
             stacklevel=2,
         )
-    return DesignMatrix(column_labels=design_labels(spec), blocks=tuple(design_blocks))
+    return DesignMatrix(design_labels(spec), tuple(design_blocks))
 
-
-def band_ks2(fine_scores, n_groups: int = len(FIELD[_PRIOR].levels)) -> list[int]:
-    """Assign prior-attainment groups 1..n_groups by empirical quantile cut.
-
-    Cut points are the j/n_groups empirical quantiles; a score lands in
-    group 1 + (number of cut points it strictly exceeds). Equal scores get
-    equal groups, and the assignment is monotone nondecreasing in score.
-    Degenerate input (all scores identical) puts everyone in group 1 with a
-    warning. Intended for synthetic or exploratory data; real extracts
-    should arrive pre-banded.
-    """
-    scores = np.asarray(list(fine_scores), dtype=float)
-    if scores.size == 0:
-        raise DesignError("band_ks2 requires at least one score")
-    if not np.all(np.isfinite(scores)):
-        raise DesignError("band_ks2 requires finite scores")
-    if n_groups < 2:
-        raise DesignError("band_ks2 requires n_groups >= 2")
-
-    if np.all(scores == scores[0]):
-        warnings.warn("all scores identical; assigning every pupil to group 1", stacklevel=2)
-        return [1] * scores.size
-
-    cuts = np.quantile(scores, [j / n_groups for j in range(1, n_groups)])
-    return (1 + np.searchsorted(cuts, scores, side="left")).tolist()

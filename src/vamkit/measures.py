@@ -166,6 +166,10 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
 
     scores = fit.residuals / POINTS_PER_GRADE
     national_sd = float(scores.std(ddof=1))
+    # An outcome the design fits exactly (a constant one, say) leaves only
+    # rounding noise: an SD at that scale counts as 0, which school_scores rejects.
+    if national_sd <= 1e-10 * float(np.abs(outcome).max()) / POINTS_PER_GRADE:
+        national_sd = 0.0
     schools = school_scores(
         kind,
         scores,

@@ -1,14 +1,14 @@
 """Ordinary least squares with fit statistics and school-clustered inference.
 
 Estimation solves the normal equations X'X b = X'y by Cholesky. The design
-supplies the statistics (see ``design.DesignMatrix``): X'X is ``x.T @ x``
-for a dense design and a set of integer cross-tabs for a categorical one,
-so a cohort's fit never forms its N x k indicator matrix. A left-to-right
-rank guard on X'X prunes exact-collinear columns (including all-zero
-columns from empty category levels) deterministically and reports them, so
-coefficient tables stay reproducible rather than depending on a
-pseudo-inverse; the Cholesky factor it builds of the retained columns is
-the one the solve and (X'X)^-1 use. Residuals are y - X b.
+supplies the statistics (see ``design.DesignMatrix``): X'X is a set of
+integer cross-tabs and X'y a set of bincounts, so a cohort's fit never
+forms its N x k indicator matrix. A left-to-right rank guard on X'X prunes
+exact-collinear columns (including all-zero columns from empty category
+levels) deterministically and reports them, so coefficient tables stay
+reproducible rather than depending on a pseudo-inverse; the Cholesky
+factor it builds of the retained columns is the one the solve and
+(X'X)^-1 use. Residuals are y - X b.
 
 The clustered covariance is the CR1 sandwich,
 

@@ -24,9 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS
+from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from vamkit.cli import run
-from vamkit.design import MeasureKind
 
 
 def run_pipeline(root: Path, schools: int, seed: int) -> None:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from vamkit.design import MeasureKind, build_design_matrix
+from vamkit.categories import MeasureKind
+from vamkit.design import build_design_matrix
 from vamkit.ols import cluster_robust_cov, fit_ols
 
 RANK_TOL = 1e-10

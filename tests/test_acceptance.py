@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from vamkit.analysis import pupil_breakdown
+from vamkit.categories import MeasureKind, SignificanceCategory
 from vamkit.cli import run
 from vamkit.cohort import validate_cohort
-from vamkit.compare import rank_movement
-from vamkit.design import DesignMatrix, MeasureKind
-from vamkit.measures import SignificanceCategory, compute_measure, compute_measures
+from vamkit.compare import SchoolScore, rank_movement
+from vamkit.measures import compute_measure, compute_measures
 from vamkit.ols import cluster_robust_cov, fit_ols
-from vamkit.measures import SchoolScore
 from vamkit.synthgen import DEFAULT_COEFFICIENTS, GeneratorConfig, generate_population
+
+from dense_design import DenseDesign
 
 A8 = MeasureKind.ATTAINMENT8
 AA8 = MeasureKind.ADJUSTED_ATTAINMENT8
@@ -49,7 +50,7 @@ def default_results(default_population):
 
 
 def plain_design(values, labels):
-    return DesignMatrix(values=np.asarray(values, dtype=float), column_labels=tuple(labels))
+    return DenseDesign(values, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Python str per cell of the file. tracemalloc sees numpy's array buffers.
 import tracemalloc
 import warnings
 
+from vamkit.categories import MeasureKind
 from vamkit.cohort import parse_pupils, serialize_pupils
-from vamkit.design import MeasureKind, design_labels
+from vamkit.design import design_labels
 from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov
 from vamkit.synthgen import GeneratorConfig, generate_population

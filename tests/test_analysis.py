@@ -9,16 +9,22 @@ from vamkit.analysis import (
     pupil_breakdown,
     school_breakdown,
 )
-from vamkit.categories import FIELD
+from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cohort import validate_cohort
-from vamkit.compare import compare_measures, correlate, quadrant_classify, rank_movement
-from vamkit.design import DesignMatrix, MeasureKind
+from vamkit.compare import (
+    SchoolScore,
+    compare_measures,
+    correlate,
+    quadrant_classify,
+    rank_movement,
+)
 from vamkit.errors import AnalysisError
-from vamkit.measures import SchoolScore, SignificanceCategory, compute_measure, compute_measures
+from vamkit.measures import compute_measure, compute_measures
 from vamkit.ols import Z95, cluster_robust_cov, coefficient_table, fit_ols
 from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_cohort, make_pupil, make_school, random_cohort
+from dense_design import DenseDesign
 
 A8 = MeasureKind.ATTAINMENT8
 AA8 = MeasureKind.ADJUSTED_ATTAINMENT8
@@ -349,7 +355,7 @@ def clustered_mean_flag(values, school_codes):
 def cr1_mean_flag(values, school_codes):
     """Fit oracle: the intercept's CR1 test from an n x 1 dense design,
     clustered on school, as breakdown flags were once computed."""
-    design = DesignMatrix(values=np.ones((values.size, 1)), column_labels=("mean",))
+    design = DenseDesign(np.ones((values.size, 1)), ("mean",))
     fit = fit_ols(design, values)
     return coefficient_table(fit, cluster_robust_cov(fit, design, school_codes))[0].significant
 

@@ -485,6 +485,18 @@ def _column_set(name, value):
     return edit
 
 
+# a constant outcome under each command and measure
+CONSTANT_OUTCOME_CASES = [(c, m) for c in ("fit", "breakdown") for m in ("a8", "aa8", "p8", "ap8")]
+
+
+def _constant_outcome(command, measure):
+    """``command --measures measure`` on the cohort with every outcome 50."""
+    return lambda t, f, s: _edited_cohort(
+        t, s, command, "pupils.csv", _column_set(b"attainment8_total", b"50"),
+        "--measures", measure,
+    )
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -551,20 +563,10 @@ def _config(tmp_path, text):
             ),
             ["ks2_group is missing for pupils: P"],
         ),
-        (
-            lambda t, f, s: _edited_cohort(
-                t, s, "fit", "pupils.csv", _column_set(b"attainment8_total", b"50"),
-                "--measures", "a8",
-            ),
-            ["national_sd must be positive"],
-        ),
-        (
-            lambda t, f, s: _edited_cohort(
-                t, s, "breakdown", "pupils.csv", _column_set(b"attainment8_total", b"50"),
-                "--measures", "a8",
-            ),
-            ["national_sd must be positive"],
-        ),
+        *[
+            (_constant_outcome(command, measure), ["national_sd must be positive"])
+            for command, measure in CONSTANT_OUTCOME_CASES
+        ],
         (lambda t, f, s: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
         (lambda t, f, s: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
         (lambda t, f, s: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
@@ -573,8 +575,13 @@ def _config(tmp_path, text):
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
         "first-bad-score-row", "duplicate-score-column", "pupils-not-utf8", "schools-not-utf8", "pupils-bad-header",
         "schools-bad-header", "duplicate-pupil-row", "duplicate-school-row", "unknown-school-id",
-        "no-pupils", "fit-missing-ks2", "breakdown-missing-ks2", "fit-constant-outcome",
-        "breakdown-constant-outcome", "truncated-json",
+        "no-pupils", "fit-missing-ks2", "breakdown-missing-ks2",
+        # the a8 cases keep their ids from before the other measures were added
+        *[
+            f"{command}-constant-outcome" + ("" if measure == "a8" else f"-{measure}")
+            for command, measure in CONSTANT_OUTCOME_CASES
+        ],
+        "truncated-json",
         "string-n_schools", "nan-coefficient",
     ],
 )

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
+from vamkit.categories import MeasureKind, ModelSpec
 from vamkit.cohort import validate_cohort
-from vamkit.design import (
-    DesignError,
-    DesignMatrix,
-    MeasureKind,
-    ModelSpec,
-    band_ks2,
-    build_design_matrix,
-    design_labels,
-)
+from vamkit.design import build_design_matrix, design_labels
+from vamkit.errors import DesignError
 
 from conftest import make_cohort, make_pupil, make_school
+from dense_design import DenseDesign
 
 
 def tiny_cohort(**pupil_overrides):
@@ -172,7 +167,7 @@ def test_categorical_statistics_equal_dense(midsize_population):
     rng = np.random.default_rng(5)
     for kind in MeasureKind:
         design = build_design_matrix(cohort, kind.model_spec)
-        dense = DesignMatrix(values=design.values, column_labels=design.column_labels)
+        dense = DenseDesign(design.values, design.column_labels)
         # counts are exact in floating point
         assert np.array_equal(design.gram(), dense.gram())
         np.testing.assert_allclose(design.xty(y), dense.xty(y), rtol=1e-12)
@@ -184,50 +179,3 @@ def test_categorical_statistics_equal_dense(midsize_population):
             rtol=1e-12,
         )
 
-
-# ---------------------------------------------------------------------------
-# band_ks2
-# ---------------------------------------------------------------------------
-
-
-def test_band_one_per_bin():
-    assert band_ks2(list(range(1, 35)), 34) == list(range(1, 35))
-
-
-def test_band_degenerate_all_equal():
-    with pytest.warns(UserWarning, match="group 1"):
-        assert band_ks2([5.0] * 7, 34) == [1] * 7
-
-
-def test_band_median_split():
-    assert band_ks2([1.0, 1.0, 2.0, 2.0], 2) == [1, 1, 2, 2]
-
-
-def test_band_output_in_input_order():
-    assert band_ks2([10.0, -1.0, 5.0], 3) == [3, 1, 2]
-
-
-def test_band_monotone_in_score():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        scores = rng.normal(size=rng.integers(2, 200)).tolist()
-        n_groups = int(rng.integers(2, 35))
-        groups = band_ks2(scores, n_groups)
-        assert all(1 <= g <= n_groups for g in groups)
-        order = np.argsort(scores, kind="stable")
-        banded = np.asarray(groups)[order]
-        assert np.all(np.diff(banded) >= 0)
-        # equal scores always share a group
-        by_score = {}
-        for s, g in zip(scores, groups):
-            by_score.setdefault(s, set()).add(g)
-        assert all(len(gs) == 1 for gs in by_score.values())
-
-
-def test_band_input_validation():
-    with pytest.raises(DesignError):
-        band_ks2([], 4)
-    with pytest.raises(DesignError):
-        band_ks2([1.0, float("nan")], 4)
-    with pytest.raises(DesignError):
-        band_ks2([1.0, 2.0], 1)

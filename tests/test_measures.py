@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from vamkit.categories import MeasureKind, SignificanceCategory
 from vamkit.cohort import validate_cohort
-from vamkit.design import MeasureKind
 from vamkit.errors import AnalysisError
 from vamkit.measures import (
-    SignificanceCategory,
     compute_measure,
     compute_measures,
     measure_summary,

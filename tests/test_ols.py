@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vamkit.design import DesignMatrix
 from vamkit.errors import FitError
 from vamkit.ols import (
     Z95,
@@ -13,10 +12,11 @@ from vamkit.ols import (
     fit_ols,
 )
 
+from dense_design import DenseDesign
+
 
 def plain_design(values, labels):
-    values = np.asarray(values, dtype=float)
-    return DesignMatrix(values=values, column_labels=tuple(labels))
+    return DenseDesign(values, labels)
 
 
 def random_design(rng, n, k):

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from vamkit.design import MeasureKind
+from vamkit.categories import MeasureKind
 from vamkit.synthgen import GeneratorConfig, generate_population
 
 from qr_reference import compare

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from vamkit.design import MeasureKind, ModelSpec, build_design_matrix, design_labels
-from vamkit.errors import GeneratorError
+from vamkit.categories import MeasureKind, ModelSpec
+from vamkit.design import build_design_matrix, design_labels
+from vamkit.errors import AnalysisError, GeneratorError
 from vamkit.measures import compute_measure
+from vamkit.ols import fit_ols
 from vamkit.synthgen import (
     DEFAULT_COEFFICIENTS,
     FSM_ELIGIBLE_SHARE,
@@ -77,10 +79,13 @@ def test_noiseless_population_recovers_truth_exactly():
     y = np.array([p.attainment8_total for p in pop.cohort.pupils])
     assert np.max(np.abs(y - design.values @ beta)) <= 1e-9
     # refitting the fully adjusted model recovers every retained coefficient
-    result = compute_measure(pop.cohort, MeasureKind.ADJUSTED_PROGRESS8)
-    for label, estimate in zip(result.fit.labels, result.fit.coefficients):
+    fit = fit_ols(design, y)
+    for label, estimate in zip(fit.labels, fit.coefficients):
         assert estimate == pytest.approx(DEFAULT_COEFFICIENTS[label], abs=1e-7)
-    assert np.max(np.abs(result.fit.residuals)) <= 1e-7
+    assert np.max(np.abs(fit.residuals)) <= 1e-7
+    # its pupil scores are rounding noise, so the measure has no school CIs
+    with pytest.raises(AnalysisError, match="national_sd must be positive, got 0.0"):
+        compute_measure(pop.cohort, MeasureKind.ADJUSTED_PROGRESS8)
 
 
 def test_true_effects_and_structure(midsize_population):
