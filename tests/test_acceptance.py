@@ -49,10 +49,6 @@ def default_results(default_population):
     return compute_measures(default_population.cohort, list(MeasureKind))
 
 
-def plain_design(values, labels):
-    return DenseDesign(values, labels)
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: OLS oracle equivalence
 # ---------------------------------------------------------------------------
@@ -66,7 +62,7 @@ def test_criterion_1_ols_oracle_equivalence():
         n = int(rng.integers(k + 2, 51))
         x = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(k - 1)])
         y = rng.normal(loc=rng.uniform(-5, 5), scale=rng.uniform(0.5, 3.0), size=n)
-        design = plain_design(x, ["constant"] + [f"x{j}" for j in range(1, k)])
+        design = DenseDesign(x, ["constant"] + [f"x{j}" for j in range(1, k)])
         fit = fit_ols(design, y)
 
         # independent brute force: explicit normal equations
@@ -191,7 +187,7 @@ def test_criterion_5_cluster_covariance_oracle():
             continue
         x = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(k - 1)])
         y = rng.normal(size=n)
-        design = plain_design(x, ["constant"] + [f"x{j}" for j in range(1, k)])
+        design = DenseDesign(x, ["constant"] + [f"x{j}" for j in range(1, k)])
         fit = fit_ols(design, y)
         cov = cluster_robust_cov(fit, design, clusters)
 
@@ -215,7 +211,7 @@ def test_criterion_5_cluster_covariance_oracle():
     n, k = 60, 3
     x = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
     y = rng.normal(size=n)
-    design = plain_design(x, ["constant", "x1", "x2"])
+    design = DenseDesign(x, ["constant", "x1", "x2"])
     fit = fit_ols(design, y)
     cov = cluster_robust_cov(fit, design, list(range(n)))
     xtx_inv = np.linalg.inv(x.T @ x)

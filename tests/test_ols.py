@@ -15,15 +15,11 @@ from vamkit.ols import (
 from dense_design import DenseDesign
 
 
-def plain_design(values, labels):
-    return DenseDesign(values, labels)
-
-
 def random_design(rng, n, k):
     """Random instance with a leading constant column."""
     x = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(k - 1)])
     labels = ["constant"] + [f"x{j}" for j in range(1, k)]
-    return plain_design(x, labels)
+    return DenseDesign(x, labels)
 
 
 def normal_equations_oracle(x, y):
@@ -61,7 +57,7 @@ def cr1_oracle(x, resid, clusters):
 
 
 def test_intercept_only_is_mean():
-    design = plain_design(np.ones((3, 1)), ["constant"])
+    design = DenseDesign(np.ones((3, 1)), ["constant"])
     fit = fit_ols(design, [2.0, 4.0, 6.0])
     assert fit.coefficients[0] == pytest.approx(4.0, abs=1e-12)
     assert fit.residuals == pytest.approx([-2.0, 0.0, 2.0], abs=1e-12)
@@ -73,7 +69,7 @@ def test_intercept_recovers_any_sample_mean():
     rng = np.random.default_rng(0)
     y = rng.normal(size=200)
     y = y - y.mean() + 51.02
-    design = plain_design(np.ones((200, 1)), ["constant"])
+    design = DenseDesign(np.ones((200, 1)), ["constant"])
     fit = fit_ols(design, y)
     assert fit.coefficients[0] == pytest.approx(51.02, abs=1e-9)
     assert fit.adjusted_r_squared == 0.0
@@ -81,7 +77,7 @@ def test_intercept_recovers_any_sample_mean():
 
 def test_two_group_dummy_by_hand():
     x = np.array([[1, 0], [1, 0], [1, 1], [1, 1]], dtype=float)
-    design = plain_design(x, ["constant", "group_B"])
+    design = DenseDesign(x, ["constant", "group_B"])
     fit = fit_ols(design, [1.0, 3.0, 10.0, 14.0])
     assert fit.coefficients == pytest.approx([2.0, 10.0], abs=1e-12)
     assert fit.residuals == pytest.approx([-1.0, 1.0, -2.0, 2.0], abs=1e-12)
@@ -118,7 +114,7 @@ def test_duplicate_column_dropped_fit_unchanged():
     base = random_design(rng, 60, 3)
     y = rng.normal(size=60)
     fit_base = fit_ols(base, y)
-    dup = plain_design(
+    dup = DenseDesign(
         np.column_stack([base.values, base.values[:, 1]]),
         list(base.column_labels) + ["x1_copy"],
     )
@@ -130,7 +126,7 @@ def test_duplicate_column_dropped_fit_unchanged():
 
 def test_zero_column_dropped():
     x = np.column_stack([np.ones(10), np.zeros(10), np.arange(10.0)])
-    design = plain_design(x, ["constant", "empty_level", "x"])
+    design = DenseDesign(x, ["constant", "empty_level", "x"])
     fit = fit_ols(design, np.arange(10.0))
     assert fit.dropped_columns == ("empty_level",)
     assert fit.labels == ("constant", "x")
@@ -141,21 +137,21 @@ def test_exact_linear_combination_dropped_left_to_right():
     a = rng.normal(size=40)
     b = rng.normal(size=40)
     x = np.column_stack([np.ones(40), a, b, 2.0 * a - b])
-    design = plain_design(x, ["constant", "a", "b", "combo"])
+    design = DenseDesign(x, ["constant", "a", "b", "combo"])
     fit = fit_ols(design, rng.normal(size=40))
     assert fit.dropped_columns == ("combo",)
 
 
 def test_too_few_rows_fatal():
-    design = plain_design(np.ones((2, 1)), ["constant"])
-    design2 = plain_design(np.column_stack([np.ones(2), [0.0, 1.0]]), ["constant", "x"])
+    design = DenseDesign(np.ones((2, 1)), ["constant"])
+    design2 = DenseDesign(np.column_stack([np.ones(2), [0.0, 1.0]]), ["constant", "x"])
     with pytest.raises(FitError):
         fit_ols(design2, [1.0, 2.0])
     fit_ols(design, [1.0, 2.0])  # 2 rows, 1 param is fine
 
 
 def test_nonfinite_outcome_fatal():
-    design = plain_design(np.ones((3, 1)), ["constant"])
+    design = DenseDesign(np.ones((3, 1)), ["constant"])
     with pytest.raises(FitError, match="row 2"):
         fit_ols(design, [1.0, np.nan, 2.0])
 
@@ -165,7 +161,7 @@ def test_rss_nonincreasing_in_nested_models():
     n = 90
     small = random_design(rng, n, 3)
     extra = rng.normal(size=(n, 2))
-    big = plain_design(
+    big = DenseDesign(
         np.column_stack([small.values, extra]),
         list(small.column_labels) + ["z1", "z2"],
     )
@@ -183,7 +179,7 @@ def test_permutation_invariance():
     cov = cluster_robust_cov(fit, design, clusters)
 
     perm = rng.permutation(n)
-    design_p = plain_design(design.values[perm], design.column_labels)
+    design_p = DenseDesign(design.values[perm], design.column_labels)
     fit_p = fit_ols(design_p, y[perm])
     cov_p = cluster_robust_cov(fit_p, design_p, [clusters[i] for i in perm])
     assert fit_p.coefficients == pytest.approx(fit.coefficients, rel=1e-10, abs=1e-13)
@@ -198,7 +194,7 @@ def test_permutation_invariance():
 def test_two_cluster_hand_example():
     # intercept-only, residual sums (+4, -4), N=4, k=1:
     # V = c * (4^2 + 4^2) / 16 with c = 2 * 3/3 = 2  =>  V = 4
-    design = plain_design(np.ones((4, 1)), ["constant"])
+    design = DenseDesign(np.ones((4, 1)), ["constant"])
     y = np.array([3.0, 1.0, -1.0, -3.0])  # mean 0, residuals = y
     fit = fit_ols(design, y)
     assert fit.residuals == pytest.approx(y, abs=1e-12)
@@ -252,15 +248,15 @@ def test_doubling_outcome_quadruples_covariance():
 
 
 def test_single_cluster_fatal():
-    design = plain_design(np.ones((4, 1)), ["constant"])
+    design = DenseDesign(np.ones((4, 1)), ["constant"])
     fit = fit_ols(design, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(FitError, match="clustered inference undefined"):
         cluster_robust_cov(fit, design, ["A", "A", "A", "A"])
 
 
 def test_cov_requires_matching_design():
-    design = plain_design(np.ones((4, 1)), ["constant"])
-    other = plain_design(np.ones((4, 1)), ["different"])
+    design = DenseDesign(np.ones((4, 1)), ["constant"])
+    other = DenseDesign(np.ones((4, 1)), ["different"])
     fit = fit_ols(design, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(FitError, match="not produced from this design"):
         cluster_robust_cov(fit, other, ["A", "A", "B", "B"])
@@ -292,7 +288,7 @@ def test_significance_flags_from_published_values():
 def test_dropped_columns_blank_in_table():
     rng = np.random.default_rng(14)
     base = random_design(rng, 50, 2)
-    design = plain_design(
+    design = DenseDesign(
         np.column_stack([base.values[:, 0], np.zeros(50), base.values[:, 1]]),
         ["constant", "empty", "x1"],
     )
