@@ -37,7 +37,7 @@ _HOMES = {
     ),
     "measures": (
         "MeasureResult", "MeasureSummary", "PupilScore", "compute_measure", "compute_measures",
-        "measure_summary", "school_scores",
+        "school_scores",
     ),
     "ols": (
         "ClusterCovariance", "CoefficientRow", "FitResult", "Z95", "cluster_robust_cov",

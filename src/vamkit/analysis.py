@@ -9,7 +9,9 @@ so (N-1)/(N-k) is 1 and (X'X)^-1 is 1/n_c):
 
 over the G_c schools present in the category. Each school's inner sum is
 its category score sum minus m_c times its category count; the counts and
-sums of every category and school come from one bincount per measure.
+sums of every category and school come from one bincount per measure. The
+means m_c come from one stable sort of the pupils by category per
+breakdown: each category's scores are a contiguous slice, in cohort order.
 Categories spanning fewer than two schools have their flag suppressed with
 a footnote.
 """
@@ -71,39 +73,42 @@ def _aligned_scores(
 
 
 def _breakdown(
+    cohort: ValidatedCohort,
+    aligned: dict[MeasureKind, np.ndarray],
     universe: list[tuple[int, str]],
     codes: np.ndarray,
-    school_index: np.ndarray,
-    aligned: dict[MeasureKind, np.ndarray],
-    n_pupils: int,
-    percent_base: str,
-    n_schools_total: int,
+    by_school: bool,
 ) -> BreakdownTable:
     # one bincount pass per measure over key (code + 1) * G + school, so row
     # code + 1 of each table holds a category's per-school counts and sums
-    g = n_schools_total
-    key = (codes.astype(np.intp) + 1) * g + school_index
+    g = cohort.n_schools
+    key = (codes.astype(np.intp) + 1) * g + cohort.school_index
     size = (max(code for code, _ in universe) + 2) * g
     counts = np.bincount(key, minlength=size).reshape(-1, g)
     sums = {
         kind: np.bincount(key, weights=scores, minlength=size).reshape(-1, g)
         for kind, scores in aligned.items()
     }
+    # one stable grouping: category c's pupils are the slice bounds[c + 1] to
+    # bounds[c + 2] of order, in cohort order, so each mean adds the scores
+    # of scores[codes == c] in the same order
+    order = np.argsort(codes, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+    grouped = {kind: scores[order] for kind, scores in aligned.items()}
     rows: list[BreakdownRow] = []
     footnotes: list[str] = []
     for code, cat in universe:
-        mask = codes == code
         present = np.flatnonzero(counts[code + 1])  # the category's schools
         n_cat = int(counts[code + 1].sum())
         n_sch = int(present.size)
-        if percent_base == "schools":
-            percent = 100.0 * n_sch / n_schools_total
+        if by_school:
+            percent = 100.0 * n_sch / g
         else:
-            percent = 100.0 * n_cat / n_pupils
+            percent = 100.0 * n_cat / cohort.n_pupils
         means: dict[MeasureKind, float | None] = {}
         flags: dict[MeasureKind, bool | None] = {}
-        for kind, scores in aligned.items():
-            mean = float(scores[mask].mean()) if n_cat else None
+        for kind, scores in grouped.items():
+            mean = float(scores[bounds[code + 1] : bounds[code + 2]].mean()) if n_cat else None
             means[kind] = mean
             flags[kind] = None
             if n_sch >= 2:
@@ -145,15 +150,7 @@ def pupil_breakdown(
     universe = list(enumerate(f.levels))
     if f.optional and (codes < 0).any():
         universe.append((-1, "(missing)"))
-    return _breakdown(
-        universe,
-        codes,
-        cohort.school_index,
-        aligned,
-        cohort.n_pupils,
-        "pupils",
-        cohort.n_schools,
-    )
+    return _breakdown(cohort, aligned, universe, codes, by_school=False)
 
 
 def school_breakdown(
@@ -169,15 +166,8 @@ def school_breakdown(
     """
     aligned = _aligned_scores(cohort, scores_by_measure)
     f = _field(characteristic, SCHOOL_CHARACTERISTICS, "school")
-    table = _breakdown(
-        list(enumerate(f.levels)),
-        cohort.school_table[characteristic][cohort.school_index],
-        cohort.school_index,
-        aligned,
-        cohort.n_pupils,
-        "schools",
-        cohort.n_schools,
-    )
+    codes = cohort.school_table[characteristic][cohort.school_index]
+    table = _breakdown(cohort, aligned, list(enumerate(f.levels)), codes, by_school=True)
     if MeasureKind.ATTAINMENT8 in aligned:
         a8 = MeasureKind.ATTAINMENT8
         # highest first, empty categories last; the sort is stable, so ties

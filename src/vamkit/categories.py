@@ -35,11 +35,15 @@ def _normalise(text: str) -> str:
 class Kind(enum.Enum):
     """How a column is spelled in CSV and held in memory."""
 
-    ID = "id"  # non-empty string, held as a numpy unicode array
+    ID = "id"  # non-empty string of at most ID_MAX_CHARS, held as a numpy unicode array
     FLOAT = "float"  # real number within bounds, held as float64
     INT = "int"  # integer within bounds; held as the code value - low bound
     ENUM = "enum"  # one of the field's levels; held as its index in them
     FLAG = "flag"  # 0 or 1; held as that code
+
+
+# longest id kept: a UPN has 13 characters, a URN 6, a SHA-256 hex pseudonym 64
+ID_MAX_CHARS = 64
 
 
 def _slug(level: str) -> str:
@@ -98,6 +102,8 @@ class Field:
         if self.kind is Kind.ID:
             if not text:
                 raise ValueError("must not be empty")
+            if len(text) > ID_MAX_CHARS:
+                raise ValueError(f"must be at most {ID_MAX_CHARS} characters, got {len(text)}")
             return text
         if self.kind is Kind.FLOAT:
             value = float(text)

@@ -48,7 +48,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .categories import PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
+from .categories import ID_MAX_CHARS, PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
 from .csvio import _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, read_blocks
 from .errors import CohortError, id_list
 
@@ -156,11 +156,20 @@ def _encode_column(
     ``decoded`` and ``reasons`` map each raw spelling met so far in the file
     to its stored value and, if it is bad, its reason; a spelling not yet in
     them is checked by ``Field.encode`` once. Ids and numbers that pass a
-    vectorised check skip it. Bad cells hold a placeholder.
+    vectorised check skip it; an id cell longer than ``ID_MAX_CHARS`` is
+    checked before the block's id array is built. Bad cells hold a
+    placeholder.
     """
     col, suspects = None, raw
     if f.kind is Kind.ID:
-        col = np.char.strip(np.array(raw, dtype=str))
+        cells = raw
+        long = {t for t in raw if len(t) > ID_MAX_CHARS}
+        if long:
+            # settle the long cells first, so that none sets the block's width
+            _learn(f, long, decoded, reasons)
+            kept = {t: "" if t in reasons else decoded[t] for t in long}
+            cells = [kept.get(t, t) for t in raw]
+        col = np.char.strip(np.array(cells, dtype=str))
         suspects = [raw[i] for i in np.flatnonzero(col == "")]
     elif f.kind is Kind.FLOAT:
         try:
@@ -190,11 +199,14 @@ def _encode_cells(
     """:func:`_encode_column` for one column of gathered cells: an (n, width)
     uint8 array, each cell's bytes zero-padded. A category's spellings are
     told apart by a hash of each cell's 8-byte words, checked cell by cell
-    against the spelling; a block this does not settle takes the str route.
+    against the spelling; a block this does not settle, or whose ids are not
+    all within ``ID_MAX_CHARS``, takes the str route.
     """
     n, width = cells.shape
     text = cells.view(f"S{width}")[:, 0]
     if f.kind is Kind.ID:
+        if width > ID_MAX_CHARS and cells[:, ID_MAX_CHARS:].any():
+            return _encode_column(f, [t.decode() for t in text.tolist()], decoded, reasons)
         # as wide as the longest cell, as np.array(cells, dtype=str) would be
         longest = max(int(cells.any(axis=0).sum()), 1)
         col = np.char.strip(cells[:, :longest].astype(np.uint32).view(f"U{longest}")[:, 0])
@@ -350,7 +362,8 @@ def _columns(
 
     Each block is one raw column per field and the rows' numbers; ``encode``
     is :func:`_encode_column` or :func:`_encode_cells`. Each column's kept
-    values are joined at the end, and its blocks freed as it is joined.
+    values are joined at the end, and its blocks freed as it is joined; an
+    id column is as wide as its longest kept id.
     """
     spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
     # a zero-length chunk first types a column that gets no rows
@@ -367,8 +380,11 @@ def _columns(
                     issues.append(ParseIssue(int(row_nos[i]), f.name, why[i]))
                 failed |= bad
             block.append(col)
-        for chunk, col in zip(chunks, block):
-            chunk.append(col[~failed])
+        for f, chunk, col in zip(fields, chunks, block):
+            col = col[~failed]
+            if f.kind is Kind.ID:  # as wide as its longest kept id
+                col = col.astype(f"U{np.char.str_len(col).max(initial=1)}", copy=False)
+            chunk.append(col)
     issues.sort(key=lambda issue: issue.row)
     columns = {}
     for f, chunk in zip(fields, chunks):

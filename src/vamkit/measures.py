@@ -14,6 +14,11 @@ tables, and stable for small schools). A school is significantly above
 Raw attainment enters as the intercept-only model, so its pupil scores are
 exactly the outcome centred on the national mean, and its adjusted
 R-squared is exactly 0.
+
+Each run's :class:`MeasureSummary` holds the fit's adjusted R-squared, the
+sample (N-1) SDs of the pupil scores (national_sd) and of the school scores
+(unweighted; 0 with a warning for a single school), and the uncentred
+outcome mean / 10.
 """
 
 from __future__ import annotations
@@ -124,52 +129,19 @@ def school_scores(
     return out
 
 
-def measure_summary(
-    fit: FitResult,
-    scores: np.ndarray,
-    school_scores_: Sequence[SchoolScore],
-    *,
-    national_mean_grades: float = float("nan"),
-) -> MeasureSummary:
-    """Summary statistics for one measure run from its pupil and school scores.
-
-    SDs use the sample (N-1) convention; the school-score SD is unweighted,
-    each school counting once. A single-school cohort reports 0 with a
-    warning. ``national_mean_grades`` is the uncentred outcome mean / 10,
-    reported alongside the centred scores.
-    """
-    if not school_scores_:
-        raise AnalysisError("cannot summarise a measure with no school scores")
-    pupil_values = np.asarray(scores, dtype=float)
-    school_values = np.asarray([s.score for s in school_scores_])
-    if school_values.size >= 2:
-        sd_school = float(school_values.std(ddof=1))
-    else:
-        warnings.warn("single school: school-score SD reported as 0", stacklevel=2)
-        sd_school = 0.0
-    return MeasureSummary(
-        measure=school_scores_[0].measure,
-        adjusted_r_squared=fit.adjusted_r_squared,
-        sd_pupil_scores=float(pupil_values.std(ddof=1)) if pupil_values.size >= 2 else 0.0,
-        sd_school_scores=sd_school,
-        n_pupils=pupil_values.size,
-        n_schools=len(school_scores_),
-        national_mean_grades=national_mean_grades,
-    )
-
-
 def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult:
-    """Run the full pipeline for one measure on a validated cohort."""
+    """Run the full pipeline for one measure on a validated cohort, summary
+    included."""
     design = build_design_matrix(cohort, kind.model_spec)
     outcome = cohort.pupil_table["attainment8_total"]
     fit = fit_ols(design, outcome)
 
     scores = fit.residuals / POINTS_PER_GRADE
-    national_sd = float(scores.std(ddof=1))
+    sd_pupil = float(scores.std(ddof=1))
     # An outcome the design fits exactly (a constant one, say) leaves only
     # rounding noise: an SD at that scale counts as 0, which school_scores rejects.
-    if national_sd <= 1e-10 * float(np.abs(outcome).max()) / POINTS_PER_GRADE:
-        national_sd = 0.0
+    noise = 1e-10 * float(np.abs(outcome).max()) / POINTS_PER_GRADE
+    national_sd = sd_pupil if sd_pupil > noise else 0.0
     schools = school_scores(
         kind,
         scores,
@@ -177,10 +149,18 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
         cohort.school_table["school_id"].tolist(),
         national_sd,
     )
-    summary = measure_summary(
-        fit,
-        scores,
-        schools,
+    if len(schools) == 1:
+        warnings.warn("single school: school-score SD reported as 0", stacklevel=2)
+        sd_school = 0.0
+    else:
+        sd_school = float(np.std([s.score for s in schools], ddof=1))
+    summary = MeasureSummary(
+        measure=kind,
+        adjusted_r_squared=fit.adjusted_r_squared,
+        sd_pupil_scores=sd_pupil,
+        sd_school_scores=sd_school,
+        n_pupils=scores.size,
+        n_schools=len(schools),
         national_mean_grades=float(outcome.mean()) / POINTS_PER_GRADE,
     )
     return MeasureResult(

@@ -11,8 +11,9 @@ with ``diff``:
 
     PYTHONPATH=src python tests/output_digests.py --schools 300 --seed 612
 
-Kept out of the test suite: a national run (``--schools 3098 --seed 1``)
-takes about half a minute.
+The suite checks the 40-school, seed-0 run against ``pipeline_40_0.sha256``
+(``test_cli.py``); other sizes are kept out of it, since a national run
+(``--schools 3098 --seed 1``) takes about half a minute.
 """
 
 from __future__ import annotations

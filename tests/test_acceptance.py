@@ -92,9 +92,9 @@ def test_criterion_1_ols_oracle_equivalence():
 
 def test_criterion_2_group_mean_equivalence(default_population, default_results):
     cohort = default_population.cohort
-    scores = np.array([s.score for s in default_results[P8].pupil_scores])
-    y = np.array([p.attainment8_total for p in cohort.pupils])
-    groups = np.array([p.ks2_group for p in cohort.pupils])
+    scores = default_results[P8].scores
+    y = cohort.pupil_table["attainment8_total"]
+    groups = cohort.pupil_table["ks2_group"]
     means = {g: y[groups == g].mean() for g in np.unique(groups)}
     oracle = np.array([(yi - means[g]) / 10.0 for yi, g in zip(y, groups)])
     worst = float(np.max(np.abs(scores - oracle)))
@@ -235,9 +235,7 @@ def test_criterion_6_dgp_recovery():
     assert abs(adj_r2 - 0.62) <= 0.05, f"AP8 adjusted R^2 {adj_r2:.4f} not ~0.62"
 
     fit = results[AP8].fit
-    cov = cluster_robust_cov(
-        fit, results[AP8].design, [p.school_id for p in pop.cohort.pupils]
-    )
+    cov = cluster_robust_cov(fit, results[AP8].design, pop.cohort.pupil_table["school_id"])
     within = 0
     for label, estimate, se in zip(fit.labels, fit.coefficients, cov.standard_errors):
         if abs(estimate - DEFAULT_COEFFICIENTS[label]) <= 3.0 * se:

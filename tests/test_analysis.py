@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -10,7 +11,8 @@ from vamkit.analysis import (
     school_breakdown,
 )
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
-from vamkit.cohort import validate_cohort
+from vamkit.cli import run
+from vamkit.cohort import serialize_pupils, serialize_schools, validate_cohort
 from vamkit.compare import (
     SchoolScore,
     compare_measures,
@@ -186,7 +188,8 @@ def test_disadvantaged_intake_schools_sit_north_west(midsize_population):
     results = compute_measures(cohort, [A8, AP8])
     a = {s.school_id: s.score for s in results[A8].school_scores}
     b = {s.school_id: s.score for s in results[AP8].school_scores}
-    deprivation = {s.school_id: s.school_idaci_decile for s in cohort.schools}
+    deciles = cohort.school_table["school_idaci_decile"] + 1  # an INT column holds value - 1
+    deprivation = dict(zip(cohort.school_table["school_id"].tolist(), deciles.tolist()))
     truth = midsize_population.true_school_effects
     strong_deprived = [
         sid for sid in a
@@ -413,3 +416,42 @@ def test_breakdown_rejects_non_finite_scores(midsize_population):
     scores[3] = np.nan
     with pytest.raises(AnalysisError, match="finite"):
         pupil_breakdown(cohort, {A8: scores}, "fsm")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # levels absent from a small cohort
+def test_missing_ks2_breakdown_row_matches_mask_reference(tmp_path):
+    # every seventh pupil's ks2_group is an empty cell: breakdown --by
+    # ks2_group ends with a (missing) row of code -1, which must equal the
+    # mean, count, share and flag of scores[codes == -1]
+    cohort = generate_population(GeneratorConfig(n_schools=40, seed=7)).cohort
+    ks2 = cohort.pupil_table["ks2_group"].copy()
+    ks2[::7] = -1
+    edited_pupils = cohort.pupil_table.replace(ks2_group=ks2)
+    (tmp_path / "pupils.csv").write_bytes(serialize_pupils(edited_pupils))
+    (tmp_path / "schools.csv").write_bytes(serialize_schools(cohort.school_table))
+    out = tmp_path / "bd"
+    argv = [
+        "breakdown",
+        "--pupils", str(tmp_path / "pupils.csv"),
+        "--schools", str(tmp_path / "schools.csv"),
+        "--measures", "a8,aa8",
+        "--by", "ks2_group",
+        "--out", str(out),
+    ]
+    assert run(argv) == 0
+    with open(out / "breakdown_ks2_group.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    row = rows[-1]
+    assert row["category"] == "(missing)" and len(rows) == len(FIELD["ks2_group"].levels) + 1
+
+    edited = validate_cohort(edited_pupils, cohort.school_table)
+    mask = edited.pupil_table["ks2_group"] == -1
+    n = int(mask.sum())
+    assert int(row["n_pupils"]) == n == ks2[::7].size
+    assert int(row["n_schools"]) == np.unique(edited.school_index[mask]).size
+    assert row["percent"] == f"{100.0 * n / edited.n_pupils:.1f}"
+    for kind in (A8, AA8):
+        scores = compute_measure(edited, kind).scores
+        assert row[f"mean_{kind.code}"] == repr(float(scores[mask].mean()))
+        flag = clustered_mean_flag(scores[mask], edited.school_index[mask])
+        assert row[f"significant_{kind.code}"] == ("1" if flag else "0")

@@ -14,6 +14,7 @@ from vamkit.cli import run
 from vamkit.cohort import serialize_pupils, serialize_schools
 
 from conftest import random_cohort
+from output_digests import digests, run_pipeline
 
 
 def run_ok(argv):
@@ -72,6 +73,15 @@ def test_simulate_output_is_pinned(tmp_path):
     run_ok(["simulate", "--schools", "40", "--seed", "0", "--out", str(tmp_path)])
     for name, digest in SIMULATE_40_0.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_pipeline_outputs_are_pinned(tmp_path):
+    # every file simulate, fit, breakdown and compare write at 40 schools,
+    # seed 0 (see output_digests.py); a change that alters them on purpose
+    # regenerates pipeline_40_0.sha256 with that script and says why
+    pin = Path(__file__).with_name("pipeline_40_0.sha256").read_text().splitlines()
+    run_pipeline(tmp_path, 40, 0)
+    assert digests(tmp_path) == pin
 
 
 def test_simulate_reports_clipped_outcomes(tmp_path):
@@ -497,6 +507,21 @@ def _constant_outcome(command, measure):
     )
 
 
+def _repeated_score_row(tmp_path, fit_dir):
+    path = tmp_path / "repeated_scores.csv"
+    path.write_bytes(_first_row_repeated((fit_dir / "school_scores_a8.csv").read_bytes()))
+    argv = ["compare", "--scores", str(fit_dir / "school_scores_a8.csv"), "--scores", str(path)]
+    return argv, path
+
+
+def _first_id_over_field_limit(data):
+    """The first pupil_id quoted and one character over the csv module's limit."""
+    head, first, rest = data.split(b"\n", 2)
+    cells = first.split(b",")
+    cells[0] = b'"' + b"P" * 131073 + b'"'
+    return b"\n".join([head, b",".join(cells), rest])
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -570,6 +595,23 @@ def _config(tmp_path, text):
         (lambda t, f, s: _config(t, '{"n_schools": 8, "seed": '), ["JSON"]),
         (lambda t, f, s: _config(t, '{"n_schools": "x"}'), ["n_schools", "'x'"]),
         (lambda t, f, s: _config(t, '{"coefficient_set": {"constant": NaN}}'), ["constant"]),
+        (lambda t, f, s: _config(t, "[1, 2]"), ["config must be a JSON object"]),
+        (lambda t, f, s: _config(t, '{"nope": 1}'), ["invalid generator config", "'nope'"]),
+        (lambda t, f, s: _config(t, '{"seed": -1}'), ["seed must be nonnegative, got -1"]),
+        (lambda t, f, s: _config(t, '{"noise_sd": "x"}'), ["noise_sd must be a finite number"]),
+        (
+            lambda t, f, s: _config(t, '{"school_size_range": [1]}'),
+            ["school_size_range must be two integers"],
+        ),
+        (
+            lambda t, f, s: _config(t, '{"coefficient_set": [1, 2]}'),
+            ["coefficient table must map design labels to numbers"],
+        ),
+        (lambda t, f, s: _repeated_score_row(t, f), ["duplicate school_id in score list"]),
+        (
+            lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _first_id_over_field_limit),
+            ["is malformed: field larger than field limit (131072)"],
+        ),
     ],
     ids=[
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
@@ -582,7 +624,9 @@ def _config(tmp_path, text):
             for command, measure in CONSTANT_OUTCOME_CASES
         ],
         "truncated-json",
-        "string-n_schools", "nan-coefficient",
+        "string-n_schools", "nan-coefficient", "config-not-object", "config-unknown-key",
+        "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
+        "duplicate-score-row", "cell-over-field-limit",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):

@@ -104,6 +104,36 @@ def test_missing_required_field_is_issue():
     assert issues[0].column == "gender"
 
 
+def test_id_over_64_characters_is_issue():
+    # 64 characters holds a SHA-256 hex pseudonym; the 65-character school
+    # id is padded, and the limit applies once it is stripped
+    ok, long = "P" * 64, "S" * 65
+    table, issues = parse_pupils(
+        pupil_csv(
+            GOOD_PUPIL.replace("P1", ok),
+            GOOD_PUPIL.replace("P1", "P2").replace("S1", f" {'S' * 63} "),
+            GOOD_PUPIL.replace("P1", "P3").replace("S1", long),
+        )
+    )
+    assert table["pupil_id"].tolist() == [ok, "P2"]
+    assert table["pupil_id"].dtype == np.dtype("<U64")
+    assert [(i.row, i.column, i.reason) for i in issues] == [
+        (3, "school_id", "must be at most 64 characters, got 65")
+    ]
+
+
+def test_id_column_is_as_wide_as_its_longest_kept_id():
+    # neither a skipped row's id nor a kept id's padding sets the width
+    table, issues = parse_pupils(
+        pupil_csv(
+            GOOD_PUPIL.replace("P1", "P" * 40).replace("Female", "?"),
+            GOOD_PUPIL.replace("P1", "  P2  "),
+        )
+    )
+    assert [i.column for i in issues] == ["gender"]
+    assert table["pupil_id"].tolist() == ["P2"] and table["pupil_id"].dtype == np.dtype("<U2")
+
+
 def test_attainment_out_of_bounds():
     bad_hi = "P1,S1,90.5,3,September,Male,White British,English,None,0,5"
     bad_lo = "P2,S1,-1,3,September,Male,White British,English,None,0,5"

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from vamkit.categories import MeasureKind, SignificanceCategory
+from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cohort import validate_cohort
 from vamkit.errors import AnalysisError
-from vamkit.measures import (
-    compute_measure,
-    compute_measures,
-    measure_summary,
-    school_scores,
-)
+from vamkit.measures import compute_measure, compute_measures, school_scores
 from vamkit.ols import Z95
 
 from conftest import make_cohort, make_pupil, make_school, random_cohort
@@ -92,62 +87,61 @@ def build_two_school_cohort():
 def test_attainment8_scores_are_centred_outcome():
     cohort = build_two_school_cohort()
     result = compute_measure(cohort, A8)
-    y = np.array([p.attainment8_total for p in cohort.pupils])
+    y = cohort.pupil_table["attainment8_total"]
     expected = (y - y.mean()) / 10.0
-    got = np.array([s.score for s in result.pupil_scores])
+    got = result.scores
     assert got == pytest.approx(expected, abs=1e-12)
     assert abs(got.mean()) <= 1e-9
     assert result.summary.national_mean_grades == pytest.approx(y.mean() / 10.0)
     assert result.summary.adjusted_r_squared == 0.0
     # school score = (school mean outcome - national mean) / 10, exactly
     for school in result.school_scores:
-        members = y[[p.school_id == school.school_id for p in cohort.pupils]]
+        members = y[cohort.pupil_table["school_id"] == school.school_id]
         assert school.score == pytest.approx((members.mean() - y.mean()) / 10.0, abs=1e-12)
 
 
 def test_residual_to_grade_scaling():
     cohort = build_two_school_cohort()
     result = compute_measure(cohort, A8)
-    assert np.array([s.score for s in result.pupil_scores]) * 10.0 == pytest.approx(
-        result.fit.residuals, abs=1e-12
-    )
+    assert result.scores * 10.0 == pytest.approx(result.fit.residuals, abs=1e-12)
 
 
 def test_progress8_equals_group_mean_oracle():
     cohort = build_two_school_cohort()
     with pytest.warns(UserWarning):  # ks2 groups 3..34 absent
         result = compute_measure(cohort, P8)
-    y = {p.pupil_id: p.attainment8_total for p in cohort.pupils}
-    group = {p.pupil_id: p.ks2_group for p in cohort.pupils}
+    table = cohort.pupil_table
+    y = dict(zip(table["pupil_id"].tolist(), table["attainment8_total"].tolist()))
+    group = dict(zip(table["pupil_id"].tolist(), table["ks2_group"].tolist()))
     group_means = {
         g: np.mean([y[pid] for pid in y if group[pid] == g]) for g in set(group.values())
     }
-    for ps in result.pupil_scores:
-        oracle = (y[ps.pupil_id] - group_means[group[ps.pupil_id]]) / 10.0
-        assert ps.score == pytest.approx(oracle, abs=1e-10)
+    for pid, score in zip(result.pupil_ids.tolist(), result.scores.tolist()):
+        oracle = (y[pid] - group_means[group[pid]]) / 10.0
+        assert score == pytest.approx(oracle, abs=1e-10)
 
 
 def test_progress8_group_mean_oracle_midsize(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, P8)
-    y = np.array([p.attainment8_total for p in cohort.pupils])
-    groups = np.array([p.ks2_group for p in cohort.pupils])
+    y = cohort.pupil_table["attainment8_total"]
+    groups = cohort.pupil_table["ks2_group"]
     means = {g: y[groups == g].mean() for g in np.unique(groups)}
     oracle = np.array([(yi - means[g]) / 10.0 for yi, g in zip(y, groups)])
-    got = np.array([s.score for s in result.pupil_scores])
+    got = result.scores
     assert np.max(np.abs(got - oracle)) <= 1e-10
 
 
 def test_zero_category_means_for_adjusted_covariates():
     cohort = random_cohort(314, n_schools=8, pupils_per_school=40)
     result = compute_measure(cohort, MeasureKind.ADJUSTED_ATTAINMENT8)
-    scores = np.array([s.score for s in result.pupil_scores])
-    fsm = np.array([p.fsm for p in cohort.pupils])
+    scores = result.scores
+    fsm = cohort.pupil_table["fsm"] == 1
     assert abs(scores[fsm].mean()) <= 1e-9
     assert abs(scores[~fsm].mean()) <= 1e-9
-    genders = np.array([p.gender for p in cohort.pupils])
+    genders = cohort.pupil_table["gender"]
     for g in ("Male", "Female"):
-        assert abs(scores[genders == g].mean()) <= 1e-9
+        assert abs(scores[genders == FIELD["gender"].encode(g)].mean()) <= 1e-9
 
 
 def test_nested_sd_orderings(midsize_population):
@@ -203,19 +197,19 @@ def test_single_school_summary_warns():
 
 
 def test_measure_summary_sample_convention():
-    scores = np.array([0.0, 1.0, 2.0, 3.0])
-    sch = school_scores(A8, scores, np.array([0, 0, 1, 1]), ["S1", "S2"], national_sd=1.0)
-    fit = compute_measure(build_two_school_cohort(), A8).fit  # any fit for the R^2 slot
-    summary = measure_summary(fit, scores, sch, national_mean_grades=5.0)
+    # a8 pupil scores -1.5, -0.5, 0.5, 1.5 (outcome 0/10/20/30 less 15, over
+    # 10): the SDs are those of 0..3 and of the school means 0.5 and 2.5
+    pupils = [
+        make_pupil(f"P{i}", sid, attainment8_total=10.0 * i)
+        for i, sid in enumerate(["S1", "S1", "S2", "S2"])
+    ]
+    cohort = make_cohort(pupils, [make_school("S1"), make_school("S2")])
+    summary = compute_measure(cohort, A8).summary
+    assert summary.measure is A8
     assert summary.sd_pupil_scores == pytest.approx(np.std([0, 1, 2, 3], ddof=1))
     assert summary.sd_school_scores == pytest.approx(np.std([0.5, 2.5], ddof=1))
     assert summary.n_pupils == 4 and summary.n_schools == 2
-
-
-def test_measure_summary_rejects_empty_scores():
-    fit = compute_measure(build_two_school_cohort(), A8).fit
-    with pytest.raises(AnalysisError, match="no school scores"):
-        measure_summary(fit, np.array([0.0, 1.0]), [])
+    assert summary.national_mean_grades == pytest.approx(1.5)
 
 
 def test_school_scores_equal_per_school_loop(midsize_population):
@@ -229,8 +223,9 @@ def test_school_scores_equal_per_school_loop(midsize_population):
         result = compute_measure(cohort, kind)
         national_sd = float(result.scores.std(ddof=1))
         by_school = {}
-        for pupil, ps in zip(cohort.pupils, result.pupil_scores):
-            by_school.setdefault(pupil.school_id, []).append(ps.score)
+        school_ids = cohort.pupil_table["school_id"].tolist()
+        for school_id, score in zip(school_ids, result.scores.tolist()):
+            by_school.setdefault(school_id, []).append(score)
         assert [s.school_id for s in result.school_scores] == sorted(by_school)
         for school in result.school_scores:
             values = np.asarray(by_school[school.school_id])

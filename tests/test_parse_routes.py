@@ -66,6 +66,8 @@ COVER = [("line", 0, text) for text in LINES] + [
     ("pad", 6, "  "), ("cell", 0, " "), ("cell", 3, ""), ("cell", 2, "nan"),
     ("cell", 2, "inf"), ("cell", 2, "4_1"), ("cell", 2, "91"), ("cell", 5, "MALE"),
     ("cell", 6, "Martian"), ("cell", 9, "yes"),
+    # an id over 64 characters, and one that is within them once stripped
+    ("cell", 0, "P" * 65), ("cell", 1, " " + "S" * 64 + " "),
 ]
 
 
@@ -156,6 +158,25 @@ def test_simulate_output_takes_the_byte_route(small_cohort, monkeypatch):
     for parse, data in ((parse_pupils, pupils), (parse_schools, schools)):
         table, issues = parse(data)
         assert len(table) > 0 and issues == []
+
+
+def test_category_hash_collisions_fall_back_to_str(small_cohort, monkeypatch):
+    # with the hash's multiplier 0 a category cell's key is its last 8-byte
+    # word, so spellings that end alike collide: the byte route notices and
+    # matches that block's cells by str, and the parse is unchanged
+    pupils, _ = small_cohort
+    expected = cohort._parse_text(pupils, PUPIL_FIELDS, "pupil CSV")
+    fell_back = []
+    encode_column = cohort._encode_column
+
+    def recorded(f, *args):
+        fell_back.append(f.name)
+        return encode_column(f, *args)
+
+    monkeypatch.setattr(cohort, "_MIX", np.uint64(0))
+    monkeypatch.setattr(cohort, "_encode_column", recorded)
+    assert_same_parse(cohort._parse_bytes(pupils, PUPIL_FIELDS, "pupil CSV"), expected)
+    assert set(fell_back) == {"ethnicity", "month_of_birth"}
 
 
 @pytest.mark.parametrize("variant", ["quoted id", "crlf", "bom"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vamkit.categories import MeasureKind, ModelSpec
+from vamkit.categories import FIELD, MeasureKind, ModelSpec
 from vamkit.design import build_design_matrix, design_labels
 from vamkit.errors import AnalysisError, GeneratorError
 from vamkit.measures import compute_measure
@@ -76,7 +76,7 @@ def test_noiseless_population_recovers_truth_exactly():
         pop.cohort, ModelSpec(include_prior_attainment=True, include_background=True)
     )
     beta = np.array([DEFAULT_COEFFICIENTS[lab] for lab in design.column_labels])
-    y = np.array([p.attainment8_total for p in pop.cohort.pupils])
+    y = pop.cohort.pupil_table["attainment8_total"]
     assert np.max(np.abs(y - design.values @ beta)) <= 1e-9
     # refitting the fully adjusted model recovers every retained coefficient
     fit = fit_ols(design, y)
@@ -91,7 +91,7 @@ def test_noiseless_population_recovers_truth_exactly():
 def test_true_effects_and_structure(midsize_population):
     cohort = midsize_population.cohort
     truth = midsize_population.true_school_effects
-    assert set(truth) == {s.school_id for s in cohort.schools}
+    assert set(truth) == set(cohort.school_table["school_id"].tolist())
     # draw mean is near zero relative to its own SD
     values = np.array(list(truth.values()))
     assert abs(values.mean()) <= 4 * values.std(ddof=1) / np.sqrt(values.size)
@@ -104,17 +104,17 @@ def test_true_effects_and_structure(midsize_population):
 
 def test_marginals_match_targets():
     pop = generate_population(GeneratorConfig(n_schools=120, school_size_range=(150, 250), seed=5))
-    pupils = pop.cohort.pupils
+    pupils = pop.cohort.pupil_table
     n = len(pupils)
-    fsm_share = sum(p.fsm for p in pupils) / n
+    fsm_share = pupils["fsm"].sum() / n
     assert fsm_share == pytest.approx(FSM_ELIGIBLE_SHARE, abs=0.02)
-    deciles = np.array([p.idaci_decile for p in pupils])
+    deciles = pupils["idaci_decile"] + 1  # an INT column holds value - 1
     for d in range(1, 11):
         assert np.mean(deciles == d) == pytest.approx(0.1, abs=0.02)
     # KS2 marginal follows the national (bell-shaped) shares: middle groups common
-    groups = np.array([p.ks2_group for p in pupils])
+    groups = pupils["ks2_group"] + 1
     assert np.mean(groups == 23) > 3 * np.mean(groups == 1)
-    sen_share = np.mean([p.sen != "None" for p in pupils])
+    sen_share = np.mean(pupils["sen"] != FIELD["sen"].encode("None"))
     assert sen_share == pytest.approx(0.132, abs=0.02)
 
 
@@ -137,14 +137,17 @@ def test_normal_cut_points_match_scipy():
         np.testing.assert_allclose(_normal_cdf(latent), ndtr(latent), rtol=1e-13, atol=0)
 
 
+def school_means(cohort, column):
+    """Each school's mean of a pupil column, in school_table order."""
+    index = cohort.school_index
+    return np.bincount(index, weights=cohort.pupil_table[column]) / np.bincount(index)
+
+
 def test_gradient_links_deprivation_fsm_and_ks2(midsize_population):
     cohort = midsize_population.cohort
-    by_school = {s.school_id: [] for s in cohort.schools}
-    for p in cohort.pupils:
-        by_school[p.school_id].append(p)
-    decile = np.array([s.school_idaci_decile for s in cohort.schools])
-    fsm_rate = np.array([np.mean([p.fsm for p in by_school[s.school_id]]) for s in cohort.schools])
-    mean_ks2 = np.array([np.mean([p.ks2_group for p in by_school[s.school_id]]) for s in cohort.schools])
+    decile = cohort.school_table["school_idaci_decile"] + 1
+    fsm_rate = school_means(cohort, "fsm")
+    mean_ks2 = school_means(cohort, "ks2_group") + 1
     assert np.corrcoef(decile, fsm_rate)[0, 1] > 0.5
     assert np.corrcoef(decile, mean_ks2)[0, 1] < -0.3
 
@@ -153,12 +156,10 @@ def test_raw_attainment_tracks_intake(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, MeasureKind.ATTAINMENT8)
     score = {s.school_id: s.score for s in result.school_scores}
-    by_school = {s.school_id: [] for s in cohort.schools}
-    for p in cohort.pupils:
-        by_school[p.school_id].append(p.ks2_group)
-    ids = sorted(score)
+    ids = cohort.school_table["school_id"].tolist()
+    assert ids == sorted(score)
     scores = np.array([score[i] for i in ids])
-    mean_ks2 = np.array([np.mean(by_school[i]) for i in ids])
+    mean_ks2 = school_means(cohort, "ks2_group") + 1
     assert np.corrcoef(scores, mean_ks2)[0, 1] > 0.5
 
 
@@ -168,11 +169,8 @@ def test_no_gradient_breaks_the_link():
             GeneratorConfig(intake_gradient=0.0, seed=77, **SMALL)
         )
     cohort = pop.cohort
-    by_school = {s.school_id: [] for s in cohort.schools}
-    for p in cohort.pupils:
-        by_school[p.school_id].append(p.fsm)
-    decile = np.array([s.school_idaci_decile for s in cohort.schools])
-    fsm_rate = np.array([np.mean(by_school[s.school_id]) for s in cohort.schools])
+    decile = cohort.school_table["school_idaci_decile"] + 1
+    fsm_rate = school_means(cohort, "fsm")
     assert abs(np.corrcoef(decile, fsm_rate)[0, 1]) < 0.35
 
 
@@ -213,7 +211,7 @@ def test_partial_table_generation():
         pop = generate_population(
             GeneratorConfig(coefficient_set={"constant": 45.0}, seed=3, **SMALL)
         )
-    y = np.array([p.attainment8_total for p in pop.cohort.pupils])
+    y = pop.cohort.pupil_table["attainment8_total"]
     assert abs(y.mean() - 45.0) < 2.0
 
 
