@@ -2,7 +2,7 @@
 
 Every writing subcommand gets an --out directory and leaves exactly one
 manifest.json there recording the command line, SHA-256 digests of the
-bytes read from each input file, the seed (if any), the tool version, the
+bytes parsed from each input file, the seed (if any), the tool version, the
 output file list, a run report (``simulate`` only: ``n_clipped``, the
 outcomes clipped to the score range) and the wall time. Identical inputs
 and flags produce byte-identical outputs (manifests differ only in wall
@@ -11,6 +11,12 @@ time). Files are written atomically (temp file + rename).
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
 Each warning goes to stderr as one ``warning: <message>`` line.
 Randomness exists only in `simulate --seed`; fitting is seed-free.
+
+``fit``, ``breakdown`` and ``validate`` read each cohort file as a stream,
+so a parse holds the file's columns and one block of its bytes, never the
+whole file; ``fit`` then runs one measure at a time and keeps only its
+output tables. ``simulate`` writes each block of a cohort file as it is
+made.
 
 Each subcommand imports only the modules it runs: ``compare`` needs the
 standard library alone, while ``simulate``, ``fit``, ``breakdown`` and
@@ -92,25 +98,54 @@ def _formatter(precision):
     return lambda x: f"{float(x):.{precision}f}"
 
 
-def _read_input(path: Path, inputs: dict[str, str]) -> bytes:
-    """The file's bytes; their SHA-256 is recorded in ``inputs`` under the path."""
-    data = path.read_bytes()
-    inputs[str(path)] = hashlib.sha256(data).hexdigest()
-    return data
+class _Digested:
+    """A binary file read through a SHA-256 of the bytes read since its
+    start: seeking back to the start begins the digest again."""
+
+    def __init__(self, file: typing.BinaryIO):
+        self._file = file
+        self.sha256 = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._file.read(size)
+        self.sha256.update(data)
+        return data
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
+        at = self._file.seek(offset, whence)
+        if at == 0:
+            self.sha256 = hashlib.sha256()
+        return at
+
+    def tell(self) -> int:
+        return self._file.tell()
 
 
 def _parse_input(path: Path, inputs: dict[str, str], parse):
-    """``parse`` of the file's bytes (see ``_read_input``); a CohortError names the file."""
-    data = _read_input(path, inputs)
-    try:
-        return parse(data)
-    except CohortError as exc:
-        raise CohortError(f"{path}: {exc}") from exc
+    """``parse`` of the open file, which reads it as a stream; the SHA-256
+    of the bytes it parsed is recorded in ``inputs`` under the path, and a
+    CohortError names the file."""
+    with path.open("rb") as file:
+        source = _Digested(file)
+        try:
+            result = parse(source)
+        except CohortError as exc:
+            raise CohortError(f"{path}: {exc}") from exc
+    inputs[str(path)] = source.sha256.hexdigest()
+    return result
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, data: bytes | typing.Iterable[bytes]) -> None:
+    """Write ``data``, or its pieces as they are made, to a temp file, then
+    rename it to ``path``."""
     tmp = path.with_name(f".tmp.{path.name}")
-    tmp.write_bytes(data)
+    with tmp.open("wb") as file:
+        file.writelines([data] if isinstance(data, bytes) else data)
     os.replace(tmp, path)
 
 
@@ -160,16 +195,6 @@ def _pupil_fault(args):
         yield
     except (AnalysisError, DesignError, FitError) as exc:
         raise type(exc)(f"{args.pupils}: {exc}") from exc
-
-
-def _fit_measures(args):
-    """Inputs read, cohort and fitted --measures of a fit or breakdown."""
-    from .measures import compute_measures
-
-    inputs = {}
-    cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
-    with _pupil_fault(args):
-        return inputs, cohort, compute_measures(cohort, args.measures)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +267,9 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]
     names = [f.name for f in dataclasses.fields(SchoolScore)]
     parsers = [_cell_parser(hints[name]) for name in names]
 
-    def parse(data: bytes) -> list[SchoolScore]:
+    def parse(source: typing.BinaryIO) -> list[SchoolScore]:
         issues, out = [], []
-        for rows, row_nos in read_blocks(data, names, "school_scores CSV", issues):
+        for rows, row_nos in read_blocks(source, names, "school_scores CSV", issues):
             for row_no, row in zip(row_nos, rows):
                 if issues and issues[0].row < row_no:
                     raise CohortError(str(issues[0]))
@@ -275,7 +300,7 @@ def _cmd_simulate(args, out_dir: Path):
     if args.config is not None:
         config_path = Path(args.config)
         try:
-            loaded = json.loads(_read_input(config_path, inputs).decode("utf-8"))
+            loaded = json.loads(_parse_input(config_path, inputs, _Digested.read).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise VamkitError(f"{config_path}: not a JSON file: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -302,18 +327,33 @@ def _cmd_simulate(args, out_dir: Path):
     return inputs, config.seed, sorted(outputs), {"n_clipped": synthetic.n_clipped}
 
 
-def _cmd_fit(args, out_dir: Path):
+def _measure_tables(args, cohort, kind: MeasureKind, fmt):
+    """One measure's coefficient and school-score tables, as CSV bytes, and
+    its summary; its design and fit are dropped on return."""
+    from .measures import compute_measure
     from .ols import cluster_robust_cov, coefficient_table
 
-    inputs, cohort, results = _fit_measures(args)
+    with _pupil_fault(args):
+        res = compute_measure(cohort, kind)
+        cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
+    tables = {
+        f"coefficients_{kind.code}.csv": _rows_csv(coefficient_table(res.fit, cov), fmt),
+        f"school_scores_{kind.code}.csv": _rows_csv(res.school_scores, fmt),
+    }
+    return tables, res.summary
+
+
+def _cmd_fit(args, out_dir: Path):
+    inputs = {}
+    cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
     fmt = _formatter(args.precision)
-    tables = {}
-    for kind, res in results.items():
-        with _pupil_fault(args):
-            cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
-        tables[f"coefficients_{kind.code}.csv"] = _rows_csv(coefficient_table(res.fit, cov), fmt)
-        tables[f"school_scores_{kind.code}.csv"] = _rows_csv(res.school_scores, fmt)
-    tables["summary.csv"] = _rows_csv([res.summary for res in results.values()], fmt)
+    tables, summaries = {}, []
+    # one measure at a time; no file is written until every measure is done
+    for kind in args.measures:
+        measure_tables, summary = _measure_tables(args, cohort, kind, fmt)
+        tables.update(measure_tables)
+        summaries.append(summary)
+    tables["summary.csv"] = _rows_csv(summaries, fmt)
     for name, data in tables.items():
         _write_atomic(out_dir / name, data)
     return inputs, None, sorted(tables), None
@@ -349,9 +389,13 @@ def _cmd_compare(args, out_dir: Path):
 
 def _cmd_breakdown(args, out_dir: Path):
     from .analysis import pupil_breakdown, school_breakdown
+    from .measures import compute_measure
 
-    inputs, cohort, results = _fit_measures(args)
-    scores = {kind: res.scores for kind, res in results.items()}
+    inputs = {}
+    cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
+    with _pupil_fault(args):
+        # only each measure's pupil scores are kept
+        scores = {kind: compute_measure(cohort, kind).scores for kind in args.measures}
     if args.by in PUPIL_CHARACTERISTICS:
         table = pupil_breakdown(cohort, scores, args.by)
     else:

@@ -12,17 +12,24 @@ is read and encoded one block at a time by one of two routes, which give
 the same columns, dtypes and issues:
 
 - the byte route, for a file that is ASCII and holds no quote, carriage
-  return or NUL (every file ``simulate`` writes): numpy finds a block's
-  separators and gathers each column's cells into a fixed-width byte
-  array, and only lines that may be blank or of the wrong width are split
-  in Python;
-- the csv route, for every other file: ``csvio.read_blocks`` rows of str.
+  return or NUL (every file ``simulate`` writes): the file is read as a
+  stream, a block of lines at a time into one reused buffer; numpy finds a
+  block's separators and gathers each column's cells into a fixed-width
+  byte array, and only lines that may be blank or of the wrong width, and
+  a block with a cell longer than the gather's cap, are split in Python;
+- the csv route, for every other file: the file is read whole, and
+  ``csvio.read_blocks`` gives rows of str. A file whose first blocks took
+  the byte route goes back to its start when a later piece is not fit
+  for it.
 
 Either way a parse holds the file's columns and one block, not a Python
-string per cell of the file. The writer mirrors the byte route: each block
-of rows is put together from one byte array per column, and the only
-Python string it makes per cell is an outcome's ``repr``. It writes the
-bytes ``csvio.csv_bytes`` writes for the same cells.
+string per cell of the file, and the byte route does not hold the file's
+bytes. Each column is one array that grows in place as blocks are
+encoded, so a parse leaves no per-block pieces behind. The writer mirrors
+the byte route: each block of rows is put together from one byte array per
+column, and the only Python string it makes per cell is an outcome's
+``repr``. It writes the bytes ``csvio.csv_bytes`` writes for the same
+cells, a block at a time (:func:`serialize_blocks`).
 
 Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
 outcome as float64 and every category as a small-int code. Every function
@@ -39,6 +46,7 @@ gap is representable here because real extracts have them.
 
 from __future__ import annotations
 
+import csv
 import io
 import warnings
 from dataclasses import dataclass, field, make_dataclass
@@ -243,12 +251,12 @@ def _encode_cells(
     return col, _faults(bad, [spelt[i] for i in inverse[bad]], reasons)
 
 
-class _TooWide(Exception):
-    """A cell longer than ``_GATHER_CAP``: the file takes the csv route."""
+class _Restart(Exception):
+    """The byte route cannot read this file: it is read again from its start
+    on the csv route."""
 
 
-# bytes gathered per cell at most; the csv module's default field limit is
-# 131,072 characters, so a cell it would refuse never takes the byte route
+# bytes gathered per cell at most
 _GATHER_CAP = 256
 # _HEAD[k, n]: the mask of a little-endian 8-byte word that keeps the bytes
 # of word k of a cell n bytes long
@@ -257,6 +265,9 @@ _HEAD = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)[
 ]
 # bytes per block of the byte route: about _BLOCK_ROWS lines of a cohort file
 _BLOCK_BYTES = 80 * _BLOCK_ROWS
+# buffer bytes past a block: a newline after a last line that lacks one,
+# and the widest window a cell is gathered through
+_SPARE = 1 + _GATHER_CAP
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 # first bytes that send a line to the Python split: an empty first cell or
 # line (a comma, or the line's own newline) or one that str.strip()
@@ -264,111 +275,232 @@ _NEWLINE, _COMMA = ord("\n"), ord(",")
 _RARE_LEAD = np.array([b == _COMMA or chr(b).isspace() for b in range(256)])
 
 
-def _tokenizable(data: bytes) -> bool:
-    """Whether a file is read the same by splitting its lines at commas as
+def _tokenizable(data: bytes | bytearray) -> bool:
+    """Whether bytes are read the same by splitting their lines at commas as
     by the csv module: ASCII, with no quote, carriage return or NUL."""
-    return data.isascii() and b"\n" in data and not any(c in data for c in (b'"', b"\r", b"\0"))
+    return data.isascii() and not any(c in data for c in (b'"', b"\r", b"\0"))
 
 
-def _block_end(data: bytes, start: int) -> int:
-    """Where the block that begins at ``start`` ends: past the last newline
-    within ``_BLOCK_BYTES``, else past the next one, else at the file's end."""
-    stop = start + _BLOCK_BYTES
-    if stop >= len(data):
-        return len(data)
-    return (data.rfind(b"\n", start, stop) + 1) or (data.find(b"\n", stop) + 1) or len(data)
+def _read_into(source: BinaryIO, raw: bytearray, start: int, stop: int) -> int:
+    """Fill ``raw[start:stop]`` from the file, short only at its end; the
+    number of bytes read. Raises :class:`_Restart` if they are not
+    :func:`_tokenizable`."""
+    view = memoryview(raw)[start:stop]
+    got = 0
+    while got < len(view):
+        n = source.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    view.release()
+    if not _tokenizable(raw[start : start + got]):
+        raise _Restart
+    return got
+
+
+def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int, int]]:
+    """The file's bytes in blocks of whole lines, read into one reused
+    buffer: each block is the buffer, the block's length and the bytes read
+    so far. A block ends at the last newline within ``_BLOCK_BYTES`` of its
+    start, else at the next one; a last line with no newline gets one. At
+    least ``_SPARE`` bytes of the buffer follow a block, and the buffer is
+    overwritten when the next block is asked for.
+    """
+    raw = bytearray(_BLOCK_BYTES + _SPARE)
+    held = read = 0  # bytes in the buffer; bytes read from the file
+    eof = False
+    while True:
+        if not eof and held < _BLOCK_BYTES:
+            got = _read_into(source, raw, held, _BLOCK_BYTES)
+            eof = held + got < _BLOCK_BYTES
+            held, read = held + got, read + got
+        end = raw.rfind(b"\n", 0, held) + 1
+        while not end and not eof:  # a line longer than a block: read on to its end
+            if len(raw) < held + _BLOCK_BYTES + _SPARE:
+                raw = raw + bytes(len(raw))
+            got = _read_into(source, raw, held, held + _BLOCK_BYTES)
+            eof = got < _BLOCK_BYTES
+            end = raw.find(b"\n", held, held + got) + 1
+            held, read = held + got, read + got
+        if not end:  # the file's end
+            if not held:
+                return
+            raw[held] = _NEWLINE
+            held = end = held + 1
+        yield np.frombuffer(raw, dtype=np.uint8), end, read
+        raw[: held - end] = raw[end:held]
+        held -= end
+
+
+def _split_line(line: str, width: int, row_no: int, issues: list[ParseIssue]) -> list[str] | None:
+    """A line's cells if it is a row; None if it is blank (skipped) or of
+    the wrong width (a ``(row)`` issue). Raises :class:`_Restart` for a cell
+    the csv module refuses, so that the csv route reports it."""
+    row = line.split(",") if line else []
+    limit = csv.field_size_limit()
+    if len(line) > limit and max(map(len, row)) > limit:
+        raise _Restart
+    if not any(cell.strip() for cell in row):
+        return None
+    if len(row) != width:
+        issues.append(ParseIssue(row_no, "(row)", f"expected {width} fields, got {len(row)}"))
+        return None
+    return row
 
 
 def _byte_blocks(
-    data: bytes, names: tuple[str, ...], what: str, issues: list[ParseIssue]
-) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    source: BinaryIO, names: tuple[str, ...], what: str, issues: list[ParseIssue]
+) -> Iterator[tuple]:
     """:func:`read_blocks` for a :func:`_tokenizable` file, in numpy: each
-    block of whole lines, about ``_BLOCK_BYTES`` long, gives its kept rows'
-    cells, one gathered (n, width) array per column, and the rows' 1-based
-    numbers.
+    block of whole lines (see :func:`_line_blocks`) gives what
+    :func:`_cut_block` makes of it, and an estimate of the file's line
+    count. Raises :class:`_Restart` for a file that is empty, not
+    :func:`_tokenizable` or of the wrong header.
+    """
+    width = len(names)
+    at = source.tell()
+    size = source.seek(0, io.SEEK_END) - at
+    source.seek(at)
+    blocks = _line_blocks(source)
+    buf, end, read = next(blocks, (None, 0, 0))
+    if buf is None:
+        raise _Restart  # an empty file: the csv route says so
+    head = buf[:end].tobytes().index(b"\n")
+    header = buf[:head].tobytes().decode()
+    try:
+        _check_header(header.split(",") if header else [], names, what)
+    except CohortError:
+        raise _Restart from None  # the csv route checks the file's encoding first
+    start, row_no = head + 1, 1
+    while buf is not None:
+        if start < end:
+            lines, cut = _cut_block(buf[start:], end - start, width, row_no, issues)
+            row_no += lines
+            if cut:
+                yield *cut, -(-(row_no - 1) * size // read)  # at the line length so far
+            del cut  # before the next block is cut
+        buf, end, read = next(blocks, (None, 0, 0))
+        start = 0
+
+
+def _cut_block(
+    buf: np.ndarray, size: int, width: int, row_no: int, issues: list[ParseIssue]
+) -> tuple[int, tuple | None]:
+    """The number of lines in the block ``buf[:size]``, whose first line is
+    row ``row_no``, and its kept rows: their encoder, cells and numbers, or
+    None if none is kept. The cells are one gathered (n, width) array per
+    column; a block that holds a cell longer than ``_GATHER_CAP`` is split
+    in Python instead and gives columns of str.
 
     A line with as many commas as the header and a first cell that starts
     with neither a comma nor whitespace is a row. Any other line is split
-    in Python: skipped if blank, a ``(row)`` issue if of the wrong width,
-    else a row. Raises :class:`_TooWide` for a cell longer than
-    ``_GATHER_CAP``.
+    in Python (:func:`_split_line`): skipped if blank, a ``(row)`` issue if
+    of the wrong width, else a row.
     """
-    width = len(names)
-    head = data.index(b"\n")
-    header = data[:head].decode()
-    _check_header(header.split(",") if header else [], names, what)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    start, row_no = head + 1, 1
-    while start < len(data):
-        end = _block_end(data, start)
-        block = buf[start:end]
-        # the block, a newline that ends a last line without one, and zeros
-        # under the widest window a cell is gathered through
-        padded = np.zeros(block.size + _GATHER_CAP + 8, dtype=np.uint8)
-        padded[: block.size] = block
-        padded[block.size] = _NEWLINE
-        seps = np.flatnonzero((block == _COMMA) | (block == _NEWLINE))
-        if block[-1] != _NEWLINE:
-            seps = np.append(seps, block.size)
-        line_seps = np.flatnonzero(padded[seps] == _NEWLINE)  # each line's last separator
-        ends = seps[line_seps]
-        begins = np.concatenate(([0], ends[:-1] + 1))
-        regular = np.diff(line_seps, prepend=-1) == width  # width - 1 commas and a newline
-        keep = regular & ~_RARE_LEAD[padded[begins]]
-        for i in np.flatnonzero(~keep):
-            line = block[begins[i] : ends[i]].tobytes().decode()
-            row = line.split(",") if line else []
-            if any(len(cell) > _GATHER_CAP for cell in row):
-                raise _TooWide
-            if not any(cell.strip() for cell in row):
-                continue  # blank: skipped but counted
-            if regular[i]:
-                keep[i] = True
-            else:
-                reason = f"expected {width} fields, got {len(row)}"
-                issues.append(ParseIssue(row_no + int(i), "(row)", reason))
-        rows = np.flatnonzero(keep)
-        if rows.size:
-            if rows.size * width == seps.size:  # every line is a row
-                stops = seps.reshape(-1, width)
-            else:
-                stops = seps[line_seps[rows, None] + np.arange(1 - width, 1)]
-            firsts = np.empty_like(stops)
-            firsts[:, 0] = begins[rows]
-            firsts[:, 1:] = stops[:, :-1] + 1
-            sizes = stops - firsts
-            cells = []
-            for j in range(width):
-                w = int(sizes[:, j].max())
-                if w > _GATHER_CAP:
-                    raise _TooWide
-                w = -(-max(w, 1) // 8) * 8  # whole 8-byte words
-                col = as_strided(padded, shape=(block.size + 1, w), strides=(1, 1))[firsts[:, j]]
-                # zero each cell's bytes past its end, a word at a time
-                words = col.view("<u8")
-                for k in range(int(sizes[:, j].min()) // 8, w // 8):
-                    words[:, k] &= _HEAD[k, sizes[:, j]]
-                cells.append(col)
-            yield cells, row_no + rows
-        row_no += ends.size
-        start = end
+    block = buf[:size]
+    is_sep = block == _COMMA
+    is_sep |= block == _NEWLINE
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    line_seps = np.flatnonzero(block[seps] == _NEWLINE)  # each line's last separator
+    ends = seps[line_seps]
+    begins = np.concatenate(([0], ends[:-1] + 1))
+    regular = np.diff(line_seps, prepend=-1) == width  # width - 1 commas and a newline
+    keep = regular & ~_RARE_LEAD[block[begins]]
+    first_issue = len(issues)
+    for i in np.flatnonzero(~keep):
+        line = block[begins[i] : ends[i]].tobytes().decode()
+        keep[i] = _split_line(line, width, row_no + int(i), issues) is not None
+    rows = np.flatnonzero(keep)
+    if not rows.size:
+        return ends.size, None
+    if rows.size * width == seps.size:  # every line is a row
+        stops = seps.reshape(-1, width)
+    else:
+        stops = seps[line_seps[rows, None] + np.arange(1 - width, 1)]
+    starts = begins[rows]
+    for j in range(width):
+        if (stops[:, j] - (stops[:, j - 1] + 1 if j else starts)).max() > _GATHER_CAP:
+            del issues[first_issue:]  # the split meets them again
+            return ends.size, (_encode_column, *_split_block(block, width, row_no, issues))
+    return ends.size, (_encode_cells, _gather(buf, size, starts, stops), row_no + rows)
+
+
+def _gather(buf: np.ndarray, size: int, starts: np.ndarray, stops: np.ndarray) -> Iterator[np.ndarray]:
+    """Each column's cells in the block ``buf[:size]``, from the rows' first
+    bytes and each cell's end: an (n, width) uint8 array per column, made
+    as it is asked for, each cell's bytes zero-padded to whole 8-byte words.
+    """
+    # each byte's window of the cap's width: the buffer goes on past the block
+    windows = as_strided(buf, shape=(size, _GATHER_CAP), strides=(1, 1))
+    for j in range(stops.shape[1]):
+        firsts = stops[:, j - 1] + 1 if j else starts
+        sizes = stops[:, j] - firsts
+        w = -(-max(int(sizes.max()), 1) // 8) * 8  # whole 8-byte words
+        col = windows[firsts, :w]
+        # zero each cell's bytes past its end, a word at a time
+        words = col.view("<u8")
+        for k in range(int(sizes.min()) // 8, w // 8):
+            words[:, k] &= _HEAD[k, sizes]
+        yield col
+
+
+def _split_block(
+    block: np.ndarray, width: int, row_no: int, issues: list[ParseIssue]
+) -> tuple[list[tuple[str, ...]], list[int]]:
+    """A block's rows split in Python (see :func:`_split_line`), as columns
+    of str, and their numbers."""
+    rows, row_nos = [], []
+    for i, line in enumerate(block.tobytes().decode().split("\n")[:-1]):
+        row = _split_line(line, width, row_no + i, issues)
+        if row is not None:
+            rows.append(row)
+            row_nos.append(row_no + i)
+    return list(zip(*rows)), row_nos
+
+
+class _Column:
+    """One column's kept values, appended a block at a time to a single
+    array that grows in place, so a parse allocates each column once rather
+    than a chunk per block. An id column is as wide as its longest kept id."""
+
+    def __init__(self, f: Field):
+        self.is_id = f.kind is Kind.ID
+        # empty, it types a column that gets no rows
+        self.values = np.empty(0, dtype=_DTYPE.get(f.kind, np.int8))
+        self.size = 0
+
+    def append(self, col: np.ndarray, expected: int) -> None:
+        """Add a block's values, growing the array to about ``expected``
+        rows (an estimate of the file's) or by an eighth."""
+        if self.is_id:
+            longest = int(np.char.str_len(col).max(initial=1))
+            if longest > self.values.dtype.itemsize // 4:
+                self.values = self.values.astype(f"U{longest}")
+        end = self.size + len(col)
+        if end > len(self.values):
+            self.values.resize(max(end + end // 8, expected), refcheck=False)
+        self.values[self.size : end] = col
+        self.size = end
+
+    def finish(self) -> np.ndarray:
+        self.values.resize(self.size, refcheck=False)
+        return self.values
 
 
 def _columns(
-    fields: tuple[Field, ...], blocks: Iterator, issues: list[ParseIssue], encode
+    fields: tuple[Field, ...], blocks: Iterator, issues: list[ParseIssue]
 ) -> tuple[Table, list[ParseIssue]]:
     """Encode blocks of raw cells into a Table; each bad row is skipped with
     one issue, under its first failing column in column order.
 
-    Each block is one raw column per field and the rows' numbers; ``encode``
-    is :func:`_encode_column` or :func:`_encode_cells`. Each column's kept
-    values are joined at the end, and its blocks freed as it is joined; an
-    id column is as wide as its longest kept id.
+    Each block is its encoder (:func:`_encode_column` or
+    :func:`_encode_cells`), one raw column per field, the rows' numbers and
+    an estimate of the file's row count.
     """
     spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
-    # a zero-length chunk first types a column that gets no rows
-    chunks = [[np.array((), dtype=_DTYPE.get(f.kind, np.int8))] for f in fields]
-    for raws, row_nos in blocks:
+    columns = [_Column(f) for f in fields]
+    for encode, raws, row_nos, expected in blocks:
         failed = np.zeros(len(row_nos), dtype=bool)
         block = []
         for f, raw, (decoded, reasons) in zip(fields, raws, spellings):
@@ -380,36 +512,37 @@ def _columns(
                     issues.append(ParseIssue(int(row_nos[i]), f.name, why[i]))
                 failed |= bad
             block.append(col)
-        for f, chunk, col in zip(fields, chunks, block):
-            col = col[~failed]
-            if f.kind is Kind.ID:  # as wide as its longest kept id
-                col = col.astype(f"U{np.char.str_len(col).max(initial=1)}", copy=False)
-            chunk.append(col)
+        for column, col in zip(columns, block):
+            column.append(col[~failed] if failed.any() else col, expected)
+        del raws, block  # before the next block is cut
     issues.sort(key=lambda issue: issue.row)
-    columns = {}
-    for f, chunk in zip(fields, chunks):
-        columns[f.name] = np.concatenate(chunk)
-        chunk.clear()
-    return Table(fields, columns), issues
+    return Table(fields, {f.name: c.finish() for f, c in zip(fields, columns)}), issues
 
 
 def _parse_bytes(
-    data: bytes, fields: tuple[Field, ...], what: str
+    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
 ) -> tuple[Table, list[ParseIssue]]:
-    """The byte route: a :func:`_tokenizable` file cut into cells by numpy."""
+    """The byte route: a :func:`_tokenizable` file cut into cells by numpy
+    a block at a time. Raises :class:`_Restart` for any other file."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
     issues: list[ParseIssue] = []
     names = tuple(f.name for f in fields)
-    return _columns(fields, _byte_blocks(data, names, what, issues), issues, _encode_cells)
+    return _columns(fields, _byte_blocks(source, names, what, issues), issues)
 
 
 def _parse_text(
-    data: bytes, fields: tuple[Field, ...], what: str
+    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
 ) -> tuple[Table, list[ParseIssue]]:
-    """The csv route: any file, read by the csv module into blocks of str."""
+    """The csv route: any file, read whole and by the csv module into
+    blocks of str."""
+    data = source if isinstance(source, bytes) else source.read()
     issues: list[ParseIssue] = []
     names = tuple(f.name for f in fields)
-    rows = ((zip(*rows), row_nos) for rows, row_nos in read_blocks(data, names, what, issues))
-    return _columns(fields, rows, issues, _encode_column)
+    lines = data.count(b"\n") + 1
+    blocks = read_blocks(data, names, what, issues)
+    rows = ((_encode_column, zip(*rows), row_nos, lines) for rows, row_nos in blocks)
+    return _columns(fields, rows, issues)
 
 
 def _parse_table(
@@ -417,21 +550,24 @@ def _parse_table(
 ) -> tuple[Table, list[ParseIssue]]:
     """Read a CSV into columns; each bad row is skipped with one issue.
 
-    A :func:`_tokenizable` file takes the byte route unless a cell is longer
-    than ``_GATHER_CAP``; every other file takes the csv route. Both routes
-    give the same columns, dtypes and issues.
+    A file is read a block at a time on the byte route while its bytes are
+    :func:`_tokenizable`; at the first piece that is not, it is read again
+    from where it started on the csv route. Both routes give the same
+    columns, dtypes and issues.
     """
-    data = source if isinstance(source, bytes) else source.read()
-    if _tokenizable(data):
-        try:
-            return _parse_bytes(data, fields, what)
-        except _TooWide:
-            pass
-    return _parse_text(data, fields, what)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    at = source.tell()
+    try:
+        return _parse_bytes(source, fields, what)
+    except _Restart:
+        source.seek(at)
+    return _parse_text(source, fields, what)
 
 
 def parse_pupils(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
-    """Parse a pupil CSV byte stream into columns plus row-level issues.
+    """Parse pupil CSV bytes, or a seekable binary file read as a stream
+    from where it stands, into columns plus row-level issues.
 
     Well-formed rows are kept; malformed rows are skipped with an issue. A
     missing or reordered header is fatal (:class:`CohortError`).
@@ -579,16 +715,16 @@ def _join_rows(columns: list[np.ndarray]) -> bytes:
     return line[line != _PAD].tobytes()
 
 
-def _serialize(table: Table) -> bytes:
-    """A Table as the CSV bytes ``csv_bytes`` writes for its cells' text, a
-    block of ``_BLOCK_ROWS`` rows at a time. A category's cells are gathered
-    from a table of its spellings by code (code -1: the empty cell)."""
+def serialize_blocks(table: Table) -> Iterator[bytes]:
+    """A Table as the CSV bytes ``csv_bytes`` writes for its cells' text:
+    the header line, then the lines of each block of ``_BLOCK_ROWS`` rows,
+    made as they are asked for. A category's cells are gathered from a
+    table of its spellings by code (code -1: the empty cell)."""
     fields = table.fields
     spellings = {
         f.name: _text_cells(list(f.spellings + ("",))) for f in fields if f.kind not in _DTYPE
     }
-    buf = io.BytesIO()
-    buf.write((",".join(_fields([f.name for f in fields])) + "\n").encode())
+    yield (",".join(_fields([f.name for f in fields])) + "\n").encode()
     for start in range(0, len(table), _BLOCK_ROWS):
         block = []
         for f in fields:
@@ -599,15 +735,14 @@ def _serialize(table: Table) -> bytes:
                 block.append(_float_cells(col))
             else:
                 block.append(spellings[f.name][col])
-        buf.write(_join_rows(block))
-    return buf.getvalue()
+        yield _join_rows(block)
 
 
 def serialize_pupils(pupils: Table) -> bytes:
     """Write pupils as canonical CSV bytes (inverse of parse_pupils)."""
-    return _serialize(pupils)
+    return b"".join(serialize_blocks(pupils))
 
 
 def serialize_schools(schools: Table) -> bytes:
     """Write schools as canonical CSV bytes (inverse of parse_schools)."""
-    return _serialize(schools)
+    return b"".join(serialize_blocks(schools))

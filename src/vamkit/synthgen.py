@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind, ModelSpec
-from .cohort import Table, ValidatedCohort, serialize_pupils, serialize_schools, validate_cohort
+from .cohort import Table, ValidatedCohort, serialize_blocks, validate_cohort
 from .csvio import csv_bytes
 from .design import build_design_matrix, design_labels
 from .errors import GeneratorError
@@ -317,10 +317,12 @@ def serialize_truth(synthetic: SyntheticCohort) -> bytes:
     return csv_bytes(["school_id", "true_effect_points"], [ids, [repr(effects[s]) for s in ids]])
 
 
-def write_population_csv(synthetic: SyntheticCohort) -> dict[str, bytes]:
-    """The three output files of a simulation run, keyed by file name."""
+def write_population_csv(synthetic: SyntheticCohort) -> dict[str, Iterator[bytes]]:
+    """The three output files of a simulation run, keyed by file name, each
+    as pieces of its bytes; a cohort file's pieces are made a block of rows
+    at a time as they are read, so it need not be held whole."""
     return {
-        "pupils.csv": serialize_pupils(synthetic.cohort.pupil_table),
-        "schools.csv": serialize_schools(synthetic.cohort.school_table),
-        "truth.csv": serialize_truth(synthetic),
+        "pupils.csv": serialize_blocks(synthetic.cohort.pupil_table),
+        "schools.csv": serialize_blocks(synthetic.cohort.school_table),
+        "truth.csv": iter([serialize_truth(synthetic)]),
     }

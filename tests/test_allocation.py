@@ -5,7 +5,8 @@ A categorical design is fitted from its code columns, so neither fitting
 a measure with its clustered covariance nor generating a cohort's outcome
 should allocate an N x k float64 array (about 28 MB on the default
 cohort). A parse encodes a block of rows at a time, so it never holds a
-Python str per cell of the file. Ids are fixed-width numpy unicode, 4 bytes
+Python str per cell of the file, and the CLI streams the file, so it never
+holds the file's bytes either. Ids are fixed-width numpy unicode, 4 bytes
 per character, so one long id must not set the width of its whole column.
 tracemalloc sees numpy's array buffers.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from vamkit import cohort
 from vamkit.categories import MeasureKind
+from vamkit.cli import _parse_input
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, serialize_pupils
 from vamkit.design import design_labels
 from vamkit.measures import compute_measure
@@ -60,15 +62,40 @@ def test_fit_and_generator_allocate_no_design_matrix():
     assert gen_peak / 1e6 < design_mb / 2, f"generator peak {gen_peak / 1e6:.1f} MB, design {design_mb:.1f} MB"
 
 
-def test_parse_allocates_a_few_times_the_file():
+@pytest.fixture(scope="module")
+def default_pupils():
+    """The default cohort's pupils.csv bytes and its pupil count."""
     pop = generate_population(GeneratorConfig(seed=612))
-    data = serialize_pupils(pop.cohort.pupil_table)
+    return serialize_pupils(pop.cohort.pupil_table), pop.cohort.n_pupils
+
+
+def test_parse_allocates_a_few_times_the_file(default_pupils):
+    data, n_pupils = default_pupils
     parse_pupils(data[: data.index(b"\n", 1000) + 1])  # warm-up
     (table, issues), peak = traced_peak(lambda: parse_pupils(data))
-    assert len(table) == pop.cohort.n_pupils and issues == []
+    assert len(table) == n_pupils and issues == []
     # the columns, one block of rows and the UTF-8 check's decoded copy of
     # the file; holding a str per cell of the file took eleven times its size
     assert peak < 5 * len(data), f"parse peak {peak / 1e6:.1f} MB, file {len(data) / 1e6:.2f} MB"
+
+
+def test_cli_reads_a_cohort_file_as_a_stream(default_pupils, tmp_path):
+    data, n_pupils = default_pupils
+    assert len(data) > 4 * cohort._BLOCK_BYTES
+    path, warm = tmp_path / "pupils.csv", tmp_path / "warm.csv"
+    path.write_bytes(data)
+    warm.write_bytes(data[: data.index(b"\n", 1000) + 1])
+    _parse_input(warm, {}, parse_pupils)  # warm-up
+    (table, issues), peak = traced_peak(lambda: _parse_input(path, {}, parse_pupils))
+    assert len(table) == n_pupils and issues == []
+    columns = sum(col.nbytes for col in table.columns.values())
+    # the columns and one block's bytes and arrays: 5.7 MB here, for 2.9 MB
+    # of columns from a 3.6 MB file; reading the whole file first, then
+    # joining the columns from per-block chunks, took 11.9 MB
+    assert peak < len(data) + columns, (
+        f"read peak {peak / 1e6:.2f} MB, file {len(data) / 1e6:.2f} MB, "
+        f"columns {columns / 1e6:.2f} MB"
+    )
 
 
 def long_id_file(long_id):
@@ -79,12 +106,16 @@ def long_id_file(long_id):
 
 
 @pytest.mark.parametrize(
-    "long_id, length", [("P" * 200, 200), ('"' + "P" * 2000 + '"', 2000)], ids=["byte", "csv"]
+    "long_id, length",
+    [("P" * 200, 200), ("P" * 300, 300), ('"' + "P" * 2000 + '"', 2000)],
+    ids=["byte", "byte-split", "csv"],
 )
 def test_one_long_id_is_one_issue_and_widens_nothing(monkeypatch, long_id, length):
+    # 200 characters are gathered by numpy; 300 are over the gather's cap,
+    # so only the block that holds them is split in Python
     data = long_id_file(long_id)
-    if length <= cohort._GATHER_CAP:  # a quote-free file of short cells: no csv module
-        assert cohort._tokenizable(data)
+    assert len(data) > 2 * cohort._BLOCK_BYTES
+    if cohort._tokenizable(data):  # a quote-free file: no csv module
         monkeypatch.setattr(csv, "reader", None)
     parse_pupils(data[: data.index(b"\n", 1000) + 1])  # warm-up
     (table, issues), peak = traced_peak(lambda: parse_pupils(data))

@@ -642,6 +642,22 @@ def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, f
         assert fragment in err
 
 
+def test_fit_writes_nothing_when_a_later_measure_fails(tmp_path, sim_dir, capsys):
+    # a8 fits without ks2_group and p8 does not: fit runs one measure at a
+    # time, and writes no file until every measure is done
+    out = tmp_path / "out"
+    argv, path = _edited_cohort(
+        tmp_path, sim_dir, "fit", "pupils.csv", _first_ks2_emptied,
+        "--measures", "a8,p8", "--out", str(out),
+    )
+    capsys.readouterr()
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{path}: ") and "ks2_group is missing for pupils: P" in line
+    assert not (out / "coefficients_a8.csv").exists()
+    assert list(out.iterdir()) == []
+
+
 def test_one_school_fit_error_names_the_pupils_file(tmp_path, sim_dir, capsys):
     first = read_csv(sim_dir / "schools.csv")[0]["school_id"].encode()
     argv, path = _edited_cohort(

@@ -6,10 +6,15 @@ module (the csv route, ``csvio.read_blocks``). A derandomised property test
 mutates a quote-free pupil file that spans several blocks of either route
 and checks that ``parse_pupils`` gives the columns, dtypes and issues the
 csv route gives on the same bytes. Two guards check which route a file
-takes, so that the byte route cannot be dropped silently.
+takes, so that the byte route cannot be dropped silently. A file is read
+as a stream, so the route can change late: a quote in a file's last block
+sends it back to its start on the csv route, and a line longer than a
+block, or a cell the csv module refuses, must read as on that route too.
 """
 
 import csv
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS
 from vamkit.cli import run
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools
 from vamkit.csvio import _BLOCK_ROWS
+from vamkit.errors import CohortError
 
 N_ROWS = 2 * _BLOCK_ROWS + 5
 WIDTH = len(PUPIL_COLUMNS)
@@ -106,6 +112,14 @@ def mutate(rows: list[str], row: int, kind: str, column: int, text) -> None:
     rows[row] = ",".join(cells)
 
 
+def counted_csv_reader(monkeypatch) -> list:
+    """csv.reader, appending to the returned list on each call."""
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(1) or reader(*a, **k))
+    return calls
+
+
 def assert_same_parse(got, expected):
     (table, issues), (want, want_issues) = got, expected
     assert issues == want_issues
@@ -137,9 +151,9 @@ def test_byte_route_parses_as_the_csv_route(at, changes, final_newline):
     assert cohort._tokenizable(data)
     expected = cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
     assert_same_parse(parse_pupils(data), expected)
-    if not any(kind == "long" for _, kind, _, _ in changes):
-        # the cells fit the gather, so the byte route itself gave that result
-        assert_same_parse(cohort._parse_bytes(data, PUPIL_FIELDS, "pupil CSV"), expected)
+    # a block with a cell too long to gather is split in Python, but the
+    # file stays on the byte route
+    assert_same_parse(cohort._parse_bytes(data, PUPIL_FIELDS, "pupil CSV"), expected)
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +200,7 @@ def test_other_files_take_the_csv_route(small_cohort, monkeypatch, variant):
         cohort._parse_text(pupils, PUPIL_FIELDS, "pupil CSV"),
         cohort._parse_text(schools, SCHOOL_FIELDS, "school CSV"),
     ]
-    calls = []
-    reader = csv.reader
-    monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(1) or reader(*a, **k))
+    calls = counted_csv_reader(monkeypatch)
     for parse, data, want in zip((parse_pupils, parse_schools), small_cohort, expected):
         if variant == "quoted id":
             head, first, rest = data.split(b"\n", 2)
@@ -201,3 +213,80 @@ def test_other_files_take_the_csv_route(small_cohort, monkeypatch, variant):
         calls.clear()
         assert_same_parse(parse(data), want)
         assert calls, variant
+
+
+def test_quote_in_the_last_block_restarts_on_the_csv_route(tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--seed", "612", "--schools", "300", "--out", str(sim)]) == 0
+    data = (sim / "pupils.csv").read_bytes()
+    # the last pupil's id quoted: the csv module reads it as the bare id
+    head, last = data[:-1].rsplit(b"\n", 1)
+    pupil_id, rest = last.split(b",", 1)
+    quoted = head + b'\n"' + pupil_id + b'",' + rest + b"\n"
+    assert len(quoted) > 4 * cohort._BLOCK_BYTES
+    assert quoted.index(b'"') > len(quoted) - cohort._BLOCK_BYTES // 2
+    pupils = tmp_path / "pupils.csv"
+    pupils.write_bytes(quoted)
+
+    calls = counted_csv_reader(monkeypatch)
+    fits = {}
+    for name, path in (("bare", sim / "pupils.csv"), ("quoted", pupils)):
+        fits[name] = tmp_path / name
+        argv = ["fit", "--pupils", str(path), "--schools", str(sim / "schools.csv"),
+                "--measures", "ap8", "--out", str(fits[name])]
+        assert run(argv) == 0
+    assert calls, "the quote did not send the file to the csv route"
+    manifest = json.loads((fits["quoted"] / "manifest.json").read_text())
+    assert manifest["inputs"][str(pupils)] == hashlib.sha256(quoted).hexdigest()
+    for name in ("coefficients_ap8.csv", "school_scores_ap8.csv", "summary.csv"):
+        assert (fits["quoted"] / name).read_bytes() == (fits["bare"] / name).read_bytes(), name
+    expected = cohort._parse_text(quoted, PUPIL_FIELDS, "pupil CSV")
+    assert_same_parse(parse_pupils(quoted), expected)
+    assert_same_parse(parse_pupils(data), expected)
+
+
+def test_line_longer_than_a_block_reads_as_on_the_csv_route(monkeypatch):
+    # a wrong-width line of more than a block's bytes between good rows
+    wide = ",".join(["x"] * (cohort._BLOCK_BYTES // 2 + 1))
+    data = "\n".join([HEADER, BASE[0], wide, *BASE[1:50]]).encode()
+    assert len(data) > cohort._BLOCK_BYTES and cohort._tokenizable(data)
+    expected = cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
+    assert [(i.row, i.column) for i in expected[1]] == [(2, "(row)")]
+    calls = counted_csv_reader(monkeypatch)
+    assert_same_parse(parse_pupils(data), expected)
+    assert not calls
+
+
+def _over_limit_cell() -> bytes:
+    """An unquoted cell one character over the csv module's limit: the csv
+    module refuses it, quoted or not."""
+    cells = BASE[1].split(",")
+    cells[0] = "P" * (csv.field_size_limit() + 1)
+    return "\n".join([HEADER, BASE[0], ",".join(cells), *BASE[2:50]]).encode()
+
+
+def _bad_header_and_late_byte() -> bytes:
+    """A wrong header and a byte that is not UTF-8 in the last block: the
+    csv route reports the byte, which it checks first."""
+    data = "\n".join([HEADER.replace("gender", "sex"), *BASE]).encode()
+    return data[:-100] + b"\xff" + data[-100:]
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [(_over_limit_cell, "field larger than field limit"), (_bad_header_and_late_byte, "not valid UTF-8")],
+    ids=["cell-over-field-limit", "bad-header-and-late-byte"],
+)
+def test_faults_fail_as_on_the_csv_route(monkeypatch, make, fragment):
+    # the byte route meets these before it has read the whole file, and
+    # hands the file to the csv route, whose error is the one reported
+    data = make()
+    with pytest.raises(CohortError) as csv_route:
+        cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
+    calls = counted_csv_reader(monkeypatch)
+    with pytest.raises(CohortError) as parsed:
+        parse_pupils(data)
+    assert str(parsed.value) == str(csv_route.value)
+    assert fragment in str(parsed.value)
+    if cohort._tokenizable(data):
+        assert calls

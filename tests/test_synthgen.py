@@ -29,9 +29,15 @@ SMALL = dict(n_schools=40, school_size_range=(30, 60))
 # ---------------------------------------------------------------------------
 
 
+def population_files(config):
+    """Each file simulate writes for the config, as one bytes."""
+    files = write_population_csv(generate_population(config))
+    return {name: b"".join(pieces) for name, pieces in files.items()}
+
+
 def test_same_seed_identical_bytes():
-    a = write_population_csv(generate_population(GeneratorConfig(seed=99, **SMALL)))
-    b = write_population_csv(generate_population(GeneratorConfig(seed=99, **SMALL)))
+    a = population_files(GeneratorConfig(seed=99, **SMALL))
+    b = population_files(GeneratorConfig(seed=99, **SMALL))
     assert set(a) == {"pupils.csv", "schools.csv", "truth.csv"}
     for name in a:
         assert a[name] == b[name]
@@ -39,8 +45,8 @@ def test_same_seed_identical_bytes():
 
 def test_different_seed_differs():
     with pytest.warns(UserWarning, match="absent from cohort"):
-        a = write_population_csv(generate_population(GeneratorConfig(seed=1, **SMALL)))
-        b = write_population_csv(generate_population(GeneratorConfig(seed=2, **SMALL)))
+        a = population_files(GeneratorConfig(seed=1, **SMALL))
+        b = population_files(GeneratorConfig(seed=2, **SMALL))
     assert a["pupils.csv"] != b["pupils.csv"]
 
 
