@@ -36,8 +36,7 @@ _HOMES = {
         "AnalysisError", "CohortError", "DesignError", "FitError", "GeneratorError", "VamkitError",
     ),
     "measures": (
-        "MeasureResult", "MeasureSummary", "PupilScore", "compute_measure", "compute_measures",
-        "school_scores",
+        "MeasureResult", "MeasureSummary", "PupilScore", "compute_measure", "school_scores",
     ),
     "ols": (
         "ClusterCovariance", "CoefficientRow", "FitResult", "Z95", "cluster_robust_cov",

@@ -125,11 +125,15 @@ class _Digested:
     def tell(self) -> int:
         return self._file.tell()
 
+    def seekable(self) -> bool:
+        return self._file.seekable()
+
 
 def _parse_input(path: Path, inputs: dict[str, str], parse):
-    """``parse`` of the open file, which reads it as a stream; the SHA-256
-    of the bytes it parsed is recorded in ``inputs`` under the path, and a
-    CohortError names the file."""
+    """``parse`` of the open file, which reads it as a stream (a pipe,
+    which cannot seek, whole); the SHA-256 of the bytes it parsed is
+    recorded in ``inputs`` under the path, and a CohortError names the
+    file."""
     with path.open("rb") as file:
         source = _Digested(file)
         try:

@@ -24,10 +24,11 @@ the same columns, dtypes and issues:
 
 Either way a parse holds the file's columns and one block, not a Python
 string per cell of the file, and the byte route does not hold the file's
-bytes. Each column is one array that grows in place as blocks are
-encoded, so a parse leaves no per-block pieces behind. The writer mirrors
-the byte route: each block of rows is put together from one byte array per
-column, and the only Python string it makes per cell is an outcome's
+bytes unless the file cannot seek (a pipe), which is read whole. Each
+column is one array that grows in place as blocks are encoded, so a parse
+leaves no per-block pieces behind. The writer mirrors the byte route: each
+block of rows is put together from one byte array per column, and the
+only Python string it makes per cell is an outcome's
 ``repr``. It writes the bytes ``csvio.csv_bytes`` writes for the same
 cells, a block at a time (:func:`serialize_blocks`).
 
@@ -298,22 +299,21 @@ def _read_into(source: BinaryIO, raw: bytearray, start: int, stop: int) -> int:
     return got
 
 
-def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int, int]]:
+def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int]]:
     """The file's bytes in blocks of whole lines, read into one reused
-    buffer: each block is the buffer, the block's length and the bytes read
-    so far. A block ends at the last newline within ``_BLOCK_BYTES`` of its
-    start, else at the next one; a last line with no newline gets one. At
-    least ``_SPARE`` bytes of the buffer follow a block, and the buffer is
-    overwritten when the next block is asked for.
+    buffer: each block is the buffer and the block's length. A block ends
+    at the last newline within ``_BLOCK_BYTES`` of its start, else at the
+    next one; a last line with no newline gets one. At least ``_SPARE``
+    bytes of the buffer follow a block, and the buffer is overwritten when
+    the next block is asked for.
     """
     raw = bytearray(_BLOCK_BYTES + _SPARE)
-    held = read = 0  # bytes in the buffer; bytes read from the file
-    eof = False
+    held, eof = 0, False  # bytes in the buffer; whether the file is read to its end
     while True:
         if not eof and held < _BLOCK_BYTES:
             got = _read_into(source, raw, held, _BLOCK_BYTES)
-            eof = held + got < _BLOCK_BYTES
-            held, read = held + got, read + got
+            held += got
+            eof = held < _BLOCK_BYTES
         end = raw.rfind(b"\n", 0, held) + 1
         while not end and not eof:  # a line longer than a block: read on to its end
             if len(raw) < held + _BLOCK_BYTES + _SPARE:
@@ -321,13 +321,13 @@ def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int, int]]:
             got = _read_into(source, raw, held, held + _BLOCK_BYTES)
             eof = got < _BLOCK_BYTES
             end = raw.find(b"\n", held, held + got) + 1
-            held, read = held + got, read + got
+            held += got
         if not end:  # the file's end
             if not held:
                 return
             raw[held] = _NEWLINE
             held = end = held + 1
-        yield np.frombuffer(raw, dtype=np.uint8), end, read
+        yield np.frombuffer(raw, dtype=np.uint8), end
         raw[: held - end] = raw[end:held]
         held -= end
 
@@ -353,16 +353,12 @@ def _byte_blocks(
 ) -> Iterator[tuple]:
     """:func:`read_blocks` for a :func:`_tokenizable` file, in numpy: each
     block of whole lines (see :func:`_line_blocks`) gives what
-    :func:`_cut_block` makes of it, and an estimate of the file's line
-    count. Raises :class:`_Restart` for a file that is empty, not
-    :func:`_tokenizable` or of the wrong header.
+    :func:`_cut_block` makes of it. Raises :class:`_Restart` for a file
+    that is empty, not :func:`_tokenizable` or of the wrong header.
     """
     width = len(names)
-    at = source.tell()
-    size = source.seek(0, io.SEEK_END) - at
-    source.seek(at)
     blocks = _line_blocks(source)
-    buf, end, read = next(blocks, (None, 0, 0))
+    buf, end = next(blocks, (None, 0))
     if buf is None:
         raise _Restart  # an empty file: the csv route says so
     head = buf[:end].tobytes().index(b"\n")
@@ -377,9 +373,9 @@ def _byte_blocks(
             lines, cut = _cut_block(buf[start:], end - start, width, row_no, issues)
             row_no += lines
             if cut:
-                yield *cut, -(-(row_no - 1) * size // read)  # at the line length so far
+                yield cut
             del cut  # before the next block is cut
-        buf, end, read = next(blocks, (None, 0, 0))
+        buf, end = next(blocks, (None, 0))
         start = 0
 
 
@@ -470,16 +466,15 @@ class _Column:
         self.values = np.empty(0, dtype=_DTYPE.get(f.kind, np.int8))
         self.size = 0
 
-    def append(self, col: np.ndarray, expected: int) -> None:
-        """Add a block's values, growing the array to about ``expected``
-        rows (an estimate of the file's) or by an eighth."""
+    def append(self, col: np.ndarray) -> None:
+        """Add a block's values, growing the array by an eighth when full."""
         if self.is_id:
             longest = int(np.char.str_len(col).max(initial=1))
             if longest > self.values.dtype.itemsize // 4:
                 self.values = self.values.astype(f"U{longest}")
         end = self.size + len(col)
         if end > len(self.values):
-            self.values.resize(max(end + end // 8, expected), refcheck=False)
+            self.values.resize(end + end // 8, refcheck=False)
         self.values[self.size : end] = col
         self.size = end
 
@@ -495,12 +490,11 @@ def _columns(
     one issue, under its first failing column in column order.
 
     Each block is its encoder (:func:`_encode_column` or
-    :func:`_encode_cells`), one raw column per field, the rows' numbers and
-    an estimate of the file's row count.
+    :func:`_encode_cells`), one raw column per field and the rows' numbers.
     """
     spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
     columns = [_Column(f) for f in fields]
-    for encode, raws, row_nos, expected in blocks:
+    for encode, raws, row_nos in blocks:
         failed = np.zeros(len(row_nos), dtype=bool)
         block = []
         for f, raw, (decoded, reasons) in zip(fields, raws, spellings):
@@ -513,7 +507,7 @@ def _columns(
                 failed |= bad
             block.append(col)
         for column, col in zip(columns, block):
-            column.append(col[~failed] if failed.any() else col, expected)
+            column.append(col[~failed] if failed.any() else col)
         del raws, block  # before the next block is cut
     issues.sort(key=lambda issue: issue.row)
     return Table(fields, {f.name: c.finish() for f, c in zip(fields, columns)}), issues
@@ -539,9 +533,8 @@ def _parse_text(
     data = source if isinstance(source, bytes) else source.read()
     issues: list[ParseIssue] = []
     names = tuple(f.name for f in fields)
-    lines = data.count(b"\n") + 1
     blocks = read_blocks(data, names, what, issues)
-    rows = ((_encode_column, zip(*rows), row_nos, lines) for rows, row_nos in blocks)
+    rows = ((_encode_column, zip(*rows), row_nos) for rows, row_nos in blocks)
     return _columns(fields, rows, issues)
 
 
@@ -557,6 +550,8 @@ def _parse_table(
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
+    elif not source.seekable():
+        source = io.BytesIO(source.read())  # a pipe: the csv route may need it again
     at = source.tell()
     try:
         return _parse_bytes(source, fields, what)
@@ -566,8 +561,9 @@ def _parse_table(
 
 
 def parse_pupils(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
-    """Parse pupil CSV bytes, or a seekable binary file read as a stream
-    from where it stands, into columns plus row-level issues.
+    """Parse pupil CSV bytes, or a binary file from where it stands (read
+    as a stream if it is seekable, else whole), into columns plus
+    row-level issues.
 
     Well-formed rows are kept; malformed rows are skipped with an issue. A
     missing or reordered header is fatal (:class:`CohortError`).

@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,9 +173,3 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
         summary=summary,
     )
 
-
-def compute_measures(
-    cohort: ValidatedCohort, kinds: Iterable[MeasureKind]
-) -> dict[MeasureKind, MeasureResult]:
-    """Compute several measures on one cohort (independent runs)."""
-    return {kind: compute_measure(cohort, kind) for kind in kinds}

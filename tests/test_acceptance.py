@@ -20,7 +20,7 @@ from vamkit.categories import MeasureKind, SignificanceCategory
 from vamkit.cli import run
 from vamkit.cohort import validate_cohort
 from vamkit.compare import SchoolScore, rank_movement
-from vamkit.measures import compute_measure, compute_measures
+from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov, fit_ols
 from vamkit.synthgen import DEFAULT_COEFFICIENTS, GeneratorConfig, generate_population
 
@@ -46,7 +46,7 @@ def default_population():
 
 @pytest.fixture(scope="module")
 def default_results(default_population):
-    return compute_measures(default_population.cohort, list(MeasureKind))
+    return {kind: compute_measure(default_population.cohort, kind) for kind in MeasureKind}
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_criterion_5_cluster_covariance_oracle():
 def test_criterion_6_dgp_recovery():
     started = time.monotonic()
     pop = generate_population(GeneratorConfig(seed=DEFAULT_SEED))
-    results = compute_measures(pop.cohort, list(MeasureKind))
+    results = {kind: compute_measure(pop.cohort, kind) for kind in MeasureKind}
 
     adj_r2 = results[AP8].fit.adjusted_r_squared
     assert abs(adj_r2 - 0.62) <= 0.05, f"AP8 adjusted R^2 {adj_r2:.4f} not ~0.62"

@@ -21,7 +21,7 @@ from vamkit.compare import (
     rank_movement,
 )
 from vamkit.errors import AnalysisError
-from vamkit.measures import compute_measure, compute_measures
+from vamkit.measures import compute_measure
 from vamkit.ols import Z95, cluster_robust_cov, coefficient_table, fit_ols
 from vamkit.synthgen import GeneratorConfig, generate_population
 
@@ -73,7 +73,7 @@ def test_correlate_is_symmetric():
 
 
 def test_correlate_matches_numpy_on_every_measure_pair(midsize_population):
-    results = compute_measures(midsize_population.cohort, list(MeasureKind))
+    results = {kind: compute_measure(midsize_population.cohort, kind) for kind in MeasureKind}
     for a, b in itertools.combinations([res.school_scores for res in results.values()], 2):
         r = np.corrcoef([s.score for s in a], [s.score for s in b])[0, 1]
         assert correlate(a, b) == pytest.approx(r, abs=1e-15)
@@ -185,7 +185,7 @@ def test_disadvantaged_intake_schools_sit_north_west(midsize_population):
     # strong intake gradient: deprived schools have weak raw attainment but
     # progress measures centred on zero, so good ones land NW of (raw, adjusted)
     cohort = midsize_population.cohort
-    results = compute_measures(cohort, [A8, AP8])
+    results = {kind: compute_measure(cohort, kind) for kind in [A8, AP8]}
     a = {s.school_id: s.score for s in results[A8].school_scores}
     b = {s.school_id: s.score for s in results[AP8].school_scores}
     deciles = cohort.school_table["school_idaci_decile"] + 1  # an INT column holds value - 1
@@ -315,7 +315,7 @@ def test_shared_region_single_row_mean_zero(midsize_population):
 
 def test_school_breakdown_sorted_by_raw_attainment(midsize_population):
     cohort = midsize_population.cohort
-    results = compute_measures(cohort, [A8, AP8])
+    results = {kind: compute_measure(cohort, kind) for kind in [A8, AP8]}
     scores = {k: r.scores for k, r in results.items()}
     table = school_breakdown(cohort, scores, "school_idaci_decile")
     means = [r.means[A8] for r in table.rows if r.means[A8] is not None]
@@ -365,7 +365,7 @@ def cr1_mean_flag(values, school_codes):
 
 def assert_flags_match(cohort, oracle):
     """Every flag of all 15 breakdowns, four measures each, equals the oracle's."""
-    results = compute_measures(cohort, list(MeasureKind))
+    results = {kind: compute_measure(cohort, kind) for kind in MeasureKind}
     scores = {k: r.scores for k, r in results.items()}
     checked = []
     for characteristics, breakdown, codes_of in (

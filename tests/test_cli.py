@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,37 @@ def test_manifest_digests_match_inputs(sim_dir, fit_dir):
     for path, digest in manifest["inputs"].items():
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fit_reads_cohort_files_from_pipes(tmp_path, sim_dir, fit_dir):
+    # a pipe cannot seek: it is read whole, as `--pupils <(gunzip -c ...)` needs
+    pipes = {}
+    for name in ("pupils.csv", "schools.csv"):
+        pipes[name] = tmp_path / name
+        os.mkfifo(pipes[name])
+    feeders = [
+        threading.Thread(target=pipe.write_bytes, args=((sim_dir / name).read_bytes(),), daemon=True)
+        for name, pipe in pipes.items()
+    ]
+    for feeder in feeders:
+        feeder.start()
+    out = tmp_path / "fit"
+    run_ok([
+        "fit",
+        "--pupils", str(pipes["pupils.csv"]),
+        "--schools", str(pipes["schools.csv"]),
+        "--measures", "all",
+        "--out", str(out),
+    ])
+    for feeder in feeders:
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+    for name in sorted(p.name for p in fit_dir.iterdir() if p.suffix == ".csv"):
+        assert (out / name).read_bytes() == (fit_dir / name).read_bytes(), name
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    for name, pipe in pipes.items():
+        assert inputs[str(pipe)] == hashlib.sha256((sim_dir / name).read_bytes()).hexdigest()
 
 
 def test_precision_flag(tmp_path, sim_dir):

@@ -4,7 +4,7 @@ import pytest
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cohort import validate_cohort
 from vamkit.errors import AnalysisError
-from vamkit.measures import compute_measure, compute_measures, school_scores
+from vamkit.measures import compute_measure, school_scores
 from vamkit.ols import Z95
 
 from conftest import make_cohort, make_pupil, make_school, random_cohort
@@ -145,7 +145,7 @@ def test_zero_category_means_for_adjusted_covariates():
 
 
 def test_nested_sd_orderings(midsize_population):
-    results = compute_measures(midsize_population.cohort, list(MeasureKind))
+    results = {kind: compute_measure(midsize_population.cohort, kind) for kind in MeasureKind}
     sd = {k: r.summary.sd_pupil_scores for k, r in results.items()}
     assert sd[MeasureKind.ATTAINMENT8] >= sd[MeasureKind.ADJUSTED_ATTAINMENT8]
     assert sd[MeasureKind.ADJUSTED_ATTAINMENT8] >= sd[MeasureKind.ADJUSTED_PROGRESS8]
