@@ -44,7 +44,7 @@ from pathlib import Path
 
 from . import __version__
 from .categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
-from .compare import SchoolScore, compare_measures
+from .compare import SchoolScore, compare_columns
 from .csvio import csv_bytes, read_blocks
 from .errors import AnalysisError, CohortError, DesignError, FitError, GeneratorError, VamkitError
 
@@ -94,7 +94,7 @@ def _parse_precision(text: str):
 
 def _formatter(precision):
     if precision is None:
-        return lambda x: repr(float(x))
+        return float.__repr__  # repr(float(x)) of any float, subclasses too
     return lambda x: f"{float(x):.{precision}f}"
 
 
@@ -219,10 +219,30 @@ def _cell(value, fmt) -> str:
     return str(value)
 
 
+def _cells(column: list, fmt) -> list[str]:
+    """A column's cells, in one pass: ``fmt`` mapped over an all-float
+    column, a lookup of each distinct value's ``_cell`` in a column of one
+    other type (ids, counts, levels), ``_cell`` of each value of any other."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map(fmt, column))
+    if len(kinds) == 1 and not issubclass(kinds.pop(), float):
+        # equal values share one cell, which holds as no value is a float
+        # (0.0 == -0.0)
+        cells = {value: _cell(value, fmt) for value in set(column)}
+        return list(map(cells.__getitem__, column))
+    return [_cell(value, fmt) for value in column]
+
+
+def _columns_csv(columns: dict[str, list], fmt) -> bytes:
+    """CSV of equal-length columns; the header is their names."""
+    return csv_bytes(list(columns), [_cells(column, fmt) for column in columns.values()])
+
+
 def _rows_csv(rows: list, fmt) -> bytes:
     """CSV of a non-empty list of one row dataclass; the header is its field names."""
     names = [f.name for f in dataclasses.fields(rows[0])]
-    return csv_bytes(names, [[_cell(getattr(row, n), fmt) for row in rows] for n in names])
+    return _columns_csv({n: [getattr(row, n) for row in rows] for n in names}, fmt)
 
 
 def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> bytes:
@@ -265,28 +285,78 @@ def _cell_parser(tp):
     return _finite if tp is float else tp
 
 
-def _read_school_scores(path: Path, inputs: dict[str, str]) -> list[SchoolScore]:
-    """Read a school_scores CSV produced by `fit`; the first bad row or cell is fatal."""
-    hints = typing.get_type_hints(SchoolScore)
-    names = [f.name for f in dataclasses.fields(SchoolScore)]
-    parsers = [_cell_parser(hints[name]) for name in names]
+def _column_parser(tp):
+    """``_cell_parser(tp)`` for a whole column at once, a C-level ``map``:
+    any cell that parser rejects raises ValueError or KeyError."""
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        lookup = {member.value: member for member in tp}.__getitem__
+        return lambda cells: list(map(lookup, cells))
+    if tp is float:
 
-    def parse(source: typing.BinaryIO) -> list[SchoolScore]:
-        issues, out = [], []
-        for rows, row_nos in read_blocks(source, names, "school_scores CSV", issues):
-            for row_no, row in zip(row_nos, rows):
-                if issues and issues[0].row < row_no:
-                    raise CohortError(str(issues[0]))
-                cells = []
-                for name, parse_cell, text in zip(names, parsers, row):
-                    try:
-                        cells.append(parse_cell(text))
-                    except ValueError as exc:
-                        raise CohortError(f"row {row_no}, column {name}: {exc}") from exc
-                out.append(SchoolScore(*cells))
+        def floats(cells):
+            values = list(map(float, cells))
+            if not all(map(math.isfinite, values)):
+                raise ValueError("a cell is not finite")
+            return values
+
+        return floats
+    return lambda cells: list(map(tp, cells))
+
+
+_SCORE_NAMES = [f.name for f in dataclasses.fields(SchoolScore)]
+_MEASURE = _SCORE_NAMES.index("measure")
+
+
+def _read_school_scores(path: Path, inputs: dict[str, str]) -> dict[str, list]:
+    """Read a school_scores CSV produced by `fit` as columns, keyed by
+    :class:`SchoolScore` field name; the first bad row or cell is fatal.
+
+    Each block of rows is converted a column at a time by C-level ``map``s
+    (``float`` and ``math.isfinite``, ``int``, a dict lookup for the enums),
+    and every ``measure`` cell must be the first row's. A block that fails
+    (or holds a row of the wrong width) is walked again cell by cell only to
+    name its first bad row or cell, in row order.
+    """
+    hints = typing.get_type_hints(SchoolScore)
+    parsers = [_cell_parser(hints[name]) for name in _SCORE_NAMES]
+    column_parsers = [_column_parser(hints[name]) for name in _SCORE_NAMES]
+
+    def fault(rows, row_nos, issues, first) -> CohortError:
+        """The first fault in row order of a block that failed."""
+        for row_no, row in zip(row_nos, rows):
+            if issues and issues[0].row < row_no:
+                return CohortError(str(issues[0]))
+            for name, parse_cell, text in zip(_SCORE_NAMES, parsers, row):
+                try:
+                    parse_cell(text)
+                except ValueError as exc:
+                    return CohortError(f"row {row_no}, column {name}: {exc}")
+                if name == "measure" and text != first[1]:
+                    return CohortError(
+                        f"row {row_no}, column measure: expected {first[1]} as in row {first[0]}, "
+                        f"got {text}"
+                    )
+        raise AssertionError("no fault in a block that failed")
+
+    def parse(source: typing.BinaryIO) -> dict[str, list]:
+        issues, columns, first = [], {name: [] for name in _SCORE_NAMES}, None
+        for rows, row_nos in read_blocks(source, _SCORE_NAMES, "school_scores CSV", issues):
+            # the first row's number and measure cell
+            first = first or (row_nos[0], rows[0][_MEASURE])
+            cells = list(zip(*rows))
+            try:
+                if issues and issues[0].row < row_nos[-1]:
+                    raise ValueError("a row of the wrong width")
+                if cells[_MEASURE].count(first[1]) != len(rows):
+                    raise ValueError("mixed measures")
+                block = [parse_cells(col) for parse_cells, col in zip(column_parsers, cells)]
+            except (ValueError, KeyError):
+                raise fault(rows, row_nos, issues, first) from None
+            for column, values in zip(columns.values(), block):
+                column += values
         if issues:
             raise CohortError(str(issues[0]))
-        return out
+        return columns
 
     return _parse_input(path, inputs, parse)
 
@@ -342,7 +412,7 @@ def _measure_tables(args, cohort, kind: MeasureKind, fmt):
         cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
     tables = {
         f"coefficients_{kind.code}.csv": _rows_csv(coefficient_table(res.fit, cov), fmt),
-        f"school_scores_{kind.code}.csv": _rows_csv(res.school_scores, fmt),
+        f"school_scores_{kind.code}.csv": _columns_csv(res.school_columns, fmt),
     }
     return tables, res.summary
 
@@ -369,7 +439,7 @@ def _cmd_compare(args, out_dir: Path):
     inputs = {}
     a, b = (_read_school_scores(Path(p), inputs) for p in args.scores)
     try:
-        report = compare_measures(a, b, args.thresholds)
+        report = compare_columns(a, b, args.thresholds)
     except AnalysisError as exc:
         raise AnalysisError(f"{args.scores[0]}, {args.scores[1]}: {exc}") from exc
     payload = {

@@ -10,17 +10,27 @@ Quadrants are taken relative to the national mean of each measure, which is
 zero by construction (pupil scores are centred residuals); schools exactly
 on a boundary are assigned to the lower/left side.
 
-Everything here is plain Python over lists, so the CLI's ``compare`` runs
-without importing numpy. The correlation's means and sums are
-``math.fsum``s: correctly rounded, and independent of summation order.
+The statistics run on school scores held as columns, keyed by
+:class:`SchoolScore` field name: :func:`compare_columns` reads the
+``school_id`` and ``score`` columns (plain lists) and the first ``measure``.
+The CLI's ``compare`` reads each score file into such columns and calls it
+directly, with no per-school object and without importing numpy;
+:func:`compare_measures` and the single statistics take lists of
+:class:`SchoolScore` and pull the same columns out of them first. Each
+statistic is one C-level pass (``map``, ``sorted``, ``Counter``) where it can
+be. The correlation's means and sums are ``math.fsum``s: correctly rounded,
+and independent of summation order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Mapping, Sequence
 
 from .categories import MeasureKind, SignificanceCategory
 from .errors import AnalysisError
@@ -61,17 +71,30 @@ class ComparisonReport:
     max_rank_change: int
 
 
-def _match(
-    a: Sequence[SchoolScore], b: Sequence[SchoolScore]
-) -> tuple[list[str], list[float], list[float]]:
-    """Align two school-score lists on school_id; fatal on any mismatch."""
-    map_a = {s.school_id: s.score for s in a}
-    map_b = {s.school_id: s.score for s in b}
-    if len(map_a) != len(a) or len(map_b) != len(b):
+# School scores as columns, keyed by SchoolScore field name.
+Columns = Mapping[str, Sequence]
+
+
+def _columns(scores: Sequence[SchoolScore]) -> dict[str, list]:
+    """The columns of a school-score list that a comparison reads."""
+    return {
+        "school_id": [s.school_id for s in scores],
+        "measure": [s.measure for s in scores],
+        "score": [float(s.score) for s in scores],
+    }
+
+
+def _match(a: Columns, b: Columns) -> tuple[list[float], list[float]]:
+    """The two score columns aligned on school_id, in ascending school_id
+    order; fatal on any mismatch."""
+    ids_a, ids_b = a["school_id"], b["school_id"]
+    map_a = dict(zip(ids_a, a["score"]))
+    map_b = dict(zip(ids_b, b["score"]))
+    if len(map_a) != len(ids_a) or len(map_b) != len(ids_b):
         raise AnalysisError("duplicate school_id in score list")
-    only_a = sorted(set(map_a) - set(map_b))
-    only_b = sorted(set(map_b) - set(map_a))
-    if only_a or only_b:
+    if map_a.keys() != map_b.keys():
+        only_a = sorted(map_a.keys() - map_b.keys())
+        only_b = sorted(map_b.keys() - map_a.keys())
         parts = []
         if only_a:
             parts.append(f"only in first: {', '.join(only_a)}")
@@ -79,33 +102,33 @@ def _match(
             parts.append(f"only in second: {', '.join(only_b)}")
         raise AnalysisError(f"school sets differ; {'; '.join(parts)}")
     ids = sorted(map_a)
-    return ids, [float(map_a[i]) for i in ids], [float(map_b[i]) for i in ids]
+    return list(map(map_a.__getitem__, ids)), list(map(map_b.__getitem__, ids))
 
 
 def _centred(values: list[float]) -> list[float]:
     mean = math.fsum(values) / max(len(values), 1)
-    return [v - mean for v in values]
+    return list(map(operator.sub, values, repeat(mean)))
 
 
 def _pearson(x: list[float], y: list[float]) -> float:
     xc, yc = _centred(x), _centred(y)
-    vx = math.fsum(v * v for v in xc)
-    vy = math.fsum(v * v for v in yc)
+    vx = math.fsum(map(operator.mul, xc, xc))
+    vy = math.fsum(map(operator.mul, yc, yc))
     if vx == 0.0 or vy == 0.0:
         raise AnalysisError("cannot correlate: zero variance in school scores")
-    return math.fsum(p * q for p, q in zip(xc, yc)) / math.sqrt(vx * vy)
+    return math.fsum(map(operator.mul, xc, yc)) / math.sqrt(vx * vy)
 
 
 def correlate(a: Sequence[SchoolScore], b: Sequence[SchoolScore]) -> float:
     """Pearson correlation of two matched school-score lists."""
-    _, x, y = _match(a, b)
-    return _pearson(x, y)
+    return _pearson(*_match(_columns(a), _columns(b)))
 
 
-def _ranks(ids: list[str], scores: list[float]) -> list[int]:
-    """Each school's rank, 1 = highest score; ties broken by school_id ascending."""
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    ranks = [0] * len(ids)
+def _ranks(scores: list[float]) -> list[int]:
+    """Each school's rank, 1 = highest score, for scores in ascending
+    school_id order: the sort is stable, so ties keep that order."""
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    ranks = [0] * len(scores)
     for pos, i in enumerate(order, start=1):
         ranks[i] = pos
     return ranks
@@ -117,11 +140,12 @@ def _check_thresholds(thresholds: Sequence[int]) -> None:
 
 
 def _movement(
-    ids: list[str], x: list[float], y: list[float], thresholds: Sequence[int]
+    x: list[float], y: list[float], thresholds: Sequence[int]
 ) -> tuple[dict[int, int], int]:
-    moves = [abs(p - q) for p, q in zip(_ranks(ids, x), _ranks(ids, y))]
-    counts = {int(t): sum(m >= t for m in moves) for t in thresholds}
-    return counts, max(moves, default=0)
+    """Rank movement of matched scores in ascending school_id order."""
+    moves = sorted(map(abs, map(operator.sub, _ranks(x), _ranks(y))))
+    counts = {int(t): len(moves) - bisect.bisect_left(moves, t) for t in thresholds}
+    return counts, moves[-1] if moves else 0
 
 
 def rank_movement(
@@ -135,12 +159,12 @@ def rank_movement(
     maximum absolute rank change).
     """
     _check_thresholds(thresholds)
-    return _movement(*_match(a, b), thresholds)
+    return _movement(*_match(_columns(a), _columns(b)), thresholds)
 
 
 def _quadrants(x: list[float], y: list[float]) -> QuadrantCounts:
     # keyed (east, north)
-    n = Counter((p > 0.0, q > 0.0) for p, q in zip(x, y))
+    n = Counter(zip(map(operator.gt, x, repeat(0.0)), map(operator.gt, y, repeat(0.0))))
     return QuadrantCounts(
         nw=n[False, True], ne=n[True, True], sw=n[False, False], se=n[True, False]
     )
@@ -152,8 +176,30 @@ def quadrant_classify(a: Sequence[SchoolScore], b: Sequence[SchoolScore]) -> Qua
     Each measure's national mean is zero by construction, so the axes sit at
     the origin; boundary schools go to the lower/left side.
     """
-    _, x, y = _match(a, b)
-    return _quadrants(x, y)
+    return _quadrants(*_match(_columns(a), _columns(b)))
+
+
+def compare_columns(a: Columns, b: Columns, thresholds: Sequence[int]) -> ComparisonReport:
+    """Full comparison report between two measures' school scores, held as
+    columns: each of ``a`` and ``b`` maps ``school_id`` to a list of ids,
+    ``score`` to a list of floats and ``measure`` to a list whose first
+    :class:`MeasureKind` names the measure.
+
+    The columns are matched once, for every statistic of the report.
+    """
+    if not a["school_id"] or not b["school_id"]:
+        raise AnalysisError("cannot compare: a score list is empty")
+    _check_thresholds(thresholds)
+    x, y = _match(a, b)
+    counts, max_change = _movement(x, y, thresholds)
+    return ComparisonReport(
+        measure_pair=(a["measure"][0].code, b["measure"][0].code),
+        pearson_r=_pearson(x, y),
+        n_schools=len(x),
+        quadrant_counts=_quadrants(x, y),
+        movement_counts=counts,
+        max_rank_change=max_change,
+    )
 
 
 def compare_measures(
@@ -161,20 +207,6 @@ def compare_measures(
     b: Sequence[SchoolScore],
     thresholds: Sequence[int],
 ) -> ComparisonReport:
-    """Full comparison report between two measures' school scores.
-
-    The two lists are matched once, for every statistic of the report.
-    """
-    if not a or not b:
-        raise AnalysisError("cannot compare: a score list is empty")
-    _check_thresholds(thresholds)
-    ids, x, y = _match(a, b)
-    counts, max_change = _movement(ids, x, y, thresholds)
-    return ComparisonReport(
-        measure_pair=(a[0].measure.code, b[0].measure.code),
-        pearson_r=_pearson(x, y),
-        n_schools=len(a),
-        quadrant_counts=_quadrants(x, y),
-        movement_counts=counts,
-        max_rank_change=max_change,
-    )
+    """Full comparison report between two measures' school-score lists:
+    :func:`compare_columns` of their columns."""
+    return compare_columns(_columns(a), _columns(b), thresholds)

@@ -48,7 +48,10 @@ class _Block:
 
     def bins(self, major: np.ndarray) -> np.ndarray:
         """Each row's flat bin in a (major index, own level) table."""
-        return major.astype(np.intp) * self.levels + self.codes
+        keys = major.astype(np.intp)
+        keys *= self.levels
+        keys += self.codes
+        return keys
 
     def sums(self, weights: np.ndarray) -> np.ndarray:
         """Sum of ``weights`` over each level's rows.
@@ -62,7 +65,13 @@ class _Block:
         this way.
         """
         runs = -(-self.codes.size // _RUN)
-        keys = self.codes.astype(np.intp) * runs + np.arange(self.codes.size) // _RUN
+        # key = code * runs + row // _RUN, built in place: whole runs as a
+        # (run, row) view, then the last, partial run
+        keys = self.codes.astype(np.intp)
+        keys *= runs
+        whole = keys.size // _RUN
+        keys[: whole * _RUN].reshape(whole, _RUN)[...] += np.arange(whole)[:, None]
+        keys[whole * _RUN :] += whole
         table = np.bincount(keys, weights=weights, minlength=self.levels * runs)
         return table.reshape(self.levels, runs).sum(axis=1)
 

@@ -64,14 +64,16 @@ class MeasureSummary:
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
-    """Everything one measure run produces; ``scores`` is in cohort pupil order."""
+    """Everything one measure run produces; ``scores`` is in cohort pupil
+    order, ``school_columns`` holds the school scores as columns (see
+    :func:`school_score_columns`)."""
 
     measure: MeasureKind
     fit: FitResult
     design: DesignMatrix
     pupil_ids: np.ndarray
     scores: np.ndarray
-    school_scores: list[SchoolScore]
+    school_columns: dict[str, list]
     summary: MeasureSummary
 
     @cached_property
@@ -82,19 +84,30 @@ class MeasureResult:
             for pid, s in zip(self.pupil_ids.tolist(), self.scores.tolist())
         ]
 
+    @cached_property
+    def school_scores(self) -> list[SchoolScore]:
+        """Row views of ``school_columns``: one SchoolScore per school."""
+        return _rows(self.school_columns)
 
-def school_scores(
+
+_CATEGORIES = list(SignificanceCategory)
+
+
+def school_score_columns(
     measure: MeasureKind,
     scores: np.ndarray,
     school_index: np.ndarray,
     school_ids: Sequence[str],
     national_sd: float,
-) -> list[SchoolScore]:
-    """Average pupil scores within school and attach 95% CIs.
+) -> dict[str, list]:
+    """Average pupil scores within school and attach 95% CIs, as columns.
 
     ``school_index`` gives each pupil's school as a position in
-    ``school_ids``. Each CI is score +/- Z95 * national_sd / sqrt(n).
-    Output follows ``school_ids`` order and skips schools without pupils.
+    ``school_ids``. Each CI is score +/- Z95 * national_sd / sqrt(n),
+    computed for every school at once. The columns are plain lists keyed by
+    :class:`SchoolScore` field name, in field order: ids as given, Python
+    floats and ints, enum members. They follow ``school_ids`` order and skip
+    schools without pupils.
     """
     if national_sd <= 0.0:
         raise AnalysisError(f"national_sd must be positive, got {national_sd!r}")
@@ -103,30 +116,36 @@ def school_scores(
     n_schools = len(school_ids)
     counts = np.bincount(school_index, minlength=n_schools)
     means = np.bincount(school_index, weights=scores, minlength=n_schools) / np.maximum(counts, 1)
-    out: list[SchoolScore] = []
-    for school_id, n, mean in zip(school_ids, counts.tolist(), means.tolist()):
-        if n == 0:
-            continue
-        half = Z95 * national_sd / np.sqrt(n)
-        low, high = mean - half, mean + half
-        if low > 0.0:
-            category = SignificanceCategory.SIGNIFICANTLY_ABOVE
-        elif high < 0.0:
-            category = SignificanceCategory.SIGNIFICANTLY_BELOW
-        else:
-            category = SignificanceCategory.NOT_SIGNIFICANT
-        out.append(
-            SchoolScore(
-                school_id=school_id,
-                measure=measure,
-                score=mean,
-                n_pupils=n,
-                ci_low=low,
-                ci_high=high,
-                category=category,
-            )
-        )
-    return out
+    kept = np.flatnonzero(counts)
+    counts, means = counts[kept], means[kept]
+    half = Z95 * national_sd / np.sqrt(counts)
+    low, high = means - half, means + half
+    # _CATEGORIES is above, not significant, below
+    category = np.where(low > 0.0, 0, np.where(high < 0.0, 2, 1))
+    return {
+        "school_id": [school_ids[i] for i in kept.tolist()],
+        "measure": [measure] * kept.size,
+        "score": means.tolist(),
+        "n_pupils": counts.tolist(),
+        "ci_low": low.tolist(),
+        "ci_high": high.tolist(),
+        "category": list(map(_CATEGORIES.__getitem__, category.tolist())),
+    }
+
+
+def _rows(columns: dict[str, list]) -> list[SchoolScore]:
+    return [SchoolScore(*row) for row in zip(*columns.values())]
+
+
+def school_scores(
+    measure: MeasureKind,
+    scores: np.ndarray,
+    school_index: np.ndarray,
+    school_ids: Sequence[str],
+    national_sd: float,
+) -> list[SchoolScore]:
+    """:func:`school_score_columns` as one SchoolScore per school."""
+    return _rows(school_score_columns(measure, scores, school_index, school_ids, national_sd))
 
 
 def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult:
@@ -142,25 +161,26 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
     # rounding noise: an SD at that scale counts as 0, which school_scores rejects.
     noise = 1e-10 * float(np.abs(outcome).max()) / POINTS_PER_GRADE
     national_sd = sd_pupil if sd_pupil > noise else 0.0
-    schools = school_scores(
+    schools = school_score_columns(
         kind,
         scores,
         cohort.school_index,
         cohort.school_table["school_id"].tolist(),
         national_sd,
     )
-    if len(schools) == 1:
+    n_schools = len(schools["score"])
+    if n_schools == 1:
         warnings.warn("single school: school-score SD reported as 0", stacklevel=2)
         sd_school = 0.0
     else:
-        sd_school = float(np.std([s.score for s in schools], ddof=1))
+        sd_school = float(np.std(schools["score"], ddof=1))
     summary = MeasureSummary(
         measure=kind,
         adjusted_r_squared=fit.adjusted_r_squared,
         sd_pupil_scores=sd_pupil,
         sd_school_scores=sd_school,
         n_pupils=scores.size,
-        n_schools=len(schools),
+        n_schools=n_schools,
         national_mean_grades=float(outcome.mean()) / POINTS_PER_GRADE,
     )
     return MeasureResult(
@@ -169,7 +189,7 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
         design=design,
         pupil_ids=cohort.pupil_table["pupil_id"],
         scores=scores,
-        school_scores=schools,
+        school_columns=schools,
         summary=summary,
     )
 

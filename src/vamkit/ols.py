@@ -141,7 +141,8 @@ def fit_ols(design: DesignMatrix, outcome) -> FitResult:
     xtx_inv = chol_inv.T @ chol_inv
     full = np.zeros(design.k)
     full[kept] = beta
-    resid = y - design.predict(full)
+    resid = design.predict(full)
+    np.subtract(y, resid, out=resid)
     rss = float(resid @ resid)
 
     # For an intercept-only design rss and tss are bitwise equal, so
@@ -175,6 +176,14 @@ def fit_ols(design: DesignMatrix, outcome) -> FitResult:
     )
 
 
+def _dense_codes(ids: np.ndarray) -> bool:
+    """Whether ``ids`` are already 0..G-1 with every value present (a
+    cohort's ``school_index``), so each id is its own cluster number."""
+    if ids.dtype.kind not in "iu" or not ids.size or ids.min() < 0 or ids.max() >= ids.size:
+        return False
+    return bool(np.bincount(ids).all())
+
+
 def cluster_robust_cov(fit: FitResult, design: DesignMatrix, cluster_ids) -> ClusterCovariance:
     """CR1 sandwich covariance of the fit, clustering on ``cluster_ids``.
 
@@ -186,8 +195,8 @@ def cluster_robust_cov(fit: FitResult, design: DesignMatrix, cluster_ids) -> Clu
     ids = np.asarray(cluster_ids)
     if ids.shape != (fit.n,):
         raise FitError(f"expected {fit.n} cluster ids, got {ids.size}")
-    codes, idx = unique_inverse(ids)
-    n_clusters = codes.size
+    idx = ids if _dense_codes(ids) else unique_inverse(ids)[1]
+    n_clusters = int(idx.max()) + 1
     if n_clusters < 2:
         raise FitError("clustered inference undefined: fewer than 2 clusters")
 

@@ -1,5 +1,6 @@
 import csv
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vamkit.cli import run
 from vamkit.cohort import serialize_pupils, serialize_schools, validate_cohort
 from vamkit.compare import (
     SchoolScore,
+    compare_columns,
     compare_measures,
     correlate,
     quadrant_classify,
@@ -25,6 +27,7 @@ from vamkit.measures import compute_measure
 from vamkit.ols import Z95, cluster_robust_cov, coefficient_table, fit_ols
 from vamkit.synthgen import GeneratorConfig, generate_population
 
+from compare_reference import reference_report
 from conftest import make_cohort, make_pupil, make_school, random_cohort
 from dense_design import DenseDesign
 
@@ -221,6 +224,61 @@ def test_empty_score_lists_fatal():
         compare_measures([], [], [5])
     with pytest.raises(AnalysisError, match="empty"):
         compare_measures(score_list([1.0, 2.0]), [], [5])
+
+
+def _outcome(compare, *args):
+    """A report, or the text of the AnalysisError raised instead."""
+    try:
+        return compare(*args)
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+
+
+def _random_scores(rng, ids, measure):
+    # few distinct values, so ties (broken by school_id) and -0.0 beside 0.0
+    # are common; ids come in random order, not sorted
+    values = [-1.5, -0.5, -0.0, 0.0, 0.25, 0.5, 2.0]
+    return [
+        school_score(sid, float(rng.choice(values)) if rng.random() < 0.7 else float(rng.normal()),
+                     measure)
+        for sid in rng.permutation(ids).tolist()
+    ]
+
+
+def test_columnar_core_matches_per_object_reference():
+    rng = np.random.default_rng(19)
+    outcomes = Counter()
+    for _ in range(600):
+        ids = [f"S{i:03d}" for i in rng.choice(60, size=int(rng.integers(1, 25)), replace=False)]
+        a = _random_scores(rng, ids, A8)
+        b = _random_scores(rng, ids, AP8)
+        edit = rng.integers(0, 5)
+        if edit == 1:  # a duplicate id
+            b.append(b[int(rng.integers(len(b)))])
+        elif edit == 2:  # a school only in the first
+            b.pop(int(rng.integers(len(b))))
+        elif edit == 3:  # a school only in the second, and maybe one only in the first
+            b.append(school_score("S999", 0.0, AP8))
+            if rng.random() < 0.5:
+                a.append(school_score("S998", -0.0))
+        thresholds = sorted({int(t) for t in rng.integers(1, 12, size=3)})
+        expected = _outcome(reference_report, a, b, thresholds)
+        columns = [
+            {"school_id": [s.school_id for s in x], "measure": [s.measure for s in x],
+             "score": [s.score for s in x]}
+            for x in (a, b)
+        ]
+        assert _outcome(compare_measures, a, b, thresholds) == expected
+        assert _outcome(compare_columns, *columns, thresholds) == expected
+        outcomes[expected.split(";")[0] if isinstance(expected, str) else "report"] += 1
+    # every kind of outcome was reached
+    assert set(outcomes) == {
+        "report",
+        "AnalysisError: duplicate school_id in score list",
+        "AnalysisError: school sets differ",
+        "AnalysisError: cannot correlate: zero variance in school scores",
+        "AnalysisError: cannot compare: a score list is empty",
+    }, outcomes
 
 
 # ---------------------------------------------------------------------------

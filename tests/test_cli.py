@@ -442,9 +442,12 @@ def test_cli_import_loads_no_scipy(tmp_path, fit_dir, case, package):
     assert proc.stdout.strip() == "[]"
 
 
-def _edited_scores(tmp_path, fit_dir, row, column, value):
+def _edited_scores(tmp_path, fit_dir, row, column, value, *more):
+    """school_scores_a8.csv with ``value`` in data row ``row`` (from 1) of
+    ``column``, and each further ``(row, column, value)`` edit in ``more``."""
     rows = read_csv(fit_dir / "school_scores_a8.csv")
-    rows[row - 1][column] = value
+    for at, name, text in [(row, column, value), *more]:
+        rows[at - 1][name] = text
     path = tmp_path / "edited_scores.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
@@ -644,6 +647,23 @@ def _config(tmp_path, text):
             lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _first_id_over_field_limit),
             ["is malformed: field larger than field limit (131072)"],
         ),
+        (
+            lambda t, f, s: _edited_scores(t, f, 2, "measure", "p8"),
+            ["row 2, column measure: expected a8 as in row 1, got p8"],
+        ),
+        # both bad cells in one block: the earlier row is named, not the earlier column
+        (
+            lambda t, f, s: _edited_scores(t, f, 5, "ci_high", "x", (7, "score", "y")),
+            ["row 5, column ci_high: could not convert string to float: 'x'"],
+        ),
+        (
+            lambda t, f, s: _edited_scores(t, f, 4, "ci_low", "inf"),
+            ["row 4, column ci_low: must be a finite number, got 'inf'"],
+        ),
+        (
+            lambda t, f, s: _edited_scores(t, f, 4, "ci_low", "1e400"),
+            ["row 4, column ci_low: must be a finite number, got '1e400'"],
+        ),
     ],
     ids=[
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
@@ -658,7 +678,8 @@ def _config(tmp_path, text):
         "truncated-json",
         "string-n_schools", "nan-coefficient", "config-not-object", "config-unknown-key",
         "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
-        "duplicate-score-row", "cell-over-field-limit",
+        "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
+        "inf-ci-low", "overflow-ci-low",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cohort import validate_cohort
+from vamkit.compare import SchoolScore
 from vamkit.errors import AnalysisError
 from vamkit.measures import compute_measure, school_scores
 from vamkit.ols import Z95
@@ -57,6 +60,21 @@ def test_school_ci_uses_national_sd():
     four, single = school_scores(A8, scores, index, ["S1", "S2"], 1.0)
     assert four.ci_high - four.ci_low == pytest.approx(2 * 1.959964 / 2.0)
     assert single.ci_high - single.ci_low == pytest.approx(2 * 1.959964, abs=1e-12)
+
+
+def test_school_score_fields_are_python_values():
+    # every number is a Python float or int (the CI bounds were np.float64
+    # when computed school by school), in rows and columns alike
+    result = compute_measure(build_two_school_cohort(), A8)
+    columns = result.school_columns
+    assert list(columns) == [f.name for f in dataclasses.fields(SchoolScore)]
+    for school in result.school_scores + school_scores(
+        A8, np.array([0.2, 0.4, 0.6]), np.array([0, 0, 1]), ["S1", "S2"], 1.0
+    ):
+        assert [type(getattr(school, f)) for f in ("score", "ci_low", "ci_high")] == [float] * 3
+        assert type(school.n_pupils) is int and type(school.school_id) is str
+        assert isinstance(school.category, SignificanceCategory)
+    assert result.school_scores == [SchoolScore(*row) for row in zip(*columns.values())]
 
 
 def test_national_sd_must_be_positive():

@@ -247,6 +247,20 @@ def test_doubling_outcome_quadruples_covariance():
     assert cov2.covariance == pytest.approx(4.0 * cov1.covariance, rel=1e-10)
 
 
+def test_integer_cluster_ids_cluster_as_their_strings():
+    # dense codes 0..G-1 (a cohort's school_index) are used as they are;
+    # codes with a gap, offset codes and strings are renumbered first
+    rng = np.random.default_rng(19)
+    design = random_design(rng, 60, 3)
+    fit = fit_ols(design, rng.normal(size=60))
+    codes = rng.permutation(np.arange(60) % 7)
+    expected = cluster_robust_cov(fit, design, [f"c{c}" for c in codes])
+    for ids in (codes, codes.astype(np.uint8), codes * 3, codes + 60, codes - 3):
+        cov = cluster_robust_cov(fit, design, ids)
+        assert cov.n_clusters == 7
+        assert np.array_equal(cov.covariance, expected.covariance)
+
+
 def test_single_cluster_fatal():
     design = DenseDesign(np.ones((4, 1)), ["constant"])
     fit = fit_ols(design, [1.0, 2.0, 3.0, 4.0])
