@@ -27,8 +27,8 @@ _HOMES = {
         "serialize_pupils", "serialize_schools", "validate_cohort",
     ),
     "compare": (
-        "ComparisonReport", "QuadrantCounts", "SchoolScore", "compare_columns", "compare_measures",
-        "correlate", "quadrant_classify", "rank_movement",
+        "ComparisonReport", "QuadrantCounts", "SchoolScore", "compare_columns", "correlate",
+        "quadrant_classify", "rank_movement",
     ),
     "csvio": ("ParseIssue",),
     "design": ("DesignMatrix", "build_design_matrix", "design_labels"),
@@ -37,7 +37,6 @@ _HOMES = {
     ),
     "measures": (
         "MeasureResult", "MeasureSummary", "PupilScore", "compute_measure", "school_score_columns",
-        "school_scores",
     ),
     "ols": (
         "ClusterCovariance", "CoefficientRow", "FitResult", "Z95", "cluster_robust_cov",

@@ -43,7 +43,9 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
+from .categories import (
+    FIELD, ID_MAX_CHARS, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind,
+)
 from .compare import SchoolScore, compare_columns
 from .csvio import csv_bytes, read_blocks
 from .errors import AnalysisError, CohortError, DesignError, FitError, GeneratorError, VamkitError
@@ -146,10 +148,14 @@ def _parse_input(path: Path, inputs: dict[str, str], parse):
 
 def _write_atomic(path: Path, data: bytes | typing.Iterable[bytes]) -> None:
     """Write ``data``, or its pieces as they are made, to a temp file, then
-    rename it to ``path``."""
+    rename it to ``path``; a write that fails removes the temp file."""
     tmp = path.with_name(f".tmp.{path.name}")
-    with tmp.open("wb") as file:
-        file.writelines([data] if isinstance(data, bytes) else data)
+    try:
+        with tmp.open("wb") as file:
+            file.writelines([data] if isinstance(data, bytes) else data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -262,44 +268,42 @@ def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> byte
     return body
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _one_of(table: dict):
-    def parse(text: str):
-        if text not in table:
-            raise ValueError(f"unknown value {text!r}; valid values: {', '.join(table)}")
-        return table[text]
-
-    return parse
-
-
-def _cell_parser(tp):
-    """The inverse of ``_cell`` for a field annotated ``tp``."""
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return _one_of({member.value: member for member in tp})
-    return _finite if tp is float else tp
-
-
 def _column_parser(tp):
-    """``_cell_parser(tp)`` for a whole column at once, a C-level ``map``:
-    any cell that parser rejects raises ValueError or KeyError."""
+    """The values of a whole column of cells, for a field annotated ``tp``,
+    made by C-level ``map``s: the inverse of ``_cell``. A ``str`` column
+    holds school ids, under the cohort files' id rule. A ValueError names
+    the column's first bad cell."""
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        lookup = {member.value: member for member in tp}.__getitem__
-        return lambda cells: list(map(lookup, cells))
+        members = {member.value: member for member in tp}
+
+        def lookup(cells):
+            try:
+                return list(map(members.__getitem__, cells))
+            except KeyError as exc:
+                raise ValueError(
+                    f"unknown value {exc.args[0]!r}; valid values: {', '.join(members)}"
+                ) from None
+
+        return lookup
     if tp is float:
 
         def floats(cells):
             values = list(map(float, cells))
             if not all(map(math.isfinite, values)):
-                raise ValueError("a cell is not finite")
+                bad = next(t for t, v in zip(cells, values) if not math.isfinite(v))
+                raise ValueError(f"must be a finite number, got {bad!r}")
             return values
 
         return floats
+    if tp is str:
+        encode = FIELD["school_id"].encode
+
+        def ids(cells):
+            if all(cells) and max(map(len, cells), default=0) <= ID_MAX_CHARS:
+                return list(cells)
+            return list(map(encode, cells))  # raises at the first bad id
+
+        return ids
     return lambda cells: list(map(tp, cells))
 
 
@@ -311,24 +315,24 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> dict[str, list]:
     """Read a school_scores CSV produced by `fit` as columns, keyed by
     :class:`SchoolScore` field name; the first bad row or cell is fatal.
 
-    Each block of rows is converted a column at a time by C-level ``map``s
-    (``float`` and ``math.isfinite``, ``int``, a dict lookup for the enums),
-    and every ``measure`` cell must be the first row's. A block that fails
-    (or holds a row of the wrong width) is walked again cell by cell only to
-    name its first bad row or cell, in row order.
+    Each block of rows is converted a column at a time by ``_column_parser``
+    (``float`` and ``math.isfinite``, ``int``, a dict lookup for the enums,
+    the id rule), and every ``measure`` cell must be the first row's. A block
+    that fails (or holds a row of the wrong width) is walked again cell by
+    cell, each cell through the same parsers, only to name its first bad row
+    or cell, in row order.
     """
     hints = typing.get_type_hints(SchoolScore)
-    parsers = [_cell_parser(hints[name]) for name in _SCORE_NAMES]
-    column_parsers = [_column_parser(hints[name]) for name in _SCORE_NAMES]
+    parsers = [_column_parser(hints[name]) for name in _SCORE_NAMES]
 
     def fault(rows, row_nos, issues, first) -> CohortError:
         """The first fault in row order of a block that failed."""
         for row_no, row in zip(row_nos, rows):
             if issues and issues[0].row < row_no:
                 return CohortError(str(issues[0]))
-            for name, parse_cell, text in zip(_SCORE_NAMES, parsers, row):
+            for name, parse_cells, text in zip(_SCORE_NAMES, parsers, row):
                 try:
-                    parse_cell(text)
+                    parse_cells([text])
                 except ValueError as exc:
                     return CohortError(f"row {row_no}, column {name}: {exc}")
                 if name == "measure" and text != first[1]:
@@ -349,8 +353,8 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> dict[str, list]:
                     raise ValueError("a row of the wrong width")
                 if cells[_MEASURE].count(first[1]) != len(rows):
                     raise ValueError("mixed measures")
-                block = [parse_cells(col) for parse_cells, col in zip(column_parsers, cells)]
-            except (ValueError, KeyError):
+                block = [parse_cells(col) for parse_cells, col in zip(parsers, cells)]
+            except ValueError:
                 raise fault(rows, row_nos, issues, first) from None
             for column, values in zip(columns.values(), block):
                 column += values

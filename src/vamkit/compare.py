@@ -1,25 +1,23 @@
 """Cross-measure comparison of school scores.
 
-Comparisons match two school-score lists on school_id and report the Pearson
-correlation, quadrant counts and league-table rank movement. Ranks put the
-highest score first and break ties by school_id ascending, so league tables
-are deterministic. Movement at threshold t counts schools whose rank changed
-by t or more places.
+Comparisons match two measures' school scores on school_id and report the
+Pearson correlation, quadrant counts and league-table rank movement. Ranks
+put the highest score first and break ties by school_id ascending, so league
+tables are deterministic. Movement at threshold t counts schools whose rank
+changed by t or more places.
 
 Quadrants are taken relative to the national mean of each measure, which is
 zero by construction (pupil scores are centred residuals); schools exactly
 on a boundary are assigned to the lower/left side.
 
-The statistics run on school scores held as columns, keyed by
-:class:`SchoolScore` field name: :func:`compare_columns` reads the
-``school_id`` and ``score`` columns (plain lists) and the first ``measure``.
-The CLI's ``compare`` reads each score file into such columns and calls it
-directly, with no per-school object and without importing numpy;
-:func:`compare_measures` and the single statistics take lists of
-:class:`SchoolScore` and pull the same columns out of them first. Each
-statistic is one C-level pass (``map``, ``sorted``, ``Counter``) where it can
-be. The correlation's means and sums are ``math.fsum``s: correctly rounded,
-and independent of summation order.
+Every comparison takes school scores held as columns, keyed by
+:class:`SchoolScore` field name: it reads the ``school_id`` and ``score``
+columns (plain lists) and, for :func:`compare_columns`'s report, the first
+``measure``. ``MeasureResult.school_columns`` holds such columns, and the
+CLI's ``compare`` reads each score file into them, with no per-school object
+and without importing numpy. Each statistic is one C-level pass (``map``,
+``sorted``, ``Counter``) where it can be. The correlation's means and sums
+are ``math.fsum``s: correctly rounded, and independent of summation order.
 """
 
 from __future__ import annotations
@@ -75,15 +73,6 @@ class ComparisonReport:
 Columns = Mapping[str, Sequence]
 
 
-def _columns(scores: Sequence[SchoolScore]) -> dict[str, list]:
-    """The columns of a school-score list that a comparison reads."""
-    return {
-        "school_id": [s.school_id for s in scores],
-        "measure": [s.measure for s in scores],
-        "score": [float(s.score) for s in scores],
-    }
-
-
 def _match(a: Columns, b: Columns) -> tuple[list[float], list[float]]:
     """The two score columns aligned on school_id, in ascending school_id
     order; fatal on any mismatch."""
@@ -119,9 +108,9 @@ def _pearson(x: list[float], y: list[float]) -> float:
     return math.fsum(map(operator.mul, xc, yc)) / math.sqrt(vx * vy)
 
 
-def correlate(a: Sequence[SchoolScore], b: Sequence[SchoolScore]) -> float:
-    """Pearson correlation of two matched school-score lists."""
-    return _pearson(*_match(_columns(a), _columns(b)))
+def correlate(a: Columns, b: Columns) -> float:
+    """Pearson correlation of two measures' matched school scores."""
+    return _pearson(*_match(a, b))
 
 
 def _ranks(scores: list[float]) -> list[int]:
@@ -148,18 +137,14 @@ def _movement(
     return counts, moves[-1] if moves else 0
 
 
-def rank_movement(
-    a: Sequence[SchoolScore],
-    b: Sequence[SchoolScore],
-    thresholds: Sequence[int],
-) -> tuple[dict[int, int], int]:
+def rank_movement(a: Columns, b: Columns, thresholds: Sequence[int]) -> tuple[dict[int, int], int]:
     """League-table movement between two measures.
 
     Returns (counts per threshold of schools moving >= threshold places,
     maximum absolute rank change).
     """
     _check_thresholds(thresholds)
-    return _movement(*_match(_columns(a), _columns(b)), thresholds)
+    return _movement(*_match(a, b), thresholds)
 
 
 def _quadrants(x: list[float], y: list[float]) -> QuadrantCounts:
@@ -170,13 +155,13 @@ def _quadrants(x: list[float], y: list[float]) -> QuadrantCounts:
     )
 
 
-def quadrant_classify(a: Sequence[SchoolScore], b: Sequence[SchoolScore]) -> QuadrantCounts:
+def quadrant_classify(a: Columns, b: Columns) -> QuadrantCounts:
     """Count schools per quadrant of the (a, b) scatter around (0, 0).
 
     Each measure's national mean is zero by construction, so the axes sit at
     the origin; boundary schools go to the lower/left side.
     """
-    return _quadrants(*_match(_columns(a), _columns(b)))
+    return _quadrants(*_match(a, b))
 
 
 def compare_columns(a: Columns, b: Columns, thresholds: Sequence[int]) -> ComparisonReport:
@@ -201,12 +186,3 @@ def compare_columns(a: Columns, b: Columns, thresholds: Sequence[int]) -> Compar
         max_rank_change=max_change,
     )
 
-
-def compare_measures(
-    a: Sequence[SchoolScore],
-    b: Sequence[SchoolScore],
-    thresholds: Sequence[int],
-) -> ComparisonReport:
-    """Full comparison report between two measures' school-score lists:
-    :func:`compare_columns` of their columns."""
-    return compare_columns(_columns(a), _columns(b), thresholds)

@@ -86,8 +86,10 @@ class MeasureResult:
 
     @cached_property
     def school_scores(self) -> list[SchoolScore]:
-        """Row views of ``school_columns``: one SchoolScore per school."""
-        return _rows(self.school_columns)
+        """Row views of ``school_columns``: one SchoolScore per school. No
+        function takes them; they are kept only because
+        ``perfbench/replicate.py`` reads them."""
+        return [SchoolScore(*row) for row in zip(*self.school_columns.values())]
 
 
 _CATEGORIES = list(SignificanceCategory)
@@ -133,21 +135,6 @@ def school_score_columns(
     }
 
 
-def _rows(columns: dict[str, list]) -> list[SchoolScore]:
-    return [SchoolScore(*row) for row in zip(*columns.values())]
-
-
-def school_scores(
-    measure: MeasureKind,
-    scores: np.ndarray,
-    school_index: np.ndarray,
-    school_ids: Sequence[str],
-    national_sd: float,
-) -> list[SchoolScore]:
-    """:func:`school_score_columns` as one SchoolScore per school."""
-    return _rows(school_score_columns(measure, scores, school_index, school_ids, national_sd))
-
-
 def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult:
     """Run the full pipeline for one measure on a validated cohort, summary
     included."""
@@ -158,7 +145,8 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
     scores = fit.residuals / POINTS_PER_GRADE
     sd_pupil = float(scores.std(ddof=1))
     # An outcome the design fits exactly (a constant one, say) leaves only
-    # rounding noise: an SD at that scale counts as 0, which school_scores rejects.
+    # rounding noise: an SD at that scale counts as 0, which
+    # school_score_columns rejects.
     noise = 1e-10 * float(np.abs(outcome).max()) / POINTS_PER_GRADE
     national_sd = sd_pupil if sd_pupil > noise else 0.0
     schools = school_score_columns(

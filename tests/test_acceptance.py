@@ -19,7 +19,7 @@ from vamkit.analysis import pupil_breakdown
 from vamkit.categories import MeasureKind, SignificanceCategory
 from vamkit.cli import run
 from vamkit.cohort import validate_cohort
-from vamkit.compare import SchoolScore, rank_movement
+from vamkit.compare import rank_movement
 from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov, fit_ols
 from vamkit.synthgen import DEFAULT_COEFFICIENTS, GeneratorConfig, generate_population
@@ -320,18 +320,11 @@ def brute_force_movements(ids, scores_a, scores_b):
 
 
 def as_scores(values_by_id, measure=A8):
-    return [
-        SchoolScore(
-            school_id=sid,
-            measure=measure,
-            score=score,
-            n_pupils=1,
-            ci_low=score - 1,
-            ci_high=score + 1,
-            category=SignificanceCategory.NOT_SIGNIFICANT,
-        )
-        for sid, score in values_by_id.items()
-    ]
+    return {
+        "school_id": list(values_by_id),
+        "measure": [measure] * len(values_by_id),
+        "score": list(values_by_id.values()),
+    }
 
 
 def test_criterion_8_rank_movement_exhaustive():

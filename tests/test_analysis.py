@@ -17,7 +17,6 @@ from vamkit.cohort import serialize_pupils, serialize_schools, validate_cohort
 from vamkit.compare import (
     SchoolScore,
     compare_columns,
-    compare_measures,
     correlate,
     quadrant_classify,
     rank_movement,
@@ -36,20 +35,13 @@ AA8 = MeasureKind.ADJUSTED_ATTAINMENT8
 AP8 = MeasureKind.ADJUSTED_PROGRESS8
 
 
-def school_score(school_id, score, measure=A8):
-    return SchoolScore(
-        school_id=school_id,
-        measure=measure,
-        score=score,
-        n_pupils=10,
-        ci_low=score - 0.1,
-        ci_high=score + 0.1,
-        category=SignificanceCategory.NOT_SIGNIFICANT,
-    )
+def score_columns(ids, scores, measure=A8):
+    """The columns a comparison reads, of schools ``ids`` with ``scores``."""
+    return {"school_id": list(ids), "measure": [measure] * len(ids), "score": list(scores)}
 
 
 def score_list(values, measure=A8):
-    return [school_score(f"S{i:03d}", v, measure) for i, v in enumerate(values)]
+    return score_columns([f"S{i:03d}" for i in range(len(values))], values, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +69,15 @@ def test_correlate_is_symmetric():
 
 def test_correlate_matches_numpy_on_every_measure_pair(midsize_population):
     results = {kind: compute_measure(midsize_population.cohort, kind) for kind in MeasureKind}
-    for a, b in itertools.combinations([res.school_scores for res in results.values()], 2):
-        r = np.corrcoef([s.score for s in a], [s.score for s in b])[0, 1]
+    for a, b in itertools.combinations([res.school_columns for res in results.values()], 2):
+        r = np.corrcoef(a["score"], b["score"])[0, 1]
         assert correlate(a, b) == pytest.approx(r, abs=1e-15)
         assert correlate(a, b) == correlate(b, a)
 
 
 def test_mismatched_sets_fatal():
     a = score_list([1.0, 2.0])
-    b = [school_score("S000", 1.0), school_score("S999", 2.0)]
+    b = score_columns(["S000", "S999"], [1.0, 2.0])
     with pytest.raises(AnalysisError, match="S001.*S999|S999.*S001"):
         correlate(a, b)
 
@@ -138,8 +130,8 @@ def test_counts_monotone_in_threshold():
 
 def test_ties_broken_by_school_id():
     # equal scores: S000 ranks above S001 on both sides, so no movement
-    a = [school_score("S000", 1.0), school_score("S001", 1.0)]
-    b = [school_score("S000", 2.0), school_score("S001", 2.0)]
+    a = score_columns(["S000", "S001"], [1.0, 1.0])
+    b = score_columns(["S000", "S001"], [2.0, 2.0])
     counts, max_change = rank_movement(a, b, [1])
     assert counts == {1: 0} and max_change == 0
 
@@ -189,8 +181,8 @@ def test_disadvantaged_intake_schools_sit_north_west(midsize_population):
     # progress measures centred on zero, so good ones land NW of (raw, adjusted)
     cohort = midsize_population.cohort
     results = {kind: compute_measure(cohort, kind) for kind in [A8, AP8]}
-    a = {s.school_id: s.score for s in results[A8].school_scores}
-    b = {s.school_id: s.score for s in results[AP8].school_scores}
+    a = dict(zip(results[A8].school_columns["school_id"], results[A8].school_columns["score"]))
+    b = dict(zip(results[AP8].school_columns["school_id"], results[AP8].school_columns["score"]))
     deciles = cohort.school_table["school_idaci_decile"] + 1  # an INT column holds value - 1
     deprivation = dict(zip(cohort.school_table["school_id"].tolist(), deciles.tolist()))
     truth = midsize_population.true_school_effects
@@ -211,7 +203,7 @@ def test_compare_measures_report():
     rng = np.random.default_rng(5)
     a = score_list(rng.normal(size=25).tolist(), A8)
     b = score_list(rng.normal(size=25).tolist(), AP8)
-    report = compare_measures(a, b, [1, 10])
+    report = compare_columns(a, b, [1, 10])
     assert report.measure_pair == ("a8", "ap8")
     assert report.n_schools == 25
     assert -1.0 <= report.pearson_r <= 1.0
@@ -221,9 +213,9 @@ def test_compare_measures_report():
 
 def test_empty_score_lists_fatal():
     with pytest.raises(AnalysisError, match="empty"):
-        compare_measures([], [], [5])
+        compare_columns(score_list([]), score_list([]), [5])
     with pytest.raises(AnalysisError, match="empty"):
-        compare_measures(score_list([1.0, 2.0]), [], [5])
+        compare_columns(score_list([1.0, 2.0]), score_list([]), [5])
 
 
 def _outcome(compare, *args):
@@ -232,6 +224,19 @@ def _outcome(compare, *args):
         return compare(*args)
     except AnalysisError as exc:
         return f"AnalysisError: {exc}"
+
+
+def school_score(school_id, score, measure=A8):
+    """One school's row, as the per-object reference reads it."""
+    return SchoolScore(
+        school_id=school_id,
+        measure=measure,
+        score=score,
+        n_pupils=10,
+        ci_low=score - 0.1,
+        ci_high=score + 0.1,
+        category=SignificanceCategory.NOT_SIGNIFICANT,
+    )
 
 
 def _random_scores(rng, ids, measure):
@@ -268,8 +273,13 @@ def test_columnar_core_matches_per_object_reference():
              "score": [s.score for s in x]}
             for x in (a, b)
         ]
-        assert _outcome(compare_measures, a, b, thresholds) == expected
         assert _outcome(compare_columns, *columns, thresholds) == expected
+        if not isinstance(expected, str):
+            assert correlate(*columns) == expected.pearson_r
+            assert rank_movement(*columns, thresholds) == (
+                expected.movement_counts, expected.max_rank_change
+            )
+            assert quadrant_classify(*columns) == expected.quadrant_counts
         outcomes[expected.split(";")[0] if isinstance(expected, str) else "report"] += 1
     # every kind of outcome was reached
     assert set(outcomes) == {

@@ -549,6 +549,18 @@ def _repeated_score_row(tmp_path, fit_dir):
     return argv, path
 
 
+def _first_score_ids_blanked(tmp_path, fit_dir):
+    """school_scores_a8.csv and school_scores_p8.csv, each with its first
+    school_id blank: the two files still hold the same schools."""
+    paths = []
+    for code in ("a8", "p8"):
+        lines = (fit_dir / f"school_scores_{code}.csv").read_text().splitlines()
+        lines[1] = lines[1][lines[1].index(","):]
+        paths.append(tmp_path / f"blank_id_{code}.csv")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    return ["compare", "--scores", str(paths[0]), "--scores", str(paths[1])], paths[0]
+
+
 def _first_id_over_field_limit(data):
     """The first pupil_id quoted and one character over the csv module's limit."""
     head, first, rest = data.split(b"\n", 2)
@@ -664,6 +676,14 @@ def _config(tmp_path, text):
             lambda t, f, s: _edited_scores(t, f, 4, "ci_low", "1e400"),
             ["row 4, column ci_low: must be a finite number, got '1e400'"],
         ),
+        (
+            lambda t, f, s: _first_score_ids_blanked(t, f),
+            ["row 1, column school_id: must not be empty"],
+        ),
+        (
+            lambda t, f, s: _edited_scores(t, f, 3, "school_id", "S" * 65),
+            ["row 3, column school_id: must be at most 64 characters, got 65"],
+        ),
     ],
     ids=[
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
@@ -679,7 +699,7 @@ def _config(tmp_path, text):
         "string-n_schools", "nan-coefficient", "config-not-object", "config-unknown-key",
         "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
         "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
-        "inf-ci-low", "overflow-ci-low",
+        "inf-ci-low", "overflow-ci-low", "blank-score-ids", "long-score-id",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):
@@ -693,6 +713,26 @@ def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, f
     assert str(path) in err
     for fragment in fragments:
         assert fragment in err
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    # a write that fails part way (a full disk, say) removes its temp file
+    import vamkit.synthgen
+
+    real = vamkit.synthgen.serialize_blocks
+
+    def first_piece_then_full(table):
+        pieces = real(table)
+        yield next(pieces)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(vamkit.synthgen, "serialize_blocks", first_piece_then_full)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["simulate", "--schools", "40", "--seed", "0", "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "No space left on device" in line
+    assert list(out.glob(".tmp.*")) == []
 
 
 def test_fit_writes_nothing_when_a_later_measure_fails(tmp_path, sim_dir, capsys):

@@ -7,7 +7,7 @@ from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cohort import validate_cohort
 from vamkit.compare import SchoolScore
 from vamkit.errors import AnalysisError
-from vamkit.measures import compute_measure, school_scores
+from vamkit.measures import compute_measure, school_score_columns
 from vamkit.ols import Z95
 
 from conftest import make_cohort, make_pupil, make_school, random_cohort
@@ -16,13 +16,19 @@ A8 = MeasureKind.ATTAINMENT8
 P8 = MeasureKind.PROGRESS8
 
 
-def one_school(values, national_sd=1.0, **kwargs):
+def rows(columns):
+    return [SchoolScore(*row) for row in zip(*columns.values())]
+
+
+def one_school(values, national_sd=1.0):
     scores = np.asarray(values, dtype=float)
-    return school_scores(A8, scores, np.zeros(scores.size, dtype=int), ["S1"], national_sd, **kwargs)
+    return rows(
+        school_score_columns(A8, scores, np.zeros(scores.size, dtype=int), ["S1"], national_sd)
+    )
 
 
 # ---------------------------------------------------------------------------
-# school_scores
+# school_score_columns
 # ---------------------------------------------------------------------------
 
 
@@ -57,7 +63,7 @@ def test_school_ci_uses_national_sd():
     # the school's own pupil-score SD (0.26 here) plays no part
     scores = np.array([0.2, 0.4, 0.6, 0.8, 3.0])
     index = np.array([0, 0, 0, 0, 1])
-    four, single = school_scores(A8, scores, index, ["S1", "S2"], 1.0)
+    four, single = rows(school_score_columns(A8, scores, index, ["S1", "S2"], 1.0))
     assert four.ci_high - four.ci_low == pytest.approx(2 * 1.959964 / 2.0)
     assert single.ci_high - single.ci_low == pytest.approx(2 * 1.959964, abs=1e-12)
 
@@ -68,13 +74,13 @@ def test_school_score_fields_are_python_values():
     result = compute_measure(build_two_school_cohort(), A8)
     columns = result.school_columns
     assert list(columns) == [f.name for f in dataclasses.fields(SchoolScore)]
-    for school in result.school_scores + school_scores(
+    for school in result.school_scores + rows(school_score_columns(
         A8, np.array([0.2, 0.4, 0.6]), np.array([0, 0, 1]), ["S1", "S2"], 1.0
-    ):
+    )):
         assert [type(getattr(school, f)) for f in ("score", "ci_low", "ci_high")] == [float] * 3
         assert type(school.n_pupils) is int and type(school.school_id) is str
         assert isinstance(school.category, SignificanceCategory)
-    assert result.school_scores == [SchoolScore(*row) for row in zip(*columns.values())]
+    assert result.school_scores == rows(columns)
 
 
 def test_national_sd_must_be_positive():
@@ -232,7 +238,7 @@ def test_measure_summary_sample_convention():
 
 def test_school_scores_equal_per_school_loop(midsize_population):
     # reference: collect each school's pupil scores in cohort order, then
-    # their mean. school_scores sums by bincount in row order and numpy
+    # their mean. school_score_columns sums by bincount in row order and numpy
     # sums pairwise, so each mean may differ from the reference by up to
     # 2 * n * eps * max|score|; each CI half-width is Z95 * national SD / sqrt(n).
     cohort = midsize_population.cohort

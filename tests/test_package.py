@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,14 @@ def test_lazy_exports_resolve_to_their_defining_module():
         value = getattr(vamkit, name)
         home = f"vamkit.{constants[name]}" if name in constants else value.__module__
         assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_readme_library_example_uses_public_names():
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    code = library[library.index("```python"):library.index("```", library.index("```python") + 3)]
+    names = set(re.findall(r"\bvamkit\.(\w+)", code))
+    assert names and names <= set(vamkit.__all__), sorted(names - set(vamkit.__all__))
 
 
 def test_submodules_import_through_the_package():
