@@ -271,8 +271,8 @@ def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> byte
 def _column_parser(tp):
     """The values of a whole column of cells, for a field annotated ``tp``,
     made by C-level ``map``s: the inverse of ``_cell``. A ``str`` column
-    holds school ids, under the cohort files' id rule. A ValueError names
-    the column's first bad cell."""
+    holds school ids, stripped and checked as the cohort files' ids are. A
+    ValueError names the column's first bad cell."""
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         members = {member.value: member for member in tp}
 
@@ -299,9 +299,10 @@ def _column_parser(tp):
         encode = FIELD["school_id"].encode
 
         def ids(cells):
-            if all(cells) and max(map(len, cells), default=0) <= ID_MAX_CHARS:
-                return list(cells)
-            return list(map(encode, cells))  # raises at the first bad id
+            stripped = list(map(str.strip, cells))
+            if all(stripped) and max(map(len, stripped), default=0) <= ID_MAX_CHARS:
+                return stripped
+            return list(map(encode, stripped))  # raises at the first bad id
 
         return ids
     return lambda cells: list(map(tp, cells))

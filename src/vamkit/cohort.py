@@ -122,6 +122,12 @@ class ValidatedCohort:
     one pupil; pupil ids are unique. Pupils keep their input order; schools
     are sorted by school_id, and ``school_index`` gives each pupil's row in
     ``school_table``, so school k is the k-th smallest school_id.
+
+    ``_level_counts`` is a private store that :mod:`vamkit.design` fills:
+    the cross-tab of covariate levels its designs' X'X are read from
+    (~60 KB), counted once per cohort. It is made on first use, not held
+    in a field, so a cohort made by ``dataclasses.replace`` starts with an
+    empty store rather than the counts of its source's codes.
     """
 
     pupil_table: Table
@@ -129,6 +135,10 @@ class ValidatedCohort:
     school_index: np.ndarray
     n_pupils = property(lambda self: len(self.pupil_table))
     n_schools = property(lambda self: len(self.school_table))
+
+    @cached_property
+    def _level_counts(self) -> dict:
+        return {}
 
     @cached_property
     def pupils(self) -> tuple[PupilRecord, ...]:

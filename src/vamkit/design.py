@@ -10,13 +10,18 @@ Covariate block order: prior attainment group, month of birth, gender,
 ethnicity, first language, SEN, FSM, neighbourhood deprivation decile.
 
 A design keeps each block's integer code column, not the N x k indicator
-array. X'X is then a set of cross-tabs of counts (exact in integers), X'y
-and the per-cluster sums X_g'e are bincounts, and X beta gathers one
-coefficient per block.
+array. Every entry of X'X is a count of pupils at two levels (exact in
+integers), and every design's columns are levels of the same eight
+covariates. So a cohort keeps one cross-tab of counts over the constant and
+every covariate level, and each design's X'X is that table at its columns'
+levels; each pair of covariates is counted once per cohort, when a design
+first asks for it. X'y and the per-cluster sums X_g'e are bincounts, and X
+beta gathers one coefficient per block.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +36,13 @@ from .errors import DesignError, id_list
 # Rows per run of sequential additions in _Block.sums.
 _RUN = 256
 
+_PRIOR = "ks2_group"
+_COVARIATES = tuple(f for f in PUPIL_FIELDS if f.reference is not None)
+# Each covariate's first level in the level cross-tab, after the constant's
+# level 0, and the number of levels (86).
+*_FIRST, _N_LEVELS = itertools.accumulate([1] + [len(f.levels) for f in _COVARIATES])
+_START = dict(zip([f.name for f in _COVARIATES], _FIRST))
+
 
 @dataclass(frozen=True)
 class _Block:
@@ -38,13 +50,15 @@ class _Block:
 
     Level ``coded[i]`` has design column ``columns[i]``; a level not listed
     (a covariate's reference) has none. The constant is the block with one
-    level, code 0 on every row.
+    level, code 0 on every row. Level ``i`` is level ``start + i`` of the
+    cohort's level cross-tab (:class:`_LevelCounts`).
     """
 
     codes: np.ndarray
     levels: int
     coded: np.ndarray
     columns: np.ndarray
+    start: int
 
     def bins(self, major: np.ndarray) -> np.ndarray:
         """Each row's flat bin in a (major index, own level) table."""
@@ -76,19 +90,65 @@ class _Block:
         return table.reshape(self.levels, runs).sum(axis=1)
 
 
+class _LevelCounts:
+    """One cohort's cross-tab of levels, counted one pair of blocks at a time.
+
+    ``table[i, j]`` is the number of pupils at both level i and level j: level
+    0 is the constant, and each covariate's levels follow from its block's
+    ``start``. A block's level counts fill its diagonal block and its row and
+    column against the constant; a pair of covariates fills their cross-tab.
+    Each is counted the first time a design asks for it. The table is
+    86 x 86 floats (~60 KB), exact for counts below 2**53, and nothing of
+    pupil length is kept.
+    """
+
+    def __init__(self, n: int):
+        self.table = np.zeros((_N_LEVELS, _N_LEVELS))
+        self.table[0, 0] = n
+        self._counted = {(0, 0)}
+
+    def levels(self, b: _Block) -> np.ndarray:
+        """The number of pupils at each of b's levels."""
+        own = slice(b.start, b.start + b.levels)
+        if (b.start, b.start) not in self._counted:
+            counts = np.bincount(b.codes, minlength=b.levels)
+            diagonal = np.arange(own.start, own.stop)
+            self.table[diagonal, diagonal] = counts
+            self.table[0, own] = self.table[own, 0] = counts
+            self._counted |= {(0, b.start), (b.start, b.start)}
+        return self.table[0, own]
+
+    def pair(self, a: _Block, b: _Block) -> None:
+        """Count the cross-tab of a's and b's levels, if it is not counted yet."""
+        if (a.start, b.start) in self._counted:
+            return
+        counts = np.bincount(b.bins(a.codes), minlength=a.levels * b.levels)
+        counts = counts.reshape(a.levels, b.levels)
+        rows, cols = slice(a.start, a.start + a.levels), slice(b.start, b.start + b.levels)
+        self.table[rows, cols] = counts
+        self.table[cols, rows] = counts.T
+        self._counted.add((a.start, b.start))
+
+
 class DesignMatrix:
     """N x k dummy design with stable column labels, held as code columns.
 
     Each dummy block keeps one integer code column, never the N x k
     indicator array. Every statistic a least-squares fit and its clustered
     covariance need (``gram``, ``xty``, ``predict`` and ``cluster_sums``)
-    comes from counts and bincounts over the codes; ``values`` builds the
-    indicator array only when it is read.
+    comes from counts and bincounts over the codes, and ``gram`` from the
+    cohort's level cross-tab; ``values`` builds the indicator array only
+    when it is read.
     """
 
-    def __init__(self, column_labels: tuple[str, ...], blocks: tuple[_Block, ...]):
+    def __init__(
+        self, column_labels: tuple[str, ...], blocks: tuple[_Block, ...], counts: _LevelCounts
+    ):
         self.column_labels = tuple(column_labels)
         self._blocks = blocks
+        self._counts = counts
+        # each column's level in the cross-tab (blocks hold consecutive columns)
+        self._levels = np.concatenate([b.start + b.coded for b in blocks])
 
     @property
     def n(self) -> int:
@@ -107,15 +167,15 @@ class DesignMatrix:
         return out
 
     def gram(self) -> np.ndarray:
-        """X'X: one cross-tab of counts per pair of blocks."""
-        out = np.zeros((self.k, self.k))
+        """X'X: the cohort's level cross-tab at the design columns' levels.
+
+        The pairs of blocks the cohort has not counted yet are counted first;
+        each block's own levels were counted when the design was built.
+        """
         for i, a in enumerate(self._blocks):
-            for b in self._blocks[i:]:
-                counts = np.bincount(b.bins(a.codes), minlength=a.levels * b.levels)
-                counts = counts.reshape(a.levels, b.levels)[np.ix_(a.coded, b.coded)]
-                out[np.ix_(a.columns, b.columns)] = counts
-                out[np.ix_(b.columns, a.columns)] = counts.T
-        return out
+            for b in self._blocks[i + 1 :]:
+                self._counts.pair(a, b)
+        return self._counts.table[np.ix_(self._levels, self._levels)]
 
     def xty(self, y: np.ndarray) -> np.ndarray:
         """X'y: for each column, the sum of y over the rows where it is 1."""
@@ -140,10 +200,6 @@ class DesignMatrix:
             sums = np.bincount(b.bins(cluster), weights=e, minlength=n_clusters * b.levels)
             out[:, b.columns] = sums.reshape(n_clusters, b.levels)[:, b.coded]
         return out
-
-
-_PRIOR = "ks2_group"
-_COVARIATES = tuple(f for f in PUPIL_FIELDS if f.reference is not None)
 
 
 def _fields(spec: ModelSpec) -> tuple[Field, ...]:
@@ -178,24 +234,27 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
             )
 
     n = cohort.n_pupils
-    constant = _Block(np.zeros(n, dtype=np.int8), 1, np.array([0]), np.array([0]))
+    store = cohort._level_counts  # filled only here
+    if not store:
+        store["counts"] = _LevelCounts(n)
+    counts = store["counts"]
+    constant = _Block(np.zeros(n, dtype=np.int8), 1, np.array([0]), np.array([0]), 0)
     design_blocks = [constant]
     empty: list[str] = []
-    start = 1
+    column = 1
     for f in fields:
-        codes = pupils[f.name]
         coded = np.array(f.design_codes)
-        design_blocks.append(
-            _Block(codes, len(f.levels), coded, np.arange(start, start + coded.size))
-        )
-        counts = np.bincount(codes, minlength=len(f.levels))
-        empty += [lab for c, lab in zip(f.design_codes, f.design_labels) if not counts[c]]
-        start += coded.size
+        columns = np.arange(column, column + coded.size)
+        block = _Block(pupils[f.name], len(f.levels), coded, columns, _START[f.name])
+        design_blocks.append(block)
+        level_counts = counts.levels(block)
+        empty += [lab for c, lab in zip(f.design_codes, f.design_labels) if not level_counts[c]]
+        column += coded.size
 
     if empty:
         warnings.warn(
             f"category level(s) absent from cohort (all-zero columns): {', '.join(empty)}",
             stacklevel=2,
         )
-    return DesignMatrix(design_labels(spec), tuple(design_blocks))
+    return DesignMatrix(design_labels(spec), tuple(design_blocks), counts)
 

@@ -63,10 +63,39 @@ def test_fit_and_generator_allocate_no_design_matrix():
 
 
 @pytest.fixture(scope="module")
-def default_pupils():
+def default_population():
+    return generate_population(GeneratorConfig(seed=612))
+
+
+@pytest.fixture(scope="module")
+def default_pupils(default_population):
     """The default cohort's pupils.csv bytes and its pupil count."""
-    pop = generate_population(GeneratorConfig(seed=612))
-    return serialize_pupils(pop.cohort.pupil_table), pop.cohort.n_pupils
+    pupils = default_population.cohort.pupil_table
+    return serialize_pupils(pupils), len(pupils)
+
+
+def test_level_counts_hold_no_pupil_length_array(default_population):
+    # The cohort keeps its level cross-tab for the designs to share; a pupil
+    # length array kept with it would stay as long as the cohort does.
+    cohort = default_population.cohort
+    for kind in MeasureKind:
+        compute_measure(cohort, kind)
+    arrays, seen, stack = [], set(), [cohort._level_counts]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif hasattr(obj, "__dict__"):
+            stack += vars(obj).values()
+    assert arrays, "no level counts were stored"
+    assert max(a.size for a in arrays) < cohort.n_pupils
 
 
 def test_parse_allocates_a_few_times_the_file(default_pupils):

@@ -294,6 +294,23 @@ def test_compare_composes_with_fit(tmp_path, fit_dir):
     assert counts[5] >= counts[10]
 
 
+def test_compare_strips_padded_school_ids(tmp_path, fit_dir):
+    # a score file's ids are stripped as the cohort files' are, so padding
+    # changes no school
+    lines = (fit_dir / "school_scores_p8.csv").read_text().splitlines()
+    padded = tmp_path / "padded_p8.csv"
+    padded.write_text(
+        "\n".join([lines[0]] + [f"  {line.replace(',', ' ,', 1)}" for line in lines[1:]]) + "\n"
+    )
+    reports = []
+    for p8 in (fit_dir / "school_scores_p8.csv", padded):
+        out = tmp_path / f"cmp_{p8.stem}"
+        run_ok(["compare", "--scores", str(fit_dir / "school_scores_a8.csv"), "--scores", str(p8),
+                "--out", str(out)])
+        reports.append((out / "comparison.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_ids_that_need_quoting_round_trip(tmp_path):
     renamed = {"S000": "S1,North", "S001": 'S2"x', "S002": "S3\rx"}
     cohort = random_cohort(7)
@@ -684,6 +701,10 @@ def _config(tmp_path, text):
             lambda t, f, s: _edited_scores(t, f, 3, "school_id", "S" * 65),
             ["row 3, column school_id: must be at most 64 characters, got 65"],
         ),
+        (
+            lambda t, f, s: _edited_scores(t, f, 3, "school_id", "   "),
+            ["row 3, column school_id: must not be empty"],
+        ),
     ],
     ids=[
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
@@ -700,6 +721,7 @@ def _config(tmp_path, text):
         "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
         "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
         "inf-ci-low", "overflow-ci-low", "blank-score-ids", "long-score-id",
+        "whitespace-score-id",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):

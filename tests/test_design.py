@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from vamkit.categories import MeasureKind, ModelSpec
 from vamkit.cohort import validate_cohort
 from vamkit.design import build_design_matrix, design_labels
 from vamkit.errors import DesignError
+from vamkit.measures import compute_measure
+from vamkit.ols import cluster_robust_cov
 
 from conftest import make_cohort, make_pupil, make_school
 from dense_design import DenseDesign
@@ -161,21 +165,66 @@ def test_permuting_rows_permutes_design(midsize_population):
     assert np.array_equal(design2.values, design.values[perm])
 
 
+# a8 first: each design counts the pairs of blocks it adds; ap8 first: it
+# counts every pair, and the other three read only stored counts
+ORDERS = (tuple(MeasureKind), tuple(reversed(MeasureKind)))
+
+
 def test_categorical_statistics_equal_dense(midsize_population):
-    cohort = midsize_population.cohort
-    y = cohort.pupil_table["attainment8_total"]
+    y = midsize_population.cohort.pupil_table["attainment8_total"]
     rng = np.random.default_rng(5)
+    for order in ORDERS:
+        cohort = replace(midsize_population.cohort)  # an empty store of level counts
+        for kind in order:
+            design = build_design_matrix(cohort, kind.model_spec)
+            dense = DenseDesign(design.values, design.column_labels)
+            # counts are exact in floating point
+            assert np.array_equal(design.gram(), dense.gram()), (order, kind)
+            np.testing.assert_allclose(design.xty(y), dense.xty(y), rtol=1e-12)
+            beta = rng.normal(size=design.k)
+            np.testing.assert_allclose(
+                design.predict(beta), dense.predict(beta), rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                design.cluster_sums(y, cohort.school_index, cohort.n_schools),
+                dense.cluster_sums(y, cohort.school_index, cohort.n_schools),
+                rtol=1e-12,
+            )
+
+
+def test_replaced_cohort_counts_its_own_levels(midsize_population):
+    cohort = replace(midsize_population.cohort)
+    full = MeasureKind.ADJUSTED_PROGRESS8.model_spec
+    before = build_design_matrix(cohort, full).gram()
+    # the same pupils with four covariates' codes shuffled among them
+    rng = np.random.default_rng(11)
+    pupils = cohort.pupil_table
+    names = ("ks2_group", "ethnicity", "sen", "fsm")
+    shuffled = {name: rng.permutation(pupils[name]) for name in names}
+    other = replace(cohort, pupil_table=pupils.replace(**shuffled))
+    design = build_design_matrix(other, full)
+    gram = design.gram()
+    assert np.array_equal(gram, DenseDesign(design.values, design.column_labels).gram())
+    assert not np.array_equal(gram, before)
+
+
+def test_fits_do_not_depend_on_measure_order(midsize_population):
+    fits = []
+    for order in ORDERS:
+        cohort = replace(midsize_population.cohort)
+        results = {kind: compute_measure(cohort, kind) for kind in order}
+        fits.append({
+            kind: (r.fit, cluster_robust_cov(r.fit, r.design, cohort.school_index))
+            for kind, r in results.items()
+        })
     for kind in MeasureKind:
-        design = build_design_matrix(cohort, kind.model_spec)
-        dense = DenseDesign(design.values, design.column_labels)
-        # counts are exact in floating point
-        assert np.array_equal(design.gram(), dense.gram())
-        np.testing.assert_allclose(design.xty(y), dense.xty(y), rtol=1e-12)
-        beta = rng.normal(size=design.k)
-        np.testing.assert_allclose(design.predict(beta), dense.predict(beta), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            design.cluster_sums(y, cohort.school_index, cohort.n_schools),
-            dense.cluster_sums(y, cohort.school_index, cohort.n_schools),
-            rtol=1e-12,
-        )
+        (fit, cov), (fit2, cov2) = fits[0][kind], fits[1][kind]
+        assert fit.labels == fit2.labels
+        for a, b in [
+            (fit.coefficients, fit2.coefficients),
+            (fit.residuals, fit2.residuals),
+            (fit.xtx_inverse, fit2.xtx_inverse),
+            (cov.covariance, cov2.covariance),
+        ]:
+            assert np.array_equal(a, b), kind
 
