@@ -127,7 +127,9 @@ class ValidatedCohort:
     the cross-tab of covariate levels its designs' X'X are read from
     (~60 KB), counted once per cohort. It is made on first use, not held
     in a field, so a cohort made by ``dataclasses.replace`` starts with an
-    empty store rather than the counts of its source's codes.
+    empty store rather than the counts of its source's codes;
+    ``generate_population``, whose replace changes only the outcome, hands
+    its store on.
     """
 
     pupil_table: Table

@@ -6,9 +6,10 @@ integer cross-tabs and X'y a set of bincounts, so a cohort's fit never
 forms its N x k indicator matrix. A left-to-right rank guard on X'X prunes
 exact-collinear columns (including all-zero columns from empty category
 levels) deterministically and reports them, so coefficient tables stay
-reproducible rather than depending on a pseudo-inverse; the Cholesky
-factor it builds of the retained columns is the one the solve and
-(X'X)^-1 use. Residuals are y - X b.
+reproducible rather than depending on a pseudo-inverse. The guard factors
+X'X with one Cholesky, and factors the kept block again only after a drop;
+that factor of the retained columns is the one the solve and (X'X)^-1
+use. Residuals are y - X b.
 
 The clustered covariance is the CR1 sandwich,
 
@@ -82,38 +83,57 @@ class CoefficientRow:
     significant: bool
 
 
-def _prune_collinear(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
-    """Left-to-right exact-collinearity scan on the Gram matrix.
+def _leading_cholesky(block: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of the longest leading block LAPACK accepts,
+    and whether it refused the whole block.
 
-    Walks columns in order, keeping a Cholesky factor of the retained block;
-    a column whose conditional variance falls below _RANK_TOL of its own
-    norm is dropped. Deterministic: earlier columns always win. Returns the
-    kept and dropped columns and the lower Cholesky factor of the kept block.
+    LAPACK refuses a block at its first pivot <= 0. The factor of a leading
+    block is the leading block of the whole factor, so the first refused
+    column is found by bisection over leading blocks, with O(log k)
+    factorisations.
     """
-    k = gram.shape[0]
-    kept: list[int] = []
-    dropped: list[int] = []
-    chol = np.zeros((k, k))
-    for j in range(k):
-        gjj = gram[j, j]
-        if gjj <= 0.0:
-            dropped.append(j)
-            continue
-        m = len(kept)
-        if m:
-            w = np.linalg.solve(chol[:m, :m], gram[kept, j])
-            d = gjj - float(w @ w)
+    try:
+        return np.linalg.cholesky(block), False
+    except np.linalg.LinAlgError:
+        pass
+    good, bad = 0, len(block)  # leading sizes known to factor / to be refused
+    chol = np.empty((0, 0))
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            chol = np.linalg.cholesky(block[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return chol, True
+
+
+def _prune_collinear(gram: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """Left-to-right exact-collinearity guard on the Gram matrix.
+
+    A column is dropped when its X'X diagonal is zero, or when its squared
+    Cholesky pivot, its variance conditional on the columns kept before it,
+    is at most _RANK_TOL of that diagonal. One Cholesky factors the columns
+    with a nonzero diagonal; the first column that fails the rule is
+    dropped and the kept block is factored again, so a full-rank design
+    costs one factorisation. Deterministic: earlier columns always win.
+    Returns the kept and dropped columns and the lower Cholesky factor of
+    the kept block.
+    """
+    diag = np.diagonal(gram)
+    kept = np.flatnonzero(diag > 0.0).tolist()
+    dropped = np.flatnonzero(diag <= 0.0).tolist()
+    while True:
+        chol, refused = _leading_cholesky(gram[np.ix_(kept, kept)])
+        m = len(chol)
+        small = np.flatnonzero(np.diagonal(chol) ** 2 <= _RANK_TOL * diag[kept[:m]])
+        if small.size:
+            first = int(small[0])
+        elif refused:
+            first = m
         else:
-            w = np.empty(0)
-            d = gjj
-        if d <= _RANK_TOL * gjj:
-            dropped.append(j)
-            continue
-        chol[m, :m] = w
-        chol[m, m] = np.sqrt(d)
-        kept.append(j)
-    m = len(kept)
-    return kept, dropped, chol[:m, :m]
+            return kept, sorted(dropped), chol
+        dropped.append(kept.pop(first))
 
 
 def fit_ols(design: DesignMatrix, outcome) -> FitResult:

@@ -305,7 +305,10 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     outcome = np.clip(raw, *FIELD["attainment8_total"].bounds)
     n_clipped = int(np.sum(outcome != raw))
 
+    counts = cohort._level_counts
     cohort = replace(cohort, pupil_table=cohort.pupil_table.replace(attainment8_total=outcome))
+    # only the outcome changed, so the level counts the design above made hold
+    cohort._level_counts.update(counts)
     truth = dict(zip(school_ids.tolist(), true_effects.tolist()))
     return SyntheticCohort(cohort=cohort, true_school_effects=truth, n_clipped=n_clipped)
 

@@ -4,8 +4,11 @@ This is the estimator vamkit used before its normal-equations core: the
 left-to-right rank guard on X'X, a reduced QR of the retained columns of
 the dense N x k design, a triangular solve, (X'X)^-1 from the R factor, and
 the CR1 meat from the N x k products X * e. ``test_qr_oracle.py`` compares
-the library against it on small cohorts. Run as a script, it makes the same
-comparison on a generated cohort of any size and prints the differences:
+the library against it on small cohorts. Its ``prune_collinear`` is the
+column-by-column form of the library's rank guard, which factors X'X with
+one Cholesky; it is kept as that guard's oracle (``test_ols.py``). Run as
+a script, it makes the same comparison on a generated cohort of any size
+and prints the differences:
 
     PYTHONPATH=src python tests/qr_reference.py --schools 3098 --seed 1
 """
@@ -27,7 +30,12 @@ RANK_TOL = 1e-10
 
 
 def prune_collinear(gram):
-    """Kept and dropped column indices, scanning left to right."""
+    """Kept and dropped column indices and the lower Cholesky factor of the
+    kept block, scanning left to right.
+
+    Each column's Schur pivot comes from one triangular solve against the
+    factor of the columns kept before it.
+    """
     k = gram.shape[0]
     kept, dropped = [], []
     chol = np.zeros((k, k))
@@ -49,12 +57,13 @@ def prune_collinear(gram):
         chol[m, :m] = w
         chol[m, m] = np.sqrt(d)
         kept.append(j)
-    return kept, dropped
+    m = len(kept)
+    return kept, dropped, chol[:m, :m]
 
 
 def qr_fit_and_cr1(x, y, cluster_index):
     """(kept, dropped, beta, residuals, CR1 covariance) by reduced QR."""
-    kept, dropped = prune_collinear(x.T @ x)
+    kept, dropped, _ = prune_collinear(x.T @ x)
     xs = x[:, kept]
     q, r = np.linalg.qr(xs)
     beta = solve_triangular(r, q.T @ y, lower=False)

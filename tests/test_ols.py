@@ -1,18 +1,25 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from vamkit.categories import MeasureKind
+from vamkit.design import build_design_matrix
 from vamkit.errors import FitError
 from vamkit.ols import (
+    _RANK_TOL,
     Z95,
     ClusterCovariance,
+    _prune_collinear,
     cluster_robust_cov,
     coefficient_table,
     fit_ols,
 )
+from vamkit.synthgen import GeneratorConfig, generate_population
 
 from dense_design import DenseDesign
+from qr_reference import prune_collinear
 
 
 def random_design(rng, n, k):
@@ -184,6 +191,109 @@ def test_permutation_invariance():
     cov_p = cluster_robust_cov(fit_p, design_p, [clusters[i] for i in perm])
     assert fit_p.coefficients == pytest.approx(fit.coefficients, rel=1e-10, abs=1e-13)
     assert cov_p.standard_errors == pytest.approx(cov.standard_errors, rel=1e-10, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# rank guard
+# ---------------------------------------------------------------------------
+
+PLANTS = ("zero", "duplicate", "combination", "above", "below")
+
+
+def plant(kind, sources, before, rng):
+    """A column to place after the columns ``before``, made from the dummy
+    columns among them (``sources``): collinear with them, or (above/below)
+    with a Schur pivot 1.05 or 0.95 times _RANK_TOL of its own X'X entry."""
+    n, m = sources.shape
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "duplicate":
+        return sources[:, rng.integers(1, m)].copy()
+    if kind == "combination":
+        return sources[:, rng.choice(np.arange(1, m), 3, replace=False)] @ [1.0, -2.0, 3.0]
+    ratio = {"above": 1.05, "below": 0.95}[kind]
+    base = sources[:, rng.integers(0, m)]
+    q = np.linalg.qr(before)[0]
+    u = rng.standard_normal(n)
+    u -= q @ (q.T @ u)
+    u /= np.linalg.norm(u)
+    eps2 = ratio * _RANK_TOL * (base @ base) / (1.0 - ratio * _RANK_TOL)
+    return base + np.sqrt(eps2) * u
+
+
+def planted_gram(seed, plants):
+    """X'X of a random dummy design (a constant and four coded covariates)
+    with each kind of ``plants`` at a random position, and the planted
+    columns by kind."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    dummies = [np.ones(n)]
+    for levels in (4, 5, 3, 6):
+        codes = rng.integers(0, levels, n)
+        dummies += [(codes == c).astype(float) for c in range(1, levels)]
+    at = rng.choice(np.arange(4, len(dummies)), len(plants), replace=False)
+    slots = dict(zip(at.tolist(), rng.permutation(plants)))
+    columns, where = [], {}
+    for j, dummy in enumerate(dummies):
+        if j in slots:
+            where[slots[j]] = len(columns)
+            columns.append(plant(slots[j], np.column_stack(dummies[:j]), np.column_stack(columns), rng))
+        columns.append(dummy)
+    x = np.column_stack(columns)
+    return x.T @ x, where
+
+
+@pytest.mark.parametrize(
+    "plants",
+    [
+        PLANTS,  # exact collinearity: LAPACK refuses the block at a pivot <= 0
+        ("zero", "above", "below"),  # LAPACK accepts; the rule drops "below"
+    ],
+)
+def test_rank_guard_matches_column_by_column_oracle(plants):
+    refused = []
+    for seed in range(20):
+        gram, where = planted_gram(seed, plants)
+        kept, dropped, chol = _prune_collinear(gram)
+        ref_kept, ref_dropped, ref_chol = prune_collinear(gram)
+        assert (kept, dropped) == (ref_kept, ref_dropped), seed
+        assert dropped == sorted(where[k] for k in plants if k != "above"), seed
+        # The kept "above" column has a pivot of ~1e-5 of its norm, so the
+        # factor's later rows carry ~1e-7 relative rounding: compare the
+        # factors up to it, and the whole factor by L L' = X'X.
+        lead = kept.index(where["above"])
+        scale = np.max(np.abs(ref_chol))
+        assert np.max(np.abs(chol - ref_chol)[:lead, :lead]) <= 1e-12 * scale, seed
+        block = gram[np.ix_(kept, kept)]
+        assert np.max(np.abs(chol @ chol.T - block)) <= 1e-12 * np.max(block), seed
+        positive = np.flatnonzero(np.diagonal(gram) > 0.0)
+        try:
+            np.linalg.cholesky(gram[np.ix_(positive, positive)])
+            refused.append(False)
+        except np.linalg.LinAlgError:
+            refused.append(True)
+    assert any(refused) == ("duplicate" in plants)
+
+
+def test_full_rank_guard_factors_once(monkeypatch):
+    cohort = generate_population(GeneratorConfig(seed=612)).cohort
+    gram = build_design_matrix(cohort, MeasureKind.ADJUSTED_PROGRESS8.model_spec).gram()
+    calls = collections.Counter()
+
+    def counted(name):
+        call = getattr(np.linalg, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+
+        return counting
+
+    for name in ("cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    kept, dropped, _ = _prune_collinear(gram)
+    assert (len(kept), dropped) == (78, [])
+    assert calls == {"cholesky": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,27 @@ def test_clipping_below_one_percent_default():
     assert pop.n_clipped / pop.cohort.n_pupils < 0.01
 
 
+def test_generated_cohort_keeps_its_level_counts(monkeypatch):
+    # Each level count and field-pair cross-tab is an unweighted bincount
+    # over every pupil. The generator's ap8 design counts the eight levels
+    # once, and the returned cohort keeps them, so the four fits count only
+    # the 28 field pairs: 8 + 28 passes, not 8 + 8 + 28.
+    lengths = []
+
+    def counting(x, *args, **kwargs):
+        if not args and "weights" not in kwargs:
+            lengths.append(np.size(x))
+        return bincount(x, *args, **kwargs)
+
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", counting)
+    cohort = generate_population(GeneratorConfig(seed=612)).cohort
+    y = cohort.pupil_table["attainment8_total"]
+    for kind in MeasureKind:
+        fit_ols(build_design_matrix(cohort, kind.model_spec), y)
+    assert lengths.count(cohort.n_pupils) == 36
+
+
 # ---------------------------------------------------------------------------
 # dgp_from_coefficients
 # ---------------------------------------------------------------------------
