@@ -23,8 +23,8 @@ _HOMES = {
         "SignificanceCategory",
     ),
     "cohort": (
-        "PupilRecord", "SchoolRecord", "Table", "ValidatedCohort", "parse_pupils", "parse_schools",
-        "serialize_pupils", "serialize_schools", "validate_cohort",
+        "PupilRecord", "SchoolRecord", "Table", "ValidatedCohort", "decode_ids", "parse_pupils",
+        "parse_schools", "serialize_pupils", "serialize_schools", "validate_cohort",
     ),
     "compare": (
         "ComparisonReport", "QuadrantCounts", "SchoolScore", "compare_columns", "correlate",

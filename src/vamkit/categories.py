@@ -35,7 +35,7 @@ def _normalise(text: str) -> str:
 class Kind(enum.Enum):
     """How a column is spelled in CSV and held in memory."""
 
-    ID = "id"  # non-empty string of at most ID_MAX_CHARS, held as a numpy unicode array
+    ID = "id"  # non-empty string of at most ID_MAX_CHARS, held as UTF-8 bytes (numpy S)
     FLOAT = "float"  # real number within bounds, held as float64
     INT = "int"  # integer within bounds; held as the code value - low bound
     ENUM = "enum"  # one of the field's levels; held as its index in them

@@ -32,9 +32,13 @@ only Python string it makes per cell is an outcome's
 ``repr``. It writes the bytes ``csvio.csv_bytes`` writes for the same
 cells, a block at a time (:func:`serialize_blocks`).
 
-Rows are held by column (:class:`Table`): ids as numpy unicode arrays, the
-outcome as float64 and every category as a small-int code. Every function
-that takes pupils or schools takes a :class:`Table`. :class:`PupilRecord`
+Rows are held by column (:class:`Table`): ids as fixed-width UTF-8 bytes
+(numpy ``S``, one byte per ASCII character), the outcome as float64 and
+every category as a small-int code. UTF-8 byte order is code-point order,
+so ids sort as their text does. An id is text only at the edges:
+:func:`decode_ids` gives a column as a list of str for the row views, the
+school scores and every message that names ids. Every function that takes
+pupils or schools takes a :class:`Table`. :class:`PupilRecord`
 and :class:`SchoolRecord` are output-only row views, built from the field
 tables and filled from the columns on request; they remain only because the
 benchmark under ``perfbench/`` reads them, and go when it reads columns
@@ -78,16 +82,51 @@ PupilRecord = _row_view("PupilRecord", PUPIL_FIELDS)
 SchoolRecord = _row_view("SchoolRecord", SCHOOL_FIELDS)
 
 
-_DTYPE = {Kind.ID: str, Kind.FLOAT: np.float64}  # every other kind: int8 codes
+_DTYPE = {Kind.ID: bytes, Kind.FLOAT: np.float64}  # every other kind: int8 codes
 _RECORD = {PUPIL_FIELDS: PupilRecord, SCHOOL_FIELDS: SchoolRecord}
+
+
+def _encode_ids(texts: list[str], chars: int) -> np.ndarray:
+    """str ids as UTF-8 bytes, as wide as the longest: ids that are all
+    ASCII, none over ``chars`` characters, by one call; any others one by
+    one."""
+    try:
+        return np.array(texts, dtype=f"S{max(chars, 1)}")
+    except UnicodeEncodeError:
+        return np.array([t.encode() for t in texts], dtype=bytes)
+
+
+def decode_ids(ids: np.ndarray) -> list[str]:
+    """An id column as a list of str. A column that is all ASCII is widened
+    to numpy unicode by one cast; any other is decoded cell by cell."""
+    ids = np.ascontiguousarray(ids)
+    units = ids.view(np.uint8)
+    if units.max(initial=0) < 128:
+        return units.astype(np.uint32).view(f"U{ids.dtype.itemsize}").tolist()
+    return [t.decode() for t in ids.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """Rows of one schema held as equal-length numpy columns, keyed by name."""
+    """Rows of one schema held as equal-length numpy columns, keyed by name.
+
+    An id column is UTF-8 bytes (numpy ``S``): compare it with bytes
+    (``table["school_id"] == b"S0001"``) and read it as text with
+    :func:`decode_ids`. An id column of str handed to a Table is encoded
+    once, when the Table is made.
+    """
 
     fields: tuple[Field, ...]
     columns: dict[str, np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        encoded = {}
+        for f in self.fields:
+            col = np.asarray(self.columns[f.name])
+            if f.kind is Kind.ID and col.dtype.kind == "U":
+                encoded[f.name] = _encode_ids(col.tolist(), col.dtype.itemsize // 4)
+        if encoded:
+            object.__setattr__(self, "columns", {**self.columns, **encoded})
 
     def __len__(self) -> int:
         return len(self.columns[self.fields[0].name])
@@ -106,7 +145,10 @@ class Table:
         """Row views: one PupilRecord or SchoolRecord per row."""
         cells = []
         for f in self.fields:
-            col = self.columns[f.name].tolist()
+            if f.kind is Kind.ID:
+                col = decode_ids(self.columns[f.name])
+            else:
+                col = self.columns[f.name].tolist()
             if f.kind not in _DTYPE:
                 col = list(map((f.values + (None,)).__getitem__, col))
             cells.append(col)
@@ -177,21 +219,21 @@ def _encode_column(
     ``decoded`` and ``reasons`` map each raw spelling met so far in the file
     to its stored value and, if it is bad, its reason; a spelling not yet in
     them is checked by ``Field.encode`` once. Ids and numbers that pass a
-    vectorised check skip it; an id cell longer than ``ID_MAX_CHARS`` is
-    checked before the block's id array is built. Bad cells hold a
-    placeholder.
+    vectorised check skip it: an id is stripped as str and checked for
+    ``Field.encode``'s empty and length rules before it is encoded. Bad
+    cells hold a placeholder; a bad id's is empty, so that no id too long
+    to keep sets the block's width.
     """
     col, suspects = None, raw
     if f.kind is Kind.ID:
-        cells = raw
-        long = {t for t in raw if len(t) > ID_MAX_CHARS}
-        if long:
-            # settle the long cells first, so that none sets the block's width
-            _learn(f, long, decoded, reasons)
-            kept = {t: "" if t in reasons else decoded[t] for t in long}
-            cells = [kept.get(t, t) for t in raw]
-        col = np.char.strip(np.array(cells, dtype=str))
-        suspects = [raw[i] for i in np.flatnonzero(col == "")]
+        ids = list(map(str.strip, raw))
+        lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+        bad = np.flatnonzero((lengths == 0) | (lengths > ID_MAX_CHARS)).tolist()
+        suspects = [raw[i] for i in bad]
+        for i in bad:
+            ids[i] = ""
+            lengths[i] = 0
+        col = _encode_ids(ids, int(lengths.max(initial=0)))
     elif f.kind is Kind.FLOAT:
         try:
             col = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
@@ -218,23 +260,24 @@ def _encode_cells(
     f: Field, cells: np.ndarray, decoded: dict, reasons: dict[str, str]
 ) -> tuple[np.ndarray, dict[int, str] | None]:
     """:func:`_encode_column` for one column of gathered cells: an (n, width)
-    uint8 array, each cell's bytes zero-padded. A category's spellings are
-    told apart by a hash of each cell's 8-byte words, checked cell by cell
-    against the spelling; a block this does not settle, or whose ids are not
-    all within ``ID_MAX_CHARS``, takes the str route.
+    uint8 array, each cell's bytes zero-padded. An id column is the cells
+    themselves. A category's spellings are told apart by a hash of each
+    cell's 8-byte words, checked cell by cell against the spelling. A block
+    this does not settle takes the str route, as does one with an id over
+    ``ID_MAX_CHARS`` or with a control character or space in an id, which
+    ``str.strip`` may strip.
     """
     n, width = cells.shape
     text = cells.view(f"S{width}")[:, 0]
     if f.kind is Kind.ID:
-        if width > ID_MAX_CHARS and cells[:, ID_MAX_CHARS:].any():
+        # bytes 1-32 are the control characters and space; 0 pads a cell
+        long = width > ID_MAX_CHARS and cells[:, ID_MAX_CHARS:].any()
+        if long or ((cells - 1) < 32).any():
             return _encode_column(f, [t.decode() for t in text.tolist()], decoded, reasons)
-        # as wide as the longest cell, as np.array(cells, dtype=str) would be
-        longest = max(int(cells.any(axis=0).sum()), 1)
-        col = np.char.strip(cells[:, :longest].astype(np.uint32).view(f"U{longest}")[:, 0])
-        bad = np.flatnonzero(col == "")
-        spelt = [t.decode() for t in text[bad].tolist()]
+        bad = np.flatnonzero(cells[:, 0] == 0)  # empty cells
+        spelt = [""] * bad.size
         _learn(f, spelt, decoded, reasons)
-        return col, _faults(bad, spelt, reasons)
+        return text, _faults(bad, spelt, reasons)
     if f.kind is Kind.FLOAT:
         raw = text.tolist()
         try:
@@ -467,10 +510,23 @@ def _split_block(
     return list(zip(*rows)), row_nos
 
 
+def _byte_width(ids: np.ndarray) -> int:
+    """Bytes in the longest of the ids, at least 1: the last byte that is
+    not 0 in any id, found by or-ing the ids' 8-byte words."""
+    words = -(-ids.dtype.itemsize // 8)
+    cells = np.ascontiguousarray(ids, dtype=f"S{8 * words}").view("<u8").reshape(ids.size, words)
+    used = np.bitwise_or.reduce(cells, axis=0)
+    last = np.flatnonzero(used)
+    if not last.size:
+        return 1
+    return 8 * int(last[-1]) + (int(used[last[-1]]).bit_length() + 7) // 8
+
+
 class _Column:
     """One column's kept values, appended a block at a time to a single
     array that grows in place, so a parse allocates each column once rather
-    than a chunk per block. An id column is as wide as its longest kept id."""
+    than a chunk per block. An id column is as many bytes wide as its
+    longest kept id."""
 
     def __init__(self, f: Field):
         self.is_id = f.kind is Kind.ID
@@ -481,9 +537,9 @@ class _Column:
     def append(self, col: np.ndarray) -> None:
         """Add a block's values, growing the array by an eighth when full."""
         if self.is_id:
-            longest = int(np.char.str_len(col).max(initial=1))
-            if longest > self.values.dtype.itemsize // 4:
-                self.values = self.values.astype(f"U{longest}")
+            longest = _byte_width(col)
+            if longest > self.values.dtype.itemsize:
+                self.values = self.values.astype(f"S{longest}")
         end = self.size + len(col)
         if end > len(self.values):
             self.values.resize(end + end // 8, refcheck=False)
@@ -612,7 +668,7 @@ def _check_unique(ids: np.ndarray, name: str, what: str) -> None:
         return  # strictly ascending, as files vamkit writes are: no sort needed
     unique, counts = np.unique(ids, return_counts=True)
     if unique.size != ids.size:
-        raise _fault(f"duplicate {name} values: {id_list(unique[counts > 1].tolist())}", what)
+        raise _fault(f"duplicate {name} values: {id_list(decode_ids(unique[counts > 1]))}", what)
 
 
 def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
@@ -630,20 +686,24 @@ def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
 
     # kept: the referenced school ids, sorted; school_index: each pupil's position in it
     kept, school_index = unique_inverse(pupils["school_id"])
-    unresolved = np.setdiff1d(kept, school_ids).tolist()
-    if unresolved:
-        message = f"pupils reference unknown school_id values: {id_list(unresolved)}"
+    by_id = np.argsort(school_ids, kind="stable")
+    sorted_ids = school_ids[by_id]
+    at = np.searchsorted(sorted_ids, kept)
+    known = np.zeros(kept.size, dtype=bool)
+    inside = at < sorted_ids.size
+    known[inside] = sorted_ids[at[inside]] == kept[inside]
+    if not known.all():
+        message = f"pupils reference unknown school_id values: {id_list(decode_ids(kept[~known]))}"
         raise _fault(message, "pupils", "schools")
-    empty = np.setdiff1d(school_ids, kept).tolist()
-    if empty:
+    empty = np.ones(sorted_ids.size, dtype=bool)
+    empty[at] = False
+    if empty.any():
         warnings.warn(
-            f"dropping {len(empty)} school(s) with no pupils: {id_list(empty)}",
+            f"dropping {int(empty.sum())} school(s) with no pupils: "
+            f"{id_list(decode_ids(sorted_ids[empty]))}",
             stacklevel=2,
         )
-
-    by_id = np.argsort(school_ids, kind="stable")
-    rows = by_id[np.searchsorted(school_ids[by_id], kept)]
-    return ValidatedCohort(pupils, schools.take(rows), school_index)
+    return ValidatedCohort(pupils, schools.take(by_id[at]), school_index)
 
 
 # The writer mirrors the byte route: a block's cells of one column are an
@@ -673,16 +733,21 @@ def _text_cells(texts: list[str]) -> np.ndarray:
 
 
 def _id_cells(ids: np.ndarray) -> np.ndarray:
-    """:func:`_text_cells` of a block of ids: their code units when every
-    cell is ASCII and needs no quotes, else cell by cell."""
-    ids = np.ascontiguousarray(ids, dtype=str)
-    units = ids.view(np.uint32).reshape(ids.size, -1)
-    if units.max(initial=0) < 128:
-        cells = units.astype(np.uint8)
-        if not _QUOTED[cells].any():
-            # cut at each str's length, not at its first NUL: a cell may hold one
-            return _pad(cells, np.char.str_len(ids))
-    return _text_cells(ids.tolist())
+    """:func:`_text_cells` of a block of ids: their bytes when no cell needs
+    quotes (no byte of a character past ASCII is one that could), else cell
+    by cell."""
+    cells = np.array(ids)  # a copy: the padding is written into it
+    width = cells.dtype.itemsize
+    cells = cells.view(np.uint8).reshape(cells.size, width)
+    zero = cells == 0
+    # a 0 byte before another byte of the same id is a NUL the id holds,
+    # not padding: such a block is written cell by cell too
+    flat = zero.ravel()
+    holds_nul = (np.flatnonzero(flat[:-1] > flat[1:]) % width != width - 1).any()
+    if holds_nul or np.take(_QUOTED, cells).any():
+        return _text_cells(decode_ids(ids))
+    cells[zero] = _PAD
+    return cells
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .categories import PUPIL_FIELDS, Field, ModelSpec
 from .categories import MeasureKind  # noqa: F401  (its old import path)
-from .cohort import ValidatedCohort
+from .cohort import ValidatedCohort, decode_ids
 from .errors import DesignError, id_list
 
 
@@ -226,7 +226,7 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
     pupils = cohort.pupil_table
     fields = _fields(spec)
     if spec.include_prior_attainment:
-        missing = pupils["pupil_id"][pupils[_PRIOR] < 0].tolist()
+        missing = decode_ids(pupils["pupil_id"][pupils[_PRIOR] < 0])
         if missing:
             raise DesignError(
                 "model adjusts for prior attainment but ks2_group is missing "

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .categories import MeasureKind, SignificanceCategory
-from .cohort import ValidatedCohort
+from .cohort import ValidatedCohort, decode_ids
 from .compare import SchoolScore
 from .design import DesignMatrix, build_design_matrix
 from .errors import AnalysisError
@@ -81,7 +81,7 @@ class MeasureResult:
         """Row views of ``scores``: one PupilScore per pupil."""
         return [
             PupilScore(pupil_id=pid, measure=self.measure, score=s)
-            for pid, s in zip(self.pupil_ids.tolist(), self.scores.tolist())
+            for pid, s in zip(decode_ids(self.pupil_ids), self.scores.tolist())
         ]
 
     @cached_property
@@ -153,7 +153,7 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
         kind,
         scores,
         cohort.school_index,
-        cohort.school_table["school_id"].tolist(),
+        decode_ids(cohort.school_table["school_id"]),
         national_sd,
     )
     n_schools = len(schools["score"])

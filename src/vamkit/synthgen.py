@@ -31,7 +31,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind, ModelSpec
-from .cohort import Table, ValidatedCohort, serialize_blocks, validate_cohort
+from .cohort import Table, ValidatedCohort, decode_ids, serialize_blocks, validate_cohort
 from .csvio import csv_bytes
 from .design import build_design_matrix, design_labels
 from .errors import GeneratorError
@@ -237,16 +237,16 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 
 
 def _ids(prefix: str, n: int, width: int) -> np.ndarray:
-    """prefix + 1..n, zero-padded to ``width`` digits or to n's if more: a
-    unicode array built from its code points, one digit column at a time."""
+    """prefix + 1..n, zero-padded to ``width`` digits or to n's if more: an
+    ASCII bytes array built from its bytes, one digit column at a time."""
     size = len(prefix) + max(width, len(str(n)))
-    units = np.empty((n, size), dtype=np.uint32)
-    units[:, : len(prefix)] = [ord(c) for c in prefix]
+    codes = np.empty((n, size), dtype=np.uint8)
+    codes[:, : len(prefix)] = list(prefix.encode())
     number = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
     for j in range(size - 1, len(prefix) - 1, -1):
         number, digit = np.divmod(number, 10)
-        units[:, j] = digit + ord("0")
-    return units.view(f"U{size}").reshape(n)
+        codes[:, j] = digit + ord("0")
+    return codes.view(f"S{size}").reshape(n)
 
 
 def generate_population(config: GeneratorConfig) -> SyntheticCohort:
@@ -309,7 +309,7 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     cohort = replace(cohort, pupil_table=cohort.pupil_table.replace(attainment8_total=outcome))
     # only the outcome changed, so the level counts the design above made hold
     cohort._level_counts.update(counts)
-    truth = dict(zip(school_ids.tolist(), true_effects.tolist()))
+    truth = dict(zip(decode_ids(school_ids), true_effects.tolist()))
     return SyntheticCohort(cohort=cohort, true_school_effects=truth, n_clipped=n_clipped)
 
 

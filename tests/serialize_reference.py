@@ -1,6 +1,6 @@
 """The cohort writer vamkit used before its numpy one, kept as a test oracle.
 
-Each cell is made a Python str (an id as it is, a number by ``_num``, a
+Each cell is made a Python str (an id as its UTF-8 text, a number by ``_num``, a
 category code by its spelling, code -1 as the empty cell) and the columns
 go through ``csvio.csv_bytes``. ``test_serialize.py`` checks that
 ``serialize_pupils`` and ``serialize_schools`` write the same bytes.
@@ -24,7 +24,9 @@ def serialize(table: Table) -> bytes:
     cells = []
     for f in table.fields:
         col = table[f.name].tolist()
-        if f.kind is Kind.FLOAT:
+        if f.kind is Kind.ID:
+            col = [t.decode() for t in col]
+        elif f.kind is Kind.FLOAT:
             col = list(map(_num, col))
         elif f.kind is not Kind.ID:
             col = list(map((f.spellings + ("",)).__getitem__, col))

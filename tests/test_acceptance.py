@@ -18,7 +18,7 @@ import pytest
 from vamkit.analysis import pupil_breakdown
 from vamkit.categories import MeasureKind, SignificanceCategory
 from vamkit.cli import run
-from vamkit.cohort import validate_cohort
+from vamkit.cohort import decode_ids, validate_cohort
 from vamkit.compare import rank_movement
 from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov, fit_ols
@@ -285,7 +285,7 @@ def test_criterion_7_ci_coverage():
             cohort = pop.cohort
             held = set(sorted(pop.true_school_effects)[::2])
             # null the held-out schools by removing their known true effect
-            school_ids = cohort.school_table["school_id"].tolist()
+            school_ids = decode_ids(cohort.school_table["school_id"])
             removed = np.array(
                 [pop.true_school_effects[sid] if sid in held else 0.0 for sid in school_ids]
             )

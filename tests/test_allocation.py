@@ -6,8 +6,8 @@ a measure with its clustered covariance nor generating a cohort's outcome
 should allocate an N x k float64 array (about 28 MB on the default
 cohort). A parse encodes a block of rows at a time, so it never holds a
 Python str per cell of the file, and the CLI streams the file, so it never
-holds the file's bytes either. Ids are fixed-width numpy unicode, 4 bytes
-per character, so one long id must not set the width of its whole column.
+holds the file's bytes either. Ids are fixed-width UTF-8 bytes, so one
+long id must not set the width of its whole column.
 tracemalloc sees numpy's array buffers.
 """
 
@@ -21,7 +21,7 @@ import pytest
 from vamkit import cohort
 from vamkit.categories import MeasureKind
 from vamkit.cli import _parse_input
-from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, serialize_pupils
+from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools, serialize_pupils, serialize_schools
 from vamkit.design import design_labels
 from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov
@@ -72,6 +72,19 @@ def default_pupils(default_population):
     """The default cohort's pupils.csv bytes and its pupil count."""
     pupils = default_population.cohort.pupil_table
     return serialize_pupils(pupils), len(pupils)
+
+
+def test_ids_hold_one_byte_per_ascii_character(default_population, default_pupils):
+    # "P" and six digits, "S" and four: 7 and 5 bytes an id, generated or parsed
+    cohort = default_population.cohort
+    pupils = parse_pupils(default_pupils[0])[0]
+    schools = parse_schools(serialize_schools(cohort.school_table))[0]
+    for table in (cohort.pupil_table, cohort.school_table, pupils, schools):
+        for name, chars in (("pupil_id", 7), ("school_id", 5)):
+            if name in table.columns:
+                col = table[name]
+                assert col.dtype == np.dtype(f"S{chars}"), name
+                assert col.nbytes == len(table) * chars, name
 
 
 def test_level_counts_hold_no_pupil_length_array(default_population):
@@ -151,7 +164,7 @@ def test_one_long_id_is_one_issue_and_widens_nothing(monkeypatch, long_id, lengt
     (table, issues), peak = traced_peak(lambda: parse_pupils(data))
     reason = f"must be at most 64 characters, got {length}"
     assert [(i.row, i.column, i.reason) for i in issues] == [(1, "pupil_id", reason)]
-    assert len(table) == 32767 and table["pupil_id"].dtype == np.dtype("<U7")
+    assert len(table) == 32767 and table["pupil_id"].dtype == np.dtype("S7")
     # a clean file of this size peaks at about 4 (byte route) and 7 (csv
     # route) times its size; an id column as wide as the long id took 17
     # and 155 times

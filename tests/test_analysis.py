@@ -13,7 +13,7 @@ from vamkit.analysis import (
 )
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cli import run
-from vamkit.cohort import serialize_pupils, serialize_schools, validate_cohort
+from vamkit.cohort import decode_ids, serialize_pupils, serialize_schools, validate_cohort
 from vamkit.compare import (
     SchoolScore,
     compare_columns,
@@ -184,7 +184,7 @@ def test_disadvantaged_intake_schools_sit_north_west(midsize_population):
     a = dict(zip(results[A8].school_columns["school_id"], results[A8].school_columns["score"]))
     b = dict(zip(results[AP8].school_columns["school_id"], results[AP8].school_columns["score"]))
     deciles = cohort.school_table["school_idaci_decile"] + 1  # an INT column holds value - 1
-    deprivation = dict(zip(cohort.school_table["school_id"].tolist(), deciles.tolist()))
+    deprivation = dict(zip(decode_ids(cohort.school_table["school_id"]), deciles.tolist()))
     truth = midsize_population.true_school_effects
     strong_deprived = [
         sid for sid in a

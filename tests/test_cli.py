@@ -12,7 +12,7 @@ import pytest
 
 import vamkit
 from vamkit.cli import run
-from vamkit.cohort import serialize_pupils, serialize_schools
+from vamkit.cohort import decode_ids, serialize_pupils, serialize_schools
 
 from conftest import random_cohort
 from output_digests import digests, run_pipeline
@@ -316,7 +316,7 @@ def test_ids_that_need_quoting_round_trip(tmp_path):
     cohort = random_cohort(7)
 
     def rename(table):
-        ids = [renamed.get(sid, sid) for sid in table["school_id"].tolist()]
+        ids = [renamed.get(sid, sid) for sid in decode_ids(table["school_id"])]
         return table.replace(school_id=np.array(ids))
 
     pupils, schools = rename(cohort.pupil_table), rename(cohort.school_table)
@@ -339,7 +339,7 @@ def test_ids_that_need_quoting_round_trip(tmp_path):
     for code in ("a8", "p8"):
         with open(fit / f"school_scores_{code}.csv", newline="") as fh:
             ids = [row[0] for row in csv.reader(fh)][1:]
-        assert sorted(ids) == sorted(schools["school_id"].tolist())
+        assert sorted(ids) == sorted(decode_ids(schools["school_id"]))
 
 
 def test_breakdown_adjusted_characteristic_zero_means(tmp_path, sim_dir):
@@ -452,6 +452,26 @@ def test_cli_import_loads_no_scipy(tmp_path, fit_dir, case, package):
     if argv is not None:
         code += f"; assert vamkit.cli.run({argv!r}) == 0"
     code += f"; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports both with numpy")
+def test_fit_loads_no_numpy_ma_or_char(tmp_path, sim_dir):
+    # numpy.ma (8-12 ms) is imported by np.unique without index outputs, as
+    # np.setdiff1d calls it, and numpy.char (2-3 ms) by its string functions;
+    # a fit needs neither
+    src = str(Path(vamkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["fit", "--pupils", str(sim_dir / "pupils.csv"), "--schools", str(sim_dir / "schools.csv"),
+            "--measures", "all", "--out", str(tmp_path / "fit")]
+    code = (
+        f"import sys, vamkit.cli; assert vamkit.cli.run({argv!r}) == 0; "
+        "print([m for m in ('numpy.ma', 'numpy.char') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )

@@ -2,12 +2,13 @@ import csv
 import dataclasses
 import gc
 import io
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from vamkit.categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind
+from vamkit.categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind, MeasureKind
 from vamkit.cohort import (
     PUPIL_COLUMNS,
     SCHOOL_COLUMNS,
@@ -15,6 +16,7 @@ from vamkit.cohort import (
     PupilRecord,
     SchoolRecord,
     Table,
+    decode_ids,
     parse_pupils,
     parse_schools,
     serialize_pupils,
@@ -23,7 +25,8 @@ from vamkit.cohort import (
     validate_cohort,
 )
 from vamkit.csvio import _BLOCK_ROWS, csv_bytes, read_blocks
-from vamkit.errors import id_list
+from vamkit.errors import VamkitError, id_list
+from vamkit.measures import compute_measure
 from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_cohort, make_pupil, make_school
@@ -115,8 +118,8 @@ def test_id_over_64_characters_is_issue():
             GOOD_PUPIL.replace("P1", "P3").replace("S1", long),
         )
     )
-    assert table["pupil_id"].tolist() == [ok, "P2"]
-    assert table["pupil_id"].dtype == np.dtype("<U64")
+    assert decode_ids(table["pupil_id"]) == [ok, "P2"]
+    assert table["pupil_id"].dtype == np.dtype("S64")
     assert [(i.row, i.column, i.reason) for i in issues] == [
         (3, "school_id", "must be at most 64 characters, got 65")
     ]
@@ -131,7 +134,7 @@ def test_id_column_is_as_wide_as_its_longest_kept_id():
         )
     )
     assert [i.column for i in issues] == ["gender"]
-    assert table["pupil_id"].tolist() == ["P2"] and table["pupil_id"].dtype == np.dtype("<U2")
+    assert decode_ids(table["pupil_id"]) == ["P2"] and table["pupil_id"].dtype == np.dtype("S2")
 
 
 def test_attainment_out_of_bounds():
@@ -157,7 +160,7 @@ def test_unknown_category_skips_row_and_keeps_rest():
             GOOD_PUPIL.replace("P1", "P2"),
         )
     )
-    assert table["pupil_id"].tolist() == ["P2"]
+    assert decode_ids(table["pupil_id"]) == ["P2"]
     assert issues[0].column == "ethnicity"
     assert "Martian" in issues[0].reason
 
@@ -293,6 +296,60 @@ def test_empty_cohort_fatal():
     assert exc.value.inputs == ("pupils",)
 
 
+def _message(call) -> str:
+    """The text of the error call() raises, else of the last warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except VamkitError as exc:
+            return str(exc)
+    return str(caught[-1].message)
+
+
+@pytest.mark.parametrize(
+    "pupils, schools",
+    [
+        ([("Pé", "S1"), ("Pé", "S1")], ["S1"]),
+        ([("P1", "S1")], ["S1", "Sé", "Sé"]),
+        ([("P1", "Sé")], ["S1"]),
+        ([("P1", "S1")], ["S1", "Sé"]),
+    ],
+    ids=["duplicate pupil", "duplicate school", "unknown school", "empty school"],
+)
+def test_messages_name_non_ascii_ids_as_text(pupils, schools):
+    pupils = [make_pupil(p, s, attainment8_total=40 + i) for i, (p, s) in enumerate(pupils)]
+    message = _message(lambda: make_cohort(pupils, [make_school(s) for s in schools]))
+    assert re.search(r"\b[PS]é\b", message) and "b'" not in message, message
+
+
+def test_missing_ks2_group_names_a_non_ascii_id_as_text():
+    pupils = [make_pupil("P1", "S1", attainment8_total=40), make_pupil("Pé", "S1", ks2_group=None)]
+    cohort = make_cohort(pupils, [make_school("S1")])
+    message = _message(lambda: compute_measure(cohort, MeasureKind.PROGRESS8))
+    assert "ks2_group is missing for pupils: Pé" in message, message
+
+
+def test_text_at_the_edges_is_str():
+    # ids are held as UTF-8 bytes and are str wherever they leave the columns
+    pupils = [make_pupil(p, s, attainment8_total=30 + 7 * i)
+              for i, (p, s) in enumerate([("P1", "S1"), ("Pé", "S1"), ("P3", "Sé"), ("P😀", "Sé")])]
+    cohort = make_cohort(pupils, [make_school("S1"), make_school("Sé")])
+    assert cohort.pupil_table["pupil_id"].dtype.kind == "S"
+    assert [(p.pupil_id, p.school_id) for p in cohort.pupils] == [
+        ("P1", "S1"), ("Pé", "S1"), ("P3", "Sé"), ("P😀", "Sé")
+    ]
+    assert [s.school_id for s in cohort.schools] == ["S1", "Sé"]
+    result = compute_measure(cohort, MeasureKind.ATTAINMENT8)
+    assert [s.pupil_id for s in result.pupil_scores] == ["P1", "Pé", "P3", "P😀"]
+    assert result.school_columns["school_id"] == ["S1", "Sé"]
+    assert all(type(s.school_id) is str for s in result.school_scores)
+    with pytest.warns(UserWarning, match="absent from cohort"):
+        truth = generate_population(GeneratorConfig(n_schools=3, seed=1)).true_school_effects
+    assert list(truth) == ["S0001", "S0002", "S0003"]
+    assert all(type(t) is str for t in truth)
+
+
 @pytest.mark.parametrize(
     "ids",
     [
@@ -319,9 +376,9 @@ def _unique_path(pupils, schools):
     for ids, name in ((pupils["pupil_id"], "pupil_id"), (schools["school_id"], "school_id")):
         unique, counts = np.unique(ids, return_counts=True)
         if unique.size != ids.size:
-            return f"duplicate {name} values: {id_list(unique[counts > 1].tolist())}"
+            return f"duplicate {name} values: {id_list(decode_ids(unique[counts > 1]))}"
     kept, index = np.unique(pupils["school_id"], return_inverse=True)
-    empty = np.setdiff1d(schools["school_id"], kept).tolist()
+    empty = decode_ids(np.setdiff1d(schools["school_id"], kept))
     warned = [f"dropping {len(empty)} school(s) with no pupils: {id_list(empty)}"] if empty else []
     return index, kept, warned
 
@@ -582,7 +639,7 @@ def test_block_boundaries_keep_rows_and_issues():
     skipped = {3, B + 2, *bad}
     expected_ids = [f"P{r}" for r in range(1, 2 * B + 6) if r not in skipped]
     expected_ids[expected_ids.index(f"P{2 * B + 4}")] = "P\nkept"
-    assert table["pupil_id"].tolist() == expected_ids
+    assert decode_ids(table["pupil_id"]) == expected_ids
     wide = (3, "(row)", "expected 11 fields, got 12")
     assert [(i.row, i.column, i.reason) for i in issues] == [wide] + [
         (r, column, PUPIL_FAULTS[column][1]) for r, column in bad.items()
@@ -591,12 +648,12 @@ def test_block_boundaries_keep_rows_and_issues():
 
 def _column_types(table):
     """Each column's dtype; an id column's width follows the longest cell read."""
-    return {name: "str" if c.dtype.kind == "U" else c.dtype for name, c in table.columns.items()}
+    return {name: "bytes" if c.dtype.kind == "S" else c.dtype for name, c in table.columns.items()}
 
 
 def test_all_bad_block_and_header_only_give_typed_empty_columns():
     types = _column_types(parse_pupils(pupil_csv(GOOD_PUPIL))[0])
-    assert types["pupil_id"] == "str" and types["attainment8_total"] == np.float64
+    assert types["pupil_id"] == "bytes" and types["attainment8_total"] == np.float64
     assert types["gender"] == np.int8
 
     table, issues = parse_pupils(pupil_csv())
@@ -607,5 +664,5 @@ def test_all_bad_block_and_header_only_give_typed_empty_columns():
     assert _column_types(table) == types
     # a block of bad rows before a good one
     table, issues = parse_pupils(pupil_csv(*all_bad[:_BLOCK_ROWS], GOOD_PUPIL))
-    assert table["pupil_id"].tolist() == ["P1"] and len(issues) == _BLOCK_ROWS
+    assert decode_ids(table["pupil_id"]) == ["P1"] and len(issues) == _BLOCK_ROWS
     assert _column_types(table) == types

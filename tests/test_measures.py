@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
-from vamkit.cohort import validate_cohort
+from vamkit.cohort import decode_ids, validate_cohort
 from vamkit.compare import SchoolScore
 from vamkit.errors import AnalysisError
 from vamkit.measures import compute_measure, school_score_columns
@@ -120,7 +120,7 @@ def test_attainment8_scores_are_centred_outcome():
     assert result.summary.adjusted_r_squared == 0.0
     # school score = (school mean outcome - national mean) / 10, exactly
     for school in result.school_scores:
-        members = y[cohort.pupil_table["school_id"] == school.school_id]
+        members = y[cohort.pupil_table["school_id"] == school.school_id.encode()]
         assert school.score == pytest.approx((members.mean() - y.mean()) / 10.0, abs=1e-12)
 
 
@@ -247,7 +247,7 @@ def test_school_scores_equal_per_school_loop(midsize_population):
         result = compute_measure(cohort, kind)
         national_sd = float(result.scores.std(ddof=1))
         by_school = {}
-        school_ids = cohort.pupil_table["school_id"].tolist()
+        school_ids = decode_ids(cohort.pupil_table["school_id"])
         for school_id, score in zip(school_ids, result.scores.tolist()):
             by_school.setdefault(school_id, []).append(score)
         assert [s.school_id for s in result.school_scores] == sorted(by_school)

@@ -10,6 +10,8 @@ takes, so that the byte route cannot be dropped silently. A file is read
 as a stream, so the route can change late: a quote in a file's last block
 sends it back to its start on the csv route, and a line longer than a
 block, or a cell the csv module refuses, must read as on that route too.
+Ids are stripped as ``str.strip`` strips them and held as UTF-8 bytes on
+either route, and schools sort in code-point order.
 """
 
 import csv
@@ -27,6 +29,8 @@ from vamkit.cli import run
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools
 from vamkit.csvio import _BLOCK_ROWS
 from vamkit.errors import CohortError
+
+from conftest import random_cohort
 
 N_ROWS = 2 * _BLOCK_ROWS + 5
 WIDTH = len(PUPIL_COLUMNS)
@@ -290,3 +294,73 @@ def test_faults_fail_as_on_the_csv_route(monkeypatch, make, fragment):
     assert fragment in str(parsed.value)
     if cohort._tokenizable(data):
         assert calls
+
+
+# each ASCII character str.strip() strips that a quote-free line can hold:
+# "\n" ends the line and "\r" sends the file to the csv route
+EDGE_SPACES = [c for c in map(chr, range(128)) if c.isspace() and c not in "\n\r"]
+
+
+def test_ids_with_ascii_whitespace_at_either_edge_read_as_on_the_csv_route():
+    # bytes.strip and numpy's bytes strip keep "\x1c"-"\x1f"; str.strip drops them
+    rows = list(BASE[:_BLOCK_ROWS + 50])
+    for i, c in enumerate(EDGE_SPACES):
+        for j, column in enumerate((0, 1)):
+            for k, pad in enumerate((c + "{}", "{}" + c, c + "{}" + c)):
+                r = 1 + 24 * i + 8 * j + k
+                cells = rows[r].split(",")
+                cells[column] = pad.format(cells[column])
+                rows[r] = ",".join(cells)
+    data = "\n".join([HEADER, *rows]).encode() + b"\n"
+    assert cohort._tokenizable(data)
+    expected = cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
+    assert_same_parse(cohort._parse_bytes(data, PUPIL_FIELDS, "pupil CSV"), expected)
+    table, issues = expected
+    assert issues == [] and table["pupil_id"].dtype == np.dtype("S7")
+    assert cohort.decode_ids(table["pupil_id"]) == [row.split(",")[0] for row in BASE[:len(rows)]]
+    assert cohort.decode_ids(table["school_id"]) == [row.split(",")[1] for row in BASE[:len(rows)]]
+
+
+def test_non_ascii_ids_take_the_csv_route_as_utf8_bytes(monkeypatch):
+    # the 64-character rule counts characters: 64 "é" (128 bytes) are kept
+    # and 65 are an issue; str.strip also drops spaces past ASCII
+    ids = {1: "Zoë", 2: "学校", 3: " S€ ", 4: "é" * 64, 5: "é" * 65, 6: " \x1cP😀\x1f "}
+    rows = list(BASE[:40])
+    for r, text in ids.items():
+        cells = rows[r].split(",")
+        cells[r % 2] = text
+        rows[r] = ",".join(cells)
+    data = "\n".join([HEADER, *rows]).encode() + b"\n"
+    calls = counted_csv_reader(monkeypatch)
+    table, issues = parse_pupils(data)
+    assert calls
+    reason = "must be at most 64 characters, got 65"
+    assert [(i.row, i.column, i.reason) for i in issues] == [(6, "school_id", reason)]
+    kept = [row.split(",") for r, row in enumerate(rows) if r != 5]
+    for column, name in enumerate(("pupil_id", "school_id")):
+        want = np.array([cells[column].strip().encode() for cells in kept])
+        assert table[name].dtype == want.dtype and np.array_equal(table[name], want), name
+    assert table["pupil_id"].dtype == np.dtype("S128")
+
+
+def test_schools_sort_by_code_point(tmp_path):
+    # UTF-8 byte order is code-point order: the school order is sorted()'s
+    ids = ["Sz", "Sé", "S€", "S\x7f", "S😀"]
+    base = random_cohort(3, n_schools=len(ids), pupils_per_school=6)
+    renamed = dict(zip(cohort.decode_ids(base.school_table["school_id"]), ids))
+    pupils = base.pupil_table.replace(
+        school_id=np.array([renamed[s] for s in cohort.decode_ids(base.pupil_table["school_id"])])
+    )
+    schools = base.school_table.replace(school_id=np.array(ids))
+    (tmp_path / "pupils.csv").write_bytes(cohort.serialize_pupils(pupils))
+    (tmp_path / "schools.csv").write_bytes(cohort.serialize_schools(schools))
+    table = cohort.validate_cohort(
+        parse_pupils((tmp_path / "pupils.csv").read_bytes())[0],
+        parse_schools((tmp_path / "schools.csv").read_bytes())[0],
+    ).school_table
+    assert cohort.decode_ids(table["school_id"]) == sorted(ids)
+    argv = ["fit", "--pupils", str(tmp_path / "pupils.csv"), "--schools", str(tmp_path / "schools.csv"),
+            "--measures", "a8", "--out", str(tmp_path / "fit")]
+    assert run(argv) == 0
+    with open(tmp_path / "fit" / "school_scores_a8.csv", newline="", encoding="utf-8") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == sorted(ids)

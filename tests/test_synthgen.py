@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vamkit.categories import FIELD, MeasureKind, ModelSpec
+from vamkit.cohort import decode_ids
 from vamkit.design import build_design_matrix, design_labels
 from vamkit.errors import AnalysisError, GeneratorError
 from vamkit.measures import compute_measure
@@ -53,9 +54,9 @@ def test_different_seed_differs():
 @pytest.mark.parametrize("n", [1, 9, 10, 99999, 999999, 1000000])
 @pytest.mark.parametrize("prefix, width", [("P", 6), ("S", 4)])
 def test_ids_match_zero_filled_strings(n, prefix, width):
-    # the ids as np.char built them: the same values and dtype
+    # the ids as np.char built them, as ASCII bytes: the same values and dtype
     digits = max(width, len(str(n)))
-    want = np.char.add(prefix, np.char.zfill(np.arange(1, n + 1).astype(str), digits))
+    want = np.char.add(prefix, np.char.zfill(np.arange(1, n + 1).astype(str), digits)).astype(bytes)
     got = _ids(prefix, n, width)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -97,7 +98,7 @@ def test_noiseless_population_recovers_truth_exactly():
 def test_true_effects_and_structure(midsize_population):
     cohort = midsize_population.cohort
     truth = midsize_population.true_school_effects
-    assert set(truth) == set(cohort.school_table["school_id"].tolist())
+    assert set(truth) == set(decode_ids(cohort.school_table["school_id"]))
     # draw mean is near zero relative to its own SD
     values = np.array(list(truth.values()))
     assert abs(values.mean()) <= 4 * values.std(ddof=1) / np.sqrt(values.size)
@@ -162,7 +163,7 @@ def test_raw_attainment_tracks_intake(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, MeasureKind.ATTAINMENT8)
     score = {s.school_id: s.score for s in result.school_scores}
-    ids = cohort.school_table["school_id"].tolist()
+    ids = decode_ids(cohort.school_table["school_id"])
     assert ids == sorted(score)
     scores = np.array([score[i] for i in ids])
     mean_ks2 = school_means(cohort, "ks2_group") + 1
