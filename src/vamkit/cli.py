@@ -101,8 +101,8 @@ def _formatter(precision):
 
 
 class _Digested:
-    """A binary file read through a SHA-256 of the bytes read since its
-    start: seeking back to the start begins the digest again."""
+    """A binary file read through a SHA-256 of the bytes read: a parse
+    reads its file once, forward, so this is the digest of the file."""
 
     def __init__(self, file: typing.BinaryIO):
         self._file = file
@@ -118,24 +118,12 @@ class _Digested:
         self.sha256.update(memoryview(buffer)[:n])
         return n
 
-    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
-        at = self._file.seek(offset, whence)
-        if at == 0:
-            self.sha256 = hashlib.sha256()
-        return at
-
-    def tell(self) -> int:
-        return self._file.tell()
-
-    def seekable(self) -> bool:
-        return self._file.seekable()
-
 
 def _parse_input(path: Path, inputs: dict[str, str], parse):
-    """``parse`` of the open file, which reads it as a stream (a pipe,
-    which cannot seek, whole); the SHA-256 of the bytes it parsed is
-    recorded in ``inputs`` under the path, and a CohortError names the
-    file."""
+    """``parse`` of the open file, which reads it once, as a stream, so
+    that a pipe such as ``<(gunzip -c ...)`` will do; the SHA-256 of the
+    bytes it parsed is recorded in ``inputs`` under the path, and a
+    CohortError names the file."""
     with path.open("rb") as file:
         source = _Digested(file)
         try:

@@ -12,25 +12,24 @@ is read and encoded one block at a time by one of two routes, which give
 the same columns, dtypes and issues:
 
 - the byte route, for a file that is ASCII and holds no quote, carriage
-  return or NUL (every file ``simulate`` writes): the file is read as a
-  stream, a block of lines at a time into one reused buffer; numpy finds a
-  block's separators and gathers each column's cells into a fixed-width
-  byte array, and only lines that may be blank or of the wrong width, and
-  a block with a cell longer than the gather's cap, are split in Python;
-- the csv route, for every other file: the file is read whole, and
-  ``csvio.read_blocks`` gives rows of str. A file whose first blocks took
-  the byte route goes back to its start when a later piece is not fit
-  for it.
+  return or NUL (every file ``simulate`` writes): a block of lines at a
+  time is read into one reused buffer; numpy finds a block's separators
+  and gathers each column's cells into a fixed-width byte array, and only
+  lines that may be blank or of the wrong width, and a block with a cell
+  longer than the gather's cap, are split in Python;
+- the csv route, ``csvio.read_blocks``, which gives rows of str, for
+  every other file, from the line where the byte route meets the first
+  byte it cannot cut: the byte route keeps the columns it has made and
+  hands the csv route the bytes it holds, then the rest of the stream.
 
-Either way a parse holds the file's columns and one block, not a Python
-string per cell of the file, and the byte route does not hold the file's
-bytes unless the file cannot seek (a pipe), which is read whole. Each
-column is one array that grows in place as blocks are encoded, so a parse
-leaves no per-block pieces behind. The writer mirrors the byte route: each
+Either way the file is read once, forward, with no seek, so a pipe will
+do, and a parse holds the file's columns and one block, not the file's
+bytes or a Python string per cell. Each column is one array that grows
+in place as blocks are encoded. The writer mirrors the byte route: each
 block of rows is put together from one byte array per column, and the
-only Python string it makes per cell is an outcome's
-``repr``. It writes the bytes ``csvio.csv_bytes`` writes for the same
-cells, a block at a time (:func:`serialize_blocks`).
+only Python string it makes per cell is an outcome's ``repr``. It writes
+the bytes ``csvio.csv_bytes`` writes for the same cells, a block at a
+time (:func:`serialize_blocks`).
 
 Rows are held by column (:class:`Table`): ids as fixed-width UTF-8 bytes
 (numpy ``S``, one byte per ASCII character), the outcome as float64 and
@@ -42,7 +41,7 @@ pupils or schools takes a :class:`Table`. :class:`PupilRecord`
 and :class:`SchoolRecord` are output-only row views, built from the field
 tables and filled from the columns on request; they remain only because the
 benchmark under ``perfbench/`` reads them, and go when it reads columns
-(ROADMAP items 8 and 9).
+(ROADMAP item 12).
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
 that adjust for prior attainment reject cohorts containing such pupils; the
@@ -62,7 +61,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .categories import ID_MAX_CHARS, PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
-from .csvio import _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, read_blocks
+from .csvio import _BLOCK_BYTES, _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, _read_blocks
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
@@ -307,11 +306,6 @@ def _encode_cells(
     return col, _faults(bad, [spelt[i] for i in inverse[bad]], reasons)
 
 
-class _Restart(Exception):
-    """The byte route cannot read this file: it is read again from its start
-    on the csv route."""
-
-
 # bytes gathered per cell at most
 _GATHER_CAP = 256
 # _HEAD[k, n]: the mask of a little-endian 8-byte word that keeps the bytes
@@ -319,8 +313,6 @@ _GATHER_CAP = 256
 _HEAD = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)[
     np.clip(np.arange(_GATHER_CAP + 1) - np.arange(0, _GATHER_CAP, 8)[:, None], 0, 8)
 ]
-# bytes per block of the byte route: about _BLOCK_ROWS lines of a cohort file
-_BLOCK_BYTES = 80 * _BLOCK_ROWS
 # buffer bytes past a block: a newline after a last line that lacks one,
 # and the widest window a cell is gathered through
 _SPARE = 1 + _GATHER_CAP
@@ -331,70 +323,70 @@ _NEWLINE, _COMMA = ord("\n"), ord(",")
 _RARE_LEAD = np.array([b == _COMMA or chr(b).isspace() for b in range(256)])
 
 
+# the ASCII bytes that a _tokenizable file does not hold; _UNFIT: by byte
+# value, whether it does not hold that byte
+_UNFIT_ASCII = (b'"', b"\r", b"\0")
+_UNFIT = np.array([b >= 128 or bytes([b]) in _UNFIT_ASCII for b in range(256)])
+
+
 def _tokenizable(data: bytes | bytearray) -> bool:
     """Whether bytes are read the same by splitting their lines at commas as
     by the csv module: ASCII, with no quote, carriage return or NUL."""
-    return data.isascii() and not any(c in data for c in (b'"', b"\r", b"\0"))
+    return data.isascii() and not any(c in data for c in _UNFIT_ASCII)
 
 
-def _read_into(source: BinaryIO, raw: bytearray, start: int, stop: int) -> int:
-    """Fill ``raw[start:stop]`` from the file, short only at its end; the
-    number of bytes read. Raises :class:`_Restart` if they are not
-    :func:`_tokenizable`."""
-    view = memoryview(raw)[start:stop]
-    got = 0
-    while got < len(view):
-        n = source.readinto(view[got:])
-        if not n:
-            break
-        got += n
-    view.release()
-    if not _tokenizable(raw[start : start + got]):
-        raise _Restart
-    return got
-
-
-def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int]]:
+def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int, bool]]:
     """The file's bytes in blocks of whole lines, read into one reused
-    buffer: each block is the buffer and the block's length. A block ends
-    at the last newline within ``_BLOCK_BYTES`` of its start, else at the
-    next one; a last line with no newline gets one. At least ``_SPARE``
-    bytes of the buffer follow a block, and the buffer is overwritten when
-    the next block is asked for.
+    buffer: each block is the buffer, the block's length and True. A block
+    ends at the last newline in its first ``_BLOCK_BYTES``, else in the
+    first further ``_BLOCK_BYTES`` that hold one; a last line with no
+    newline gets one. At least ``_SPARE`` bytes of the buffer follow a
+    block, and the buffer is overwritten when the next block is asked for.
+
+    A piece read that is not :func:`_tokenizable` ends them. The lines
+    before the line of its first byte that does not fit are the last block;
+    the last item is the buffer, the length it holds from that line's start,
+    and False.
     """
     raw = bytearray(_BLOCK_BYTES + _SPARE)
     held, eof = 0, False  # bytes in the buffer; whether the file is read to its end
+    fits = True  # whether every piece read is _tokenizable
     while True:
-        if not eof and held < _BLOCK_BYTES:
-            got = _read_into(source, raw, held, _BLOCK_BYTES)
-            held += got
-            eof = held < _BLOCK_BYTES
-        end = raw.rfind(b"\n", 0, held) + 1
-        while not end and not eof:  # a line longer than a block: read on to its end
-            if len(raw) < held + _BLOCK_BYTES + _SPARE:
+        end = 0  # the bytes held past the last block hold no newline
+        while not (end or eof) and fits:  # to a block's size, then on to a newline
+            stop = _BLOCK_BYTES * (held // _BLOCK_BYTES + 1)
+            if len(raw) < stop + _SPARE:
                 raw = raw + bytes(len(raw))
-            got = _read_into(source, raw, held, held + _BLOCK_BYTES)
-            eof = got < _BLOCK_BYTES
-            end = raw.find(b"\n", held, held + got) + 1
+            got = source.readinto(memoryview(raw)[held:stop])
+            fits = _tokenizable(raw[held : held + got])
+            end = raw.rfind(b"\n", held, held + got) + 1
             held += got
-        if not end:  # the file's end
+            eof = not got
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        if not fits:
+            end = raw.rfind(b"\n", 0, int(np.argmax(_UNFIT[buf[:held]]))) + 1
+        elif not end:  # the file's end
             if not held:
                 return
             raw[held] = _NEWLINE
             held = end = held + 1
-        yield np.frombuffer(raw, dtype=np.uint8), end
-        raw[: held - end] = raw[end:held]
-        held -= end
+        if end:
+            yield buf, end, True
+            raw[: held - end] = raw[end:held]
+            held -= end
+        if not fits:
+            yield buf, held, False
+            return
 
 
 def _split_line(line: str, width: int, row_no: int, issues: list[ParseIssue]) -> list[str] | None:
     """A line's cells if it is a row; None if it is blank (skipped) or of
-    the wrong width (a ``(row)`` issue). Raises :class:`_Restart` for a cell
-    the csv module refuses, so that the csv route reports it."""
+    the wrong width (a ``(row)`` issue). A cell the csv module refuses
+    raises its ``csv.Error``, as the csv route would."""
     row = line.split(",") if line else []
     limit = csv.field_size_limit()
     if len(line) > limit and max(map(len, row)) > limit:
-        raise _Restart
+        next(csv.reader([line]))
     if not any(cell.strip() for cell in row):
         return None
     if len(row) != width:
@@ -406,32 +398,35 @@ def _split_line(line: str, width: int, row_no: int, issues: list[ParseIssue]) ->
 def _byte_blocks(
     source: BinaryIO, names: tuple[str, ...], what: str, issues: list[ParseIssue]
 ) -> Iterator[tuple]:
-    """:func:`read_blocks` for a :func:`_tokenizable` file, in numpy: each
-    block of whole lines (see :func:`_line_blocks`) gives what
-    :func:`_cut_block` makes of it. Raises :class:`_Restart` for a file
-    that is empty, not :func:`_tokenizable` or of the wrong header.
+    """:func:`read_blocks` in numpy while the file's bytes are
+    :func:`_tokenizable`: each block of whole lines (see
+    :func:`_line_blocks`) gives what :func:`_cut_block` makes of it.
+    Returns None at the file's end, else the ``head``, ``at`` and ``row_no``
+    of :func:`csvio._read_blocks` for the lines it did not cut.
     """
     width = len(names)
-    blocks = _line_blocks(source)
-    buf, end = next(blocks, (None, 0))
-    if buf is None:
-        raise _Restart  # an empty file: the csv route says so
-    head = buf[:end].tobytes().index(b"\n")
-    header = buf[:head].tobytes().decode()
-    try:
-        _check_header(header.split(",") if header else [], names, what)
-    except CohortError:
-        raise _Restart from None  # the csv route checks the file's encoding first
-    start, row_no = head + 1, 1
-    while buf is not None:
+    at, row_no = 0, 0  # bytes cut; the next line's row number (0: the header)
+    for buf, end, fits in _line_blocks(source):
+        if not fits:
+            return buf[:end].tobytes(), at, max(row_no, 1)
+        start = 0
+        if not row_no:  # the header
+            start = buf[:end].tobytes().index(b"\n") + 1
+            header = buf[: start - 1].tobytes().decode()
+            _check_header(header.split(",") if header else [], names, what)
+            row_no = 1
         if start < end:
-            lines, cut = _cut_block(buf[start:], end - start, width, row_no, issues)
+            try:
+                lines, cut = _cut_block(buf[start:], end - start, width, row_no, issues)
+            except csv.Error as exc:
+                raise CohortError(f"{what} is malformed: {exc}") from exc
             row_no += lines
             if cut:
                 yield cut
             del cut  # before the next block is cut
-        buf, end = next(blocks, (None, 0))
-        start = 0
+        at += end
+    if not row_no:
+        _check_header(None, names, what)  # an empty file
 
 
 def _cut_block(
@@ -581,56 +576,33 @@ def _columns(
     return Table(fields, {f.name: c.finish() for f, c in zip(fields, columns)}), issues
 
 
-def _parse_bytes(
-    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
-) -> tuple[Table, list[ParseIssue]]:
-    """The byte route: a :func:`_tokenizable` file cut into cells by numpy
-    a block at a time. Raises :class:`_Restart` for any other file."""
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    issues: list[ParseIssue] = []
-    names = tuple(f.name for f in fields)
-    return _columns(fields, _byte_blocks(source, names, what, issues), issues)
-
-
-def _parse_text(
-    source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
-) -> tuple[Table, list[ParseIssue]]:
-    """The csv route: any file, read whole and by the csv module into
-    blocks of str."""
-    data = source if isinstance(source, bytes) else source.read()
-    issues: list[ParseIssue] = []
-    names = tuple(f.name for f in fields)
-    blocks = read_blocks(data, names, what, issues)
-    rows = ((_encode_column, zip(*rows), row_nos) for rows, row_nos in blocks)
-    return _columns(fields, rows, issues)
-
-
 def _parse_table(
     source: BinaryIO | bytes, fields: tuple[Field, ...], what: str
 ) -> tuple[Table, list[ParseIssue]]:
-    """Read a CSV into columns; each bad row is skipped with one issue.
+    """Read a CSV into columns, in one forward pass; each bad row is skipped
+    with one issue.
 
     A file is read a block at a time on the byte route while its bytes are
-    :func:`_tokenizable`; at the first piece that is not, it is read again
-    from where it started on the csv route. Both routes give the same
-    columns, dtypes and issues.
+    :func:`_tokenizable`. From the line of the first byte that is not, the
+    csv route reads the bytes the byte route holds and then the rest of the
+    stream. The routes give the same columns, dtypes and issues.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    elif not source.seekable():
-        source = io.BytesIO(source.read())  # a pipe: the csv route may need it again
-    at = source.tell()
-    try:
-        return _parse_bytes(source, fields, what)
-    except _Restart:
-        source.seek(at)
-    return _parse_text(source, fields, what)
+    names, issues = tuple(f.name for f in fields), []
+
+    def blocks():
+        rest = yield from _byte_blocks(source, names, what, issues)
+        if rest is not None:
+            rows = _read_blocks(source, names, what, issues, *rest)
+            yield from ((_encode_column, zip(*block), row_nos) for block, row_nos in rows)
+
+    return _columns(fields, blocks(), issues)
 
 
 def parse_pupils(source: BinaryIO | bytes) -> tuple[Table, list[ParseIssue]]:
     """Parse pupil CSV bytes, or a binary file from where it stands (read
-    as a stream if it is seekable, else whole), into columns plus
+    once, forward, a block at a time: a pipe will do), into columns plus
     row-level issues.
 
     Well-formed rows are kept; malformed rows are skipped with an issue. A

@@ -2,15 +2,20 @@
 
 Reading: the input's bytes must be UTF-8 (a BOM is allowed), the header
 must be exactly the expected column names, blank rows are skipped and a row
-of the wrong width becomes a :class:`ParseIssue`. Rows come in blocks of a
-few thousand, so a reader holds one block of Python strings, never the
-whole file's. Writing: UTF-8 with "\\n" line ends, a cell quoted only when
-it needs to be, joined and encoded a block of rows at a time.
+of the wrong width becomes a :class:`ParseIssue`. The input is read once,
+forward, as a stream: its bytes are decoded a block at a time and rows come
+in blocks of a few thousand, so a reader holds one block of bytes, text and
+Python strings, never the whole file's. A fatal fault is reported when the
+read reaches it: a byte that is not UTF-8 when its block is decoded, a bad
+header or quoting when its row is read. Writing: UTF-8 with "\\n" line
+ends, a cell quoted only when it needs to be, joined and encoded a block of
+rows at a time.
 
 These reading rules hold for every file vamkit reads. A cohort file that
 is ASCII and holds no quote, carriage return or NUL is cut into cells by
 numpy in :mod:`vamkit.cohort` under the same rules; :func:`read_blocks`
-reads every other cohort file and the score files ``compare`` reads.
+reads every other cohort file, the rest of a cohort file from the first
+line the byte route cannot cut, and the score files ``compare`` reads.
 Likewise :func:`csv_bytes` writes ``truth.csv`` and the CLI's outputs,
 while :mod:`vamkit.cohort` writes the cohort files, byte for byte as
 :func:`csv_bytes` would, with numpy.
@@ -21,15 +26,20 @@ reads and writes without importing numpy.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import BinaryIO, Iterator, Sequence
 
 from .errors import CohortError
 
 # rows per block read or written: their Python strs are held a block at a time
 _BLOCK_ROWS = 8192
+# bytes read and decoded at a time: about _BLOCK_ROWS lines of a cohort file
+_BLOCK_BYTES = 80 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -44,20 +54,34 @@ class ParseIssue:
         return f"row {self.row}, column {self.column}: {self.reason}"
 
 
-def _decode(source: BinaryIO | bytes) -> io.TextIOWrapper:
-    """A text stream over the input's bytes, once they are known to be UTF-8.
-
-    The whole input is decoded once as the check, so an error names its
-    byte position in the file; the text is then decoded again as it is read,
-    which holds no copy of it. Only a private ``BytesIO`` is wrapped: a
-    ``TextIOWrapper`` closes what it wraps when it is collected.
-    """
-    raw = source if isinstance(source, bytes) else source.read()
-    try:
-        raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise CohortError(f"input is not valid UTF-8: {exc}") from exc
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+def _lines(source: BinaryIO, head: bytes, at: int) -> Iterator[str]:
+    """The lines of ``head``, which begins ``at`` bytes into the file, and
+    then of the rest of ``source``, split as with ``newline=""``. A block
+    of bytes is decoded at a time, cut after its last newline (a byte of no
+    multi-byte character), so one block's text is held. A BOM at the file's
+    start is skipped, and error positions count from after it, as a decode
+    of the whole file by ``utf-8-sig`` counts them."""
+    buf = bytearray()
+    for data in chain((head,), iter(partial(source.read, _BLOCK_BYTES), b""), (b"",)):
+        buf += data  # b"" last: the file's end
+        cut = buf.rfind(b"\n", len(buf) - len(data)) + 1 if data else len(buf)
+        if not cut:
+            continue
+        block = buf[:cut]
+        del buf[:cut]
+        if not at and block.startswith(codecs.BOM_UTF8):
+            del block[: len(codecs.BOM_UTF8)]
+        try:
+            text = block.decode()
+        except UnicodeDecodeError as exc:
+            start, end = exc.start + at, exc.end + at - 1
+            where = f"bytes in position {start}-{end}"
+            if start == end:
+                where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+            reason = f"'utf-8' codec can't decode {where}: {exc.reason}"
+            raise CohortError(f"input is not valid UTF-8: {reason}") from exc
+        at += len(block)
+        yield from io.StringIO(text, newline="")
 
 
 def _check_header(row: Sequence[str] | None, expected: Sequence[str], what: str) -> None:
@@ -93,30 +117,40 @@ def read_blocks(
     block is yielded ``issues`` holds every such row up to its last row.
     Bad bytes, header or quoting raise :class:`CohortError` when reached.
     """
+    return _read_blocks(io.BytesIO(source) if isinstance(source, bytes) else source, names, what, issues)
+
+
+def _read_blocks(
+    source: BinaryIO, names: Sequence[str], what: str, issues: list[ParseIssue],
+    head: bytes = b"", at: int = 0, row_no: int = 1,
+) -> Iterator[tuple[list[tuple[str, ...]], list[int]]]:
+    """:func:`read_blocks` of ``head`` and then the rest of ``source``:
+    ``head`` begins ``at`` bytes into the file, on a line that is row
+    ``row_no``. Only at the file's start (``at`` 0) is a header read."""
     width = len(names)
     # tuples, not the reader's lists: the cyclic GC untracks a tuple of str,
     # but rescans every kept list on each pass
     rows: list[tuple[str, ...]] = []
     row_nos: list[int] = []
-    with _decode(source) as text:
-        reader = csv.reader(text)
-        try:
+    reader = csv.reader(_lines(source, head, at))
+    try:
+        if not at:
             _check_header(next(reader, None), names, what)
-            for row_no, row in enumerate(reader, start=1):
-                # blank rows are skipped; a non-blank first cell settles it quickly
-                if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
-                    continue
-                if len(row) != width:
-                    reason = f"expected {width} fields, got {len(row)}"
-                    issues.append(ParseIssue(row_no, "(row)", reason))
-                    continue
-                rows.append(tuple(row))
-                row_nos.append(row_no)
-                if len(rows) == _BLOCK_ROWS:
-                    yield rows, row_nos
-                    rows, row_nos = [], []
-        except csv.Error as exc:
-            raise CohortError(f"{what} is malformed: {exc}") from exc
+        for row_no, row in enumerate(reader, start=row_no):
+            # blank rows are skipped; a non-blank first cell settles it quickly
+            if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
+                continue
+            if len(row) != width:
+                reason = f"expected {width} fields, got {len(row)}"
+                issues.append(ParseIssue(row_no, "(row)", reason))
+                continue
+            rows.append(tuple(row))
+            row_nos.append(row_no)
+            if len(rows) == _BLOCK_ROWS:
+                yield rows, row_nos
+                rows, row_nos = [], []
+    except csv.Error as exc:
+        raise CohortError(f"{what} is malformed: {exc}") from exc
     if rows:
         yield rows, row_nos
 

@@ -13,6 +13,7 @@ import pytest
 import vamkit
 from vamkit.cli import run
 from vamkit.cohort import decode_ids, serialize_pupils, serialize_schools
+from vamkit.csvio import _BLOCK_BYTES
 
 from conftest import random_cohort
 from output_digests import digests, run_pipeline
@@ -209,33 +210,40 @@ def test_manifest_digests_match_inputs(sim_dir, fit_dir):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_fit_reads_cohort_files_from_pipes(tmp_path, sim_dir, fit_dir):
-    # a pipe cannot seek: it is read whole, as `--pupils <(gunzip -c ...)` needs
-    pipes = {}
-    for name in ("pupils.csv", "schools.csv"):
-        pipes[name] = tmp_path / name
-        os.mkfifo(pipes[name])
-    feeders = [
-        threading.Thread(target=pipe.write_bytes, args=((sim_dir / name).read_bytes(),), daemon=True)
-        for name, pipe in pipes.items()
-    ]
-    for feeder in feeders:
-        feeder.start()
-    out = tmp_path / "fit"
-    run_ok([
-        "fit",
-        "--pupils", str(pipes["pupils.csv"]),
-        "--schools", str(pipes["schools.csv"]),
-        "--measures", "all",
-        "--out", str(out),
-    ])
-    for feeder in feeders:
-        feeder.join(timeout=10)
-        assert not feeder.is_alive()
-    for name in sorted(p.name for p in fit_dir.iterdir() if p.suffix == ".csv"):
-        assert (out / name).read_bytes() == (fit_dir / name).read_bytes(), name
-    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    for name, pipe in pipes.items():
-        assert inputs[str(pipe)] == hashlib.sha256((sim_dir / name).read_bytes()).hexdigest()
+    # a pipe cannot seek, as `--pupils <(gunzip -c ...)` shows: each file is
+    # read once, forward, even when a quote in its last row switches the
+    # read to the csv route
+    plain = {name: (sim_dir / name).read_bytes() for name in ("pupils.csv", "schools.csv")}
+    head, last = plain["pupils.csv"][:-1].rsplit(b"\n", 1)
+    late_quote = head + b'\n"' + last.replace(b",", b'",', 1) + b"\n"
+    for case, pupils in (("plain", plain["pupils.csv"]), ("late-quote", late_quote)):
+        feeds = {"pupils.csv": pupils, "schools.csv": plain["schools.csv"]}
+        pipes = {}
+        for name in feeds:
+            pipes[name] = tmp_path / f"{case}-{name}"
+            os.mkfifo(pipes[name])
+        feeders = [
+            threading.Thread(target=pipe.write_bytes, args=(feeds[name],), daemon=True)
+            for name, pipe in pipes.items()
+        ]
+        for feeder in feeders:
+            feeder.start()
+        out = tmp_path / f"fit-{case}"
+        run_ok([
+            "fit",
+            "--pupils", str(pipes["pupils.csv"]),
+            "--schools", str(pipes["schools.csv"]),
+            "--measures", "all",
+            "--out", str(out),
+        ])
+        for feeder in feeders:
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+        for name in sorted(p.name for p in fit_dir.iterdir() if p.suffix == ".csv"):
+            assert (out / name).read_bytes() == (fit_dir / name).read_bytes(), (case, name)
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        for name, pipe in pipes.items():
+            assert inputs[str(pipe)] == hashlib.sha256(feeds[name]).hexdigest(), (case, name)
 
 
 def test_precision_flag(tmp_path, sim_dir):
@@ -513,6 +521,21 @@ def _bad_cell_before_wide_row(row_no, line):
     return line + ",x" if row_no == 3 else line
 
 
+# where _scores_with_a_late_bad_byte puts its byte: past the first block read
+LATE_BYTE = _BLOCK_BYTES + 20_000
+
+
+def _scores_with_a_late_bad_byte(tmp_path, fit_dir):
+    """school_scores_a8.csv with its rows repeated past a block of bytes and
+    its byte at ``LATE_BYTE`` made one that is not UTF-8."""
+    head, rows = (fit_dir / "school_scores_a8.csv").read_bytes().split(b"\n", 1)
+    data = head + b"\n" + rows * (2 * _BLOCK_BYTES // len(rows) + 1)
+    path = tmp_path / "late_bad_byte_scores.csv"
+    path.write_bytes(data[:LATE_BYTE] + b"\xff" + data[LATE_BYTE + 1:])
+    argv = ["compare", "--scores", str(fit_dir / "school_scores_a8.csv"), "--scores", str(path)]
+    return argv, path
+
+
 def _edited_cohort(tmp_path, sim_dir, command, name, edit, *flags):
     """``command`` with ``flags`` on the simulated cohort with file ``name``
     passed through ``edit``."""
@@ -725,6 +748,10 @@ def _config(tmp_path, text):
             lambda t, f, s: _edited_scores(t, f, 3, "school_id", "   "),
             ["row 3, column school_id: must not be empty"],
         ),
+        (
+            lambda t, f, s: _scores_with_a_late_bad_byte(t, f),
+            ["not valid UTF-8", f"byte 0xff in position {LATE_BYTE}"],
+        ),
     ],
     ids=[
         "non-numeric-score", "unknown-measure", "nan-score", "extra-score-cell",
@@ -741,7 +768,7 @@ def _config(tmp_path, text):
         "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
         "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
         "inf-ci-low", "overflow-ci-low", "blank-score-ids", "long-score-id",
-        "whitespace-score-id",
+        "whitespace-score-id", "late-non-utf8-score-byte",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import gc
@@ -24,7 +25,7 @@ from vamkit.cohort import (
     unique_inverse,
     validate_cohort,
 )
-from vamkit.csvio import _BLOCK_ROWS, csv_bytes, read_blocks
+from vamkit.csvio import _BLOCK_BYTES, _BLOCK_ROWS, csv_bytes, read_blocks
 from vamkit.errors import VamkitError, id_list
 from vamkit.measures import compute_measure
 from vamkit.synthgen import GeneratorConfig, generate_population
@@ -185,15 +186,25 @@ def test_not_utf8_fatal():
 
 @pytest.mark.parametrize("as_stream", [False, True], ids=["bytes", "stream"])
 def test_not_utf8_names_byte_position_in_file(as_stream):
-    cohort = generate_population(GeneratorConfig(n_schools=40, seed=0)).cohort
-    data = bytearray(serialize_pupils(cohort.pupil_table))
-    data[20_000] = 0xFF
-    source = io.BytesIO(bytes(data)) if as_stream else bytes(data)
-    with pytest.raises(CohortError, match="UTF-8.*position 20000"):
-        parse_pupils(source)
-    if as_stream:
-        gc.collect()
-        assert not source.closed  # the caller's stream is never wrapped
+    # the file is decoded a block at a time, but a position is counted in the
+    # whole file, after any BOM, as a decode of the whole file counts it
+    cohort = generate_population(GeneratorConfig(n_schools=80, seed=0)).cohort
+    clean = serialize_pupils(cohort.pupil_table)
+    late = _BLOCK_BYTES + 20_000
+    assert len(clean) > late + 2
+    cases = [(20_000, b"\xff", b""), (late, b"\xff", b""), (late, b"\xff", codecs.BOM_UTF8),
+             (late, b"\xe2\x82", codecs.BOM_UTF8)]  # the last: a character cut short
+    for at, bad, bom in cases:
+        data = bom + clean[:at] + bad + clean[at + len(bad):]
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8-sig")
+        source = io.BytesIO(data) if as_stream else data
+        with pytest.raises(CohortError, match=f"UTF-8.*position {at}") as parsed:
+            parse_pupils(source)
+        assert str(parsed.value) == f"input is not valid UTF-8: {whole.value}"
+        if as_stream:
+            gc.collect()
+            assert not source.closed  # the caller's stream is never wrapped
 
 
 def test_wrong_field_count_is_issue():

@@ -7,16 +7,19 @@ mutates a quote-free pupil file that spans several blocks of either route
 and checks that ``parse_pupils`` gives the columns, dtypes and issues the
 csv route gives on the same bytes. Two guards check which route a file
 takes, so that the byte route cannot be dropped silently. A file is read
-as a stream, so the route can change late: a quote in a file's last block
-sends it back to its start on the csv route, and a line longer than a
-block, or a cell the csv module refuses, must read as on that route too.
+once, forward, as a stream, so the route can change late: from the line of
+a quote, a byte past ASCII or a carriage return in any block, the csv
+route reads the rest of the same stream, and a line longer than a block,
+or a cell the csv module refuses, must read as on that route too.
 Ids are stripped as ``str.strip`` strips them and held as UTF-8 bytes on
 either route, and schools sort in code-point order.
 """
 
 import csv
 import hashlib
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from vamkit import cohort
 from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS
 from vamkit.cli import run
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools
-from vamkit.csvio import _BLOCK_ROWS
+from vamkit.csvio import _BLOCK_ROWS, read_blocks
 from vamkit.errors import CohortError
 
 from conftest import random_cohort
@@ -124,6 +127,24 @@ def counted_csv_reader(monkeypatch) -> list:
     return calls
 
 
+def csv_parse(data, fields=PUPIL_FIELDS, what="pupil CSV"):
+    """The parse of the csv route alone: every row read by the csv module."""
+    issues = []
+    blocks = read_blocks(data, tuple(f.name for f in fields), what, issues)
+    rows = ((cohort._encode_column, zip(*rows), row_nos) for rows, row_nos in blocks)
+    return cohort._columns(fields, rows, issues)
+
+
+def byte_route(data: bytes):
+    """parse_pupils of a file that must not leave the byte route: the csv
+    module's reader is not called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called: the file left the byte route")
+
+    with mock.patch.object(csv, "reader", refuse):
+        return parse_pupils(data)
+
+
 def assert_same_parse(got, expected):
     (table, issues), (want, want_issues) = got, expected
     assert issues == want_issues
@@ -153,11 +174,11 @@ def test_byte_route_parses_as_the_csv_route(at, changes, final_newline):
         mutate(rows, *change)
     data = "\n".join([HEADER, *rows]).encode() + (b"\n" if final_newline else b"")
     assert cohort._tokenizable(data)
-    expected = cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
+    expected = csv_parse(data)
     assert_same_parse(parse_pupils(data), expected)
     # a block with a cell too long to gather is split in Python, but the
     # file stays on the byte route
-    assert_same_parse(cohort._parse_bytes(data, PUPIL_FIELDS, "pupil CSV"), expected)
+    assert_same_parse(byte_route(data), expected)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +204,7 @@ def test_category_hash_collisions_fall_back_to_str(small_cohort, monkeypatch):
     # word, so spellings that end alike collide: the byte route notices and
     # matches that block's cells by str, and the parse is unchanged
     pupils, _ = small_cohort
-    expected = cohort._parse_text(pupils, PUPIL_FIELDS, "pupil CSV")
+    expected = csv_parse(pupils)
     fell_back = []
     encode_column = cohort._encode_column
 
@@ -193,7 +214,7 @@ def test_category_hash_collisions_fall_back_to_str(small_cohort, monkeypatch):
 
     monkeypatch.setattr(cohort, "_MIX", np.uint64(0))
     monkeypatch.setattr(cohort, "_encode_column", recorded)
-    assert_same_parse(cohort._parse_bytes(pupils, PUPIL_FIELDS, "pupil CSV"), expected)
+    assert_same_parse(byte_route(pupils), expected)
     assert set(fell_back) == {"ethnicity", "month_of_birth"}
 
 
@@ -201,8 +222,8 @@ def test_category_hash_collisions_fall_back_to_str(small_cohort, monkeypatch):
 def test_other_files_take_the_csv_route(small_cohort, monkeypatch, variant):
     pupils, schools = small_cohort
     expected = [
-        cohort._parse_text(pupils, PUPIL_FIELDS, "pupil CSV"),
-        cohort._parse_text(schools, SCHOOL_FIELDS, "school CSV"),
+        csv_parse(pupils),
+        csv_parse(schools, SCHOOL_FIELDS, "school CSV"),
     ]
     calls = counted_csv_reader(monkeypatch)
     for parse, data, want in zip((parse_pupils, parse_schools), small_cohort, expected):
@@ -219,7 +240,7 @@ def test_other_files_take_the_csv_route(small_cohort, monkeypatch, variant):
         assert calls, variant
 
 
-def test_quote_in_the_last_block_restarts_on_the_csv_route(tmp_path, monkeypatch):
+def test_quote_in_the_last_block_switches_to_the_csv_route(tmp_path, monkeypatch):
     sim = tmp_path / "sim"
     assert run(["simulate", "--seed", "612", "--schools", "300", "--out", str(sim)]) == 0
     data = (sim / "pupils.csv").read_bytes()
@@ -244,9 +265,77 @@ def test_quote_in_the_last_block_restarts_on_the_csv_route(tmp_path, monkeypatch
     assert manifest["inputs"][str(pupils)] == hashlib.sha256(quoted).hexdigest()
     for name in ("coefficients_ap8.csv", "school_scores_ap8.csv", "summary.csv"):
         assert (fits["quoted"] / name).read_bytes() == (fits["bare"] / name).read_bytes(), name
-    expected = cohort._parse_text(quoted, PUPIL_FIELDS, "pupil CSV")
+    expected = csv_parse(quoted)
     assert_same_parse(parse_pupils(quoted), expected)
     assert_same_parse(parse_pupils(data), expected)
+
+
+class Pipe:
+    """A binary stream that, as a pipe, cannot seek: it records each seek
+    or tell asked of it and the bytes each read asks for (-1: all)."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+        self.asked, self.sought = [], []
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        self.sought.append(args)
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        self.sought.append("tell")
+        raise io.UnsupportedOperation("tell")
+
+    def read(self, size=-1):
+        self.asked.append(-1 if size is None else size)
+        return self._data.read(size)
+
+    def readinto(self, buffer):
+        self.asked.append(len(buffer))
+        return self._data.readinto(buffer)
+
+
+# the rows of a file of four byte-route blocks, and where each row's line
+# starts in it (the last entry: the file's size)
+SWITCH_ROWS = BASE + BASE
+_row_starts = np.cumsum([len(HEADER) + 1] + [len(row) + 1 for row in SWITCH_ROWS])
+
+
+def _switch_row(where: str) -> int:
+    """A row (0-based) in the first, a middle or the last byte-route block."""
+    at = {"first": 5000, "middle": int(2.5 * cohort._BLOCK_BYTES), "last": int(_row_starts[-1]) - 10}
+    return int(np.searchsorted(_row_starts, at[where], side="right")) - 1
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("edit", ["quote", "non-ascii", "cr"])
+def test_unfit_byte_in_any_block_switches_routes_in_one_pass(monkeypatch, edit, where):
+    rows = list(SWITCH_ROWS)
+    r = _switch_row(where)
+    cells = rows[r].split(",")
+    if edit == "quote":
+        cells[0] = f'"{cells[0]}"'
+    elif edit == "non-ascii":
+        cells[0] += "é"
+    rows = rows[:r] + [",".join(cells) + ("\r" if edit == "cr" else "")] + rows[r + 1:]
+    # bad rows on either side of the switch: their issues name their rows
+    for i, kind in ((100, "wide"), (len(rows) - 2, "narrow")):
+        mutate(rows, i, kind, 3, None)
+    mutate(rows, len(rows) - 3, "cell", 6, "Martian")
+    data = ("\n".join([HEADER, *rows]) + "\n").encode()
+    assert len(data) > 3 * cohort._BLOCK_BYTES
+    assert not cohort._tokenizable(data)
+    expected = csv_parse(data)
+    assert [i.row for i in expected[1]] == [101, len(rows) - 2, len(rows) - 1]
+    calls = counted_csv_reader(monkeypatch)
+    pipe = Pipe(data)
+    assert_same_parse(parse_pupils(pipe), expected)
+    assert calls, "the file did not switch to the csv route"
+    assert pipe.sought == []
+    assert pipe.asked and all(0 < n < len(data) for n in pipe.asked), pipe.asked
 
 
 def test_line_longer_than_a_block_reads_as_on_the_csv_route(monkeypatch):
@@ -254,7 +343,7 @@ def test_line_longer_than_a_block_reads_as_on_the_csv_route(monkeypatch):
     wide = ",".join(["x"] * (cohort._BLOCK_BYTES // 2 + 1))
     data = "\n".join([HEADER, BASE[0], wide, *BASE[1:50]]).encode()
     assert len(data) > cohort._BLOCK_BYTES and cohort._tokenizable(data)
-    expected = cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
+    expected = csv_parse(data)
     assert [(i.row, i.column) for i in expected[1]] == [(2, "(row)")]
     calls = counted_csv_reader(monkeypatch)
     assert_same_parse(parse_pupils(data), expected)
@@ -271,22 +360,22 @@ def _over_limit_cell() -> bytes:
 
 def _bad_header_and_late_byte() -> bytes:
     """A wrong header and a byte that is not UTF-8 in the last block: the
-    csv route reports the byte, which it checks first."""
+    file is read forward, so the header, which comes first, is reported."""
     data = "\n".join([HEADER.replace("gender", "sex"), *BASE]).encode()
     return data[:-100] + b"\xff" + data[-100:]
 
 
 @pytest.mark.parametrize(
     "make, fragment",
-    [(_over_limit_cell, "field larger than field limit"), (_bad_header_and_late_byte, "not valid UTF-8")],
+    [(_over_limit_cell, "field larger than field limit"), (_bad_header_and_late_byte, "header mismatch")],
     ids=["cell-over-field-limit", "bad-header-and-late-byte"],
 )
 def test_faults_fail_as_on_the_csv_route(monkeypatch, make, fragment):
-    # the byte route meets these before it has read the whole file, and
-    # hands the file to the csv route, whose error is the one reported
+    # the byte route meets these before it has read the whole file; its
+    # error is the one the csv route gives over the same bytes
     data = make()
     with pytest.raises(CohortError) as csv_route:
-        cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
+        csv_parse(data)
     calls = counted_csv_reader(monkeypatch)
     with pytest.raises(CohortError) as parsed:
         parse_pupils(data)
@@ -313,8 +402,8 @@ def test_ids_with_ascii_whitespace_at_either_edge_read_as_on_the_csv_route():
                 rows[r] = ",".join(cells)
     data = "\n".join([HEADER, *rows]).encode() + b"\n"
     assert cohort._tokenizable(data)
-    expected = cohort._parse_text(data, PUPIL_FIELDS, "pupil CSV")
-    assert_same_parse(cohort._parse_bytes(data, PUPIL_FIELDS, "pupil CSV"), expected)
+    expected = csv_parse(data)
+    assert_same_parse(byte_route(data), expected)
     table, issues = expected
     assert issues == [] and table["pupil_id"].dtype == np.dtype("S7")
     assert cohort.decode_ids(table["pupil_id"]) == [row.split(",")[0] for row in BASE[:len(rows)]]
