@@ -24,7 +24,7 @@ _HOMES = {
     ),
     "cohort": (
         "PupilRecord", "SchoolRecord", "Table", "ValidatedCohort", "decode_ids", "parse_pupils",
-        "parse_schools", "serialize_pupils", "serialize_schools", "validate_cohort",
+        "parse_schools", "serialize_blocks", "validate_cohort",
     ),
     "compare": (
         "ComparisonReport", "QuadrantCounts", "SchoolScore", "compare_columns", "correlate",

@@ -102,7 +102,9 @@ def _formatter(precision):
 
 class _Digested:
     """A binary file read through a SHA-256 of the bytes read: a parse
-    reads its file once, forward, so this is the digest of the file."""
+    reads its file once, forward, through ``readinto`` (one loop,
+    ``csvio._line_blocks``, reads every cohort and score file), so this is
+    the digest of the file. ``read`` serves the config file."""
 
     def __init__(self, file: typing.BinaryIO):
         self._file = file

@@ -7,20 +7,20 @@ malformed rows: each bad row becomes a :class:`ParseIssue` naming the row,
 its first failing column and the reason, and the row is skipped. Structural
 problems (undecodable bytes, wrong header) raise :class:`CohortError`.
 The CSV reader and writer of other files live in :mod:`vamkit.csvio`,
-which needs no numpy; this module turns rows into columns and back. A file
-is read and encoded one block at a time by one of two routes, which give
-the same columns, dtypes and issues:
+which needs no numpy; this module turns rows into columns and back. One
+loop, ``csvio._line_blocks``, reads every file's bytes, a block of whole
+lines at a time into one reused buffer. Each block is encoded by one of
+two routes, which give the same columns, dtypes and issues:
 
-- the byte route, for a file that is ASCII and holds no quote, carriage
-  return or NUL (every file ``simulate`` writes): a block of lines at a
-  time is read into one reused buffer; numpy finds a block's separators
-  and gathers each column's cells into a fixed-width byte array, and only
-  lines that may be blank or of the wrong width, and a block with a cell
-  longer than the gather's cap, are split in Python;
-- the csv route, ``csvio.read_blocks``, which gives rows of str, for
-  every other file, from the line where the byte route meets the first
-  byte it cannot cut: the byte route keeps the columns it has made and
-  hands the csv route the bytes it holds, then the rest of the stream.
+- the byte route, for a block that is ASCII and holds no quote, carriage
+  return or NUL (every file ``simulate`` writes): numpy finds a block's
+  separators and gathers each column's cells into a fixed-width byte
+  array, and only lines that may be blank or of the wrong width, and a
+  block with a cell longer than the gather's cap, are split in Python;
+- the csv route, ``csvio.read_blocks``, which gives rows of str, from the
+  line of the first byte the byte route cannot cut: the byte route keeps
+  the columns it has made and hands the csv route the rest of that block,
+  then the rest of the same loop's blocks.
 
 Either way the file is read once, forward, with no seek, so a pipe will
 do, and a parse holds the file's columns and one block, not the file's
@@ -55,13 +55,14 @@ import io
 import warnings
 from dataclasses import dataclass, field, make_dataclass
 from functools import cached_property
+from itertools import chain
 from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .categories import ID_MAX_CHARS, PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
-from .csvio import _BLOCK_BYTES, _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, _read_blocks
+from .csvio import _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, _line_blocks, _read_blocks
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
@@ -168,9 +169,7 @@ class ValidatedCohort:
     the cross-tab of covariate levels its designs' X'X are read from
     (~60 KB), counted once per cohort. It is made on first use, not held
     in a field, so a cohort made by ``dataclasses.replace`` starts with an
-    empty store rather than the counts of its source's codes;
-    ``generate_population``, whose replace changes only the outcome, hands
-    its store on.
+    empty store rather than the counts of its source's codes.
     """
 
     pupil_table: Table
@@ -335,50 +334,6 @@ def _tokenizable(data: bytes | bytearray) -> bool:
     return data.isascii() and not any(c in data for c in _UNFIT_ASCII)
 
 
-def _line_blocks(source: BinaryIO) -> Iterator[tuple[np.ndarray, int, bool]]:
-    """The file's bytes in blocks of whole lines, read into one reused
-    buffer: each block is the buffer, the block's length and True. A block
-    ends at the last newline in its first ``_BLOCK_BYTES``, else in the
-    first further ``_BLOCK_BYTES`` that hold one; a last line with no
-    newline gets one. At least ``_SPARE`` bytes of the buffer follow a
-    block, and the buffer is overwritten when the next block is asked for.
-
-    A piece read that is not :func:`_tokenizable` ends them. The lines
-    before the line of its first byte that does not fit are the last block;
-    the last item is the buffer, the length it holds from that line's start,
-    and False.
-    """
-    raw = bytearray(_BLOCK_BYTES + _SPARE)
-    held, eof = 0, False  # bytes in the buffer; whether the file is read to its end
-    fits = True  # whether every piece read is _tokenizable
-    while True:
-        end = 0  # the bytes held past the last block hold no newline
-        while not (end or eof) and fits:  # to a block's size, then on to a newline
-            stop = _BLOCK_BYTES * (held // _BLOCK_BYTES + 1)
-            if len(raw) < stop + _SPARE:
-                raw = raw + bytes(len(raw))
-            got = source.readinto(memoryview(raw)[held:stop])
-            fits = _tokenizable(raw[held : held + got])
-            end = raw.rfind(b"\n", held, held + got) + 1
-            held += got
-            eof = not got
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        if not fits:
-            end = raw.rfind(b"\n", 0, int(np.argmax(_UNFIT[buf[:held]]))) + 1
-        elif not end:  # the file's end
-            if not held:
-                return
-            raw[held] = _NEWLINE
-            held = end = held + 1
-        if end:
-            yield buf, end, True
-            raw[: held - end] = raw[end:held]
-            held -= end
-        if not fits:
-            yield buf, held, False
-            return
-
-
 def _split_line(line: str, width: int, row_no: int, issues: list[ParseIssue]) -> list[str] | None:
     """A line's cells if it is a row; None if it is blank (skipped) or of
     the wrong width (a ``(row)`` issue). A cell the csv module refuses
@@ -400,19 +355,30 @@ def _byte_blocks(
 ) -> Iterator[tuple]:
     """:func:`read_blocks` in numpy while the file's bytes are
     :func:`_tokenizable`: each block of whole lines (see
-    :func:`_line_blocks`) gives what :func:`_cut_block` makes of it.
-    Returns None at the file's end, else the ``head``, ``at`` and ``row_no``
-    of :func:`csvio._read_blocks` for the lines it did not cut.
+    :func:`csvio._line_blocks`) gives what :func:`_cut_block` makes of it.
+    At the first block that is not, the lines before the line of its first
+    byte that does not fit are the last block cut. Returns None at the
+    file's end, else the blocks, ``at`` and ``row_no`` of
+    :func:`csvio._read_blocks` for the lines it did not cut: the rest of
+    that block, then the rest of the file.
     """
     width = len(names)
     at, row_no = 0, 0  # bytes cut; the next line's row number (0: the header)
-    for buf, end, fits in _line_blocks(source):
-        if not fits:
-            return buf[:end].tobytes(), at, max(row_no, 1)
+    blocks = _line_blocks(source, _SPARE)
+    for raw, end in blocks:
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        rest = None
+        if not _tokenizable(raw[:end]):
+            unfit = raw.rfind(b"\n", 0, int(np.argmax(_UNFIT[buf[:end]]))) + 1
+            rest = chain([(raw[unfit:end], end - unfit)], blocks)
+            end = unfit
+        elif raw[end - 1] != _NEWLINE:  # the file's last line
+            raw[end] = _NEWLINE
+            end += 1
         start = 0
-        if not row_no:  # the header
-            start = buf[:end].tobytes().index(b"\n") + 1
-            header = buf[: start - 1].tobytes().decode()
+        if end and not row_no:  # the header
+            start = raw.index(b"\n", 0, end) + 1
+            header = raw[: start - 1].decode()
             _check_header(header.split(",") if header else [], names, what)
             row_no = 1
         if start < end:
@@ -425,6 +391,8 @@ def _byte_blocks(
                 yield cut
             del cut  # before the next block is cut
         at += end
+        if rest is not None:
+            return rest, at, max(row_no, 1)
     if not row_no:
         _check_header(None, names, what)  # an empty file
 
@@ -582,10 +550,11 @@ def _parse_table(
     """Read a CSV into columns, in one forward pass; each bad row is skipped
     with one issue.
 
-    A file is read a block at a time on the byte route while its bytes are
+    One loop, :func:`csvio._line_blocks`, reads the file a block of lines
+    at a time. The byte route cuts each block while its bytes are
     :func:`_tokenizable`. From the line of the first byte that is not, the
-    csv route reads the bytes the byte route holds and then the rest of the
-    stream. The routes give the same columns, dtypes and issues.
+    csv route reads the rest of that block and then the loop's further
+    blocks. The routes give the same columns, dtypes and issues.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -594,7 +563,8 @@ def _parse_table(
     def blocks():
         rest = yield from _byte_blocks(source, names, what, issues)
         if rest is not None:
-            rows = _read_blocks(source, names, what, issues, *rest)
+            lines, at, row_no = rest
+            rows = _read_blocks(lines, names, what, issues, at, row_no)
             yield from ((_encode_column, zip(*block), row_nos) for block, row_nos in rows)
 
     return _columns(fields, blocks(), issues)
@@ -781,13 +751,3 @@ def serialize_blocks(table: Table) -> Iterator[bytes]:
             else:
                 block.append(spellings[f.name][col])
         yield _join_rows(block)
-
-
-def serialize_pupils(pupils: Table) -> bytes:
-    """Write pupils as canonical CSV bytes (inverse of parse_pupils)."""
-    return b"".join(serialize_blocks(pupils))
-
-
-def serialize_schools(schools: Table) -> bytes:
-    """Write schools as canonical CSV bytes (inverse of parse_schools)."""
-    return b"".join(serialize_blocks(schools))

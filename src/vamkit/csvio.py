@@ -3,19 +3,21 @@
 Reading: the input's bytes must be UTF-8 (a BOM is allowed), the header
 must be exactly the expected column names, blank rows are skipped and a row
 of the wrong width becomes a :class:`ParseIssue`. The input is read once,
-forward, as a stream: its bytes are decoded a block at a time and rows come
-in blocks of a few thousand, so a reader holds one block of bytes, text and
-Python strings, never the whole file's. A fatal fault is reported when the
-read reaches it: a byte that is not UTF-8 when its block is decoded, a bad
-header or quoting when its row is read. Writing: UTF-8 with "\\n" line
-ends, a cell quoted only when it needs to be, joined and encoded a block of
-rows at a time.
+forward, as a stream, by one loop (:func:`_line_blocks`) that reads a block
+of whole lines at a time into one reused buffer: a block is decoded at a
+time and rows come in blocks of a few thousand, so a reader holds one
+block of bytes, text and Python strings, never the whole file's. A fatal
+fault is reported when the read reaches it: a byte that is not UTF-8 when
+its block is decoded, a bad header or quoting when its row is read.
+Writing: UTF-8 with "\\n" line ends, a cell quoted only when it needs to
+be, joined and encoded a block of rows at a time.
 
-These reading rules hold for every file vamkit reads. A cohort file that
-is ASCII and holds no quote, carriage return or NUL is cut into cells by
-numpy in :mod:`vamkit.cohort` under the same rules; :func:`read_blocks`
-reads every other cohort file, the rest of a cohort file from the first
-line the byte route cannot cut, and the score files ``compare`` reads.
+These reading rules hold for every file vamkit reads, and
+:func:`_line_blocks` reads every file's bytes. A block of a cohort file
+that is ASCII and holds no quote, carriage return or NUL is cut into
+cells by numpy in :mod:`vamkit.cohort` under the same rules;
+:func:`read_blocks` reads the rest of a cohort file from the first line
+the byte route cannot cut, and the score files ``compare`` reads.
 Likewise :func:`csv_bytes` writes ``truth.csv`` and the CLI's outputs,
 while :mod:`vamkit.cohort` writes the cohort files, byte for byte as
 :func:`csv_bytes` would, with numpy.
@@ -30,8 +32,6 @@ import codecs
 import csv
 import io
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 from typing import BinaryIO, Iterator, Sequence
 
 from .errors import CohortError
@@ -54,25 +54,45 @@ class ParseIssue:
         return f"row {self.row}, column {self.column}: {self.reason}"
 
 
-def _lines(source: BinaryIO, head: bytes, at: int) -> Iterator[str]:
-    """The lines of ``head``, which begins ``at`` bytes into the file, and
-    then of the rest of ``source``, split as with ``newline=""``. A block
-    of bytes is decoded at a time, cut after its last newline (a byte of no
-    multi-byte character), so one block's text is held. A BOM at the file's
-    start is skipped, and error positions count from after it, as a decode
-    of the whole file by ``utf-8-sig`` counts them."""
-    buf = bytearray()
-    for data in chain((head,), iter(partial(source.read, _BLOCK_BYTES), b""), (b"",)):
-        buf += data  # b"" last: the file's end
-        cut = buf.rfind(b"\n", len(buf) - len(data)) + 1 if data else len(buf)
-        if not cut:
-            continue
-        block = buf[:cut]
-        del buf[:cut]
-        if not at and block.startswith(codecs.BOM_UTF8):
-            del block[: len(codecs.BOM_UTF8)]
+def _line_blocks(source: BinaryIO, spare: int = 0) -> Iterator[tuple[bytearray, int]]:
+    """The file's bytes in blocks of whole lines, read into one reused
+    buffer: each block is the buffer and the block's length. A block ends at
+    the last newline in its first ``_BLOCK_BYTES``, else in the first
+    further ``_BLOCK_BYTES`` that hold one; the last block ends at the
+    file's end, newline or not. At least ``spare`` bytes of the buffer
+    follow a block, and the buffer is overwritten when the next block is
+    asked for."""
+    raw = bytearray(_BLOCK_BYTES + spare)
+    held = 0  # bytes in the buffer past the last block: they hold no newline
+    while True:
+        end, got = 0, 1
+        while not end and got:  # to a block's size, then on to a newline
+            stop = _BLOCK_BYTES * (held // _BLOCK_BYTES + 1)
+            if len(raw) < stop + spare:
+                raw = raw + bytes(len(raw))
+            got = source.readinto(memoryview(raw)[held:stop])
+            end = raw.rfind(b"\n", held, held + got) + 1
+            held += got
+        if not end:  # the file's end
+            if not held:
+                return
+            end = held
+        yield raw, end
+        raw[: held - end] = raw[end:held]
+        held -= end
+
+
+def _lines(blocks: Iterator[tuple[bytes | bytearray, int]], at: int) -> Iterator[str]:
+    """The lines of blocks of whole lines (see :func:`_line_blocks`), the
+    first of which begins ``at`` bytes into the file, split as with
+    ``newline=""``. A block, cut after a newline (a byte of no multi-byte
+    character), is decoded at a time, so one block's text is held. A BOM at
+    the file's start is skipped, and error positions count from after it,
+    as a decode of the whole file by ``utf-8-sig`` counts them."""
+    for buf, size in blocks:
+        bom = len(codecs.BOM_UTF8) if not at and buf.startswith(codecs.BOM_UTF8, 0, size) else 0
         try:
-            text = block.decode()
+            text = str(memoryview(buf)[bom:size], "utf-8")
         except UnicodeDecodeError as exc:
             start, end = exc.start + at, exc.end + at - 1
             where = f"bytes in position {start}-{end}"
@@ -80,7 +100,7 @@ def _lines(source: BinaryIO, head: bytes, at: int) -> Iterator[str]:
                 where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
             reason = f"'utf-8' codec can't decode {where}: {exc.reason}"
             raise CohortError(f"input is not valid UTF-8: {reason}") from exc
-        at += len(block)
+        at += size - bom
         yield from io.StringIO(text, newline="")
 
 
@@ -117,22 +137,23 @@ def read_blocks(
     block is yielded ``issues`` holds every such row up to its last row.
     Bad bytes, header or quoting raise :class:`CohortError` when reached.
     """
-    return _read_blocks(io.BytesIO(source) if isinstance(source, bytes) else source, names, what, issues)
+    source = io.BytesIO(source) if isinstance(source, bytes) else source
+    return _read_blocks(_line_blocks(source), names, what, issues)
 
 
 def _read_blocks(
-    source: BinaryIO, names: Sequence[str], what: str, issues: list[ParseIssue],
-    head: bytes = b"", at: int = 0, row_no: int = 1,
+    blocks: Iterator[tuple[bytes | bytearray, int]], names: Sequence[str], what: str,
+    issues: list[ParseIssue], at: int = 0, row_no: int = 1,
 ) -> Iterator[tuple[list[tuple[str, ...]], list[int]]]:
-    """:func:`read_blocks` of ``head`` and then the rest of ``source``:
-    ``head`` begins ``at`` bytes into the file, on a line that is row
+    """:func:`read_blocks` of blocks of whole lines (see :func:`_lines`):
+    the first begins ``at`` bytes into the file, on a line that is row
     ``row_no``. Only at the file's start (``at`` 0) is a header read."""
     width = len(names)
     # tuples, not the reader's lists: the cyclic GC untracks a tuple of str,
     # but rescans every kept list on each pass
     rows: list[tuple[str, ...]] = []
     row_nos: list[int] = []
-    reader = csv.reader(_lines(source, head, at))
+    reader = csv.reader(_lines(blocks, at))
     try:
         if not at:
             _check_header(next(reader, None), names, what)

@@ -234,7 +234,7 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
             )
 
     n = cohort.n_pupils
-    store = cohort._level_counts  # filled only here (generate_population hands it on)
+    store = cohort._level_counts  # filled only here
     if not store:
         store["counts"] = _LevelCounts(n)
     counts = store["counts"]

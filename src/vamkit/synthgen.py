@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -302,13 +302,9 @@ def generate_population(config: GeneratorConfig) -> SyntheticCohort:
     )
     beta = np.array([coefficients[lab] for lab in design.column_labels])
     raw = design.predict(beta) + true_effects[school_idx] + noise
-    outcome = np.clip(raw, *FIELD["attainment8_total"].bounds)
+    outcome = cohort.pupil_table["attainment8_total"]  # in place: nothing else holds the cohort yet
+    np.clip(raw, *FIELD["attainment8_total"].bounds, out=outcome)
     n_clipped = int(np.sum(outcome != raw))
-
-    counts = cohort._level_counts
-    cohort = replace(cohort, pupil_table=cohort.pupil_table.replace(attainment8_total=outcome))
-    # only the outcome changed, so the level counts the design above made hold
-    cohort._level_counts.update(counts)
     truth = dict(zip(decode_ids(school_ids), true_effects.tolist()))
     return SyntheticCohort(cohort=cohort, true_school_effects=truth, n_clipped=n_clipped)
 

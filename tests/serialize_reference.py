@@ -3,7 +3,7 @@
 Each cell is made a Python str (an id as its UTF-8 text, a number by ``_num``, a
 category code by its spelling, code -1 as the empty cell) and the columns
 go through ``csvio.csv_bytes``. ``test_serialize.py`` checks that
-``serialize_pupils`` and ``serialize_schools`` write the same bytes.
+``serialize_blocks`` writes the same bytes, joined.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ import warnings
 import numpy as np
 import pytest
 
-from vamkit import cohort
+from vamkit import cohort, csvio
 from vamkit.categories import MeasureKind
 from vamkit.cli import _parse_input
-from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools, serialize_pupils, serialize_schools
+from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools, serialize_blocks
 from vamkit.design import design_labels
 from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov
@@ -72,14 +72,14 @@ def default_population():
 def default_pupils(default_population):
     """The default cohort's pupils.csv bytes and its pupil count."""
     pupils = default_population.cohort.pupil_table
-    return serialize_pupils(pupils), len(pupils)
+    return b"".join(serialize_blocks(pupils)), len(pupils)
 
 
 def test_ids_hold_one_byte_per_ascii_character(default_population, default_pupils):
     # "P" and six digits, "S" and four: 7 and 5 bytes an id, generated or parsed
     cohort = default_population.cohort
     pupils = parse_pupils(default_pupils[0])[0]
-    schools = parse_schools(serialize_schools(cohort.school_table))[0]
+    schools = parse_schools(b"".join(serialize_blocks(cohort.school_table)))[0]
     for table in (cohort.pupil_table, cohort.school_table, pupils, schools):
         for name, chars in (("pupil_id", 7), ("school_id", 5)):
             if name in table.columns:
@@ -124,7 +124,7 @@ def test_parse_allocates_a_few_times_the_file(default_pupils):
 
 def test_cli_reads_a_cohort_file_as_a_stream(default_pupils, tmp_path):
     data, n_pupils = default_pupils
-    assert len(data) > 4 * cohort._BLOCK_BYTES
+    assert len(data) > 4 * csvio._BLOCK_BYTES
     path, warm = tmp_path / "pupils.csv", tmp_path / "warm.csv"
     path.write_bytes(data)
     warm.write_bytes(data[: data.index(b"\n", 1000) + 1])
@@ -147,7 +147,7 @@ def test_a_late_quote_is_read_in_the_same_pass(default_pupils, tmp_path):
     data, n_pupils = default_pupils
     head, last = data[:-1].rsplit(b"\n", 1)
     quoted = head + b'\n"' + last.replace(b",", b'",', 1) + b"\n"
-    assert quoted.index(b'"') > len(quoted) - cohort._BLOCK_BYTES // 2
+    assert quoted.index(b'"') > len(quoted) - csvio._BLOCK_BYTES // 2
     path, warm = tmp_path / "pupils.csv", tmp_path / "warm.csv"
     path.write_bytes(quoted)
     warm.write_bytes(quoted[: quoted.index(b"\n", 1000) + 1] + b'"P",' + last.split(b",", 1)[1] + b"\n")
@@ -179,7 +179,7 @@ def test_one_long_id_is_one_issue_and_widens_nothing(monkeypatch, long_id, lengt
     # 200 characters are gathered by numpy; 300 are over the gather's cap,
     # so only the block that holds them is split in Python
     data = long_id_file(long_id)
-    assert len(data) > 2 * cohort._BLOCK_BYTES
+    assert len(data) > 2 * csvio._BLOCK_BYTES
     if not long_id.startswith('"'):  # a quote-free file: no csv module
         assert cohort._tokenizable(data)
         monkeypatch.setattr(csv, "reader", None)

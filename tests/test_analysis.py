@@ -13,7 +13,7 @@ from vamkit.analysis import (
 )
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cli import run
-from vamkit.cohort import decode_ids, serialize_pupils, serialize_schools, validate_cohort
+from vamkit.cohort import decode_ids, serialize_blocks, validate_cohort
 from vamkit.compare import (
     SchoolScore,
     compare_columns,
@@ -495,8 +495,8 @@ def test_missing_ks2_breakdown_row_matches_mask_reference(tmp_path):
     ks2 = cohort.pupil_table["ks2_group"].copy()
     ks2[::7] = -1
     edited_pupils = cohort.pupil_table.replace(ks2_group=ks2)
-    (tmp_path / "pupils.csv").write_bytes(serialize_pupils(edited_pupils))
-    (tmp_path / "schools.csv").write_bytes(serialize_schools(cohort.school_table))
+    (tmp_path / "pupils.csv").write_bytes(b"".join(serialize_blocks(edited_pupils)))
+    (tmp_path / "schools.csv").write_bytes(b"".join(serialize_blocks(cohort.school_table)))
     out = tmp_path / "bd"
     argv = [
         "breakdown",

@@ -12,7 +12,7 @@ import pytest
 
 import vamkit
 from vamkit.cli import run
-from vamkit.cohort import decode_ids, serialize_pupils, serialize_schools
+from vamkit.cohort import decode_ids, serialize_blocks
 from vamkit.csvio import _BLOCK_BYTES
 
 from conftest import random_cohort
@@ -328,8 +328,8 @@ def test_ids_that_need_quoting_round_trip(tmp_path):
         return table.replace(school_id=np.array(ids))
 
     pupils, schools = rename(cohort.pupil_table), rename(cohort.school_table)
-    (tmp_path / "pupils.csv").write_bytes(serialize_pupils(pupils))
-    (tmp_path / "schools.csv").write_bytes(serialize_schools(schools))
+    (tmp_path / "pupils.csv").write_bytes(b"".join(serialize_blocks(pupils)))
+    (tmp_path / "schools.csv").write_bytes(b"".join(serialize_blocks(schools)))
     fit = tmp_path / "fit"
     run_ok([
         "fit",

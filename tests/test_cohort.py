@@ -20,8 +20,7 @@ from vamkit.cohort import (
     decode_ids,
     parse_pupils,
     parse_schools,
-    serialize_pupils,
-    serialize_schools,
+    serialize_blocks,
     unique_inverse,
     validate_cohort,
 )
@@ -189,7 +188,7 @@ def test_not_utf8_names_byte_position_in_file(as_stream):
     # the file is decoded a block at a time, but a position is counted in the
     # whole file, after any BOM, as a decode of the whole file counts it
     cohort = generate_population(GeneratorConfig(n_schools=80, seed=0)).cohort
-    clean = serialize_pupils(cohort.pupil_table)
+    clean = b"".join(serialize_blocks(cohort.pupil_table))
     late = _BLOCK_BYTES + 20_000
     assert len(clean) > late + 2
     cases = [(20_000, b"\xff", b""), (late, b"\xff", b""), (late, b"\xff", codecs.BOM_UTF8),
@@ -447,19 +446,19 @@ def test_counts_follow_replaced_tables():
 
 
 def test_pupil_round_trip(midsize_population):
-    data = serialize_pupils(midsize_population.cohort.pupil_table)
+    data = b"".join(serialize_blocks(midsize_population.cohort.pupil_table))
     table, issues = parse_pupils(data)
     assert issues == []
     assert table.records() == midsize_population.cohort.pupils
-    assert serialize_pupils(table) == data
+    assert b"".join(serialize_blocks(table)) == data
 
 
 def test_school_round_trip(midsize_population):
-    data = serialize_schools(midsize_population.cohort.school_table)
+    data = b"".join(serialize_blocks(midsize_population.cohort.school_table))
     table, issues = parse_schools(data)
     assert issues == []
     assert table.records() == midsize_population.cohort.schools
-    assert serialize_schools(table) == data
+    assert b"".join(serialize_blocks(table)) == data
 
 
 def test_csv_bytes_round_trips_any_cell():

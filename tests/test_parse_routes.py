@@ -7,7 +7,8 @@ mutates a quote-free pupil file that spans several blocks of either route
 and checks that ``parse_pupils`` gives the columns, dtypes and issues the
 csv route gives on the same bytes. Two guards check which route a file
 takes, so that the byte route cannot be dropped silently. A file is read
-once, forward, as a stream, so the route can change late: from the line of
+once, forward, as a stream, by one loop of ``readinto`` calls that both
+routes share, so the route can change late: from the line of
 a quote, a byte past ASCII or a carriage return in any block, the csv
 route reads the rest of the same stream, and a line longer than a block,
 or a cell the csv module refuses, must read as on that route too.
@@ -15,7 +16,9 @@ Ids are stripped as ``str.strip`` strips them and held as UTF-8 bytes on
 either route, and schools sort in code-point order.
 """
 
+import codecs
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,10 +29,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from vamkit import cohort
+from vamkit import cohort, csvio
 from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS
 from vamkit.cli import run
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools
+from vamkit.compare import SchoolScore
 from vamkit.csvio import _BLOCK_ROWS, read_blocks
 from vamkit.errors import CohortError
 
@@ -66,7 +70,7 @@ BASE = _base_rows()
 HEADER = ",".join(PUPIL_COLUMNS)
 # rows at either route's block boundaries, which edits favour
 _offsets = np.cumsum([len(HEADER) + 1] + [len(row) + 1 for row in BASE])
-_byte_edge = int(np.searchsorted(_offsets, cohort._BLOCK_BYTES))
+_byte_edge = int(np.searchsorted(_offsets, csvio._BLOCK_BYTES))
 EDGES = sorted(
     {r + d for r in (_BLOCK_ROWS, 2 * _BLOCK_ROWS, _byte_edge) for d in (-2, -1, 0, 1)}
 )
@@ -248,8 +252,8 @@ def test_quote_in_the_last_block_switches_to_the_csv_route(tmp_path, monkeypatch
     head, last = data[:-1].rsplit(b"\n", 1)
     pupil_id, rest = last.split(b",", 1)
     quoted = head + b'\n"' + pupil_id + b'",' + rest + b"\n"
-    assert len(quoted) > 4 * cohort._BLOCK_BYTES
-    assert quoted.index(b'"') > len(quoted) - cohort._BLOCK_BYTES // 2
+    assert len(quoted) > 4 * csvio._BLOCK_BYTES
+    assert quoted.index(b'"') > len(quoted) - csvio._BLOCK_BYTES // 2
     pupils = tmp_path / "pupils.csv"
     pupils.write_bytes(quoted)
 
@@ -272,7 +276,8 @@ def test_quote_in_the_last_block_switches_to_the_csv_route(tmp_path, monkeypatch
 
 class Pipe:
     """A binary stream that, as a pipe, cannot seek: it records each seek
-    or tell asked of it and the bytes each read asks for (-1: all)."""
+    or tell asked of it and the bytes each read asks for. It has no
+    ``read``: both routes read through one ``readinto`` loop."""
 
     def __init__(self, data: bytes):
         self._data = io.BytesIO(data)
@@ -289,10 +294,6 @@ class Pipe:
         self.sought.append("tell")
         raise io.UnsupportedOperation("tell")
 
-    def read(self, size=-1):
-        self.asked.append(-1 if size is None else size)
-        return self._data.read(size)
-
     def readinto(self, buffer):
         self.asked.append(len(buffer))
         return self._data.readinto(buffer)
@@ -306,7 +307,7 @@ _row_starts = np.cumsum([len(HEADER) + 1] + [len(row) + 1 for row in SWITCH_ROWS
 
 def _switch_row(where: str) -> int:
     """A row (0-based) in the first, a middle or the last byte-route block."""
-    at = {"first": 5000, "middle": int(2.5 * cohort._BLOCK_BYTES), "last": int(_row_starts[-1]) - 10}
+    at = {"first": 5000, "middle": int(2.5 * csvio._BLOCK_BYTES), "last": int(_row_starts[-1]) - 10}
     return int(np.searchsorted(_row_starts, at[where], side="right")) - 1
 
 
@@ -326,7 +327,7 @@ def test_unfit_byte_in_any_block_switches_routes_in_one_pass(monkeypatch, edit, 
         mutate(rows, i, kind, 3, None)
     mutate(rows, len(rows) - 3, "cell", 6, "Martian")
     data = ("\n".join([HEADER, *rows]) + "\n").encode()
-    assert len(data) > 3 * cohort._BLOCK_BYTES
+    assert len(data) > 3 * csvio._BLOCK_BYTES
     assert not cohort._tokenizable(data)
     expected = csv_parse(data)
     assert [i.row for i in expected[1]] == [101, len(rows) - 2, len(rows) - 1]
@@ -338,11 +339,30 @@ def test_unfit_byte_in_any_block_switches_routes_in_one_pass(monkeypatch, edit, 
     assert pipe.asked and all(0 < n < len(data) for n in pipe.asked), pipe.asked
 
 
+def test_bom_score_file_reads_from_a_pipe():
+    # a score file that compare reads, with a BOM, quoted and non-ASCII
+    # cells, over more than two blocks of bytes
+    names = [f.name for f in dataclasses.fields(SchoolScore)]
+    rows = [[f"S{i:05d}", "ap8", f"{i / 7:.6f}", f"{i % 97}", *["0.5"] * (len(names) - 4)]
+            for i in range(40_000)]
+    rows[3][0], rows[-2][0] = '"S,3"', "Sé"
+    text = "\n".join(map(",".join, [names, *rows])) + "\n"
+    data = codecs.BOM_UTF8 + text.encode()
+    assert len(data) > 2 * csvio._BLOCK_BYTES
+    expected = [tuple(row) for row in csv.reader(io.StringIO(text, newline=""))][1:]
+    issues, pipe = [], Pipe(data)
+    blocks = list(read_blocks(pipe, names, "school_scores CSV", issues))
+    assert [row for rows, _ in blocks for row in rows] == expected
+    assert [n for _, row_nos in blocks for n in row_nos] == list(range(1, len(rows) + 1))
+    assert issues == [] and pipe.sought == []
+    assert pipe.asked and all(0 < n < len(data) for n in pipe.asked), pipe.asked
+
+
 def test_line_longer_than_a_block_reads_as_on_the_csv_route(monkeypatch):
     # a wrong-width line of more than a block's bytes between good rows
-    wide = ",".join(["x"] * (cohort._BLOCK_BYTES // 2 + 1))
+    wide = ",".join(["x"] * (csvio._BLOCK_BYTES // 2 + 1))
     data = "\n".join([HEADER, BASE[0], wide, *BASE[1:50]]).encode()
-    assert len(data) > cohort._BLOCK_BYTES and cohort._tokenizable(data)
+    assert len(data) > csvio._BLOCK_BYTES and cohort._tokenizable(data)
     expected = csv_parse(data)
     assert [(i.row, i.column) for i in expected[1]] == [(2, "(row)")]
     calls = counted_csv_reader(monkeypatch)
@@ -441,8 +461,8 @@ def test_schools_sort_by_code_point(tmp_path):
         school_id=np.array([renamed[s] for s in cohort.decode_ids(base.pupil_table["school_id"])])
     )
     schools = base.school_table.replace(school_id=np.array(ids))
-    (tmp_path / "pupils.csv").write_bytes(cohort.serialize_pupils(pupils))
-    (tmp_path / "schools.csv").write_bytes(cohort.serialize_schools(schools))
+    (tmp_path / "pupils.csv").write_bytes(b"".join(cohort.serialize_blocks(pupils)))
+    (tmp_path / "schools.csv").write_bytes(b"".join(cohort.serialize_blocks(schools)))
     table = cohort.validate_cohort(
         parse_pupils((tmp_path / "pupils.csv").read_bytes())[0],
         parse_schools((tmp_path / "schools.csv").read_bytes())[0],

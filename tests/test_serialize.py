@@ -1,8 +1,8 @@
 """The cohort writer against the per-cell writer it replaced.
 
-``serialize_pupils`` and ``serialize_schools`` build each block of rows
-from numpy byte arrays; ``serialize_reference.py`` makes one Python str per
-cell and joins them with ``csv_bytes``. A derandomised property test checks
+``serialize_blocks`` builds each block of rows from numpy byte arrays;
+``serialize_reference.py`` makes one Python str per cell and joins them
+with ``csv_bytes``. A derandomised property test checks
 that both write the same bytes for random pupil and school tables: ids that
 need quoting, non-ASCII ids and ids with an inner NUL; outcomes at zero,
 signed zero, the bounds, subnormals, large integers, nan and inf; code -1
@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS, Kind
-from vamkit.cohort import Table, serialize_pupils, serialize_schools
+from vamkit.cohort import Table, serialize_blocks
 from vamkit.csvio import _BLOCK_ROWS
 
 from serialize_reference import serialize
@@ -24,7 +24,6 @@ SIZES = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 
 ID_CELLS = ["a,b", 'say "hi"', "cr\r", "lf\n", "\r\n", "Zoë", "学校", "a\0b", "", " x ", "P1"]
 OUTCOMES = [0.0, -0.0, 90.0, 1e-05, 5e-324, 1e16, 1e22, -1e22, float("nan"), float("inf"),
             float("-inf"), 0.1, 12.5, 2.0**53 + 2]
-WRITERS = {PUPIL_FIELDS: serialize_pupils, SCHOOL_FIELDS: serialize_schools}
 
 
 def cells(f):
@@ -83,4 +82,4 @@ def tables(draw):
 )
 @given(table=tables())
 def test_writer_matches_per_cell_reference(table):
-    assert WRITERS[table.fields](table) == serialize(table)
+    assert b"".join(serialize_blocks(table)) == serialize(table)
