@@ -14,9 +14,10 @@ two routes, which give the same columns, dtypes and issues:
 
 - the byte route, for a block that is ASCII and holds no quote, carriage
   return or NUL (every file ``simulate`` writes): numpy finds a block's
-  separators and gathers each column's cells into a fixed-width byte
-  array, and only lines that may be blank or of the wrong width, and a
-  block with a cell longer than the gather's cap, are split in Python;
+  separators, applies the csv route's line rules to the bytes (blank
+  lines skipped, wrong-width lines an issue) and gathers each column's
+  cells into a fixed-width byte array; a column with a cell longer than
+  the gather's cap is cut into str at the same offsets instead;
 - the csv route, ``csvio.read_blocks``, which gives rows of str, from the
   line of the first byte the byte route cannot cut: the byte route keeps
   the columns it has made and hands the csv route the rest of that block,
@@ -255,16 +256,19 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _encode_cells(
-    f: Field, cells: np.ndarray, decoded: dict, reasons: dict[str, str]
+    f: Field, cells, decoded: dict, reasons: dict[str, str]
 ) -> tuple[np.ndarray, dict[int, str] | None]:
-    """:func:`_encode_column` for one column of gathered cells: an (n, width)
-    uint8 array, each cell's bytes zero-padded. An id column is the cells
+    """:func:`_encode_column` for one column of a block's cells: cells of
+    str go to it as they are; gathered cells are an (n, width) uint8 array,
+    each cell's bytes zero-padded. An id column is the gathered cells
     themselves. A category's spellings are told apart by a hash of each
-    cell's 8-byte words, checked cell by cell against the spelling. A block
-    this does not settle takes the str route, as does one with an id over
-    ``ID_MAX_CHARS`` or with a control character or space in an id, which
-    ``str.strip`` may strip.
+    cell's 8-byte words, checked cell by cell against the spelling. A
+    column this does not settle is decoded and takes the str route, as is
+    one with an id over ``ID_MAX_CHARS`` or with a control character or
+    space in an id, which ``str.strip`` may strip.
     """
+    if not isinstance(cells, np.ndarray):
+        return _encode_column(f, cells, decoded, reasons)
     n, width = cells.shape
     text = cells.view(f"S{width}")[:, 0]
     if f.kind is Kind.ID:
@@ -316,10 +320,9 @@ _HEAD = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)[
 # and the widest window a cell is gathered through
 _SPARE = 1 + _GATHER_CAP
 _NEWLINE, _COMMA = ord("\n"), ord(",")
-# first bytes that send a line to the Python split: an empty first cell or
-# line (a comma, or the line's own newline) or one that str.strip()
-# shortens, which might be blank
-_RARE_LEAD = np.array([b == _COMMA or chr(b).isspace() for b in range(256)])
+# the bytes a blank line is made of: commas and what str.strip() strips
+# (a line's own newline among them)
+_BLANK = np.array([b == _COMMA or chr(b).isspace() for b in range(256)])
 
 
 # the ASCII bytes that a _tokenizable file does not hold; _UNFIT: by byte
@@ -332,22 +335,6 @@ def _tokenizable(data: bytes | bytearray) -> bool:
     """Whether bytes are read the same by splitting their lines at commas as
     by the csv module: ASCII, with no quote, carriage return or NUL."""
     return data.isascii() and not any(c in data for c in _UNFIT_ASCII)
-
-
-def _split_line(line: str, width: int, row_no: int, issues: list[ParseIssue]) -> list[str] | None:
-    """A line's cells if it is a row; None if it is blank (skipped) or of
-    the wrong width (a ``(row)`` issue). A cell the csv module refuses
-    raises its ``csv.Error``, as the csv route would."""
-    row = line.split(",") if line else []
-    limit = csv.field_size_limit()
-    if len(line) > limit and max(map(len, row)) > limit:
-        next(csv.reader([line]))
-    if not any(cell.strip() for cell in row):
-        return None
-    if len(row) != width:
-        issues.append(ParseIssue(row_no, "(row)", f"expected {width} fields, got {len(row)}"))
-        return None
-    return row
 
 
 def _byte_blocks(
@@ -401,15 +388,15 @@ def _cut_block(
     buf: np.ndarray, size: int, width: int, row_no: int, issues: list[ParseIssue]
 ) -> tuple[int, tuple | None]:
     """The number of lines in the block ``buf[:size]``, whose first line is
-    row ``row_no``, and its kept rows: their encoder, cells and numbers, or
-    None if none is kept. The cells are one gathered (n, width) array per
-    column; a block that holds a cell longer than ``_GATHER_CAP`` is split
-    in Python instead and gives columns of str.
+    row ``row_no``, and its kept rows: their cells by column (see
+    :func:`_gather`) and their numbers, or None if none is kept.
 
-    A line with as many commas as the header and a first cell that starts
-    with neither a comma nor whitespace is a row. Any other line is split
-    in Python (:func:`_split_line`): skipped if blank, a ``(row)`` issue if
-    of the wrong width, else a row.
+    The csv route's line rules, on the bytes: a line of only commas and
+    whitespace is blank and skipped, one with other than ``width - 1``
+    commas is a ``(row)`` issue, and any other line is a row. Only lines of
+    the wrong width or with a ``_BLANK`` first byte are looked at one by
+    one. A line with a cell over the csv module's field limit raises its
+    ``csv.Error``, as the csv route would, blank or not.
     """
     block = buf[:size]
     is_sep = block == _COMMA
@@ -419,12 +406,19 @@ def _cut_block(
     line_seps = np.flatnonzero(block[seps] == _NEWLINE)  # each line's last separator
     ends = seps[line_seps]
     begins = np.concatenate(([0], ends[:-1] + 1))
-    regular = np.diff(line_seps, prepend=-1) == width  # width - 1 commas and a newline
-    keep = regular & ~_RARE_LEAD[block[begins]]
-    first_issue = len(issues)
-    for i in np.flatnonzero(~keep):
+    limit = csv.field_size_limit()
+    for i in np.flatnonzero(ends - begins > limit):
         line = block[begins[i] : ends[i]].tobytes().decode()
-        keep[i] = _split_line(line, width, row_no + int(i), issues) is not None
+        if max(map(len, line.split(","))) > limit:
+            next(csv.reader([line]))
+    keep = np.diff(line_seps, prepend=-1) == width  # width - 1 commas and a newline
+    for i in np.flatnonzero(~keep | _BLANK[block[begins]]):
+        line = block[begins[i] : ends[i]]
+        if _BLANK[line].all():
+            keep[i] = False
+        elif not keep[i]:
+            reason = f"expected {width} fields, got {np.count_nonzero(line == _COMMA) + 1}"
+            issues.append(ParseIssue(row_no + int(i), "(row)", reason))
     rows = np.flatnonzero(keep)
     if not rows.size:
         return ends.size, None
@@ -432,45 +426,35 @@ def _cut_block(
         stops = seps.reshape(-1, width)
     else:
         stops = seps[line_seps[rows, None] + np.arange(1 - width, 1)]
-    starts = begins[rows]
-    for j in range(width):
-        if (stops[:, j] - (stops[:, j - 1] + 1 if j else starts)).max() > _GATHER_CAP:
-            del issues[first_issue:]  # the split meets them again
-            return ends.size, (_encode_column, *_split_block(block, width, row_no, issues))
-    return ends.size, (_encode_cells, _gather(buf, size, starts, stops), row_no + rows)
+    return ends.size, (_gather(buf, size, begins[rows], stops), row_no + rows)
 
 
-def _gather(buf: np.ndarray, size: int, starts: np.ndarray, stops: np.ndarray) -> Iterator[np.ndarray]:
+def _gather(
+    buf: np.ndarray, size: int, starts: np.ndarray, stops: np.ndarray
+) -> Iterator[np.ndarray | list[str]]:
     """Each column's cells in the block ``buf[:size]``, from the rows' first
-    bytes and each cell's end: an (n, width) uint8 array per column, made
-    as it is asked for, each cell's bytes zero-padded to whole 8-byte words.
+    bytes and each cell's end, made as they are asked for: an (n, width)
+    uint8 array per column, each cell's bytes zero-padded to whole 8-byte
+    words, but a list of str for a column with a cell longer than
+    ``_GATHER_CAP``.
     """
     # each byte's window of the cap's width: the buffer goes on past the block
     windows = as_strided(buf, shape=(size, _GATHER_CAP), strides=(1, 1))
     for j in range(stops.shape[1]):
         firsts = stops[:, j - 1] + 1 if j else starts
         sizes = stops[:, j] - firsts
-        w = -(-max(int(sizes.max()), 1) // 8) * 8  # whole 8-byte words
+        longest = int(sizes.max())
+        if longest > _GATHER_CAP:
+            text = buf[:size].tobytes().decode()
+            yield [text[a:b] for a, b in zip(firsts.tolist(), stops[:, j].tolist())]
+            continue
+        w = -(-max(longest, 1) // 8) * 8  # whole 8-byte words
         col = windows[firsts, :w]
         # zero each cell's bytes past its end, a word at a time
         words = col.view("<u8")
         for k in range(int(sizes.min()) // 8, w // 8):
             words[:, k] &= _HEAD[k, sizes]
         yield col
-
-
-def _split_block(
-    block: np.ndarray, width: int, row_no: int, issues: list[ParseIssue]
-) -> tuple[list[tuple[str, ...]], list[int]]:
-    """A block's rows split in Python (see :func:`_split_line`), as columns
-    of str, and their numbers."""
-    rows, row_nos = [], []
-    for i, line in enumerate(block.tobytes().decode().split("\n")[:-1]):
-        row = _split_line(line, width, row_no + i, issues)
-        if row is not None:
-            rows.append(row)
-            row_nos.append(row_no + i)
-    return list(zip(*rows)), row_nos
 
 
 def _byte_width(ids: np.ndarray) -> int:
@@ -520,16 +504,16 @@ def _columns(
     """Encode blocks of raw cells into a Table; each bad row is skipped with
     one issue, under its first failing column in column order.
 
-    Each block is its encoder (:func:`_encode_column` or
-    :func:`_encode_cells`), one raw column per field and the rows' numbers.
+    Each block is one raw column per field (see :func:`_encode_cells`) and
+    the rows' numbers.
     """
     spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
     columns = [_Column(f) for f in fields]
-    for encode, raws, row_nos in blocks:
+    for raws, row_nos in blocks:
         failed = np.zeros(len(row_nos), dtype=bool)
         block = []
         for f, raw, (decoded, reasons) in zip(fields, raws, spellings):
-            col, why = encode(f, raw, decoded, reasons)
+            col, why = _encode_cells(f, raw, decoded, reasons)
             if why:
                 bad = np.zeros(len(row_nos), dtype=bool)
                 bad[list(why)] = True
@@ -565,7 +549,7 @@ def _parse_table(
         if rest is not None:
             lines, at, row_no = rest
             rows = _read_blocks(lines, names, what, issues, at, row_no)
-            yield from ((_encode_column, zip(*block), row_nos) for block, row_nos in rows)
+            yield from ((zip(*block), row_nos) for block, row_nos in rows)
 
     return _columns(fields, blocks(), issues)
 

@@ -31,7 +31,7 @@ from itertools import repeat
 from typing import Mapping, Sequence
 
 from .categories import MeasureKind, SignificanceCategory
-from .errors import AnalysisError
+from .errors import AnalysisError, id_list
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def _match(a: Columns, b: Columns) -> tuple[list[float], list[float]]:
         only_b = sorted(map_b.keys() - map_a.keys())
         parts = []
         if only_a:
-            parts.append(f"only in first: {', '.join(only_a)}")
+            parts.append(f"only in first: {id_list(only_a)}")
         if only_b:
-            parts.append(f"only in second: {', '.join(only_b)}")
+            parts.append(f"only in second: {id_list(only_b)}")
         raise AnalysisError(f"school sets differ; {'; '.join(parts)}")
     ids = sorted(map_a)
     return list(map(map_a.__getitem__, ids)), list(map(map_b.__getitem__, ids))

@@ -173,11 +173,11 @@ def long_id_file(long_id):
 @pytest.mark.parametrize(
     "long_id, length",
     [("P" * 200, 200), ("P" * 300, 300), ('"' + "P" * 2000 + '"', 2000)],
-    ids=["byte", "byte-split", "csv"],
+    ids=["byte", "byte-str-column", "csv"],
 )
 def test_one_long_id_is_one_issue_and_widens_nothing(monkeypatch, long_id, length):
     # 200 characters are gathered by numpy; 300 are over the gather's cap,
-    # so only the block that holds them is split in Python
+    # so only the id column of the block that holds them is cut into str
     data = long_id_file(long_id)
     assert len(data) > 2 * csvio._BLOCK_BYTES
     if not long_id.startswith('"'):  # a quote-free file: no csv module

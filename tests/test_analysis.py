@@ -82,6 +82,15 @@ def test_mismatched_sets_fatal():
         correlate(a, b)
 
 
+def test_mismatch_message_lists_at_most_20_ids():
+    a = score_list([float(i) for i in range(30)])
+    b = score_columns([f"S{i:03d}" for i in range(25, 30)], [1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(AnalysisError) as exc:
+        correlate(a, b)
+    shown = ", ".join(f"S{i:03d}" for i in range(20))
+    assert str(exc.value) == f"school sets differ; only in first: {shown} (and 5 more; 25 in all)"
+
+
 def test_zero_variance_fatal():
     a = score_list([1.0, 1.0, 1.0])
     b = score_list([0.0, 0.5, 1.0])

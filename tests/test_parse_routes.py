@@ -51,8 +51,12 @@ CELLS = [
     "-1", "nan", "inf", "-inf", "1e309", "4_1", "+7", ".5", "90", "90.0000001", "91",
     "\x0b", "\x1c", "P00000001", "S1",
 ]
-# whole lines a mutation inserts: blank, whitespace-only and comma-only
-LINES = ["", " ", "\t", " \t ", ",", "," * (WIDTH - 1), " ," * (WIDTH - 1) + " ", "," * WIDTH]
+# whole lines a mutation inserts: blank, whitespace-only and comma-only,
+# and lines of the whitespace str.strip() strips but bytes.strip() keeps
+LINES = [
+    "", " ", "\t", " \t ", ",", "," * (WIDTH - 1), " ," * (WIDTH - 1) + " ", "," * WIDTH,
+    "\x0b", "\x0c\x1c", ",\x1d,\x1e", "\x1f," * (WIDTH - 1) + "\x0b", ",\x0c" * (WIDTH - 1),
+]
 
 
 def _base_rows() -> list[str]:
@@ -77,7 +81,7 @@ EDGES = sorted(
 
 
 # edits made in every example, at drawn rows: each kind of line the byte
-# route must send to the Python split, and each kind of odd cell
+# route must look at one by one, and each kind of odd cell
 COVER = [("line", 0, text) for text in LINES] + [
     ("wide", 0, None), ("narrow", 4, None), ("pad", 0, " "), ("pad", 0, "\t"),
     ("pad", 6, "  "), ("cell", 0, " "), ("cell", 3, ""), ("cell", 2, "nan"),
@@ -135,7 +139,7 @@ def csv_parse(data, fields=PUPIL_FIELDS, what="pupil CSV"):
     """The parse of the csv route alone: every row read by the csv module."""
     issues = []
     blocks = read_blocks(data, tuple(f.name for f in fields), what, issues)
-    rows = ((cohort._encode_column, zip(*rows), row_nos) for rows, row_nos in blocks)
+    rows = ((zip(*rows), row_nos) for rows, row_nos in blocks)
     return cohort._columns(fields, rows, issues)
 
 
@@ -180,7 +184,7 @@ def test_byte_route_parses_as_the_csv_route(at, changes, final_newline):
     assert cohort._tokenizable(data)
     expected = csv_parse(data)
     assert_same_parse(parse_pupils(data), expected)
-    # a block with a cell too long to gather is split in Python, but the
+    # a column with a cell too long to gather is cut into str, but the
     # file stays on the byte route
     assert_same_parse(byte_route(data), expected)
 
@@ -220,6 +224,27 @@ def test_category_hash_collisions_fall_back_to_str(small_cohort, monkeypatch):
     monkeypatch.setattr(cohort, "_encode_column", recorded)
     assert_same_parse(byte_route(pupils), expected)
     assert set(fell_back) == {"ethnicity", "month_of_birth"}
+
+
+def test_long_cell_moves_only_its_own_column(small_cohort, monkeypatch):
+    # a 300-byte id is over the gather's cap: its column is cut into str
+    # and encoded from them, every other column is gathered as bytes
+    pupils, _ = small_cohort
+    head, first, rest = pupils.split(b"\n", 2)
+    long_id = b"P" * 300
+    data = b"\n".join([head, long_id + first[first.index(b","):], rest])
+    expected = csv_parse(data)
+    assert [(i.row, i.column) for i in expected[1]] == [(1, "pupil_id")]
+    as_str = []
+    encode_column = cohort._encode_column
+
+    def recorded(f, *args):
+        as_str.append(f.name)
+        return encode_column(f, *args)
+
+    monkeypatch.setattr(cohort, "_encode_column", recorded)
+    assert_same_parse(byte_route(data), expected)
+    assert as_str == ["pupil_id"]
 
 
 @pytest.mark.parametrize("variant", ["quoted id", "crlf", "bom"])
@@ -378,6 +403,14 @@ def _over_limit_cell() -> bytes:
     return "\n".join([HEADER, BASE[0], ",".join(cells), *BASE[2:50]]).encode()
 
 
+def _blank_line_over_limit() -> bytes:
+    """A line of spaces and commas whose first cell is over the csv
+    module's limit: the limit is checked before the line is skipped as
+    blank."""
+    line = " " * (csv.field_size_limit() + 1) + "," * (WIDTH - 1)
+    return "\n".join([HEADER, BASE[0], line, *BASE[1:50]]).encode()
+
+
 def _bad_header_and_late_byte() -> bytes:
     """A wrong header and a byte that is not UTF-8 in the last block: the
     file is read forward, so the header, which comes first, is reported."""
@@ -387,8 +420,12 @@ def _bad_header_and_late_byte() -> bytes:
 
 @pytest.mark.parametrize(
     "make, fragment",
-    [(_over_limit_cell, "field larger than field limit"), (_bad_header_and_late_byte, "header mismatch")],
-    ids=["cell-over-field-limit", "bad-header-and-late-byte"],
+    [
+        (_over_limit_cell, "field larger than field limit"),
+        (_blank_line_over_limit, "field larger than field limit"),
+        (_bad_header_and_late_byte, "header mismatch"),
+    ],
+    ids=["cell-over-field-limit", "blank-cell-over-field-limit", "bad-header-and-late-byte"],
 )
 def test_faults_fail_as_on_the_csv_route(monkeypatch, make, fragment):
     # the byte route meets these before it has read the whole file; its
