@@ -18,7 +18,8 @@ R-squared is exactly 0.
 Each run's :class:`MeasureSummary` holds the fit's adjusted R-squared, the
 sample (N-1) SDs of the pupil scores (national_sd) and of the school scores
 (unweighted; 0 with a warning for a single school), and the uncentred
-outcome mean / 10.
+outcome mean / 10. A :class:`MeasureResult` holds the fit's residuals, not
+a second pupil-length copy of them: its ``scores`` are made on first read.
 """
 
 from __future__ import annotations
@@ -64,17 +65,23 @@ class MeasureSummary:
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
-    """Everything one measure run produces; ``scores`` is in cohort pupil
-    order, ``school_columns`` holds the school scores as columns (see
-    :func:`school_score_columns`)."""
+    """Everything one measure run produces; ``school_columns`` holds the
+    school scores as columns (see :func:`school_score_columns`). The pupil
+    scores are held once, as ``fit.residuals``: ``scores`` is made from them
+    on first read."""
 
     measure: MeasureKind
     fit: FitResult
     design: DesignMatrix
     pupil_ids: np.ndarray
-    scores: np.ndarray
     school_columns: dict[str, list]
     summary: MeasureSummary
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """Pupil scores in grades per subject (residual / 10), in cohort
+        pupil order."""
+        return self.fit.residuals / POINTS_PER_GRADE
 
     @cached_property
     def pupil_scores(self) -> list[PupilScore]:
@@ -142,12 +149,19 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
     outcome = cohort.pupil_table["attainment8_total"]
     fit = fit_ols(design, outcome)
 
-    scores = fit.residuals / POINTS_PER_GRADE
-    sd_pupil = float(scores.std(ddof=1))
+    # The sample SD of the scores, worked in one pupil-length buffer in
+    # numpy's own steps for std(ddof=1) (mean, deviations squared in place,
+    # pairwise sum), so it is bit-identical to scores.std(ddof=1) without
+    # a second copy beside the residuals.
+    dev = fit.residuals / POINTS_PER_GRADE
+    dev -= dev.mean()
+    np.square(dev, out=dev)
+    sd_pupil = float(np.sqrt(dev.sum() / (dev.size - 1)))
+    scores = np.divide(fit.residuals, POINTS_PER_GRADE, out=dev)
     # An outcome the design fits exactly (a constant one, say) leaves only
     # rounding noise: an SD at that scale counts as 0, which
     # school_score_columns rejects.
-    noise = 1e-10 * float(np.abs(outcome).max()) / POINTS_PER_GRADE
+    noise = 1e-10 * max(float(outcome.max()), -float(outcome.min())) / POINTS_PER_GRADE
     national_sd = sd_pupil if sd_pupil > noise else 0.0
     schools = school_score_columns(
         kind,
@@ -176,7 +190,6 @@ def compute_measure(cohort: ValidatedCohort, kind: MeasureKind) -> MeasureResult
         fit=fit,
         design=design,
         pupil_ids=cohort.pupil_table["pupil_id"],
-        scores=scores,
         school_columns=schools,
         summary=summary,
     )

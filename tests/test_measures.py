@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vamkit.compare import SchoolScore
 from vamkit.errors import AnalysisError
 from vamkit.measures import compute_measure, school_score_columns
 from vamkit.ols import Z95
+from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_cohort, make_pupil, make_school, random_cohort
 
@@ -234,6 +236,30 @@ def test_measure_summary_sample_convention():
     assert summary.sd_school_scores == pytest.approx(np.std([0.5, 2.5], ddof=1))
     assert summary.n_pupils == 4 and summary.n_schools == 2
     assert summary.national_mean_grades == pytest.approx(1.5)
+
+
+SD_COHORTS = {
+    "40/0": lambda: generate_population(GeneratorConfig(n_schools=40, seed=0)).cohort,
+    "300/612": lambda: generate_population(GeneratorConfig(seed=612)).cohort,
+    **{
+        f"random-{seed}-{n_schools}x{size}": functools.partial(random_cohort, seed, n_schools, size)
+        for seed, n_schools, size in [(1, 6, 25), (2, 7, 31), (3, 9, 40), (27, 12, 23), (314, 8, 57)]
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", SD_COHORTS)
+def test_pupil_sd_is_numpy_std_bit_for_bit(name):
+    # compute_measure works the SD out in one buffer, in numpy's own steps:
+    # it must equal std(ddof=1) of the scores exactly, not approximately
+    cohort = SD_COHORTS[name]()
+    for kind in MeasureKind:
+        result = compute_measure(cohort, kind)
+        scores = result.scores
+        assert result.scores is scores
+        assert scores.tobytes() == (result.fit.residuals / 10.0).tobytes()
+        assert result.summary.sd_pupil_scores == float(scores.std(ddof=1)), kind
 
 
 def test_school_scores_equal_per_school_loop(midsize_population):
