@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .categories import FIELD, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, Field, MeasureKind
+from .categories import FIELD, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from .cohort import ValidatedCohort
 from .errors import AnalysisError
 from .ols import Z95
@@ -47,14 +47,6 @@ class BreakdownTable:
     footnotes: list[str] = field(default_factory=list)
 
 
-def _field(characteristic: str, valid: tuple[str, ...], what: str) -> Field:
-    if characteristic not in valid:
-        raise AnalysisError(
-            f"unknown {what} characteristic {characteristic!r}; valid: {', '.join(valid)}"
-        )
-    return FIELD[characteristic]
-
-
 def _aligned_scores(
     cohort: ValidatedCohort, scores_by_measure: Mapping[MeasureKind, np.ndarray]
 ) -> dict[MeasureKind, np.ndarray]:
@@ -72,13 +64,34 @@ def _aligned_scores(
     return out
 
 
-def _breakdown(
+def breakdown(
     cohort: ValidatedCohort,
-    aligned: dict[MeasureKind, np.ndarray],
-    universe: list[tuple[int, str]],
-    codes: np.ndarray,
-    by_school: bool,
+    scores_by_measure: Mapping[MeasureKind, np.ndarray],
+    characteristic: str,
 ) -> BreakdownTable:
+    """Category means per measure for one pupil or school characteristic.
+
+    ``scores_by_measure`` maps each measure to its pupil scores in cohort
+    order (``MeasureResult.scores``). A pupil characteristic's rows follow
+    its category universe, with a ``(missing)`` row last when an optional
+    field has empty cells, and its percents are pupil shares. A school
+    characteristic's categories come from each pupil's school: its percents
+    are school shares and its rows are sorted by the raw attainment mean,
+    highest first, when that measure is present.
+    """
+    aligned = _aligned_scores(cohort, scores_by_measure)
+    by_school = characteristic in SCHOOL_CHARACTERISTICS
+    if by_school:
+        codes = cohort.school_table[characteristic][cohort.school_index]
+    elif characteristic in PUPIL_CHARACTERISTICS:
+        codes = cohort.pupil_table[characteristic]
+    else:
+        valid = ", ".join(PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS)
+        raise AnalysisError(f"unknown characteristic {characteristic!r}; valid: {valid}")
+    f = FIELD[characteristic]
+    universe = list(enumerate(f.levels))
+    if f.optional and (codes < 0).any():
+        universe.append((-1, "(missing)"))
     # one bincount pass per measure over key (code + 1) * G + school, so row
     # code + 1 of each table holds a category's per-school counts and sums
     g = cohort.n_schools
@@ -130,47 +143,9 @@ def _breakdown(
                 significant=flags,
             )
         )
-    return BreakdownTable(rows=rows, footnotes=footnotes)
-
-
-def pupil_breakdown(
-    cohort: ValidatedCohort,
-    scores_by_measure: Mapping[MeasureKind, np.ndarray],
-    characteristic: str,
-) -> BreakdownTable:
-    """Category means per measure for one pupil characteristic.
-
-    ``scores_by_measure`` maps each measure to its pupil scores in cohort
-    order (``MeasureResult.scores``). Rows follow the category universe
-    order; percents are pupil shares.
-    """
-    aligned = _aligned_scores(cohort, scores_by_measure)
-    f = _field(characteristic, PUPIL_CHARACTERISTICS, "pupil")
-    codes = cohort.pupil_table[characteristic]
-    universe = list(enumerate(f.levels))
-    if f.optional and (codes < 0).any():
-        universe.append((-1, "(missing)"))
-    return _breakdown(cohort, aligned, universe, codes, by_school=False)
-
-
-def school_breakdown(
-    cohort: ValidatedCohort,
-    scores_by_measure: Mapping[MeasureKind, np.ndarray],
-    characteristic: str,
-) -> BreakdownTable:
-    """Category means per measure for one school characteristic.
-
-    Categories come from each pupil's school; counts are reported in both
-    schools and pupils and percents are school shares. Rows are sorted by
-    the raw attainment mean, highest first, when that measure is present.
-    """
-    aligned = _aligned_scores(cohort, scores_by_measure)
-    f = _field(characteristic, SCHOOL_CHARACTERISTICS, "school")
-    codes = cohort.school_table[characteristic][cohort.school_index]
-    table = _breakdown(cohort, aligned, list(enumerate(f.levels)), codes, by_school=True)
-    if MeasureKind.ATTAINMENT8 in aligned:
+    if by_school and MeasureKind.ATTAINMENT8 in aligned:
         a8 = MeasureKind.ATTAINMENT8
         # highest first, empty categories last; the sort is stable, so ties
         # keep universe order
-        table.rows.sort(key=lambda row: np.inf if row.means[a8] is None else -row.means[a8])
-    return table
+        rows.sort(key=lambda row: np.inf if row.means[a8] is None else -row.means[a8])
+    return BreakdownTable(rows=rows, footnotes=footnotes)

@@ -242,20 +242,18 @@ def _rows_csv(rows: list, fmt) -> bytes:
 
 
 def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> bytes:
-    header = ["category", "n_pupils", "n_schools", "percent"]
+    rows = table.rows
+    columns = {
+        "category": [row.category for row in rows],
+        "n_pupils": [row.n_pupils for row in rows],
+        "n_schools": [row.n_schools for row in rows],
+        "percent": [f"{row.percent:.1f}" for row in rows],
+    }
     for kind in kinds:
-        header += [f"mean_{kind.code}", f"significant_{kind.code}"]
-    rows = []
-    for row in table.rows:
-        out = [row.category, str(row.n_pupils), str(row.n_schools), f"{row.percent:.1f}"]
-        for kind in kinds:
-            out += [_cell(row.means[kind], fmt), _cell(row.significant[kind], fmt)]
-        rows.append(out)
-    body = csv_bytes(header, [list(column) for column in zip(*rows)])
-    if table.footnotes:
-        notes = "".join(f"# {note}\n" for note in table.footnotes)
-        body += notes.encode("utf-8")
-    return body
+        columns[f"mean_{kind.code}"] = [row.means[kind] for row in rows]
+        columns[f"significant_{kind.code}"] = [row.significant[kind] for row in rows]
+    notes = "".join(f"# {note}\n" for note in table.footnotes)
+    return _columns_csv(columns, fmt) + notes.encode("utf-8")
 
 
 def _column_parser(tp):
@@ -457,7 +455,7 @@ def _cmd_compare(args, out_dir: Path):
 
 
 def _cmd_breakdown(args, out_dir: Path):
-    from .analysis import pupil_breakdown, school_breakdown
+    from .analysis import breakdown
     from .measures import compute_measure
 
     inputs = {}
@@ -465,10 +463,7 @@ def _cmd_breakdown(args, out_dir: Path):
     with _pupil_fault(args):
         # only each measure's pupil scores are kept
         scores = {kind: compute_measure(cohort, kind).scores for kind in args.measures}
-    if args.by in PUPIL_CHARACTERISTICS:
-        table = pupil_breakdown(cohort, scores, args.by)
-    else:
-        table = school_breakdown(cohort, scores, args.by)
+    table = breakdown(cohort, scores, args.by)
     name = f"breakdown_{args.by}.csv"
     _write_atomic(out_dir / name, _breakdown_csv(table, args.measures, _formatter(args.precision)))
     return inputs, None, [name], None

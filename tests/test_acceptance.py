@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vamkit.analysis import pupil_breakdown
+from vamkit.analysis import breakdown
 from vamkit.categories import MeasureKind, SignificanceCategory
 from vamkit.cli import run
 from vamkit.cohort import decode_ids, validate_cohort
@@ -134,11 +134,11 @@ def test_criterion_3_zero_category_means(default_population, default_results):
         if not adjusted:
             continue
         table = {
-            ch: pupil_breakdown(cohort, {kind: result.scores}, ch)
+            ch: breakdown(cohort, {kind: result.scores}, ch)
             for ch in adjusted
         }
-        for ch, breakdown in table.items():
-            for row in breakdown.rows:
+        for ch, by_ch in table.items():
+            for row in by_ch.rows:
                 if row.n_pupils == 0:
                     continue
                 mean = row.means[kind]

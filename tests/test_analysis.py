@@ -5,12 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vamkit.analysis import (
-    PUPIL_CHARACTERISTICS,
-    SCHOOL_CHARACTERISTICS,
-    pupil_breakdown,
-    school_breakdown,
-)
+from vamkit.analysis import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, breakdown
 from vamkit.categories import FIELD, MeasureKind, SignificanceCategory
 from vamkit.cli import run
 from vamkit.cohort import decode_ids, serialize_blocks, validate_cohort
@@ -318,7 +313,7 @@ def test_fsm_breakdown_counts_and_means():
         make_pupil("P4", "S2", fsm=0, attainment8_total=70.0),
     ]
     cohort = make_cohort(pupils, [make_school("S1"), make_school("S2")])
-    table = pupil_breakdown(cohort, two_school_scores(cohort), "fsm")
+    table = breakdown(cohort, two_school_scores(cohort), "fsm")
     rows = {r.category: r for r in table.rows}
     assert rows["Eligible"].n_pupils == 2 and rows["Not eligible"].n_pupils == 2
     assert rows["Eligible"].percent == pytest.approx(50.0)
@@ -330,7 +325,7 @@ def test_fsm_breakdown_counts_and_means():
 def test_adjusted_characteristic_means_zero_no_stars(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, AA8)
-    table = pupil_breakdown(cohort, {AA8: result.scores}, "fsm")
+    table = breakdown(cohort, {AA8: result.scores}, "fsm")
     for row in table.rows:
         assert abs(row.means[AA8]) <= 1e-9
         assert row.significant[AA8] is False
@@ -340,7 +335,7 @@ def test_breakdown_pupil_counts_sum_and_percent(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
     for characteristic in ("ethnicity", "idaci_decile", "month_of_birth"):
-        table = pupil_breakdown(cohort, {A8: result.scores}, characteristic)
+        table = breakdown(cohort, {A8: result.scores}, characteristic)
         assert sum(r.n_pupils for r in table.rows) == cohort.n_pupils
         assert sum(r.percent for r in table.rows) == pytest.approx(100.0, abs=0.2)
 
@@ -348,7 +343,7 @@ def test_breakdown_pupil_counts_sum_and_percent(midsize_population):
 def test_breakdown_weighted_mean_is_zero(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
-    table = pupil_breakdown(cohort, {A8: result.scores}, "sen")
+    table = breakdown(cohort, {A8: result.scores}, "sen")
     weighted = sum(r.n_pupils * r.means[A8] for r in table.rows if r.n_pupils)
     assert abs(weighted / cohort.n_pupils) <= 1e-9
 
@@ -366,7 +361,7 @@ def test_single_school_category_suppressed():
     ]
     cohort = make_cohort(pupils, schools)
     result = compute_measure(cohort, A8)
-    table = school_breakdown(cohort, {A8: result.scores}, "region")
+    table = breakdown(cohort, {A8: result.scores}, "region")
     rows = {r.category: r for r in table.rows}
     assert rows["London"].significant[A8] is None
     assert rows["North East"].significant[A8] is None
@@ -382,7 +377,7 @@ def test_shared_region_single_row_mean_zero(midsize_population):
     )
     shared = validate_cohort(cohort.pupil_table, schools)
     result = compute_measure(shared, A8)
-    table = school_breakdown(shared, {A8: result.scores}, "region")
+    table = breakdown(shared, {A8: result.scores}, "region")
     filled = [r for r in table.rows if r.n_pupils > 0]
     assert len(filled) == 1
     assert filled[0].category == "South West"
@@ -390,11 +385,11 @@ def test_shared_region_single_row_mean_zero(midsize_population):
     assert filled[0].n_schools == shared.n_schools
 
 
-def test_school_breakdown_sorted_by_raw_attainment(midsize_population):
+def test_school_characteristic_breakdown_sorted_by_raw_attainment(midsize_population):
     cohort = midsize_population.cohort
     results = {kind: compute_measure(cohort, kind) for kind in [A8, AP8]}
     scores = {k: r.scores for k, r in results.items()}
-    table = school_breakdown(cohort, scores, "school_idaci_decile")
+    table = breakdown(cohort, scores, "school_idaci_decile")
     means = [r.means[A8] for r in table.rows if r.means[A8] is not None]
     assert means == sorted(means, reverse=True)
     # deprived-intake deciles should sit at the bottom of the raw ranking
@@ -405,17 +400,18 @@ def test_school_breakdown_sorted_by_raw_attainment(midsize_population):
 def test_unknown_characteristic_fatal(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
-    with pytest.raises(AnalysisError, match="unknown pupil characteristic"):
-        pupil_breakdown(cohort, {A8: result.scores}, "shoe_size")
-    with pytest.raises(AnalysisError, match="unknown school characteristic"):
-        school_breakdown(cohort, {A8: result.scores}, "shoe_size")
+    valid = ", ".join(PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS)
+    with pytest.raises(AnalysisError) as err:
+        breakdown(cohort, {A8: result.scores}, "shoe_size")
+    assert str(err.value) == f"unknown characteristic 'shoe_size'; valid: {valid}"
+    assert len(PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS) == 15
 
 
 def test_scores_must_cover_cohort(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
     with pytest.raises(AnalysisError, match="pupil scores"):
-        pupil_breakdown(cohort, {A8: result.scores[:-1]}, "fsm")
+        breakdown(cohort, {A8: result.scores[:-1]}, "fsm")
 
 
 def clustered_mean_flag(values, school_codes):
@@ -445,13 +441,9 @@ def assert_flags_match(cohort, oracle):
     results = {kind: compute_measure(cohort, kind) for kind in MeasureKind}
     scores = {k: r.scores for k, r in results.items()}
     checked = []
-    for characteristics, breakdown, codes_of in (
-        (PUPIL_CHARACTERISTICS, pupil_breakdown, lambda c: cohort.pupil_table[c]),
-        (
-            SCHOOL_CHARACTERISTICS,
-            school_breakdown,
-            lambda c: cohort.school_table[c][cohort.school_index],
-        ),
+    for characteristics, codes_of in (
+        (PUPIL_CHARACTERISTICS, lambda c: cohort.pupil_table[c]),
+        (SCHOOL_CHARACTERISTICS, lambda c: cohort.school_table[c][cohort.school_index]),
     ):
         for characteristic in characteristics:
             codes = codes_of(characteristic)
@@ -492,7 +484,7 @@ def test_breakdown_rejects_non_finite_scores(midsize_population):
     scores = compute_measure(cohort, A8).scores.copy()
     scores[3] = np.nan
     with pytest.raises(AnalysisError, match="finite"):
-        pupil_breakdown(cohort, {A8: scores}, "fsm")
+        breakdown(cohort, {A8: scores}, "fsm")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # levels absent from a small cohort
