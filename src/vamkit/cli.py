@@ -104,16 +104,11 @@ class _Digested:
     """A binary file read through a SHA-256 of the bytes read: a parse
     reads its file once, forward, through ``readinto`` (one loop,
     ``csvio._line_blocks``, reads every cohort and score file), so this is
-    the digest of the file. ``read`` serves the config file."""
+    the digest of the file."""
 
     def __init__(self, file: typing.BinaryIO):
         self._file = file
         self.sha256 = hashlib.sha256()
-
-    def read(self, size: int = -1) -> bytes:
-        data = self._file.read(size)
-        self.sha256.update(data)
-        return data
 
     def readinto(self, buffer) -> int:
         n = self._file.readinto(buffer)
@@ -367,7 +362,9 @@ def _cmd_simulate(args, out_dir: Path):
     if args.config is not None:
         config_path = Path(args.config)
         try:
-            loaded = json.loads(_parse_input(config_path, inputs, _Digested.read).decode("utf-8"))
+            data = config_path.read_bytes()
+            inputs[str(config_path)] = hashlib.sha256(data).hexdigest()
+            loaded = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise VamkitError(f"{config_path}: not a JSON file: {exc}") from exc
         if not isinstance(loaded, dict):

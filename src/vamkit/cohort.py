@@ -26,11 +26,10 @@ two routes, which give the same columns, dtypes and issues:
 Either way the file is read once, forward, with no seek, so a pipe will
 do, and a parse holds the file's columns and one block, not the file's
 bytes or a Python string per cell. Each column is one array that grows
-in place as blocks are encoded. The writer mirrors the byte route: each
-block of rows is put together from one byte array per column, and the
-only Python string it makes per cell is an outcome's ``repr``. It writes
-the bytes ``csvio.csv_bytes`` writes for the same cells, a block at a
-time (:func:`serialize_blocks`).
+in place as blocks are encoded. The writer, :func:`serialize_blocks`,
+makes a block of rows' cells as str, a column at a time, and joins them
+with the line joiner of ``csvio.csv_bytes``, so every file vamkit writes
+goes through one CSV writer; a cohort file is made a block at a time.
 
 Rows are held by column (:class:`Table`): ids as fixed-width UTF-8 bytes
 (numpy ``S``, one byte per ASCII character), the outcome as float64 and
@@ -63,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .categories import ID_MAX_CHARS, PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
-from .csvio import _BLOCK_ROWS, _SPECIAL, ParseIssue, _check_header, _fields, _line_blocks, _read_blocks
+from .csvio import _BLOCK_ROWS, ParseIssue, _check_header, _csv_lines, _line_blocks, _read_blocks
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
@@ -632,106 +631,30 @@ def validate_cohort(pupils: Table, schools: Table) -> ValidatedCohort:
     return ValidatedCohort(pupils, schools.take(by_id[at]), school_index)
 
 
-# The writer mirrors the byte route: a block's cells of one column are an
-# (n, width) uint8 array, each cell's bytes followed by _PAD, a byte no
-# UTF-8 text holds, up to the width.
-_PAD = 0xFF
-# bytes that make a cell quoted, as csvio._fields quotes
-_QUOTED = np.zeros(256, dtype=bool)
-_QUOTED[[ord(c) for c in _SPECIAL]] = True
-
-
-def _pad(cells: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Overwrite each cell's bytes past its length with ``_PAD``."""
-    if lengths.size and lengths.min() < cells.shape[1]:
-        cells[np.arange(cells.shape[1]) >= lengths[:, None]] = _PAD
-    return cells
-
-
-def _text_cells(texts: list[str]) -> np.ndarray:
-    """Cells of a column of str, quoted as ``csv_bytes`` quotes them and
-    UTF-8 encoded."""
-    data = [t.encode() for t in _fields(texts)]
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    width = max(int(lengths.max(initial=0)), 1)
-    cells = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    return _pad(cells, lengths)
-
-
-def _id_cells(ids: np.ndarray) -> np.ndarray:
-    """:func:`_text_cells` of a block of ids: their bytes when no cell needs
-    quotes (no byte of a character past ASCII is one that could), else cell
-    by cell."""
-    cells = np.array(ids)  # a copy: the padding is written into it
-    width = cells.dtype.itemsize
-    cells = cells.view(np.uint8).reshape(cells.size, width)
-    zero = cells == 0
-    # a 0 byte before another byte of the same id is a NUL the id holds,
-    # not padding: such a block is written cell by cell too
-    flat = zero.ravel()
-    holds_nul = (np.flatnonzero(flat[:-1] > flat[1:]) % width != width - 1).any()
-    if holds_nul or np.take(_QUOTED, cells).any():
-        return _text_cells(decode_ids(ids))
-    cells[zero] = _PAD
-    return cells
-
-
-def _float_cells(values: np.ndarray) -> np.ndarray:
-    """Cells of a block of numbers: each one's shortest round-trip repr, but
-    an integer value without its ".0"."""
-    values = np.asarray(values, dtype=np.float64)
-    if not values.size:
-        return np.zeros((0, 1), dtype=np.uint8)
-    # a list's repr is each float's repr between "[", ", " and "]"
-    text = np.frombuffer(repr(values.tolist()).encode(), dtype=np.uint8)
-    ends = np.append(np.flatnonzero(text == _COMMA), text.size - 1)
-    starts = np.concatenate(([1], ends[:-1] + 2))
-    lengths = ends - starts
-    whole = np.flatnonzero(np.isfinite(values) & (values == np.trunc(values)))
-    ints = [str(int(v)).encode() for v in values[whole].tolist()]
-    width = max(int(lengths.max()), max(map(len, ints), default=0))
-    padded = np.zeros(text.size + width, dtype=np.uint8)
-    padded[: text.size] = text
-    cells = as_strided(padded, shape=(text.size, width), strides=(1, 1))[starts]
-    if ints:
-        cells[whole] = np.array(ints, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-        lengths[whole] = list(map(len, ints))
-    return _pad(cells, lengths)
-
-
-def _join_rows(columns: list[np.ndarray]) -> bytes:
-    """CSV lines from a block's cells: each row's cells and separators side
-    by side, less the padding."""
-    line = np.empty((len(columns[0]), sum(cells.shape[1] + 1 for cells in columns)), np.uint8)
-    at = 0
-    for cells in columns:
-        line[:, at : at + cells.shape[1]] = cells
-        at += cells.shape[1]
-        line[:, at] = _COMMA
-        at += 1
-    line[:, -1] = _NEWLINE
-    line = line.ravel()
-    return line[line != _PAD].tobytes()
-
-
 def serialize_blocks(table: Table) -> Iterator[bytes]:
-    """A Table as the CSV bytes ``csv_bytes`` writes for its cells' text:
-    the header line, then the lines of each block of ``_BLOCK_ROWS`` rows,
-    made as they are asked for. A category's cells are gathered from a
-    table of its spellings by code (code -1: the empty cell)."""
+    """A Table as CSV bytes, by ``csvio.csv_bytes``'s line joiner: the
+    header line, then the lines of each block of ``_BLOCK_ROWS`` rows, made
+    as they are asked for. An id's cell is its text; a number's is its
+    shortest round-trip repr, but an integer value without its ".0"; a
+    category's is its spelling, looked up by code (code -1: the empty
+    cell)."""
     fields = table.fields
     spellings = {
-        f.name: _text_cells(list(f.spellings + ("",))) for f in fields if f.kind not in _DTYPE
+        f.name: np.array(f.spellings + ("",), dtype=object) for f in fields if f.kind not in _DTYPE
     }
-    yield (",".join(_fields([f.name for f in fields])) + "\n").encode()
+    yield _csv_lines([[f.name] for f in fields])
     for start in range(0, len(table), _BLOCK_ROWS):
         block = []
         for f in fields:
             col = table[f.name][start : start + _BLOCK_ROWS]
             if f.kind is Kind.ID:
-                block.append(_id_cells(col))
+                block.append(decode_ids(col))
             elif f.kind is Kind.FLOAT:
-                block.append(_float_cells(col))
+                cells = list(map(repr, col.tolist()))
+                whole = np.flatnonzero(np.isfinite(col) & (col == np.trunc(col)))
+                for at, value in zip(whole.tolist(), col[whole].tolist()):
+                    cells[at] = str(int(value))
+                block.append(cells)
             else:
-                block.append(spellings[f.name][col])
-        yield _join_rows(block)
+                block.append(spellings[f.name][col].tolist())
+        yield _csv_lines(block)

@@ -18,9 +18,9 @@ that is ASCII and holds no quote, carriage return or NUL is cut into
 cells by numpy in :mod:`vamkit.cohort` under the same rules;
 :func:`read_blocks` reads the rest of a cohort file from the first line
 the byte route cannot cut, and the score files ``compare`` reads.
-Likewise :func:`csv_bytes` writes ``truth.csv`` and the CLI's outputs,
-while :mod:`vamkit.cohort` writes the cohort files, byte for byte as
-:func:`csv_bytes` would, with numpy.
+One line joiner (:func:`_csv_lines`) writes every file: :func:`csv_bytes`
+writes ``truth.csv`` and the CLI's outputs with it, and
+:mod:`vamkit.cohort` the cohort files, a block of rows at a time.
 
 This module needs only the standard library, so the CLI's ``compare``
 reads and writes without importing numpy.
@@ -193,14 +193,18 @@ def _fields(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
 
 
+def _csv_lines(columns: Sequence[list[str]]) -> bytes:
+    """The UTF-8 CSV lines, each ended by "\\n", of equal-length columns of
+    str that hold at least one row."""
+    return ("\n".join(map(",".join, zip(*map(_fields, columns)))) + "\n").encode("utf-8")
+
+
 def csv_bytes(header: Sequence[str], columns: Sequence[list[str]]) -> bytes:
     """UTF-8 CSV with "\\n" line ends from equal-length columns of str."""
     if len({len(col) for col in columns}) > 1:
         raise ValueError("csv_bytes needs columns of equal length")
-    columns = [_fields(col) for col in columns]
     buf = io.BytesIO()
-    buf.write((",".join(_fields(list(header))) + "\n").encode("utf-8"))
+    buf.write(_csv_lines([[name] for name in header]))
     for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
-        rows = zip(*(col[start : start + _BLOCK_ROWS] for col in columns))
-        buf.write(("\n".join(map(",".join, rows)) + "\n").encode("utf-8"))
+        buf.write(_csv_lines([col[start : start + _BLOCK_ROWS] for col in columns]))
     return buf.getvalue()

@@ -1,4 +1,4 @@
-"""The cohort writer vamkit used before its numpy one, kept as a test oracle.
+"""A per-cell cohort writer, kept as a test oracle.
 
 Each cell is made a Python str (an id as its UTF-8 text, a number by ``_num``, a
 category code by its spelling, code -1 as the empty cell) and the columns

@@ -155,7 +155,7 @@ def test_config_file_overrides(tmp_path):
     assert len(rows) == 8
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
-    assert str(config) in manifest["inputs"]
+    assert manifest["inputs"][str(config)] == hashlib.sha256(config.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""The cohort writer against the per-cell writer it replaced.
+"""The cohort writer against a per-cell writer, kept as an oracle.
 
-``serialize_blocks`` builds each block of rows from numpy byte arrays;
+``serialize_blocks`` makes each block of rows' cells a column at a time;
 ``serialize_reference.py`` makes one Python str per cell and joins them
 with ``csv_bytes``. A derandomised property test checks
 that both write the same bytes for random pupil and school tables: ids that
 need quoting, non-ASCII ids and ids with an inner NUL; outcomes at zero,
 signed zero, the bounds, subnormals, large integers, nan and inf; code -1
 (the empty cell) in the category columns; and row counts either side of a
-block of ``_BLOCK_ROWS``.
+block of ``_BLOCK_ROWS``. As both join their rows with csvio's joiner, the
+test also reads the bytes back with ``csv.reader``, which shares no code
+with the writer, and checks that the writer yields the header line and
+then one piece per block.
 """
+
+import csv
+import io
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import Phase, given, settings
@@ -18,7 +26,7 @@ from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS, Kind
 from vamkit.cohort import Table, serialize_blocks
 from vamkit.csvio import _BLOCK_ROWS
 
-from serialize_reference import serialize
+import serialize_reference
 
 SIZES = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
 ID_CELLS = ["a,b", 'say "hi"', "cr\r", "lf\n", "\r\n", "Zoë", "学校", "a\0b", "", " x ", "P1"]
@@ -82,4 +90,15 @@ def tables(draw):
 )
 @given(table=tables())
 def test_writer_matches_per_cell_reference(table):
-    assert b"".join(serialize_blocks(table)) == serialize(table)
+    pieces = list(serialize_blocks(table))
+    written = b"".join(pieces)
+    assert written == serialize_reference.serialize(table)
+
+    # the header and the reference's cells, read back by the csv module
+    with mock.patch.object(serialize_reference, "csv_bytes", lambda *header_cells: header_cells):
+        header, cells = serialize_reference.serialize(table)
+    rows = list(csv.reader(io.StringIO(written.decode("utf-8"), newline="")))
+    assert rows == [header] + [list(row) for row in zip(*cells)]
+    # streamed: the header line, then one piece per block of rows
+    assert pieces[0] == (",".join(header) + "\n").encode()
+    assert len(pieces) == 1 + math.ceil(len(table) / _BLOCK_ROWS)
