@@ -10,8 +10,9 @@ so (N-1)/(N-k) is 1 and (X'X)^-1 is 1/n_c):
 over the G_c schools present in the category. Each school's inner sum is
 its category score sum minus m_c times its category count; the counts and
 sums of every category and school come from one bincount per measure. The
-means m_c come from one stable sort of the pupils by category per
-breakdown: each category's scores are a contiguous slice, in cohort order.
+means m_c come from one row index per category, its pupils in cohort order:
+each measure's category scores are gathered through it, one measure at a
+time, so a breakdown holds no sorted copy of any measure's scores.
 Categories spanning fewer than two schools have their flag suppressed with
 a footnote.
 """
@@ -102,15 +103,13 @@ def breakdown(
         kind: np.bincount(key, weights=scores, minlength=size).reshape(-1, g)
         for kind, scores in aligned.items()
     }
-    # one stable grouping: category c's pupils are the slice bounds[c + 1] to
-    # bounds[c + 2] of order, in cohort order, so each mean adds the scores
-    # of scores[codes == c] in the same order
-    order = np.argsort(codes, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-    grouped = {kind: scores[order] for kind, scores in aligned.items()}
+    del key
     rows: list[BreakdownRow] = []
     footnotes: list[str] = []
     for code, cat in universe:
+        # the category's pupils, in cohort order, so each mean adds the
+        # scores of scores[codes == code] in that order
+        members = np.flatnonzero(codes == code)
         present = np.flatnonzero(counts[code + 1])  # the category's schools
         n_cat = int(counts[code + 1].sum())
         n_sch = int(present.size)
@@ -120,8 +119,8 @@ def breakdown(
             percent = 100.0 * n_cat / cohort.n_pupils
         means: dict[MeasureKind, float | None] = {}
         flags: dict[MeasureKind, bool | None] = {}
-        for kind, scores in grouped.items():
-            mean = float(scores[bounds[code + 1] : bounds[code + 2]].mean()) if n_cat else None
+        for kind, scores in aligned.items():
+            mean = float(scores[members].mean()) if n_cat else None
             means[kind] = mean
             flags[kind] = None
             if n_sch >= 2:

@@ -15,8 +15,12 @@ Randomness exists only in `simulate --seed`; fitting is seed-free.
 ``fit``, ``breakdown`` and ``validate`` read each cohort file as a stream,
 so a parse holds the file's columns and one block of its bytes, never the
 whole file; ``fit`` then runs one measure at a time and keeps only its
-output tables. ``simulate`` writes each block of a cohort file as it is
-made.
+output tables. ``breakdown`` parses the cohort and fits each measure once,
+keeps only the pupil scores, then runs one ``analysis.breakdown`` per
+characteristic of ``--by`` (a comma list, or ``all`` for all fifteen),
+each gathering a category's scores through one row index and writing
+``breakdown_<by>.csv`` byte-identical to a single ``--by`` run's.
+``simulate`` writes each block of a cohort file as it is made.
 
 Each subcommand imports only the modules it runs: ``compare`` needs the
 standard library alone, while ``simulate``, ``fit``, ``breakdown`` and
@@ -53,23 +57,30 @@ from .errors import AnalysisError, CohortError, DesignError, FitError, Generator
 if typing.TYPE_CHECKING:
     from .analysis import BreakdownTable
 
-_MEASURES_BY_CODE = {kind.code: kind for kind in MeasureKind}
+
+def _list_parser(noun: str, values: dict):
+    """An argparse type for 'all' or a comma list of ``values``' names, in
+    any case: every value for 'all', else the values named, in first-seen
+    order, each once."""
+
+    def parse(text: str) -> list:
+        if text.strip().lower() == "all":
+            return list(values.values())
+        names = [name.strip().lower() for name in text.split(",")]
+        for name in names:
+            if name not in values:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {noun} {name!r}; valid: all, {', '.join(values)}"
+                )
+        return list(dict.fromkeys(values[name] for name in names))
+
+    return parse
 
 
-def _parse_measures(text: str) -> list[MeasureKind]:
-    if text.strip().lower() == "all":
-        return list(MeasureKind)
-    kinds = []
-    for code in text.split(","):
-        code = code.strip().lower()
-        if code not in _MEASURES_BY_CODE:
-            raise argparse.ArgumentTypeError(
-                f"unknown measure {code!r}; valid: all, {', '.join(_MEASURES_BY_CODE)}"
-            )
-        kind = _MEASURES_BY_CODE[code]
-        if kind not in kinds:
-            kinds.append(kind)
-    return kinds
+_parse_measures = _list_parser("measure", {kind.code: kind for kind in MeasureKind})
+_parse_characteristics = _list_parser(
+    "characteristic", {c: c for c in PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS}
+)
 
 
 def _parse_thresholds(text: str) -> list[int]:
@@ -460,10 +471,15 @@ def _cmd_breakdown(args, out_dir: Path):
     with _pupil_fault(args):
         # only each measure's pupil scores are kept
         scores = {kind: compute_measure(cohort, kind).scores for kind in args.measures}
-    table = breakdown(cohort, scores, args.by)
-    name = f"breakdown_{args.by}.csv"
-    _write_atomic(out_dir / name, _breakdown_csv(table, args.measures, _formatter(args.precision)))
-    return inputs, None, [name], None
+    fmt = _formatter(args.precision)
+    # one breakdown at a time; no file is written until every one is done
+    tables = {
+        f"breakdown_{by}.csv": _breakdown_csv(breakdown(cohort, scores, by), args.measures, fmt)
+        for by in args.by
+    }
+    for name, data in tables.items():
+        _write_atomic(out_dir / name, data)
+    return inputs, None, sorted(tables), None
 
 
 def _cmd_validate(args) -> int:
@@ -515,8 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pupils", required=True)
     p.add_argument("--schools", required=True)
     p.add_argument("--measures", type=_parse_measures, default=list(MeasureKind))
-    p.add_argument("--by", required=True,
-                   choices=list(PUPIL_CHARACTERISTICS) + list(SCHOOL_CHARACTERISTICS))
+    p.add_argument("--by", type=_parse_characteristics, required=True,
+                   help="comma-separated pupil or school characteristics, or 'all'")
     p.add_argument("--precision", type=_parse_precision, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_breakdown)

@@ -4,8 +4,11 @@ and a CSV parse stays within a few times the file's size, even when one id is lo
 A categorical design is fitted from its code columns, so neither fitting
 a measure with its clustered covariance nor generating a cohort's outcome
 should allocate an N x k float64 array (about 28 MB on the default
-cohort), and a measure's result keeps one length-N array, its residuals. A parse encodes a block of rows at a time, so it never holds a
-Python str per cell of the file, and the CLI streams the file once, so it
+cohort), and a measure's result keeps one length-N array, its residuals.
+A breakdown gathers each category's scores through a row index, so it
+holds no sorted copy of the scores it is handed. A parse encodes a block
+of rows at a time, so it never holds a Python str per cell of the file,
+and the CLI streams the file once, so it
 never holds the file's bytes either, even when a late quote switches the
 read to the csv route. Ids are fixed-width UTF-8 bytes, so one
 long id must not set the width of its whole column.
@@ -20,7 +23,8 @@ import numpy as np
 import pytest
 
 from vamkit import cohort, csvio
-from vamkit.categories import MeasureKind
+from vamkit.analysis import breakdown
+from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from vamkit.cli import _parse_input
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools, serialize_blocks
 from vamkit.design import design_labels
@@ -111,6 +115,24 @@ def test_a_measure_holds_its_residuals_and_one_temporary(default_population):
             assert peak / vector < 2.9, f"{kind.value}: peak {peak / vector:.2f} vectors"
             assert held / vector < 1.5, f"{kind.value}: held {held / vector:.2f} vectors"
             del result
+
+
+def test_a_breakdown_holds_no_copy_of_the_scores(default_population):
+    # Each category's pupils are one row index, and the measures' category
+    # scores are gathered through it one at a time. Traced per
+    # characteristic at 300/612, in pupil-length float64 vectors, with the
+    # four score arrays made before tracing: peak 1.25-2.24, against
+    # 6.15-7.27 when a stable sort's order and four sorted copies of the
+    # scores were held together.
+    cohort = default_population.cohort
+    vector = cohort.n_pupils * 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scores = {kind: compute_measure(cohort, kind).scores for kind in MeasureKind}
+    breakdown(cohort, scores, "ethnicity")  # warm-up
+    for characteristic in PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS:
+        _, peak = traced_peak(lambda: breakdown(cohort, scores, characteristic))
+        assert peak / vector < 3, f"{characteristic}: peak {peak / vector:.2f} vectors"
 
 
 def test_level_counts_hold_no_pupil_length_array(default_population):

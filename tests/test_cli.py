@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vamkit
+from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS
 from vamkit.cli import run
 from vamkit.cohort import decode_ids, serialize_blocks
 from vamkit.csvio import _BLOCK_BYTES
@@ -381,6 +382,61 @@ def test_breakdown_school_characteristic(tmp_path, sim_dir):
     filled = [r for r in rows if int(r["n_pupils"]) > 0]
     means = [float(r["mean_a8"]) for r in filled]
     assert means == sorted(means, reverse=True)
+
+
+def test_breakdown_by_all_writes_the_single_runs_files(tmp_path):
+    # one parse and one fit per measure for every characteristic; each file
+    # is byte-identical to its single --by run's, as pinned at 40/0
+    pin = Path(__file__).with_name("pipeline_40_0.sha256").read_text().splitlines()
+    digest_of = {path: digest for digest, path in (line.split("  ") for line in pin)}
+    sim, out = tmp_path / "sim", tmp_path / "bd"
+    run_ok(["simulate", "--schools", "40", "--seed", "0", "--out", str(sim)])
+    run_ok([
+        "breakdown",
+        "--pupils", str(sim / "pupils.csv"),
+        "--schools", str(sim / "schools.csv"),
+        "--measures", "all",
+        "--by", "all",
+        "--out", str(out),
+    ])
+    names = sorted(f"breakdown_{by}.csv" for by in PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS)
+    assert len(names) == 15
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == names
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+    for name in names:
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == digest_of[f"{name[:-4]}/{name}"], name
+
+
+def test_breakdown_by_list_drops_repeats(tmp_path, sim_dir):
+    out = tmp_path / "bd"
+    run_ok([
+        "breakdown",
+        "--pupils", str(sim_dir / "pupils.csv"),
+        "--schools", str(sim_dir / "schools.csv"),
+        "--by", "fsm,region,fsm",
+        "--out", str(out),
+    ])
+    names = ["breakdown_fsm.csv", "breakdown_region.csv"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == names
+    assert sorted(p.name for p in out.iterdir()) == names + ["manifest.json"]
+
+
+def test_unknown_characteristic_is_usage_error(tmp_path, sim_dir, capsys):
+    out = tmp_path / "bd"
+    code = run([
+        "breakdown",
+        "--pupils", str(sim_dir / "pupils.csv"),
+        "--schools", str(sim_dir / "schools.csv"),
+        "--by", "fsm,shoe_size",
+        "--out", str(out),
+    ])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unknown characteristic 'shoe_size'" in errors[0]
+    valid = errors[0].split("valid: ", 1)[1].split(", ")
+    assert valid == ["all", *PUPIL_CHARACTERISTICS, *SCHOOL_CHARACTERISTICS]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
