@@ -59,19 +59,19 @@ if typing.TYPE_CHECKING:
 
 
 def _list_parser(noun: str, values: dict):
-    """An argparse type for 'all' or a comma list of ``values``' names, in
-    any case: every value for 'all', else the values named, in first-seen
-    order, each once."""
+    """An argparse type for a comma list of ``values``' names or 'all', in
+    any case: every value, in ``values``' order, when 'all' is among them,
+    else the values named, in first-seen order, each once."""
 
     def parse(text: str) -> list:
-        if text.strip().lower() == "all":
-            return list(values.values())
         names = [name.strip().lower() for name in text.split(",")]
         for name in names:
-            if name not in values:
+            if name != "all" and name not in values:
                 raise argparse.ArgumentTypeError(
                     f"unknown {noun} {name!r}; valid: all, {', '.join(values)}"
                 )
+        if "all" in names:
+            return list(values.values())
         return list(dict.fromkeys(values[name] for name in names))
 
     return parse

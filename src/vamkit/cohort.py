@@ -38,10 +38,10 @@ so ids sort as their text does. An id is text only at the edges:
 :func:`decode_ids` gives a column as a list of str for the row views, the
 school scores and every message that names ids. Every function that takes
 pupils or schools takes a :class:`Table`. :class:`PupilRecord`
-and :class:`SchoolRecord` are output-only row views, built from the field
-tables and filled from the columns on request; they remain only because the
-benchmark under ``perfbench/`` reads them, and go when it reads columns
-(ROADMAP item 12).
+and :class:`SchoolRecord` are output-only row views: named tuples built
+from the field tables and filled from the columns on request, with no
+Python call per row; they remain only because the benchmark under
+``perfbench/`` reads them, and go when it reads columns (ROADMAP item 12).
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
 that adjust for prior attainment reject cohorts containing such pupils; the
@@ -53,8 +53,9 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field, make_dataclass
-from functools import cached_property
+from collections import namedtuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain
 from typing import BinaryIO, Iterator
 
@@ -70,12 +71,10 @@ SCHOOL_COLUMNS = tuple(f.name for f in SCHOOL_FIELDS)
 
 
 def _row_view(name: str, fields: tuple[Field, ...]) -> type:
-    """A frozen dataclass with one attribute per column, in table order. A
-    row holds each cell's ``Field.values`` entry: a category's level
-    spelling, an int (None where ``ks2_group`` is missing) or a bool."""
-    cls = make_dataclass(name, [f.name for f in fields], frozen=True)
-    cls.__module__ = __name__
-    return cls
+    """A named tuple with one attribute per column, in table order. A row
+    holds each cell's ``Field.values`` entry: a category's level spelling,
+    an int (None where ``ks2_group`` is missing) or a bool."""
+    return namedtuple(name, [f.name for f in fields], module=__name__)
 
 
 PupilRecord = _row_view("PupilRecord", PUPIL_FIELDS)
@@ -142,7 +141,9 @@ class Table:
         return Table(self.fields, {**self.columns, **columns})
 
     def records(self) -> tuple:
-        """Row views: one PupilRecord or SchoolRecord per row."""
+        """Row views: one PupilRecord or SchoolRecord per row, each made by
+        ``tuple.__new__`` over the row's cells, so no Python frame runs per
+        row."""
         cells = []
         for f in self.fields:
             if f.kind is Kind.ID:
@@ -153,7 +154,7 @@ class Table:
                 col = list(map((f.values + (None,)).__getitem__, col))
             cells.append(col)
         record = _RECORD[self.fields]
-        return tuple(record(*row) for row in zip(*cells))
+        return tuple(map(partial(tuple.__new__, record), zip(*cells)))
 
 
 @dataclass(frozen=True, eq=False)

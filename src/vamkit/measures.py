@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +42,7 @@ from .ols import FitResult, Z95, fit_ols
 POINTS_PER_GRADE = 10.0
 
 
-@dataclass(frozen=True)
-class PupilScore:
+class PupilScore(NamedTuple):
     """Row view of one pupil's measure score in grades per subject (residual / 10)."""
 
     pupil_id: str
@@ -85,11 +85,10 @@ class MeasureResult:
 
     @cached_property
     def pupil_scores(self) -> list[PupilScore]:
-        """Row views of ``scores``: one PupilScore per pupil."""
-        return [
-            PupilScore(pupil_id=pid, measure=self.measure, score=s)
-            for pid, s in zip(decode_ids(self.pupil_ids), self.scores.tolist())
-        ]
+        """Row views of ``scores``: one PupilScore per pupil, made by
+        ``tuple.__new__``, so no Python frame runs per pupil."""
+        rows = zip(decode_ids(self.pupil_ids), repeat(self.measure), self.scores.tolist())
+        return list(map(partial(tuple.__new__, PupilScore), rows))
 
     @cached_property
     def school_scores(self) -> list[SchoolScore]:

@@ -384,21 +384,18 @@ def test_breakdown_school_characteristic(tmp_path, sim_dir):
     assert means == sorted(means, reverse=True)
 
 
-def test_breakdown_by_all_writes_the_single_runs_files(tmp_path):
-    # one parse and one fit per measure for every characteristic; each file
-    # is byte-identical to its single --by run's, as pinned at 40/0
+@pytest.fixture(scope="module")
+def sim_40_0(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim_40_0")
+    run_ok(["simulate", "--schools", "40", "--seed", "0", "--out", str(out)])
+    return out
+
+
+def _check_breakdown_of_every_characteristic(out):
+    """The 15 breakdown files, each byte-identical to its single --by run's
+    with --measures all, as pinned at 40/0."""
     pin = Path(__file__).with_name("pipeline_40_0.sha256").read_text().splitlines()
     digest_of = {path: digest for digest, path in (line.split("  ") for line in pin)}
-    sim, out = tmp_path / "sim", tmp_path / "bd"
-    run_ok(["simulate", "--schools", "40", "--seed", "0", "--out", str(sim)])
-    run_ok([
-        "breakdown",
-        "--pupils", str(sim / "pupils.csv"),
-        "--schools", str(sim / "schools.csv"),
-        "--measures", "all",
-        "--by", "all",
-        "--out", str(out),
-    ])
     names = sorted(f"breakdown_{by}.csv" for by in PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS)
     assert len(names) == 15
     assert json.loads((out / "manifest.json").read_text())["outputs"] == names
@@ -406,6 +403,29 @@ def test_breakdown_by_all_writes_the_single_runs_files(tmp_path):
     for name in names:
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == digest_of[f"{name[:-4]}/{name}"], name
+
+
+def _breakdown(sim, out, measures, by):
+    run_ok([
+        "breakdown",
+        "--pupils", str(sim / "pupils.csv"),
+        "--schools", str(sim / "schools.csv"),
+        "--measures", measures,
+        "--by", by,
+        "--out", str(out),
+    ])
+
+
+def test_breakdown_by_all_writes_the_single_runs_files(tmp_path, sim_40_0):
+    # one parse and one fit per measure for every characteristic
+    _breakdown(sim_40_0, tmp_path / "bd", "all", "all")
+    _check_breakdown_of_every_characteristic(tmp_path / "bd")
+
+
+def test_all_inside_a_list_means_every_value(tmp_path, sim_40_0):
+    # 'all' anywhere in a list is every value, in canonical order
+    _breakdown(sim_40_0, tmp_path / "bd", "all,a8", "fsm,all")
+    _check_breakdown_of_every_characteristic(tmp_path / "bd")
 
 
 def test_breakdown_by_list_drops_repeats(tmp_path, sim_dir):
