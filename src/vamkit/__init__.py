@@ -26,10 +26,7 @@ _HOMES = {
         "PupilRecord", "SchoolRecord", "Table", "ValidatedCohort", "decode_ids", "parse_pupils",
         "parse_schools", "serialize_blocks", "validate_cohort",
     ),
-    "compare": (
-        "ComparisonReport", "QuadrantCounts", "SchoolScore", "compare_columns", "correlate",
-        "quadrant_classify", "rank_movement",
-    ),
+    "compare": ("SchoolScore", "compare_columns", "quadrant_classify", "rank_movement"),
     "csvio": ("ParseIssue",),
     "design": ("DesignMatrix", "build_design_matrix", "design_labels"),
     "errors": (

@@ -21,6 +21,8 @@ characteristic of ``--by`` (a comma list, or ``all`` for all fifteen),
 each gathering a category's scores through one row index and writing
 ``breakdown_<by>.csv`` byte-identical to a single ``--by`` run's.
 ``simulate`` writes each block of a cohort file as it is made.
+``compare`` takes exactly two ``--scores`` files and writes what
+``compare.compare_columns`` returns, as it is, to ``comparison.json``.
 
 Each subcommand imports only the modules it runs: ``compare`` needs the
 standard library alone, while ``simulate``, ``fit``, ``breakdown`` and
@@ -435,30 +437,14 @@ def _cmd_fit(args, out_dir: Path):
 
 
 def _cmd_compare(args, out_dir: Path):
-    if len(args.scores) != 2:
-        raise VamkitError("compare needs exactly two --scores files")
     inputs = {}
     a, b = (_read_school_scores(Path(p), inputs) for p in args.scores)
     try:
-        report = compare_columns(a, b, args.thresholds)
+        comparison = compare_columns(a, b, args.thresholds)
     except AnalysisError as exc:
         raise AnalysisError(f"{args.scores[0]}, {args.scores[1]}: {exc}") from exc
-    payload = {
-        "pair": list(report.measure_pair),
-        "pearson_r": report.pearson_r,
-        "n_schools": report.n_schools,
-        "quadrants": dataclasses.asdict(report.quadrant_counts),
-        "movements": [
-            {
-                "threshold": t,
-                "count": c,
-                "percent": 100.0 * c / report.n_schools,
-            }
-            for t, c in report.movement_counts.items()
-        ],
-        "max_rank_change": report.max_rank_change,
-    }
-    _write_atomic(out_dir / "comparison.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+    data = (json.dumps(comparison, indent=2) + "\n").encode("utf-8")
+    _write_atomic(out_dir / "comparison.json", data)
     return inputs, None, ["comparison.json"], None
 
 
@@ -550,6 +536,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "compare" and len(args.scores) != 2:
+            parser.error(f"compare: argument --scores: give two files, not {len(args.scores)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

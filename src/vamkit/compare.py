@@ -12,12 +12,15 @@ on a boundary are assigned to the lower/left side.
 
 Every comparison takes school scores held as columns, keyed by
 :class:`SchoolScore` field name: it reads the ``school_id`` and ``score``
-columns (plain lists) and, for :func:`compare_columns`'s report, the first
+columns (plain lists) and, for :func:`compare_columns`, the first
 ``measure``. ``MeasureResult.school_columns`` holds such columns, and the
 CLI's ``compare`` reads each score file into them, with no per-school object
-and without importing numpy. Each statistic is one C-level pass (``map``,
-``sorted``, ``Counter``) where it can be. The correlation's means and sums
-are ``math.fsum``s: correctly rounded, and independent of summation order.
+and without importing numpy. The CLI writes what :func:`compare_columns`
+returns as it is; :func:`rank_movement` and :func:`quadrant_classify` give
+single statistics, also of constant scores, which have no correlation.
+Each statistic is one C-level pass (``map``, ``sorted``, ``Counter``) where
+it can be. The correlation's means and sums are ``math.fsum``s: correctly
+rounded, and independent of summation order.
 """
 
 from __future__ import annotations
@@ -47,28 +50,6 @@ class SchoolScore:
     category: SignificanceCategory
 
 
-@dataclass(frozen=True)
-class QuadrantCounts:
-    """School counts by quadrant of an (a, b) score scatter; a is the x axis."""
-
-    nw: int
-    ne: int
-    sw: int
-    se: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Correlation, quadrants and rank movement between two measures."""
-
-    measure_pair: tuple[str, str]
-    pearson_r: float
-    n_schools: int
-    quadrant_counts: QuadrantCounts
-    movement_counts: dict[int, int]
-    max_rank_change: int
-
-
 # School scores as columns, keyed by SchoolScore field name.
 Columns = Mapping[str, Sequence]
 
@@ -95,7 +76,7 @@ def _match(a: Columns, b: Columns) -> tuple[list[float], list[float]]:
 
 
 def _centred(values: list[float]) -> list[float]:
-    mean = math.fsum(values) / max(len(values), 1)
+    mean = math.fsum(values) / len(values)
     return list(map(operator.sub, values, repeat(mean)))
 
 
@@ -106,11 +87,6 @@ def _pearson(x: list[float], y: list[float]) -> float:
     if vx == 0.0 or vy == 0.0:
         raise AnalysisError("cannot correlate: zero variance in school scores")
     return math.fsum(map(operator.mul, xc, yc)) / math.sqrt(vx * vy)
-
-
-def correlate(a: Columns, b: Columns) -> float:
-    """Pearson correlation of two measures' matched school scores."""
-    return _pearson(*_match(a, b))
 
 
 def _ranks(scores: list[float]) -> list[int]:
@@ -147,15 +123,13 @@ def rank_movement(a: Columns, b: Columns, thresholds: Sequence[int]) -> tuple[di
     return _movement(*_match(a, b), thresholds)
 
 
-def _quadrants(x: list[float], y: list[float]) -> QuadrantCounts:
+def _quadrants(x: list[float], y: list[float]) -> dict[str, int]:
     # keyed (east, north)
     n = Counter(zip(map(operator.gt, x, repeat(0.0)), map(operator.gt, y, repeat(0.0))))
-    return QuadrantCounts(
-        nw=n[False, True], ne=n[True, True], sw=n[False, False], se=n[True, False]
-    )
+    return {"nw": n[False, True], "ne": n[True, True], "sw": n[False, False], "se": n[True, False]}
 
 
-def quadrant_classify(a: Columns, b: Columns) -> QuadrantCounts:
+def quadrant_classify(a: Columns, b: Columns) -> dict[str, int]:
     """Count schools per quadrant of the (a, b) scatter around (0, 0).
 
     Each measure's national mean is zero by construction, so the axes sit at
@@ -164,25 +138,25 @@ def quadrant_classify(a: Columns, b: Columns) -> QuadrantCounts:
     return _quadrants(*_match(a, b))
 
 
-def compare_columns(a: Columns, b: Columns, thresholds: Sequence[int]) -> ComparisonReport:
-    """Full comparison report between two measures' school scores, held as
-    columns: each of ``a`` and ``b`` maps ``school_id`` to a list of ids,
-    ``score`` to a list of floats and ``measure`` to a list whose first
-    :class:`MeasureKind` names the measure.
-
-    The columns are matched once, for every statistic of the report.
+def compare_columns(a: Columns, b: Columns, thresholds: Sequence[int]) -> dict:
+    """Two measures' school scores, held as columns, compared: the dict of
+    plain builtins that ``comparison.json`` holds. Each of ``a`` and ``b``
+    maps ``school_id`` to a list of ids, ``score`` to a list of floats and
+    ``measure`` to a list whose first :class:`MeasureKind` names the
+    measure; the columns are matched once, for every statistic.
     """
     if not a["school_id"] or not b["school_id"]:
         raise AnalysisError("cannot compare: a score list is empty")
     _check_thresholds(thresholds)
     x, y = _match(a, b)
     counts, max_change = _movement(x, y, thresholds)
-    return ComparisonReport(
-        measure_pair=(a["measure"][0].code, b["measure"][0].code),
-        pearson_r=_pearson(x, y),
-        n_schools=len(x),
-        quadrant_counts=_quadrants(x, y),
-        movement_counts=counts,
-        max_rank_change=max_change,
-    )
-
+    return {
+        "pair": [a["measure"][0].code, b["measure"][0].code],
+        "pearson_r": _pearson(x, y),
+        "n_schools": len(x),
+        "quadrants": _quadrants(x, y),
+        "movements": [
+            {"threshold": t, "count": c, "percent": 100.0 * c / len(x)} for t, c in counts.items()
+        ],
+        "max_rank_change": max_change,
+    }

@@ -4,8 +4,8 @@
 :class:`SchoolScore` before the statistics moved to columns: a dict per
 list to match on school_id, ranks from a sort keyed (-score, school_id),
 ``sum`` over a generator per threshold and a ``Counter`` over quadrant
-tuples. Tests hold ``vamkit.compare`` to it, report for report and error
-text for error text.
+tuples. Tests hold ``vamkit.compare`` to it, comparison for comparison and
+error text for error text.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from vamkit.compare import ComparisonReport, QuadrantCounts
 from vamkit.errors import AnalysisError
 
 
@@ -53,8 +52,9 @@ def _ranks(ids, scores):
     return ranks
 
 
-def reference_report(a, b, thresholds) -> ComparisonReport:
-    """The comparison report of two SchoolScore lists, school by school."""
+def reference_report(a, b, thresholds) -> dict:
+    """The comparison of two SchoolScore lists, school by school, as
+    ``comparison.json`` holds it."""
     if not a or not b:
         raise AnalysisError("cannot compare: a score list is empty")
     if any(t <= 0 for t in thresholds):
@@ -62,13 +62,16 @@ def reference_report(a, b, thresholds) -> ComparisonReport:
     ids, x, y = _match(a, b)
     moves = [abs(p - q) for p, q in zip(_ranks(ids, x), _ranks(ids, y))]
     n = Counter((p > 0.0, q > 0.0) for p, q in zip(x, y))
-    return ComparisonReport(
-        measure_pair=(a[0].measure.code, b[0].measure.code),
-        pearson_r=_pearson(x, y),
-        n_schools=len(a),
-        quadrant_counts=QuadrantCounts(
-            nw=n[False, True], ne=n[True, True], sw=n[False, False], se=n[True, False]
-        ),
-        movement_counts={int(t): sum(m >= t for m in moves) for t in thresholds},
-        max_rank_change=max(moves, default=0),
-    )
+    counts = {int(t): sum(m >= t for m in moves) for t in thresholds}
+    return {
+        "pair": [a[0].measure.code, b[0].measure.code],
+        "pearson_r": _pearson(x, y),
+        "n_schools": len(a),
+        "quadrants": {
+            "nw": n[False, True], "ne": n[True, True], "sw": n[False, False], "se": n[True, False]
+        },
+        "movements": [
+            {"threshold": t, "count": c, "percent": 100.0 * c / len(a)} for t, c in counts.items()
+        ],
+        "max_rank_change": max(moves, default=0),
+    }

@@ -12,7 +12,6 @@ from vamkit.cohort import decode_ids, serialize_blocks, validate_cohort
 from vamkit.compare import (
     SchoolScore,
     compare_columns,
-    correlate,
     quadrant_classify,
     rank_movement,
 )
@@ -40,48 +39,50 @@ def score_list(values, measure=A8):
 
 
 # ---------------------------------------------------------------------------
-# correlate
+# correlation
 # ---------------------------------------------------------------------------
 
 
 def test_self_correlation_is_one():
     a = score_list([1.0, -0.5, 0.2, 0.9])
-    assert correlate(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert compare_columns(a, a, [1])["pearson_r"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sign_flip_gives_minus_one():
     a = score_list([1.0, -0.5, 0.2, 0.9])
     b = score_list([-1.0, 0.5, -0.2, -0.9])
-    assert correlate(a, b) == pytest.approx(-1.0, abs=1e-12)
+    assert compare_columns(a, b, [1])["pearson_r"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlate_is_symmetric():
     rng = np.random.default_rng(1)
     a = score_list(rng.normal(size=30).tolist())
     b = score_list(rng.normal(size=30).tolist())
-    assert correlate(a, b) == pytest.approx(correlate(b, a), abs=1e-15)
+    assert compare_columns(a, b, [1])["pearson_r"] == pytest.approx(
+        compare_columns(b, a, [1])["pearson_r"], abs=1e-15
+    )
 
 
 def test_correlate_matches_numpy_on_every_measure_pair(midsize_population):
     results = {kind: compute_measure(midsize_population.cohort, kind) for kind in MeasureKind}
     for a, b in itertools.combinations([res.school_columns for res in results.values()], 2):
         r = np.corrcoef(a["score"], b["score"])[0, 1]
-        assert correlate(a, b) == pytest.approx(r, abs=1e-15)
-        assert correlate(a, b) == correlate(b, a)
+        assert compare_columns(a, b, [1])["pearson_r"] == pytest.approx(r, abs=1e-15)
+        assert compare_columns(a, b, [1])["pearson_r"] == compare_columns(b, a, [1])["pearson_r"]
 
 
 def test_mismatched_sets_fatal():
     a = score_list([1.0, 2.0])
     b = score_columns(["S000", "S999"], [1.0, 2.0])
     with pytest.raises(AnalysisError, match="S001.*S999|S999.*S001"):
-        correlate(a, b)
+        compare_columns(a, b, [1])["pearson_r"]
 
 
 def test_mismatch_message_lists_at_most_20_ids():
     a = score_list([float(i) for i in range(30)])
     b = score_columns([f"S{i:03d}" for i in range(25, 30)], [1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(AnalysisError) as exc:
-        correlate(a, b)
+        compare_columns(a, b, [1])["pearson_r"]
     shown = ", ".join(f"S{i:03d}" for i in range(20))
     assert str(exc.value) == f"school sets differ; only in first: {shown} (and 5 more; 25 in all)"
 
@@ -90,7 +91,7 @@ def test_zero_variance_fatal():
     a = score_list([1.0, 1.0, 1.0])
     b = score_list([0.0, 0.5, 1.0])
     with pytest.raises(AnalysisError, match="zero variance"):
-        correlate(a, b)
+        compare_columns(a, b, [1])["pearson_r"]
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +156,21 @@ def test_all_positive_is_north_east():
     a = score_list([1.0, 1.0, 1.0])
     b = score_list([1.0, 1.0, 1.0])
     q = quadrant_classify(a, b)
-    assert (q.nw, q.ne, q.sw, q.se) == (0, 3, 0, 0)
+    assert (q["nw"], q["ne"], q["sw"], q["se"]) == (0, 3, 0, 0)
 
 
 def test_opposite_corners():
     a = score_list([-1.0, 1.0])
     b = score_list([1.0, -1.0])
     q = quadrant_classify(a, b)
-    assert (q.nw, q.ne, q.sw, q.se) == (1, 0, 0, 1)
+    assert (q["nw"], q["ne"], q["sw"], q["se"]) == (1, 0, 0, 1)
 
 
 def test_boundary_goes_lower_left():
     a = score_list([0.0, 0.0])
     b = score_list([1.0, -1.0])
     q = quadrant_classify(a, b)
-    assert (q.nw, q.sw) == (1, 1) and (q.ne, q.se) == (0, 0)
+    assert (q["nw"], q["sw"]) == (1, 1) and (q["ne"], q["se"]) == (0, 0)
 
 
 def test_quadrants_sum_to_n():
@@ -177,7 +178,7 @@ def test_quadrants_sum_to_n():
     a = score_list(rng.normal(size=50).tolist())
     b = score_list(rng.normal(size=50).tolist())
     q = quadrant_classify(a, b)
-    assert q.nw + q.ne + q.sw + q.se == 50
+    assert q["nw"] + q["ne"] + q["sw"] + q["se"] == 50
 
 
 def test_disadvantaged_intake_schools_sit_north_west(midsize_population):
@@ -208,11 +209,11 @@ def test_compare_measures_report():
     a = score_list(rng.normal(size=25).tolist(), A8)
     b = score_list(rng.normal(size=25).tolist(), AP8)
     report = compare_columns(a, b, [1, 10])
-    assert report.measure_pair == ("a8", "ap8")
-    assert report.n_schools == 25
-    assert -1.0 <= report.pearson_r <= 1.0
-    assert set(report.movement_counts) == {1, 10}
-    assert report.max_rank_change <= 24
+    assert report["pair"] == ["a8", "ap8"]
+    assert report["n_schools"] == 25
+    assert -1.0 <= report["pearson_r"] <= 1.0
+    assert [m["threshold"] for m in report["movements"]] == [1, 10]
+    assert report["max_rank_change"] <= 24
 
 
 def test_empty_score_lists_fatal():
@@ -279,11 +280,11 @@ def test_columnar_core_matches_per_object_reference():
         ]
         assert _outcome(compare_columns, *columns, thresholds) == expected
         if not isinstance(expected, str):
-            assert correlate(*columns) == expected.pearson_r
             assert rank_movement(*columns, thresholds) == (
-                expected.movement_counts, expected.max_rank_change
+                {m["threshold"]: m["count"] for m in expected["movements"]},
+                expected["max_rank_change"],
             )
-            assert quadrant_classify(*columns) == expected.quadrant_counts
+            assert quadrant_classify(*columns) == expected["quadrants"]
         outcomes[expected.split(";")[0] if isinstance(expected, str) else "report"] += 1
     # every kind of outcome was reached
     assert set(outcomes) == {

@@ -1,6 +1,7 @@
 import csv
 import json
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -11,10 +12,14 @@ import numpy as np
 import pytest
 
 import vamkit
-from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS
+from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from vamkit.cli import run
-from vamkit.cohort import decode_ids, serialize_blocks
+from vamkit.cohort import (
+    decode_ids, parse_pupils, parse_schools, serialize_blocks, validate_cohort,
+)
+from vamkit.compare import compare_columns
 from vamkit.csvio import _BLOCK_BYTES
+from vamkit.measures import compute_measure
 
 from conftest import random_cohort
 from output_digests import digests, run_pipeline
@@ -140,6 +145,23 @@ def test_validate_caps_long_id_lists(tmp_path, capsys):
     assert len(line.encode()) < 2048
     assert "duplicate pupil_id values: P000001, " in line
     assert line.endswith(f"(and {n_pupils - 20} more; {n_pupils} in all)")
+
+
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_unprintable_id_is_named_on_one_line(tmp_path, sim_dir, capsys, command):
+    # the first two pupils share the quoted id "P\nX"
+    lines = (sim_dir / "pupils.csv").read_text().splitlines(keepends=True)
+    for i in (1, 2):
+        lines[i] = '"P\nX"' + lines[i][lines[i].index(","):]
+    pupils = tmp_path / "pupils.csv"
+    pupils.write_text("".join(lines))
+    argv = [command, "--pupils", str(pupils), "--schools", str(sim_dir / "schools.csv")]
+    if command == "fit":
+        argv += ["--out", str(tmp_path / "fit")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"{pupils}: duplicate pupil_id values: 'P\\nX'"
 
 
 def test_config_file_overrides(tmp_path):
@@ -320,6 +342,24 @@ def test_compare_strips_padded_school_ids(tmp_path, fit_dir):
     assert reports[0] == reports[1]
 
 
+def test_comparison_json_is_compare_columns_dumped(tmp_path):
+    # comparison.json is compare_columns's object as json.dumps writes it,
+    # for all six pairs of the measures fitted at 40 schools, seed 0
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    run_ok(["simulate", "--schools", "40", "--seed", "0", "--out", str(sim)])
+    cohort_files = ["--pupils", str(sim / "pupils.csv"), "--schools", str(sim / "schools.csv")]
+    run_ok(["fit", *cohort_files, "--measures", "all", "--out", str(fit)])
+    with open(sim / "pupils.csv", "rb") as pupils, open(sim / "schools.csv", "rb") as schools:
+        cohort = validate_cohort(parse_pupils(pupils)[0], parse_schools(schools)[0])
+    columns = {kind.code: compute_measure(cohort, kind).school_columns for kind in MeasureKind}
+    for a, b in itertools.combinations(columns, 2):
+        out = tmp_path / f"compare_{a}_{b}"
+        run_ok(["compare", "--scores", str(fit / f"school_scores_{a}.csv"),
+                "--scores", str(fit / f"school_scores_{b}.csv"), "--out", str(out)])
+        expected = json.dumps(compare_columns(columns[a], columns[b], [500, 1000]), indent=2)
+        assert (out / "comparison.json").read_bytes() == (expected + "\n").encode("utf-8"), (a, b)
+
+
 def test_ids_that_need_quoting_round_trip(tmp_path):
     renamed = {"S000": "S1,North", "S001": 'S2"x', "S002": "S3\rx"}
     cohort = random_cohort(7)
@@ -472,6 +512,16 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_unknown_measure_is_usage_error(capsys):
     assert run(["fit", "--pupils", "p", "--schools", "s", "--measures", "zz", "--out", "o"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_files", [1, 3])
+def test_compare_needs_exactly_two_scores_files(tmp_path, fit_dir, capsys, n_files):
+    out = tmp_path / "cmp"
+    scores = ["--scores", str(fit_dir / "school_scores_a8.csv")] * n_files
+    assert run(["compare", *scores, "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--scores" in errors[0]
+    assert not out.exists()
 
 
 def test_missing_input_file_is_failure(tmp_path, capsys):
