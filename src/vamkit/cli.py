@@ -378,7 +378,7 @@ def _cmd_simulate(args, out_dir: Path):
             data = config_path.read_bytes()
             inputs[str(config_path)] = hashlib.sha256(data).hexdigest()
             loaded = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
             raise VamkitError(f"{config_path}: not a JSON file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise VamkitError(f"{config_path}: config must be a JSON object")

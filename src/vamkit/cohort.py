@@ -40,7 +40,8 @@ school scores and every message that names ids. Every function that takes
 pupils or schools takes a :class:`Table`. :class:`PupilRecord`
 and :class:`SchoolRecord` are output-only row views: named tuples built
 from the field tables and filled from the columns on request, with no
-Python call per row; they remain only because the benchmark under
+Python call per row: each category column is read by one ``np.take`` of
+its field's values. They remain only because the benchmark under
 ``perfbench/`` reads them, and go when it reads columns (ROADMAP item 12).
 
 The only field allowed to be missing is ``ks2_group`` (empty string). Models
@@ -72,8 +73,10 @@ SCHOOL_COLUMNS = tuple(f.name for f in SCHOOL_FIELDS)
 
 def _row_view(name: str, fields: tuple[Field, ...]) -> type:
     """A named tuple with one attribute per column, in table order. A row
-    holds each cell's ``Field.values`` entry: a category's level spelling,
-    an int (None where ``ks2_group`` is missing) or a bool."""
+    holds each cell's ``Field.values`` entry, which :meth:`Table.records`
+    reads for a whole INT, ENUM or FLAG column by one ``np.take``: a
+    category's level spelling, an int (None where ``ks2_group`` is missing)
+    or a bool."""
     return namedtuple(name, [f.name for f in fields], module=__name__)
 
 
@@ -143,16 +146,19 @@ class Table:
     def records(self) -> tuple:
         """Row views: one PupilRecord or SchoolRecord per row, each made by
         ``tuple.__new__`` over the row's cells, so no Python frame runs per
-        row."""
+        row. An INT, ENUM or FLAG column's cells are one ``np.take`` of its
+        codes from an object array of the field's values and a last None
+        (code -1); ``np.take`` reads a bool column as codes 0 and 1, where
+        indexing would read it as a mask."""
         cells = []
         for f in self.fields:
+            col = self.columns[f.name]
             if f.kind is Kind.ID:
-                col = decode_ids(self.columns[f.name])
+                cells.append(decode_ids(col))
+            elif f.kind is Kind.FLOAT:
+                cells.append(col.tolist())
             else:
-                col = self.columns[f.name].tolist()
-            if f.kind not in _DTYPE:
-                col = list(map((f.values + (None,)).__getitem__, col))
-            cells.append(col)
+                cells.append(np.take(np.array(f.values + (None,), dtype=object), col).tolist())
         record = _RECORD[self.fields]
         return tuple(map(partial(tuple.__new__, record), zip(*cells)))
 
@@ -637,8 +643,8 @@ def serialize_blocks(table: Table) -> Iterator[bytes]:
     header line, then the lines of each block of ``_BLOCK_ROWS`` rows, made
     as they are asked for. An id's cell is its text; a number's is its
     shortest round-trip repr, but an integer value without its ".0"; a
-    category's is its spelling, looked up by code (code -1: the empty
-    cell)."""
+    category's is its spelling, taken by code as :meth:`Table.records`
+    takes values (code -1: the empty cell)."""
     fields = table.fields
     spellings = {
         f.name: np.array(f.spellings + ("",), dtype=object) for f in fields if f.kind not in _DTYPE
@@ -657,5 +663,5 @@ def serialize_blocks(table: Table) -> Iterator[bytes]:
                     cells[at] = str(int(value))
                 block.append(cells)
             else:
-                block.append(spellings[f.name][col].tolist())
+                block.append(np.take(spellings[f.name], col).tolist())
         yield _csv_lines(block)

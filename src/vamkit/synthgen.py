@@ -137,7 +137,13 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and bool(np.isfinite(value))
+    """An int or float that is finite; an int too large for a float is not."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def dgp_from_coefficients(table: Mapping[str, float]) -> dict[str, dict[str, float]]:
@@ -165,6 +171,7 @@ def dgp_from_coefficients(table: Mapping[str, float]) -> dict[str, dict[str, flo
     return {"coefficient_set": full}
 
 
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _check_config(config: GeneratorConfig) -> None:
@@ -184,6 +191,11 @@ def _check_config(config: GeneratorConfig) -> None:
         raise GeneratorError(f"n_schools must be >= 1, got {config.n_schools}")
     if lo < 1 or hi < lo:
         raise GeneratorError(f"school_size_range must be 1 <= lo <= hi, got ({lo}, {hi})")
+    # numpy draws and counts them as int64
+    if config.n_schools > _INT64_MAX:
+        raise GeneratorError(f"n_schools must be at most {_INT64_MAX}, got {config.n_schools}")
+    if hi > _INT64_MAX:
+        raise GeneratorError(f"school_size_range must be at most {_INT64_MAX}, got ({lo}, {hi})")
     if config.true_school_effect_sd < 0 or config.noise_sd < 0:
         raise GeneratorError("effect and noise SDs must be nonnegative")
     if not 0.0 <= config.intake_gradient <= 1.0:

@@ -755,6 +755,10 @@ def _first_id_over_field_limit(data):
     return b"\n".join([head, b",".join(cells), rest])
 
 
+# an integer too large for a float or an int64
+HUGE = 10**400
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -840,6 +844,25 @@ def _config(tmp_path, text):
             lambda t, f, s: _config(t, '{"coefficient_set": [1, 2]}'),
             ["coefficient table must map design labels to numbers"],
         ),
+        # numbers too large for a float or an int64 fail before any array is made
+        (lambda t, f, s: _config(t, f'{{"noise_sd": {HUGE}}}'), ["noise_sd must be a finite number"]),
+        (
+            lambda t, f, s: _config(t, f'{{"intake_gradient": {HUGE}}}'),
+            ["intake_gradient must be a finite number"],
+        ),
+        (
+            lambda t, f, s: _config(t, f'{{"coefficient_set": {{"constant": -{HUGE}}}}}'),
+            ["coefficient(s) must be finite numbers: constant"],
+        ),
+        (
+            lambda t, f, s: _config(t, f'{{"n_schools": {HUGE}}}'),
+            [f"n_schools must be at most {2**63 - 1}, got {HUGE}"],
+        ),
+        (
+            lambda t, f, s: _config(t, f'{{"school_size_range": [1, {HUGE}]}}'),
+            [f"school_size_range must be at most {2**63 - 1}, got (1, {HUGE})"],
+        ),
+        (lambda t, f, s: _config(t, f'{{"seed": 1{"0" * 5000}}}'), ["not a JSON file"]),
         (lambda t, f, s: _repeated_score_row(t, f), ["duplicate school_id in score list"]),
         (
             lambda t, f, s: _edited_cohort(t, s, "fit", "pupils.csv", _first_id_over_field_limit),
@@ -892,6 +915,8 @@ def _config(tmp_path, text):
         "truncated-json",
         "string-n_schools", "nan-coefficient", "config-not-object", "config-unknown-key",
         "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
+        "huge-noise_sd", "huge-intake_gradient", "huge-coefficient", "huge-n_schools",
+        "huge-size-range", "seed-over-digit-limit",
         "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
         "inf-ci-low", "overflow-ci-low", "blank-score-ids", "long-score-id",
         "whitespace-score-id", "late-non-utf8-score-byte",

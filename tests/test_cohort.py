@@ -316,6 +316,34 @@ def test_row_views_take_no_python_call_per_row(default_cohort, view):
     assert counts[1] == counts[2] < len(small.pupil_table), counts
 
 
+def test_row_views_read_a_bool_flag_as_its_codes(midsize_population):
+    # a caller's Table may hold fsm as bool: its rows equal the int8 codes' rows
+    table = midsize_population.cohort.pupil_table
+    as_bool = table.replace(fsm=table["fsm"].astype(bool))
+    assert as_bool["fsm"].dtype == bool and as_bool["fsm"].any()
+    assert as_bool.records() == table.records()
+    assert {type(r.fsm) for r in as_bool.records()} == {bool}
+
+
+def test_row_views_read_code_minus_one_as_none(midsize_population):
+    table = midsize_population.cohort.pupil_table
+    ks2 = table["ks2_group"].copy()
+    ks2[::3] = -1
+    rows = table.replace(ks2_group=ks2).records()
+    lo = FIELD["ks2_group"].bounds[0]
+    for i, (row, code) in enumerate(zip(rows, ks2.tolist())):
+        if i % 3:
+            assert type(row.ks2_group) is int and row.ks2_group == lo + code
+        else:
+            assert row.ks2_group is None
+
+
+@pytest.mark.parametrize("parse, make_csv", [(parse_pupils, pupil_csv), (parse_schools, school_csv)])
+def test_header_only_file_has_no_row_views(parse, make_csv):
+    table, issues = parse(make_csv())
+    assert issues == [] and table.records() == ()
+
+
 ENUM_FIELDS = [f for f in PUPIL_FIELDS + SCHOOL_FIELDS if f.kind is Kind.ENUM]
 
 

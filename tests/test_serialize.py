@@ -19,6 +19,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from vamkit.cohort import Table, serialize_blocks
 from vamkit.csvio import _BLOCK_ROWS
 
 import serialize_reference
+from conftest import random_cohort
 
 SIZES = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
 ID_CELLS = ["a,b", 'say "hi"', "cr\r", "lf\n", "\r\n", "Zoë", "学校", "a\0b", "", " x ", "P1"]
@@ -102,3 +104,12 @@ def test_writer_matches_per_cell_reference(table):
     # streamed: the header line, then one piece per block of rows
     assert pieces[0] == (",".join(header) + "\n").encode()
     assert len(pieces) == 1 + math.ceil(len(table) / _BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_bool_flag_is_written_as_its_codes(n):
+    # a caller's Table may hold fsm as bool; read as a mask it would select
+    # spellings (3 rows: as many as the flag's spellings and the empty cell)
+    pupils = random_cohort(0).pupil_table.take(np.arange(n))
+    as_bool = pupils.replace(fsm=pupils["fsm"].astype(bool))
+    assert b"".join(serialize_blocks(as_bool)) == b"".join(serialize_blocks(pupils))
