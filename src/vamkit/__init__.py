@@ -36,8 +36,8 @@ _HOMES = {
         "MeasureResult", "MeasureSummary", "PupilScore", "compute_measure", "school_score_columns",
     ),
     "ols": (
-        "ClusterCovariance", "CoefficientRow", "FitResult", "Z95", "cluster_robust_cov",
-        "coefficient_table", "fit_ols",
+        "ClusterCovariance", "FitResult", "Z95", "cluster_robust_cov", "coefficient_table",
+        "fit_ols",
     ),
     "synthgen": (
         "DEFAULT_COEFFICIENTS", "GeneratorConfig", "SyntheticCohort", "dgp_from_coefficients",

@@ -35,7 +35,7 @@ def _normalise(text: str) -> str:
 class Kind(enum.Enum):
     """How a column is spelled in CSV and held in memory."""
 
-    ID = "id"  # non-empty string of at most ID_MAX_CHARS, held as UTF-8 bytes (numpy S)
+    ID = "id"  # non-empty, NUL-free string of at most ID_MAX_CHARS, held as UTF-8 bytes (numpy S)
     FLOAT = "float"  # real number within bounds, held as float64
     INT = "int"  # integer within bounds; held as the code value - low bound
     ENUM = "enum"  # one of the field's levels; held as its index in them
@@ -102,6 +102,8 @@ class Field:
         if self.kind is Kind.ID:
             if not text:
                 raise ValueError("must not be empty")
+            if "\0" in text:  # numpy S would drop a trailing one
+                raise ValueError("must not contain a NUL character")
             if len(text) > ID_MAX_CHARS:
                 raise ValueError(f"must be at most {ID_MAX_CHARS} characters, got {len(text)}")
             return text

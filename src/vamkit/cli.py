@@ -6,7 +6,9 @@ bytes parsed from each input file, the seed (if any), the tool version, the
 output file list, a run report (``simulate`` only: ``n_clipped``, the
 outcomes clipped to the score range) and the wall time. Identical inputs
 and flags produce byte-identical outputs (manifests differ only in wall
-time). Files are written atomically (temp file + rename).
+time). Each handler returns its files, by name, as bytes or as pieces of
+them, and ``run`` alone writes them, each atomically (temp file + rename),
+then the manifest.
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
 Each warning goes to stderr as one ``warning: <message>`` line.
@@ -15,11 +17,13 @@ Randomness exists only in `simulate --seed`; fitting is seed-free.
 ``fit``, ``breakdown`` and ``validate`` read each cohort file as a stream,
 so a parse holds the file's columns and one block of its bytes, never the
 whole file; ``fit`` then runs one measure at a time and keeps only its
-output tables. ``breakdown`` parses the cohort and fits each measure once,
-keeps only the pupil scores, then runs one ``analysis.breakdown`` per
-characteristic of ``--by`` (a comma list, or ``all`` for all fifteen),
-each gathering a category's scores through one row index and writing
-``breakdown_<by>.csv`` byte-identical to a single ``--by`` run's.
+output tables, ``coefficients_<code>.csv`` being the columns that
+``ols.coefficient_table`` returns. ``breakdown`` parses the cohort and
+fits each measure once, keeps only the pupil scores, then runs one
+``analysis.breakdown`` per characteristic of ``--by`` (a comma list, or
+``all`` for all fifteen), each gathering a category's scores through one
+row index and making ``breakdown_<by>.csv`` byte-identical to a single
+``--by`` run's.
 ``simulate`` writes each block of a cohort file as it is made.
 ``compare`` takes exactly two ``--scores`` files and writes what
 ``compare.compare_columns`` returns, as it is, to ``comparison.json``.
@@ -95,6 +99,11 @@ def _parse_thresholds(text: str) -> list[int]:
     return values
 
 
+# most decimals --precision gives: enough for a double's significant
+# digits of a score in grades; 'full' gives every digit
+_MAX_PRECISION = 17
+
+
 def _parse_precision(text: str):
     if text.strip().lower() == "full":
         return None
@@ -102,8 +111,8 @@ def _parse_precision(text: str):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"precision must be 'full' or an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("precision must be nonnegative")
+    if not 0 <= value <= _MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must be in 0..{_MAX_PRECISION}, got {value}")
     return value
 
 
@@ -296,7 +305,8 @@ def _column_parser(tp):
 
         def ids(cells):
             stripped = list(map(str.strip, cells))
-            if all(stripped) and max(map(len, stripped), default=0) <= ID_MAX_CHARS:
+            ok = all(stripped) and max(map(len, stripped), default=0) <= ID_MAX_CHARS
+            if ok and "\0" not in "".join(stripped):
                 return stripped
             return list(map(encode, stripped))  # raises at the first bad id
 
@@ -363,11 +373,12 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> dict[str, list]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns (inputs, seed, outputs written, report or None)
+# Subcommand handlers; each returns (files, inputs, seed, report or None),
+# where files maps each output name to its bytes or to pieces of them
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, out_dir: Path):
+def _cmd_simulate(args):
     from .synthgen import GeneratorConfig, generate_population, write_population_csv
 
     overrides = {}
@@ -398,10 +409,7 @@ def _cmd_simulate(args, out_dir: Path):
         synthetic = generate_population(config)
     except GeneratorError as exc:
         raise VamkitError(f"{source}{exc}") from exc
-    outputs = write_population_csv(synthetic)
-    for name, data in outputs.items():
-        _write_atomic(out_dir / name, data)
-    return inputs, config.seed, sorted(outputs), {"n_clipped": synthetic.n_clipped}
+    return write_population_csv(synthetic), inputs, config.seed, {"n_clipped": synthetic.n_clipped}
 
 
 def _measure_tables(args, cohort, kind: MeasureKind, fmt):
@@ -414,29 +422,27 @@ def _measure_tables(args, cohort, kind: MeasureKind, fmt):
         res = compute_measure(cohort, kind)
         cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
     tables = {
-        f"coefficients_{kind.code}.csv": _rows_csv(coefficient_table(res.fit, cov), fmt),
+        f"coefficients_{kind.code}.csv": _columns_csv(coefficient_table(res.fit, cov), fmt),
         f"school_scores_{kind.code}.csv": _columns_csv(res.school_columns, fmt),
     }
     return tables, res.summary
 
 
-def _cmd_fit(args, out_dir: Path):
+def _cmd_fit(args):
     inputs = {}
     cohort, _, _ = _read_cohort(args, inputs, _report_skipped)
     fmt = _formatter(args.precision)
-    tables, summaries = {}, []
-    # one measure at a time; no file is written until every measure is done
+    files, summaries = {}, []
+    # one measure at a time; run writes no file until every measure is done
     for kind in args.measures:
-        measure_tables, summary = _measure_tables(args, cohort, kind, fmt)
-        tables.update(measure_tables)
+        tables, summary = _measure_tables(args, cohort, kind, fmt)
+        files.update(tables)
         summaries.append(summary)
-    tables["summary.csv"] = _rows_csv(summaries, fmt)
-    for name, data in tables.items():
-        _write_atomic(out_dir / name, data)
-    return inputs, None, sorted(tables), None
+    files["summary.csv"] = _rows_csv(summaries, fmt)
+    return files, inputs, None, None
 
 
-def _cmd_compare(args, out_dir: Path):
+def _cmd_compare(args):
     inputs = {}
     a, b = (_read_school_scores(Path(p), inputs) for p in args.scores)
     try:
@@ -444,11 +450,10 @@ def _cmd_compare(args, out_dir: Path):
     except AnalysisError as exc:
         raise AnalysisError(f"{args.scores[0]}, {args.scores[1]}: {exc}") from exc
     data = (json.dumps(comparison, indent=2) + "\n").encode("utf-8")
-    _write_atomic(out_dir / "comparison.json", data)
-    return inputs, None, ["comparison.json"], None
+    return {"comparison.json": data}, inputs, None, None
 
 
-def _cmd_breakdown(args, out_dir: Path):
+def _cmd_breakdown(args):
     from .analysis import breakdown
     from .measures import compute_measure
 
@@ -458,14 +463,12 @@ def _cmd_breakdown(args, out_dir: Path):
         # only each measure's pupil scores are kept
         scores = {kind: compute_measure(cohort, kind).scores for kind in args.measures}
     fmt = _formatter(args.precision)
-    # one breakdown at a time; no file is written until every one is done
-    tables = {
+    # one breakdown at a time; run writes no file until every one is done
+    files = {
         f"breakdown_{by}.csv": _breakdown_csv(breakdown(cohort, scores, by), args.measures, fmt)
         for by in args.by
     }
-    for name, data in tables.items():
-        _write_atomic(out_dir / name, data)
-    return inputs, None, sorted(tables), None
+    return files, inputs, None, None
 
 
 def _cmd_validate(args) -> int:
@@ -501,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", type=_parse_measures, default=list(MeasureKind),
                    help="comma-separated codes (a8,aa8,p8,ap8) or 'all'")
     p.add_argument("--precision", type=_parse_precision, default=None,
-                   help="'full' (default) or decimal places for scores")
+                   help="'full' (default) or decimal places for scores, 0-17")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_fit)
 
@@ -519,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", type=_parse_measures, default=list(MeasureKind))
     p.add_argument("--by", type=_parse_characteristics, required=True,
                    help="comma-separated pupil or school characteristics, or 'all'")
-    p.add_argument("--precision", type=_parse_precision, default=None)
+    p.add_argument("--precision", type=_parse_precision, default=None,
+                   help="'full' (default) or decimal places for means, 0-17")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_breakdown)
 
@@ -549,7 +553,9 @@ def run(argv=None) -> int:
                 return args.handler(args)
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            inputs, seed, outputs, report = args.handler(args, out_dir)
+            files, inputs, seed, report = args.handler(args)
+            for name, data in files.items():
+                _write_atomic(out_dir / name, data)
     except (VamkitError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -559,7 +565,7 @@ def run(argv=None) -> int:
         "inputs": inputs,
         "seed": seed,
         "version": __version__,
-        "outputs": outputs,
+        "outputs": sorted(files),
         **({"report": report} if report is not None else {}),
         "wall_time_s": round(time.monotonic() - started, 6),
     }

@@ -225,7 +225,7 @@ def _encode_column(
     to its stored value and, if it is bad, its reason; a spelling not yet in
     them is checked by ``Field.encode`` once. Ids and numbers that pass a
     vectorised check skip it: an id is stripped as str and checked for
-    ``Field.encode``'s empty and length rules before it is encoded. Bad
+    ``Field.encode``'s empty, NUL and length rules before it is encoded. Bad
     cells hold a placeholder; a bad id's is empty, so that no id too long
     to keep sets the block's width.
     """
@@ -233,7 +233,10 @@ def _encode_column(
     if f.kind is Kind.ID:
         ids = list(map(str.strip, raw))
         lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-        bad = np.flatnonzero((lengths == 0) | (lengths > ID_MAX_CHARS)).tolist()
+        bad = (lengths == 0) | (lengths > ID_MAX_CHARS)
+        if "\0" in "".join(ids):
+            bad |= np.fromiter(("\0" in t for t in ids), dtype=bool, count=len(ids))
+        bad = np.flatnonzero(bad).tolist()
         suspects = [raw[i] for i in bad]
         for i in bad:
             ids[i] = ""

@@ -19,7 +19,9 @@ The clustered covariance is the CR1 sandwich,
 summing over clusters g. With every observation its own cluster this reduces
 to the familiar heteroskedasticity-robust form with the same correction.
 
-Significance stars use the normal critical value 1.959964; at national
+:func:`coefficient_table` gives a fit's coefficient table as plain-list
+columns, which the CLI writes, as they are, to ``coefficients_<code>.csv``.
+Its significance flags use the normal critical value 1.959964; at national
 sample sizes the difference from a t distribution is negligible.
 """
 
@@ -71,16 +73,6 @@ class ClusterCovariance:
     standard_errors: np.ndarray
     n_clusters: int
     correction: float
-
-
-@dataclass(frozen=True)
-class CoefficientRow:
-    """One row of a coefficient table; estimate/se are None for dropped columns."""
-
-    label: str
-    estimate: float | None
-    se: float | None
-    significant: bool
 
 
 def _leading_cholesky(block: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -234,24 +226,18 @@ def cluster_robust_cov(fit: FitResult, design: DesignMatrix, cluster_ids) -> Clu
     )
 
 
-def coefficient_table(fit: FitResult, cov: ClusterCovariance) -> list[CoefficientRow]:
-    """Rows (label, estimate, SE, significant at 5%) in design-column order.
-
-    Dropped columns appear with blank estimates. Significance is
-    |estimate| / SE > 1.959964.
+def coefficient_table(fit: FitResult, cov: ClusterCovariance) -> dict[str, list]:
+    """The columns of a coefficient table, in design-column order: ``label``,
+    ``estimate`` and ``se`` (None for a dropped column) and ``significant``
+    at 5%, which is SE > 0 and |estimate| / SE > 1.959964.
     """
     if cov.standard_errors.shape != (fit.k_effective,):
         raise FitError("covariance does not match fit dimensions")
-    by_label = {
-        lab: (float(fit.coefficients[i]), float(cov.standard_errors[i]))
-        for i, lab in enumerate(fit.labels)
+    kept = dict(zip(fit.labels, zip(fit.coefficients.tolist(), cov.standard_errors.tolist())))
+    pairs = [kept.get(lab, (None, None)) for lab in fit.design_labels]
+    return {
+        "label": list(fit.design_labels),
+        "estimate": [est for est, _ in pairs],
+        "se": [se for _, se in pairs],
+        "significant": [se is not None and se > 0.0 and abs(est) / se > Z95 for est, se in pairs],
     }
-    rows = []
-    for lab in fit.design_labels:
-        if lab in by_label:
-            est, se = by_label[lab]
-            significant = se > 0.0 and abs(est) / se > Z95
-            rows.append(CoefficientRow(lab, est, se, significant))
-        else:
-            rows.append(CoefficientRow(lab, None, None, False))
-    return rows

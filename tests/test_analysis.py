@@ -434,7 +434,7 @@ def cr1_mean_flag(values, school_codes):
     clustered on school, as breakdown flags were once computed."""
     design = DenseDesign(np.ones((values.size, 1)), ("mean",))
     fit = fit_ols(design, values)
-    return coefficient_table(fit, cluster_robust_cov(fit, design, school_codes))[0].significant
+    return coefficient_table(fit, cluster_robust_cov(fit, design, school_codes))["significant"][0]
 
 
 def assert_flags_match(cohort, oracle):

@@ -20,6 +20,7 @@ from vamkit.cohort import (
 from vamkit.compare import compare_columns
 from vamkit.csvio import _BLOCK_BYTES
 from vamkit.measures import compute_measure
+from vamkit.ols import cluster_robust_cov, coefficient_table
 
 from conftest import random_cohort
 from output_digests import digests, run_pipeline
@@ -323,6 +324,8 @@ def test_compare_composes_with_fit(tmp_path, fit_dir):
     assert q["nw"] + q["ne"] + q["sw"] + q["se"] == 40
     counts = {m["threshold"]: m["count"] for m in report["movements"]}
     assert counts[5] >= counts[10]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["comparison.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.json", "manifest.json"]
 
 
 def test_compare_strips_padded_school_ids(tmp_path, fit_dir):
@@ -358,6 +361,55 @@ def test_comparison_json_is_compare_columns_dumped(tmp_path):
                 "--scores", str(fit / f"school_scores_{b}.csv"), "--out", str(out)])
         expected = json.dumps(compare_columns(columns[a], columns[b], [500, 1000]), indent=2)
         assert (out / "comparison.json").read_bytes() == (expected + "\n").encode("utf-8"), (a, b)
+
+
+def _cell(value):
+    """The CLI's cell of a full-precision value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value) if isinstance(value, float) else value
+
+
+def test_coefficients_csv_is_coefficient_table_columns(tmp_path, sim_40_0):
+    # each coefficients_<code>.csv holds coefficient_table's columns as they are
+    sim, fit = sim_40_0, tmp_path / "fit"
+    cohort_files = ["--pupils", str(sim / "pupils.csv"), "--schools", str(sim / "schools.csv")]
+    run_ok(["fit", *cohort_files, "--measures", "all", "--out", str(fit)])
+    with open(sim / "pupils.csv", "rb") as pupils, open(sim / "schools.csv", "rb") as schools:
+        cohort = validate_cohort(parse_pupils(pupils)[0], parse_schools(schools)[0])
+    for kind in MeasureKind:
+        res = compute_measure(cohort, kind)
+        cov = cluster_robust_cov(res.fit, res.design, cohort.school_index)
+        table = coefficient_table(res.fit, cov)
+        with open(fit / f"coefficients_{kind.code}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(table), kind.code
+        expected = [[_cell(value) for value in column] for column in table.values()]
+        assert [list(column) for column in zip(*rows)] == expected, kind.code
+
+
+@pytest.mark.parametrize("name, column", [("pupils.csv", "pupil_id"), ("schools.csv", "school_id")])
+def test_id_with_a_nul_is_a_row_issue(tmp_path, sim_dir, fit_dir, capsys, name, column):
+    # numpy S drops trailing NULs: a copy of the first row whose id ends in
+    # one is a bad row, not the first row's id again
+    lines = (sim_dir / name).read_text().splitlines(keepends=True)
+    first_id, rest = lines[1].split(",", 1)
+    lines.insert(2, f'"{first_id}\0",{rest}')
+    path = tmp_path / name
+    path.write_text("".join(lines))
+    files = {n: str(path if n == name else sim_dir / n) for n in ("pupils.csv", "schools.csv")}
+    cohort_files = ["--pupils", files["pupils.csv"], "--schools", files["schools.csv"]]
+    issue = f"row 2, column {column}: must not contain a NUL character"
+    capsys.readouterr()
+    assert run(["validate", *cohort_files]) == 1
+    assert f"{name}: {issue}" in capsys.readouterr().err.splitlines()
+    out = tmp_path / "fit"
+    run_ok(["fit", *cohort_files, "--measures", "a8", "--out", str(out)])
+    assert f"{name}: skipped {issue}" in capsys.readouterr().err.splitlines()
+    scores = "school_scores_a8.csv"
+    assert (out / scores).read_bytes() == (fit_dir / scores).read_bytes()
 
 
 def test_ids_that_need_quoting_round_trip(tmp_path):
@@ -512,6 +564,23 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_unknown_measure_is_usage_error(capsys):
     assert run(["fit", "--pupils", "p", "--schools", "s", "--measures", "zz", "--out", "o"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("precision", ["18", "99999999999"])
+def test_precision_over_17_is_usage_error(tmp_path, sim_dir, capsys, precision):
+    out = tmp_path / "fit"
+    code = run([
+        "fit",
+        "--pupils", str(sim_dir / "pupils.csv"),
+        "--schools", str(sim_dir / "schools.csv"),
+        "--measures", "a8",
+        "--precision", precision,
+        "--out", str(out),
+    ])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"precision must be in 0..17, got {precision}" in errors[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_files", [1, 3])
@@ -898,6 +967,10 @@ def _config(tmp_path, text):
             ["row 3, column school_id: must not be empty"],
         ),
         (
+            lambda t, f, s: _edited_scores(t, f, 3, "school_id", "S0003\0"),
+            ["row 3, column school_id: must not contain a NUL character"],
+        ),
+        (
             lambda t, f, s: _scores_with_a_late_bad_byte(t, f),
             ["not valid UTF-8", f"byte 0xff in position {LATE_BYTE}"],
         ),
@@ -919,7 +992,7 @@ def _config(tmp_path, text):
         "huge-size-range", "seed-over-digit-limit",
         "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
         "inf-ci-low", "overflow-ci-low", "blank-score-ids", "long-score-id",
-        "whitespace-score-id", "late-non-utf8-score-byte",
+        "whitespace-score-id", "nul-score-id", "late-non-utf8-score-byte",
     ],
 )
 def test_bad_input_is_one_line_error(tmp_path, fit_dir, sim_dir, capsys, make, fragments):

@@ -405,8 +405,8 @@ def test_significance_flags_from_published_values():
         correction=1.0,
     )
     fit = dataclasses.replace(fit, coefficients=np.array([2.95, 0.17, 0.0]))
-    rows = coefficient_table(fit, cov)
-    assert [r.significant for r in rows] == [True, False, False]
+    table = coefficient_table(fit, cov)
+    assert table["significant"] == [True, False, False]
 
 
 def test_dropped_columns_blank_in_table():
@@ -419,8 +419,8 @@ def test_dropped_columns_blank_in_table():
     y = rng.normal(size=50)
     fit = fit_ols(design, y)
     cov = cluster_robust_cov(fit, design, [f"c{i % 6}" for i in range(50)])
-    rows = coefficient_table(fit, cov)
-    assert [r.label for r in rows] == ["constant", "empty", "x1"]
-    assert rows[1].estimate is None and rows[1].se is None
-    assert rows[1].significant is False
-    assert rows[0].estimate is not None
+    table = coefficient_table(fit, cov)
+    assert table["label"] == ["constant", "empty", "x1"]
+    assert table["estimate"][1] is None and table["se"][1] is None
+    assert table["significant"][1] is False
+    assert table["estimate"][0] is not None
