@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _HOMES = {
-    "analysis": ("BreakdownRow", "BreakdownTable", "breakdown"),
+    "analysis": ("breakdown",),
     "categories": (
         "MeasureKind", "ModelSpec", "PUPIL_CHARACTERISTICS", "SCHOOL_CHARACTERISTICS",
         "SignificanceCategory",

@@ -1,4 +1,4 @@
-"""Characteristic breakdowns.
+"""Characteristic breakdowns, as the columns of ``breakdown_<by>.csv``.
 
 Breakdowns report, per category of a pupil or school characteristic, the
 pupil count, share and mean pupil score for each measure, with a test of
@@ -19,7 +19,6 @@ a footnote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -28,24 +27,6 @@ from .categories import FIELD, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, Me
 from .cohort import ValidatedCohort
 from .errors import AnalysisError
 from .ols import Z95
-
-
-@dataclass(frozen=True)
-class BreakdownRow:
-    category: str
-    n_pupils: int
-    n_schools: int
-    percent: float
-    means: dict[MeasureKind, float | None]
-    significant: dict[MeasureKind, bool | None]
-
-
-@dataclass(frozen=True)
-class BreakdownTable:
-    """Category means with clustered significance for one characteristic."""
-
-    rows: list[BreakdownRow]
-    footnotes: list[str] = field(default_factory=list)
 
 
 def _aligned_scores(
@@ -69,16 +50,23 @@ def breakdown(
     cohort: ValidatedCohort,
     scores_by_measure: Mapping[MeasureKind, np.ndarray],
     characteristic: str,
-) -> BreakdownTable:
+) -> tuple[dict[str, list], list[str]]:
     """Category means per measure for one pupil or school characteristic.
 
     ``scores_by_measure`` maps each measure to its pupil scores in cohort
-    order (``MeasureResult.scores``). A pupil characteristic's rows follow
-    its category universe, with a ``(missing)`` row last when an optional
-    field has empty cells, and its percents are pupil shares. A school
-    characteristic's categories come from each pupil's school: its percents
-    are school shares and its rows are sorted by the raw attainment mean,
-    highest first, when that measure is present.
+    order (``MeasureResult.scores``). Returns ``(columns, footnotes)``: the
+    columns of ``breakdown_<by>.csv`` as lists, in file order (``category``,
+    ``n_pupils``, ``n_schools``, ``percent``, then ``mean_<code>`` and
+    ``significant_<code>`` of each measure in ``scores_by_measure`` order,
+    None for an empty category's mean and a suppressed flag), and its
+    footnote lines.
+
+    A pupil characteristic's rows follow its category universe, with a
+    ``(missing)`` row last when an optional field has empty cells, and its
+    percents are pupil shares. A school characteristic's categories come
+    from each pupil's school: its percents are school shares and its rows
+    are sorted by the raw attainment mean, highest first, when that measure
+    is present.
     """
     aligned = _aligned_scores(cohort, scores_by_measure)
     by_school = characteristic in SCHOOL_CHARACTERISTICS
@@ -104,7 +92,9 @@ def breakdown(
         for kind, scores in aligned.items()
     }
     del key
-    rows: list[BreakdownRow] = []
+    names = ["category", "n_pupils", "n_schools", "percent"]
+    names += [f"{stat}_{kind.code}" for kind in aligned for stat in ("mean", "significant")]
+    columns: dict[str, list] = {name: [] for name in names}
     footnotes: list[str] = []
     for code, cat in universe:
         # the category's pupils, in cohort order, so each mean adds the
@@ -117,34 +107,26 @@ def breakdown(
             percent = 100.0 * n_sch / g
         else:
             percent = 100.0 * n_cat / cohort.n_pupils
-        means: dict[MeasureKind, float | None] = {}
-        flags: dict[MeasureKind, bool | None] = {}
+        row = [cat, n_cat, n_sch, percent]
         for kind, scores in aligned.items():
             mean = float(scores[members].mean()) if n_cat else None
-            means[kind] = mean
-            flags[kind] = None
+            flag = None
             if n_sch >= 2:
                 # each school's sum of deviations from the category mean
                 dev = sums[kind][code + 1, present] - mean * counts[code + 1, present]
                 v = n_sch / (n_sch - 1) * float(dev @ dev) / n_cat**2
-                flags[kind] = v > 0.0 and abs(mean) / v**0.5 > Z95
+                flag = v > 0.0 and abs(mean) / v**0.5 > Z95
+            row += [mean, flag]
         if n_sch == 1:
             footnotes.append(
                 f"{cat}: significance suppressed (category spans fewer than 2 schools)"
             )
-        rows.append(
-            BreakdownRow(
-                category=cat,
-                n_pupils=n_cat,
-                n_schools=n_sch,
-                percent=percent,
-                means=means,
-                significant=flags,
-            )
-        )
+        for column, value in zip(columns.values(), row):
+            column.append(value)
     if by_school and MeasureKind.ATTAINMENT8 in aligned:
-        a8 = MeasureKind.ATTAINMENT8
+        a8 = columns[f"mean_{MeasureKind.ATTAINMENT8.code}"]
         # highest first, empty categories last; the sort is stable, so ties
         # keep universe order
-        rows.sort(key=lambda row: np.inf if row.means[a8] is None else -row.means[a8])
-    return BreakdownTable(rows=rows, footnotes=footnotes)
+        order = sorted(range(len(a8)), key=lambda i: np.inf if a8[i] is None else -a8[i])
+        columns = {name: [column[i] for i in order] for name, column in columns.items()}
+    return columns, footnotes

@@ -10,7 +10,8 @@ time). Each handler returns its files, by name, as bytes or as pieces of
 them, and ``run`` alone writes them, each atomically (temp file + rename),
 then the manifest.
 
-Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
+Exit codes: 0 success, 1 validation or computation failure (running out
+of memory too, as one ``out of memory: <message>`` line), 2 usage error.
 Each warning goes to stderr as one ``warning: <message>`` line.
 Randomness exists only in `simulate --seed`; fitting is seed-free.
 
@@ -21,9 +22,9 @@ output tables, ``coefficients_<code>.csv`` being the columns that
 ``ols.coefficient_table`` returns. ``breakdown`` parses the cohort and
 fits each measure once, keeps only the pupil scores, then runs one
 ``analysis.breakdown`` per characteristic of ``--by`` (a comma list, or
-``all`` for all fifteen), each gathering a category's scores through one
-row index and making ``breakdown_<by>.csv`` byte-identical to a single
-``--by`` run's.
+``all`` for all fifteen), and writes the columns each returns, its
+percent to one decimal, and its footnotes as ``#`` lines to
+``breakdown_<by>.csv``, byte-identical to a single ``--by`` run's.
 ``simulate`` writes each block of a cohort file as it is made.
 ``compare`` takes exactly two ``--scores`` files and writes what
 ``compare.compare_columns`` returns, as it is, to ``comparison.json``.
@@ -59,9 +60,6 @@ from .categories import (
 from .compare import SchoolScore, compare_columns
 from .csvio import csv_bytes, read_blocks
 from .errors import AnalysisError, CohortError, DesignError, FitError, GeneratorError, VamkitError
-
-if typing.TYPE_CHECKING:
-    from .analysis import BreakdownTable
 
 
 def _list_parser(noun: str, values: dict):
@@ -258,21 +256,6 @@ def _rows_csv(rows: list, fmt) -> bytes:
     return _columns_csv({n: [getattr(row, n) for row in rows] for n in names}, fmt)
 
 
-def _breakdown_csv(table: BreakdownTable, kinds: list[MeasureKind], fmt) -> bytes:
-    rows = table.rows
-    columns = {
-        "category": [row.category for row in rows],
-        "n_pupils": [row.n_pupils for row in rows],
-        "n_schools": [row.n_schools for row in rows],
-        "percent": [f"{row.percent:.1f}" for row in rows],
-    }
-    for kind in kinds:
-        columns[f"mean_{kind.code}"] = [row.means[kind] for row in rows]
-        columns[f"significant_{kind.code}"] = [row.significant[kind] for row in rows]
-    notes = "".join(f"# {note}\n" for note in table.footnotes)
-    return _columns_csv(columns, fmt) + notes.encode("utf-8")
-
-
 def _column_parser(tp):
     """The values of a whole column of cells, for a field annotated ``tp``,
     made by C-level ``map``s: the inverse of ``_cell``. A ``str`` column
@@ -463,11 +446,14 @@ def _cmd_breakdown(args):
         # only each measure's pupil scores are kept
         scores = {kind: compute_measure(cohort, kind).scores for kind in args.measures}
     fmt = _formatter(args.precision)
+    files = {}
     # one breakdown at a time; run writes no file until every one is done
-    files = {
-        f"breakdown_{by}.csv": _breakdown_csv(breakdown(cohort, scores, by), args.measures, fmt)
-        for by in args.by
-    }
+    for by in args.by:
+        columns, footnotes = breakdown(cohort, scores, by)
+        # the share keeps one decimal whatever --precision says
+        columns["percent"] = [f"{p:.1f}" for p in columns["percent"]]
+        notes = "".join(f"# {note}\n" for note in footnotes).encode("utf-8")
+        files[f"breakdown_{by}.csv"] = _columns_csv(columns, fmt) + notes
     return files, inputs, None, None
 
 
@@ -558,6 +544,9 @@ def run(argv=None) -> int:
                 _write_atomic(out_dir / name, data)
     except (VamkitError, OSError) as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
     manifest = {

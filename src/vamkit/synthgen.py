@@ -172,6 +172,7 @@ def dgp_from_coefficients(table: Mapping[str, float]) -> dict[str, dict[str, flo
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+_MAX_PUPILS = _INT64_MAX // 20
 
 
 def _check_config(config: GeneratorConfig) -> None:
@@ -196,6 +197,13 @@ def _check_config(config: GeneratorConfig) -> None:
         raise GeneratorError(f"n_schools must be at most {_INT64_MAX}, got {config.n_schools}")
     if hi > _INT64_MAX:
         raise GeneratorError(f"school_size_range must be at most {_INT64_MAX}, got ({lo}, {hi})")
+    # numpy addresses at most _INT64_MAX bytes, and the widest per-pupil
+    # array, the pupil ids, takes up to 20 bytes a pupil
+    if config.n_schools * hi > _MAX_PUPILS:
+        raise GeneratorError(
+            f"n_schools * school_size_range[1] must be at most {_MAX_PUPILS}, "
+            f"got {config.n_schools} * {hi}"
+        )
     if config.true_school_effect_sd < 0 or config.noise_sd < 0:
         raise GeneratorError("effect and noise SDs must be nonnegative")
     if not 0.0 <= config.intake_gradient <= 1.0:

@@ -314,38 +314,40 @@ def test_fsm_breakdown_counts_and_means():
         make_pupil("P4", "S2", fsm=0, attainment8_total=70.0),
     ]
     cohort = make_cohort(pupils, [make_school("S1"), make_school("S2")])
-    table = breakdown(cohort, two_school_scores(cohort), "fsm")
-    rows = {r.category: r for r in table.rows}
-    assert rows["Eligible"].n_pupils == 2 and rows["Not eligible"].n_pupils == 2
-    assert rows["Eligible"].percent == pytest.approx(50.0)
+    columns, _ = breakdown(cohort, two_school_scores(cohort), "fsm")
+    eligible, not_eligible = map(columns["category"].index, ["Eligible", "Not eligible"])
+    means = columns[f"mean_{A8.code}"]
+    assert columns["n_pupils"][eligible] == 2 and columns["n_pupils"][not_eligible] == 2
+    assert columns["percent"][eligible] == pytest.approx(50.0)
     # mean outcome 45; eligible mean (20+30)/2 = 25 -> score (25-45)/10 = -2
-    assert rows["Eligible"].means[A8] == pytest.approx(-2.0, abs=1e-12)
-    assert rows["Not eligible"].means[A8] == pytest.approx(2.0, abs=1e-12)
+    assert means[eligible] == pytest.approx(-2.0, abs=1e-12)
+    assert means[not_eligible] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_adjusted_characteristic_means_zero_no_stars(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, AA8)
-    table = breakdown(cohort, {AA8: result.scores}, "fsm")
-    for row in table.rows:
-        assert abs(row.means[AA8]) <= 1e-9
-        assert row.significant[AA8] is False
+    columns, _ = breakdown(cohort, {AA8: result.scores}, "fsm")
+    for mean, flag in zip(columns[f"mean_{AA8.code}"], columns[f"significant_{AA8.code}"]):
+        assert abs(mean) <= 1e-9
+        assert flag is False
 
 
 def test_breakdown_pupil_counts_sum_and_percent(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
     for characteristic in ("ethnicity", "idaci_decile", "month_of_birth"):
-        table = breakdown(cohort, {A8: result.scores}, characteristic)
-        assert sum(r.n_pupils for r in table.rows) == cohort.n_pupils
-        assert sum(r.percent for r in table.rows) == pytest.approx(100.0, abs=0.2)
+        columns, _ = breakdown(cohort, {A8: result.scores}, characteristic)
+        assert sum(columns["n_pupils"]) == cohort.n_pupils
+        assert sum(columns["percent"]) == pytest.approx(100.0, abs=0.2)
 
 
 def test_breakdown_weighted_mean_is_zero(midsize_population):
     cohort = midsize_population.cohort
     result = compute_measure(cohort, A8)
-    table = breakdown(cohort, {A8: result.scores}, "sen")
-    weighted = sum(r.n_pupils * r.means[A8] for r in table.rows if r.n_pupils)
+    columns, _ = breakdown(cohort, {A8: result.scores}, "sen")
+    pairs = zip(columns["n_pupils"], columns[f"mean_{A8.code}"])
+    weighted = sum(n * mean for n, mean in pairs if n)
     assert abs(weighted / cohort.n_pupils) <= 1e-9
 
 
@@ -362,12 +364,12 @@ def test_single_school_category_suppressed():
     ]
     cohort = make_cohort(pupils, schools)
     result = compute_measure(cohort, A8)
-    table = breakdown(cohort, {A8: result.scores}, "region")
-    rows = {r.category: r for r in table.rows}
-    assert rows["London"].significant[A8] is None
-    assert rows["North East"].significant[A8] is None
-    assert any("fewer than 2 schools" in note for note in table.footnotes)
-    assert rows["London"].means[A8] == pytest.approx(-1.75, abs=1e-12)  # (30-47.5)/10
+    columns, footnotes = breakdown(cohort, {A8: result.scores}, "region")
+    london, north_east = map(columns["category"].index, ["London", "North East"])
+    assert columns[f"significant_{A8.code}"][london] is None
+    assert columns[f"significant_{A8.code}"][north_east] is None
+    assert any("fewer than 2 schools" in note for note in footnotes)
+    assert columns[f"mean_{A8.code}"][london] == pytest.approx(-1.75, abs=1e-12)  # (30-47.5)/10
 
 
 def test_shared_region_single_row_mean_zero(midsize_population):
@@ -378,24 +380,24 @@ def test_shared_region_single_row_mean_zero(midsize_population):
     )
     shared = validate_cohort(cohort.pupil_table, schools)
     result = compute_measure(shared, A8)
-    table = breakdown(shared, {A8: result.scores}, "region")
-    filled = [r for r in table.rows if r.n_pupils > 0]
+    columns, _ = breakdown(shared, {A8: result.scores}, "region")
+    filled = [i for i, n in enumerate(columns["n_pupils"]) if n > 0]
     assert len(filled) == 1
-    assert filled[0].category == "South West"
-    assert abs(filled[0].means[A8]) <= 1e-9
-    assert filled[0].n_schools == shared.n_schools
+    assert columns["category"][filled[0]] == "South West"
+    assert abs(columns[f"mean_{A8.code}"][filled[0]]) <= 1e-9
+    assert columns["n_schools"][filled[0]] == shared.n_schools
 
 
 def test_school_characteristic_breakdown_sorted_by_raw_attainment(midsize_population):
     cohort = midsize_population.cohort
     results = {kind: compute_measure(cohort, kind) for kind in [A8, AP8]}
     scores = {k: r.scores for k, r in results.items()}
-    table = breakdown(cohort, scores, "school_idaci_decile")
-    means = [r.means[A8] for r in table.rows if r.means[A8] is not None]
+    columns, _ = breakdown(cohort, scores, "school_idaci_decile")
+    means = [mean for mean in columns[f"mean_{A8.code}"] if mean is not None]
     assert means == sorted(means, reverse=True)
     # deprived-intake deciles should sit at the bottom of the raw ranking
-    first, last = table.rows[0], table.rows[-1]
-    assert int(first.category) < int(last.category)
+    first, last = columns["category"][0], columns["category"][-1]
+    assert int(first) < int(last)
 
 
 def test_unknown_characteristic_fatal(midsize_population):
@@ -449,16 +451,17 @@ def assert_flags_match(cohort, oracle):
         for characteristic in characteristics:
             codes = codes_of(characteristic)
             levels = FIELD[characteristic].levels
-            table = breakdown(cohort, scores, characteristic)
-            for row in table.rows:
-                code = levels.index(row.category) if row.category in levels else -1
+            columns, _ = breakdown(cohort, scores, characteristic)
+            for i, category in enumerate(columns["category"]):
+                code = levels.index(category) if category in levels else -1
                 mask = codes == code
-                for kind, flag in row.significant.items():
-                    if row.n_schools < 2:
+                for kind in scores:
+                    flag = columns[f"significant_{kind.code}"][i]
+                    if columns["n_schools"][i] < 2:
                         assert flag is None
                         continue
                     expected = oracle(scores[kind][mask], cohort.school_index[mask])
-                    assert flag is expected, (characteristic, row.category, kind)
+                    assert flag is expected, (characteristic, category, kind)
                     checked.append(flag)
     return checked
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vamkit
+from vamkit.analysis import breakdown
 from vamkit.categories import PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind
 from vamkit.cli import run
 from vamkit.cohort import (
@@ -369,7 +370,7 @@ def _cell(value):
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    return repr(value) if isinstance(value, float) else value
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def test_coefficients_csv_is_coefficient_table_columns(tmp_path, sim_40_0):
@@ -520,6 +521,36 @@ def test_all_inside_a_list_means_every_value(tmp_path, sim_40_0):
     _check_breakdown_of_every_characteristic(tmp_path / "bd")
 
 
+def test_breakdown_csv_is_breakdown_columns(tmp_path, sim_40_0):
+    # each breakdown_<by>.csv holds breakdown's columns, its percent to one
+    # decimal, then its footnotes as # lines
+    sim = sim_40_0
+    _breakdown(sim, tmp_path / "bd", "all", "all")
+    with open(sim / "pupils.csv", "rb") as pupils, open(sim / "schools.csv", "rb") as schools:
+        cohort = validate_cohort(parse_pupils(pupils)[0], parse_schools(schools)[0])
+    scores = {kind: compute_measure(cohort, kind).scores for kind in MeasureKind}
+    n_notes = 0
+    for by in PUPIL_CHARACTERISTICS + SCHOOL_CHARACTERISTICS:
+        columns, footnotes = breakdown(cohort, scores, by)
+        n_notes += len(footnotes)
+        with open(tmp_path / "bd" / f"breakdown_{by}.csv", newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        n_rows = next((i for i, line in enumerate(lines) if line.startswith("#")), len(lines))
+        header, *rows = csv.reader(lines[:n_rows])
+        assert header == list(columns), by
+        expected = [
+            [f"{value:.1f}" if name == "percent" else _cell(value) for value in column]
+            for name, column in columns.items()
+        ]
+        assert [list(column) for column in zip(*rows)] == expected, by
+        assert lines[n_rows:] == [f"# {note}\n" for note in footnotes], by
+        if by in SCHOOL_CHARACTERISTICS:
+            # highest raw attainment mean first, empty categories last
+            means = [float(row[header.index("mean_a8")] or "-inf") for row in rows]
+            assert means == sorted(means, reverse=True), by
+    assert n_notes > 0  # 40/0 has categories of one school, some of them empty
+
+
 def test_breakdown_by_list_drops_repeats(tmp_path, sim_dir):
     out = tmp_path / "bd"
     run_ok([
@@ -618,6 +649,41 @@ def test_mismatched_compare_is_failure(tmp_path, fit_dir, sim_dir, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_out_of_memory_is_one_line_error(tmp_path):
+    # the child's address space is capped at 1 GiB and simulate's first
+    # array, the school ids, wants 12.7 TiB: the allocation fails at once,
+    # before anything is mapped
+    import resource
+
+    cap = 1 << 30
+    src = str(Path(vamkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vamkit.cli", "simulate", "--schools", str(10**12),
+         "--out", str(tmp_path / "out")],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("out of memory: Unable to allocate 12.7 TiB"), line
+
+
+def test_memory_error_in_fit_is_one_line(tmp_path, sim_dir, capsys, monkeypatch):
+    import vamkit.measures
+
+    def no_memory(cohort, kind):
+        raise MemoryError
+
+    monkeypatch.setattr(vamkit.measures, "compute_measure", no_memory)
+    out = tmp_path / "out"
+    argv = ["fit", "--pupils", str(sim_dir / "pupils.csv"), "--schools", str(sim_dir / "schools.csv")]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["out of memory: an allocation failed"]
+    assert list(out.iterdir()) == []
 
 
 def test_module_entry_point_runs(sim_dir):
@@ -834,6 +900,16 @@ def _config(tmp_path, text):
     return ["simulate", "--config", str(path)], path
 
 
+def _schools_flag(tmp_path, n_schools):
+    """simulate --schools n_schools, with an empty config file to name."""
+    argv, path = _config(tmp_path, "{}")
+    return argv + ["--schools", str(n_schools)], path
+
+
+# the most pupils a config may allow: 20 bytes of pupil id each
+MAX_PUPILS = (2**63 - 1) // 20
+
+
 @pytest.mark.parametrize(
     "make, fragments",
     [
@@ -931,6 +1007,19 @@ def _config(tmp_path, text):
             lambda t, f, s: _config(t, f'{{"school_size_range": [1, {HUGE}]}}'),
             [f"school_size_range must be at most {2**63 - 1}, got (1, {HUGE})"],
         ),
+        # a cohort too large for numpy to hold its pupil ids fails before any array is made
+        (
+            lambda t, f, s: _config(t, f'{{"n_schools": 2, "school_size_range": [{2**62}, {2**62}]}}'),
+            [f"n_schools * school_size_range[1] must be at most {MAX_PUPILS}, got 2 * {2**62}"],
+        ),
+        (
+            lambda t, f, s: _config(t, f'{{"n_schools": {2**62}, "school_size_range": [1, 1]}}'),
+            [f"n_schools * school_size_range[1] must be at most {MAX_PUPILS}, got {2**62} * 1"],
+        ),
+        (
+            lambda t, f, s: _schools_flag(t, 2**62),
+            [f"n_schools * school_size_range[1] must be at most {MAX_PUPILS}, got {2**62} * 200"],
+        ),
         (lambda t, f, s: _config(t, f'{{"seed": 1{"0" * 5000}}}'), ["not a JSON file"]),
         (lambda t, f, s: _repeated_score_row(t, f), ["duplicate school_id in score list"]),
         (
@@ -989,7 +1078,8 @@ def _config(tmp_path, text):
         "string-n_schools", "nan-coefficient", "config-not-object", "config-unknown-key",
         "negative-seed", "string-noise_sd", "one-size-range", "coefficient-list",
         "huge-noise_sd", "huge-intake_gradient", "huge-coefficient", "huge-n_schools",
-        "huge-size-range", "seed-over-digit-limit",
+        "huge-size-range", "huge-pupil-count", "huge-n_schools-of-one", "huge-schools-flag",
+        "seed-over-digit-limit",
         "duplicate-score-row", "cell-over-field-limit", "mixed-measures", "two-bad-score-cells",
         "inf-ci-low", "overflow-ci-low", "blank-score-ids", "long-score-id",
         "whitespace-score-id", "nul-score-id", "late-non-utf8-score-byte",
