@@ -542,23 +542,23 @@ def run(argv=None) -> int:
             files, inputs, seed, report = args.handler(args)
             for name, data in files.items():
                 _write_atomic(out_dir / name, data)
+        manifest = {
+            "command": ["vamkit"] + (argv if argv is not None else sys.argv[1:]),
+            "inputs": inputs,
+            "seed": seed,
+            "version": __version__,
+            "outputs": sorted(files),
+            **({"report": report} if report is not None else {}),
+            "wall_time_s": round(time.monotonic() - started, 6),
+        }
+        manifest_bytes = (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+        _write_atomic(out_dir / "manifest.json", manifest_bytes)
     except (VamkitError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
-
-    manifest = {
-        "command": ["vamkit"] + (argv if argv is not None else sys.argv[1:]),
-        "inputs": inputs,
-        "seed": seed,
-        "version": __version__,
-        "outputs": sorted(files),
-        **({"report": report} if report is not None else {}),
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    _write_atomic(out_dir / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return 0
 
 

@@ -15,8 +15,12 @@ integers), and every design's columns are levels of the same eight
 covariates. So a cohort keeps one cross-tab of counts over the constant and
 every covariate level, and each design's X'X is that table at its columns'
 levels; each pair of covariates is counted once per cohort, when a design
-first asks for it. X'y and the per-cluster sums X_g'e are bincounts, and X
-beta gathers one coefficient per block.
+first asks for it. Every measure's outcome is the cohort's own
+``attainment8_total``, so beside the cross-tab the cohort keeps that
+outcome's sum at every level, each block's summed once per cohort, and a
+design's X'y of the outcome is that vector at its columns' levels. The X'y
+of any other vector and the per-cluster sums X_g'e are bincounts, and X beta
+gathers one coefficient per level.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .errors import DesignError, id_list
 
 # Rows per run of sequential additions in _Block.sums.
 _RUN = 256
+# Rows per run of gathers in DesignMatrix.predict.
+_GATHER = 16384
 
 _PRIOR = "ks2_group"
 _COVARIATES = tuple(f for f in PUPIL_FIELDS if f.reference is not None)
@@ -91,21 +97,28 @@ class _Block:
 
 
 class _LevelCounts:
-    """One cohort's cross-tab of levels, counted one pair of blocks at a time.
+    """One cohort's cross-tab of levels, counted one pair of blocks at a time,
+    and its outcome's sum at each level.
 
     ``table[i, j]`` is the number of pupils at both level i and level j: level
     0 is the constant, and each covariate's levels follow from its block's
     ``start``. A block's level counts fill its diagonal block and its row and
     column against the constant; a pair of covariates fills their cross-tab.
-    Each is counted the first time a design asks for it. The table is
-    86 x 86 floats (~60 KB), exact for counts below 2**53, and nothing of
-    pupil length is kept.
+    ``outcome[i]`` is the sum of the cohort's outcome over the pupils at level
+    i, filled a block at a time by ``_Block.sums``. Each is counted the first
+    time a design asks for it. The table is 86 x 86 floats (~60 KB), exact
+    for counts below 2**53, and nothing of pupil length is kept: the outcome
+    is handed in by the design that asks. So the outcome column must not
+    change once a design has read its X'y; the generator writes it in place
+    before any design does.
     """
 
     def __init__(self, n: int):
         self.table = np.zeros((_N_LEVELS, _N_LEVELS))
         self.table[0, 0] = n
         self._counted = {(0, 0)}
+        self.outcome = np.zeros(_N_LEVELS)
+        self._summed: set[int] = set()
 
     def levels(self, b: _Block) -> np.ndarray:
         """The number of pupils at each of b's levels."""
@@ -129,6 +142,12 @@ class _LevelCounts:
         self.table[cols, rows] = counts.T
         self._counted.add((a.start, b.start))
 
+    def outcome_sums(self, b: _Block, y: np.ndarray) -> None:
+        """Sum the outcome ``y`` over b's levels, if they are not summed yet."""
+        if b.start not in self._summed:
+            self.outcome[b.start : b.start + b.levels] = b.sums(y)
+            self._summed.add(b.start)
+
 
 class DesignMatrix:
     """N x k dummy design with stable column labels, held as code columns.
@@ -136,17 +155,23 @@ class DesignMatrix:
     Each dummy block keeps one integer code column, never the N x k
     indicator array. Every statistic a least-squares fit and its clustered
     covariance need (``gram``, ``xty``, ``predict`` and ``cluster_sums``)
-    comes from counts and bincounts over the codes, and ``gram`` from the
-    cohort's level cross-tab; ``values`` builds the indicator array only
-    when it is read.
+    comes from counts and bincounts over the codes, and ``gram`` and the
+    outcome's ``xty`` from the cohort's level store; ``values`` builds the
+    indicator array only when it is read.
     """
 
     def __init__(
-        self, column_labels: tuple[str, ...], blocks: tuple[_Block, ...], counts: _LevelCounts
+        self,
+        column_labels: tuple[str, ...],
+        blocks: tuple[_Block, ...],
+        counts: _LevelCounts,
+        outcome: np.ndarray,
     ):
         self.column_labels = tuple(column_labels)
         self._blocks = blocks
         self._counts = counts
+        # the cohort's outcome column, whose level sums ``counts`` keeps
+        self._outcome = outcome
         # each column's level in the cross-tab (blocks hold consecutive columns)
         self._levels = np.concatenate([b.start + b.coded for b in blocks])
 
@@ -178,19 +203,39 @@ class DesignMatrix:
         return self._counts.table[np.ix_(self._levels, self._levels)]
 
     def xty(self, y: np.ndarray) -> np.ndarray:
-        """X'y: for each column, the sum of y over the rows where it is 1."""
+        """X'y: for each column, the sum of y over the rows where it is 1.
+
+        For the cohort's own outcome column it is the cohort's outcome level
+        sums at the columns' levels, each block's summed once per cohort;
+        any other y is summed block by block. Both sum by ``_Block.sums``,
+        so they agree bit for bit.
+        """
+        if y is self._outcome:
+            for b in self._blocks:
+                self._counts.outcome_sums(b, y)
+            return self._counts.outcome[self._levels]
         out = np.zeros(self.k)
         for b in self._blocks:
             out[b.columns] = b.sums(y)[b.coded]
         return out
 
     def predict(self, beta: np.ndarray) -> np.ndarray:
-        """X beta, given a coefficient for every design column."""
+        """X beta, given a coefficient for every design column.
+
+        beta is scattered once by level (0 at a reference level). Then, a
+        run of _GATHER rows at a time, each block adds its rows' level
+        coefficients, gathered by ``take``. ``take`` of int8 codes is faster
+        than indexing by them but first widens the codes it is given to
+        intp, so the runs keep that copy, and the gathered values, small.
+        """
+        by_level = np.zeros(_N_LEVELS)
+        by_level[self._levels] = beta
         out = np.zeros(self.n)
-        for b in self._blocks:
-            per_level = np.zeros(b.levels)
-            per_level[b.coded] = beta[b.columns]
-            out += per_level[b.codes]
+        for start in range(0, self.n, _GATHER):
+            rows = slice(start, start + _GATHER)
+            part = out[rows]
+            for b in self._blocks:
+                part += by_level[b.start : b.start + b.levels].take(b.codes[rows])
         return out
 
     def cluster_sums(self, e: np.ndarray, cluster: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -256,5 +301,7 @@ def build_design_matrix(cohort: ValidatedCohort, spec: ModelSpec) -> DesignMatri
             f"category level(s) absent from cohort (all-zero columns): {', '.join(empty)}",
             stacklevel=2,
         )
-    return DesignMatrix(design_labels(spec), tuple(design_blocks), counts)
+    return DesignMatrix(
+        design_labels(spec), tuple(design_blocks), counts, pupils["attainment8_total"]
+    )
 

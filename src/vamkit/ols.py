@@ -7,9 +7,10 @@ forms its N x k indicator matrix. A left-to-right rank guard on X'X prunes
 exact-collinear columns (including all-zero columns from empty category
 levels) deterministically and reports them, so coefficient tables stay
 reproducible rather than depending on a pseudo-inverse. The guard factors
-X'X with one Cholesky, and factors the kept block again only after a drop;
-that factor of the retained columns is the one the solve and (X'X)^-1
-use. Residuals are y - X b.
+X'X with one Cholesky, and factors the kept block again only after a drop.
+That factor L of the retained columns is inverted once, and its inverse
+gives both (X'X)^-1 = L^-T L^-1, which the covariance needs, and
+b = L^-T (L^-1 X'y), so no separate solve runs. Residuals are y - X b.
 
 The clustered covariance is the CR1 sandwich,
 
@@ -148,9 +149,9 @@ def fit_ols(design: DesignMatrix, outcome) -> FitResult:
     if n <= k_eff:
         raise FitError(f"cannot fit: {n} observations for {k_eff} retained parameters")
 
-    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, design.xty(y)[kept]))
     chol_inv = np.linalg.inv(chol)
     xtx_inv = chol_inv.T @ chol_inv
+    beta = chol_inv.T @ (chol_inv @ design.xty(y)[kept])
     full = np.zeros(design.k)
     full[kept] = beta
     resid = design.predict(full)

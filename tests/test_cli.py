@@ -686,6 +686,29 @@ def test_memory_error_in_fit_is_one_line(tmp_path, sim_dir, capsys, monkeypatch)
     assert list(out.iterdir()) == []
 
 
+def test_manifest_write_error_is_one_line(tmp_path, capsys, monkeypatch):
+    import vamkit.cli
+
+    write = vamkit.cli._write_atomic
+
+    def disk_full_at_manifest(path, data):
+        if path.name == "manifest.json":
+            raise OSError(28, "No space left on device")
+        write(path, data)
+
+    monkeypatch.setattr(vamkit.cli, "_write_atomic", disk_full_at_manifest)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["simulate", "--schools", "4", "--out", str(out)]) == 1
+    # four schools leave category levels empty, which warns
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("warning: ")] == [
+        "[Errno 28] No space left on device"
+    ]
+    assert not list(out.glob(".tmp.*"))
+    assert not (out / "manifest.json").exists()
+
+
 def test_module_entry_point_runs(sim_dir):
     src = str(Path(vamkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from vamkit.design import build_design_matrix, design_labels
 from vamkit.errors import DesignError
 from vamkit.measures import compute_measure
 from vamkit.ols import cluster_robust_cov
+from vamkit.synthgen import GeneratorConfig, generate_population
 
 from conftest import make_cohort, make_pupil, make_school
 from dense_design import DenseDesign
@@ -228,3 +230,91 @@ def test_fits_do_not_depend_on_measure_order(midsize_population):
         ]:
             assert np.array_equal(a, b), kind
 
+
+
+@pytest.fixture(scope="module", params=[(40, 0), (300, 612)], ids=["40-0", "300-612"])
+def generated(request):
+    n_schools, seed = request.param
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small cohorts leave levels empty
+        return generate_population(GeneratorConfig(n_schools=n_schools, seed=seed)).cohort
+
+
+def designs(cohort, order=tuple(MeasureKind)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {kind: build_design_matrix(cohort, kind.model_spec) for kind in order}
+
+
+def block_sums_xty(design, y):
+    """X'y summed block by block, as every y was before the cohort kept its
+    outcome's level sums."""
+    out = np.zeros(design.k)
+    for b in design._blocks:
+        out[b.columns] = b.sums(y)[b.coded]
+    return out
+
+
+def block_predict(design, beta):
+    """X beta with one small level vector per block, as before predict read
+    beta by level."""
+    out = np.zeros(design.n)
+    for b in design._blocks:
+        per_level = np.zeros(b.levels)
+        per_level[b.coded] = beta[b.columns]
+        out += per_level[b.codes]
+    return out
+
+
+def test_outcome_xty_is_the_block_sums(generated):
+    y = generated.pupil_table["attainment8_total"]
+    for order in ORDERS:
+        cohort = replace(generated)  # an empty level store
+        for kind, design in designs(cohort, order).items():
+            xty = design.xty(y)
+            assert np.array_equal(xty, block_sums_xty(design, y)), (order, kind)
+            dense = DenseDesign(design.values, design.column_labels).xty(y)
+            np.testing.assert_allclose(xty, dense, rtol=1e-10, atol=0)
+
+
+def test_outcome_xty_does_not_depend_on_measure_order(generated):
+    y = generated.pupil_table["attainment8_total"]
+    by_order = [
+        {kind: d.xty(y) for kind, d in designs(replace(generated), order).items()}
+        for order in ORDERS
+    ]
+    for kind in MeasureKind:
+        assert np.array_equal(by_order[0][kind], by_order[1][kind]), kind
+
+
+def test_other_vectors_get_their_own_xty(generated):
+    cohort = replace(generated)
+    y = cohort.pupil_table["attainment8_total"]
+    for kind, design in designs(cohort).items():
+        design.xty(y)  # the cohort's outcome sums are stored
+        # doubling is exact, so its sums are exactly twice the outcome's
+        assert np.array_equal(design.xty(2 * y), 2 * design.xty(y)), kind
+        other = np.random.default_rng(1).normal(size=y.size)
+        assert np.array_equal(design.xty(other), block_sums_xty(design, other)), kind
+
+
+def test_replaced_outcome_gets_fresh_sums(generated):
+    cohort = replace(generated)
+    y = cohort.pupil_table["attainment8_total"]
+    for design in designs(cohort).values():
+        design.xty(y)
+    new_y = np.random.default_rng(2).permutation(y)
+    other = replace(cohort, pupil_table=cohort.pupil_table.replace(attainment8_total=new_y))
+    for kind, design in designs(other).items():
+        xty = design.xty(new_y)
+        assert np.array_equal(xty, block_sums_xty(design, new_y)), kind
+        if kind is not MeasureKind.ATTAINMENT8:  # a permutation keeps the total
+            assert not np.array_equal(xty, block_sums_xty(design, y)), kind
+
+
+def test_predict_by_level_equals_block_by_block(generated):
+    rng = np.random.default_rng(39)
+    for kind, design in designs(generated).items():
+        for _ in range(3):
+            beta = rng.normal(scale=10.0, size=design.k)
+            assert np.array_equal(design.predict(beta), block_predict(design, beta)), kind

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vamkit.categories import FIELD, MeasureKind, ModelSpec
+from vamkit.categories import FIELD, PUPIL_FIELDS, SCHOOL_FIELDS, Kind, MeasureKind, ModelSpec
 from vamkit.cohort import decode_ids
 from vamkit.design import build_design_matrix, design_labels
 from vamkit.errors import AnalysisError, GeneratorError
@@ -14,8 +14,10 @@ from vamkit.synthgen import (
     GeneratorConfig,
     _codes,
     _cut_points,
+    _draw,
     _ids,
     _normal_cdf,
+    _shares,
     dgp_from_coefficients,
     generate_population,
     serialize_truth,
@@ -142,6 +144,40 @@ def test_normal_cut_points_match_scipy():
     intercept = ndtri(FSM_ELIGIBLE_SHARE) * np.sqrt(2.0)
     for latent in (intercept + z, 4.0 * z):  # the generator's range, then deep tails
         np.testing.assert_allclose(_normal_cdf(latent), ndtr(latent), rtol=1e-13, atol=0)
+
+
+def test_codes_count_the_cuts_at_or_below():
+    # one comparison a cut, equal to searchsorted's side="right" counts, for
+    # random latents, latents exactly at each cut (the decile cuts hold 0.0)
+    # and both signed zeros
+    rng = np.random.default_rng(39)
+    for cuts in _cut_points()[:2]:
+        for latent in (
+            rng.standard_normal(10_000),
+            np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)]),
+            np.array([0.0, -0.0]),
+        ):
+            expected = np.searchsorted(cuts, latent, side="right").astype(np.int8)
+            codes = _codes(cuts, latent)
+            assert codes.dtype == np.int8
+            assert np.array_equal(codes, expected)
+
+
+def test_draw_equals_rng_choice():
+    # _draw counts cuts on the uniforms rng.choice would draw: the same codes
+    # and the same stream after them
+    for seed in range(20):
+        for size in (0, 1, 40, 6_000):
+            for fields in (PUPIL_FIELDS, SCHOOL_FIELDS):
+                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = _draw(rng, fields, size)
+                for f in fields:
+                    if f.kind is Kind.ENUM:
+                        shares = _shares(NATIONAL_COUNTS[f.name])
+                        expected = reference.choice(len(f.levels), size=size, p=shares)
+                        assert drawn.pop(f.name).tolist() == expected.tolist(), (seed, f.name)
+                assert not drawn
+                assert rng.random() == reference.random()
 
 
 def school_means(cohort, column):
