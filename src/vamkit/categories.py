@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 def _normalise(text: str) -> str:
@@ -50,23 +49,31 @@ def _slug(level: str) -> str:
     return "_".join(level.replace("/", " ").split())
 
 
-@dataclass(frozen=True)
 class Field:
     """One CSV column: its kind, level universe in code order and design role.
 
     ``reference`` is the level a covariate's design leaves out (None for a
     column that is not a design covariate). Each other level gets the design
     column ``<name>_<suffix(level)>``. Category codes are small ints; code
-    -1 marks a missing value of an ``optional`` INT column.
+    -1 marks a missing value of an ``optional`` INT column. A Field is
+    immutable.
     """
 
-    name: str
-    kind: Kind
-    levels: tuple[str, ...] = ()
-    reference: str | None = None
-    suffix: Callable[[str], str] = _slug
-    bounds: tuple = ()
-    optional: bool = False
+    _ATTRS = ("name", "kind", "levels", "reference", "suffix", "bounds", "optional")
+
+    def __init__(
+        self, name: str, kind: Kind, levels: tuple[str, ...] = (), reference: str | None = None,
+        suffix: Callable[[str], str] = _slug, bounds: tuple = (), optional: bool = False,
+    ):
+        vars(self).update(zip(self._ATTRS, (name, kind, levels, reference, suffix, bounds, optional)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Field({', '.join(f'{a}={getattr(self, a)!r}' for a in self._ATTRS)})"
 
     @functools.cached_property
     def spellings(self) -> tuple[str, ...]:
@@ -209,8 +216,7 @@ PUPIL_CHARACTERISTICS = tuple(f.name for f in PUPIL_FIELDS if f.levels)
 SCHOOL_CHARACTERISTICS = tuple(f.name for f in SCHOOL_FIELDS if f.levels)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Which covariate blocks a model adjusts for."""
 
     include_prior_attainment: bool

@@ -26,11 +26,15 @@ fits each measure once, keeps only the pupil scores, then runs one
 percent to one decimal, and its footnotes as ``#`` lines to
 ``breakdown_<by>.csv``, byte-identical to a single ``--by`` run's.
 ``simulate`` writes each block of a cohort file as it is made.
-``compare`` takes exactly two ``--scores`` files and writes what
-``compare.compare_columns`` returns, as it is, to ``comparison.json``.
+``compare`` takes exactly two ``--scores`` files, reads each by
+``csvio.read_blocks`` (a file ``fit`` wrote is cut by ``str.split``, not
+the csv module) into the columns ``compare.SCORE_COLUMNS`` lists, and
+writes what ``compare.compare_columns`` returns, as it is, to
+``comparison.json``.
 
 Each subcommand imports only the modules it runs: ``compare`` needs the
-standard library alone, while ``simulate``, ``fit``, ``breakdown`` and
+standard library alone, and not ``dataclasses`` (nor the ``inspect`` it
+imports), while ``simulate``, ``fit``, ``breakdown`` and
 ``validate`` import numpy and the model modules when their handler starts.
 
 Run as ``vamkit <command> ...`` or ``python -m vamkit.cli <command> ...``.
@@ -40,11 +44,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import enum
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -57,7 +61,7 @@ from . import __version__
 from .categories import (
     FIELD, ID_MAX_CHARS, PUPIL_CHARACTERISTICS, SCHOOL_CHARACTERISTICS, MeasureKind,
 )
-from .compare import SchoolScore, compare_columns
+from .compare import SCORE_COLUMNS, compare_columns
 from .csvio import csv_bytes, read_blocks
 from .errors import AnalysisError, CohortError, DesignError, FitError, GeneratorError, VamkitError
 
@@ -232,17 +236,23 @@ def _cell(value, fmt) -> str:
 
 def _cells(column: list, fmt) -> list[str]:
     """A column's cells, in one pass: ``fmt`` mapped over an all-float
-    column, a lookup of each distinct value's ``_cell`` in a column of one
-    other type (ids, counts, levels), ``_cell`` of each value of any other."""
+    column, an all-str column itself, each value's ``_value_`` in a column
+    of one Enum, a lookup of each distinct value's ``_cell`` in a column of
+    one other type (counts, flags), ``_cell`` of each value of any other."""
     kinds = set(map(type, column))
     if kinds == {float}:
         return list(map(fmt, column))
-    if len(kinds) == 1 and not issubclass(kinds.pop(), float):
-        # equal values share one cell, which holds as no value is a float
-        # (0.0 == -0.0)
-        cells = {value: _cell(value, fmt) for value in set(column)}
-        return list(map(cells.__getitem__, column))
-    return [_cell(value, fmt) for value in column]
+    if kinds == {str}:
+        return column
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is None or issubclass(kind, float):
+        return [_cell(value, fmt) for value in column]
+    if issubclass(kind, enum.Enum):
+        return list(map(operator.attrgetter("_value_"), column))
+    # equal values share one cell, which holds as no value is a float
+    # (0.0 == -0.0)
+    cells = {value: _cell(value, fmt) for value in set(column)}
+    return list(map(cells.__getitem__, column))
 
 
 def _columns_csv(columns: dict[str, list], fmt) -> bytes:
@@ -252,12 +262,14 @@ def _columns_csv(columns: dict[str, list], fmt) -> bytes:
 
 def _rows_csv(rows: list, fmt) -> bytes:
     """CSV of a non-empty list of one row dataclass; the header is its field names."""
-    names = [f.name for f in dataclasses.fields(rows[0])]
+    from dataclasses import fields
+
+    names = [f.name for f in fields(rows[0])]
     return _columns_csv({n: [getattr(row, n) for row in rows] for n in names}, fmt)
 
 
 def _column_parser(tp):
-    """The values of a whole column of cells, for a field annotated ``tp``,
+    """The values of a whole column of cells, for a column of type ``tp``,
     made by C-level ``map``s: the inverse of ``_cell``. A ``str`` column
     holds school ids, stripped and checked as the cohort files' ids are. A
     ValueError names the column's first bad cell."""
@@ -297,13 +309,13 @@ def _column_parser(tp):
     return lambda cells: list(map(tp, cells))
 
 
-_SCORE_NAMES = [f.name for f in dataclasses.fields(SchoolScore)]
+_SCORE_NAMES = list(SCORE_COLUMNS)
 _MEASURE = _SCORE_NAMES.index("measure")
 
 
 def _read_school_scores(path: Path, inputs: dict[str, str]) -> dict[str, list]:
     """Read a school_scores CSV produced by `fit` as columns, keyed by
-    :class:`SchoolScore` field name; the first bad row or cell is fatal.
+    ``compare.SCORE_COLUMNS`` name; the first bad row or cell is fatal.
 
     Each block of rows is converted a column at a time by ``_column_parser``
     (``float`` and ``math.isfinite``, ``int``, a dict lookup for the enums,
@@ -312,8 +324,7 @@ def _read_school_scores(path: Path, inputs: dict[str, str]) -> dict[str, list]:
     cell, each cell through the same parsers, only to name its first bad row
     or cell, in row order.
     """
-    hints = typing.get_type_hints(SchoolScore)
-    parsers = [_column_parser(hints[name]) for name in _SCORE_NAMES]
+    parsers = list(map(_column_parser, SCORE_COLUMNS.values()))
 
     def fault(rows, row_nos, issues, first) -> CohortError:
         """The first fault in row order of a block that failed."""

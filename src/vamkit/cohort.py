@@ -12,12 +12,15 @@ loop, ``csvio._line_blocks``, reads every file's bytes, a block of whole
 lines at a time into one reused buffer. Each block is encoded by one of
 two routes, which give the same columns, dtypes and issues:
 
-- the byte route, for a block that is ASCII and holds no quote, carriage
-  return or NUL (every file ``simulate`` writes): numpy finds a block's
-  separators, applies the csv route's line rules to the bytes (blank
-  lines skipped, wrong-width lines an issue) and gathers each column's
-  cells into a fixed-width byte array; a column with a cell longer than
-  the gather's cap is cut into str at the same offsets instead;
+- the byte route, for a block that is ``csvio._tokenizable``: ASCII,
+  with no quote, carriage return or NUL (every file ``simulate`` writes).
+  numpy finds a block's separators, applies the csv route's line rules to
+  the bytes (blank lines skipped, wrong-width lines an issue) and gathers
+  each column's cells into a fixed-width byte array; a column with a cell
+  longer than the gather's cap is cut into str at the same offsets
+  instead. A category column is coded by looking its cells up in a table
+  of the file's good spellings (:class:`_SpellingTable`), and only a
+  block with a spelling the table lacks is sorted;
 - the csv route, ``csvio.read_blocks``, which gives rows of str, from the
   line of the first byte the byte route cannot cut: the byte route keeps
   the columns it has made and hands the csv route the rest of that block,
@@ -64,7 +67,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .categories import ID_MAX_CHARS, PUPIL_FIELDS, SCHOOL_FIELDS, Field, Kind
-from .csvio import _BLOCK_ROWS, ParseIssue, _check_header, _csv_lines, _line_blocks, _read_blocks
+from .csvio import (
+    _BLANK_CHARS, _BLOCK_ROWS, _UNFIT_ASCII, ParseIssue, _check_header, _csv_lines, _line_blocks,
+    _read_blocks, _tokenizable,
+)
 from .errors import CohortError, id_list
 
 PUPIL_COLUMNS = tuple(f.name for f in PUPIL_FIELDS)
@@ -262,16 +268,81 @@ def _encode_column(
 
 # a word of bytes times this odd constant, plus the next word, hashes a cell
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+# a spelling table has at most 2**_SLOT_BITS slots, and is given up once
+# it has missed on _MISSES blocks in a row
+_SLOT_BITS, _MISSES = 16, 2
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """Each cell's hash, from its row of 8-byte words."""
+    key = words[:, 0]
+    for j in range(1, words.shape[1]):
+        key = key * _MIX + words[:, j]
+    return key
+
+
+class _SpellingTable:
+    """The good spellings of one category column met so far in a file, at
+    one gathered width, for coding a block without sorting it: each
+    spelling's words sit in the slot the top bits of its key times ``_MIX``
+    pick, and a cell is coded by its slot's code once its words equal the
+    slot's. A table has at least 8 slots a key, and doubles until each key
+    has its own slot, up to ``_SLOT_BITS``. Of spellings that share a slot
+    even then, or a key, the first learned is kept and a block that holds
+    another misses. An empty slot's words are all ones, which no ASCII cell
+    has. A table that has missed on ``_MISSES`` blocks in a row, as on a
+    file whose blocks keep bringing new spellings, misses from then on and
+    learns nothing more."""
+
+    def __init__(self):
+        self.known: dict[bytes, int] = {}  # each spelling's words -> code
+        self.misses = 0  # blocks missed in a row
+
+    def learn(self, rows: np.ndarray, codes: np.ndarray) -> None:
+        """Add spellings (their rows of words) and their codes."""
+        if self.misses == _MISSES:
+            return
+        size = len(self.known)
+        self.known.update(zip(map(bytes, rows), codes.tolist()))
+        if len(self.known) == size:
+            return
+        rows = np.frombuffer(b"".join(self.known), dtype=np.uint64).reshape(len(self.known), -1)
+        keys = _keys(rows) * _MIX
+        n = len(set(keys.tolist()))  # spellings of equal keys share every slot
+        bits = min((8 * n - 1).bit_length(), _SLOT_BITS)
+        while True:
+            self.shift = np.uint64(64 - bits)
+            taken, first = np.unique(keys >> self.shift, return_index=True)
+            if taken.size == n or bits == _SLOT_BITS:
+                break
+            bits += 1
+        self.words = np.full((1 << bits, rows.shape[1]), ~np.uint64(0))
+        self.words[taken] = rows[first]
+        self.codes = np.zeros(1 << bits, dtype=np.int8)
+        self.codes[taken] = np.fromiter(self.known.values(), dtype=np.int8)[first]
+
+    def encode(self, key: np.ndarray, words: np.ndarray) -> np.ndarray | None:
+        """The cells' codes, or None if a cell is not in the table."""
+        if self.misses == _MISSES:
+            return None
+        slot = (key * _MIX) >> self.shift
+        if (self.words[slot] == words).all():
+            self.misses = 0
+            return self.codes[slot]
+        self.misses += 1
+        return None
 
 
 def _encode_cells(
-    f: Field, cells, decoded: dict, reasons: dict[str, str]
+    f: Field, cells, decoded: dict, reasons: dict[str, str], tables: dict[int, _SpellingTable]
 ) -> tuple[np.ndarray, dict[int, str] | None]:
     """:func:`_encode_column` for one column of a block's cells: cells of
     str go to it as they are; gathered cells are an (n, width) uint8 array,
     each cell's bytes zero-padded. An id column is the gathered cells
-    themselves. A category's spellings are told apart by a hash of each
-    cell's 8-byte words, checked cell by cell against the spelling. A
+    themselves. A category column is coded by ``tables``' entry for its
+    width (see :class:`_SpellingTable`). A block the table misses is
+    sorted by a hash of each cell's 8-byte words, checked cell by cell
+    against the spelling, and its good spellings are added to the table. A
     column this does not settle is decoded and takes the str route, as is
     one with an id over ``ID_MAX_CHARS`` or with a control character or
     space in an id, which ``str.strip`` may strip.
@@ -300,9 +371,12 @@ def _encode_cells(
         _learn(f, spelt, decoded, reasons)
         return col, _faults(bad, spelt, reasons)
     words = cells.view(np.uint64)
-    key = words[:, 0]
-    for j in range(1, words.shape[1]):
-        key = key * _MIX + words[:, j]
+    key = _keys(words)
+    table = tables.get(words.shape[1])
+    if table is not None:
+        col = table.encode(key, words)
+        if col is not None:
+            return col, None
     _, inverse = np.unique(key, return_inverse=True)
     first = np.empty(inverse.max() + 1, dtype=np.intp)
     first[inverse] = np.arange(n)  # a cell of each spelling
@@ -310,8 +384,14 @@ def _encode_cells(
         return _encode_column(f, [t.decode() for t in text.tolist()], decoded, reasons)
     spelt = [t.decode() for t in text[first].tolist()]
     _learn(f, spelt, decoded, reasons)
-    col = np.array([decoded[t] for t in spelt], dtype=np.int8)[inverse]
+    codes = np.array([decoded[t] for t in spelt], dtype=np.int8)
+    col = codes[inverse]
     bad_spelt = np.array([t in reasons for t in spelt])
+    good = np.flatnonzero(~bad_spelt)
+    if good.size:
+        if table is None:
+            table = tables[words.shape[1]] = _SpellingTable()
+        table.learn(words[first[good]], codes[good])
     if not bad_spelt.any():
         return col, None
     bad = np.flatnonzero(bad_spelt[inverse])
@@ -329,21 +409,13 @@ _HEAD = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)[
 # and the widest window a cell is gathered through
 _SPARE = 1 + _GATHER_CAP
 _NEWLINE, _COMMA = ord("\n"), ord(",")
-# the bytes a blank line is made of: commas and what str.strip() strips
-# (a line's own newline among them)
-_BLANK = np.array([b == _COMMA or chr(b).isspace() for b in range(256)])
+# by byte value, whether a blank line may be made of it (a line's own
+# newline among them)
+_BLANK = np.array([chr(b) in _BLANK_CHARS for b in range(256)])
 
 
-# the ASCII bytes that a _tokenizable file does not hold; _UNFIT: by byte
-# value, whether it does not hold that byte
-_UNFIT_ASCII = (b'"', b"\r", b"\0")
+# by byte value, whether a _tokenizable block does not hold that byte
 _UNFIT = np.array([b >= 128 or bytes([b]) in _UNFIT_ASCII for b in range(256)])
-
-
-def _tokenizable(data: bytes | bytearray) -> bool:
-    """Whether bytes are read the same by splitting their lines at commas as
-    by the csv module: ASCII, with no quote, carriage return or NUL."""
-    return data.isascii() and not any(c in data for c in _UNFIT_ASCII)
 
 
 def _byte_blocks(
@@ -516,13 +588,13 @@ def _columns(
     Each block is one raw column per field (see :func:`_encode_cells`) and
     the rows' numbers.
     """
-    spellings = [({}, {}) for _ in fields]  # per column: decoded, reasons
+    spellings = [({}, {}, {}) for _ in fields]  # per column: decoded, reasons, tables
     columns = [_Column(f) for f in fields]
     for raws, row_nos in blocks:
         failed = np.zeros(len(row_nos), dtype=bool)
         block = []
-        for f, raw, (decoded, reasons) in zip(fields, raws, spellings):
-            col, why = _encode_cells(f, raw, decoded, reasons)
+        for f, raw, state in zip(fields, raws, spellings):
+            col, why = _encode_cells(f, raw, *state)
             if why:
                 bad = np.zeros(len(row_nos), dtype=bool)
                 bad[list(why)] = True

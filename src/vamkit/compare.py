@@ -29,7 +29,6 @@ import bisect
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping, Sequence
 
@@ -37,17 +36,32 @@ from .categories import MeasureKind, SignificanceCategory
 from .errors import AnalysisError, id_list
 
 
-@dataclass(frozen=True)
-class SchoolScore:
-    """A school's measure score (mean of its pupil scores) with 95% CI."""
+# The columns of a school_scores file, in order, and the type of each value:
+# the fields of SchoolScore, and what the CLI's compare reads each cell as.
+SCORE_COLUMNS = {
+    "school_id": str,
+    "measure": MeasureKind,
+    "score": float,
+    "n_pupils": int,
+    "ci_low": float,
+    "ci_high": float,
+    "category": SignificanceCategory,
+}
 
-    school_id: str
-    measure: MeasureKind
-    score: float
-    n_pupils: int
-    ci_low: float
-    ci_high: float
-    category: SignificanceCategory
+
+def __getattr__(name: str):
+    """``SchoolScore``, the frozen dataclass of ``SCORE_COLUMNS``, made on
+    first use (PEP 562), so that the CLI's ``compare`` imports no
+    ``dataclasses``."""
+    if name != "SchoolScore":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import make_dataclass
+
+    doc = "A school's measure score (mean of its pupil scores) with 95% CI."
+    namespace = {"__module__": __name__, "__doc__": doc}
+    cls = make_dataclass(name, SCORE_COLUMNS.items(), namespace=namespace, frozen=True)
+    globals()[name] = cls
+    return cls
 
 
 # School scores as columns, keyed by SchoolScore field name.

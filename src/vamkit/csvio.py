@@ -13,11 +13,15 @@ Writing: UTF-8 with "\\n" line ends, a cell quoted only when it needs to
 be, joined and encoded a block of rows at a time.
 
 These reading rules hold for every file vamkit reads, and
-:func:`_line_blocks` reads every file's bytes. A block of a cohort file
-that is ASCII and holds no quote, carriage return or NUL is cut into
-cells by numpy in :mod:`vamkit.cohort` under the same rules;
-:func:`read_blocks` reads the rest of a cohort file from the first line
-the byte route cannot cut, and the score files ``compare`` reads.
+:func:`_line_blocks` reads every file's bytes. A block that is
+:func:`_tokenizable` (ASCII, with no quote, carriage return or NUL) is
+cut at its newlines and commas under the same rules: by numpy in
+:mod:`vamkit.cohort` for a cohort file, and by ``str.split`` in
+:func:`read_blocks` for any other, such as the score files ``compare``
+reads, when each of its lines is a row (see :func:`_pieces`). The csv
+module reads every other block, and from the first block that is not
+tokenizable the rest of the file, for a cohort file from the first line
+the byte route cannot cut.
 One line joiner (:func:`_csv_lines`) writes every file: :func:`csv_bytes`
 writes ``truth.csv`` and the CLI's outputs with it, and
 :mod:`vamkit.cohort` the cohort files, a block of rows at a time.
@@ -31,8 +35,8 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Sequence
+from itertools import chain, repeat
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 from .errors import CohortError
 
@@ -42,8 +46,7 @@ _BLOCK_ROWS = 8192
 _BLOCK_BYTES = 80 * _BLOCK_ROWS
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     """A skipped CSV row: 1-based data row number, offending column, reason."""
 
     row: int
@@ -80,6 +83,19 @@ def _line_blocks(source: BinaryIO, spare: int = 0) -> Iterator[tuple[bytearray, 
         yield raw, end
         raw[: held - end] = raw[end:held]
         held -= end
+
+
+# the ASCII bytes that a _tokenizable block does not hold
+_UNFIT_ASCII = (b'"', b"\r", b"\0")
+# a line of only these is blank: the comma and what str.strip() strips
+# from ASCII text
+_BLANK_CHARS = "," + "".join(c for c in map(chr, range(128)) if c.isspace())
+
+
+def _tokenizable(data: bytes | bytearray) -> bool:
+    """Whether bytes are read the same by splitting their lines at commas as
+    by the csv module: ASCII, with no quote, carriage return or NUL."""
+    return data.isascii() and not any(c in data for c in _UNFIT_ASCII)
 
 
 def _lines(blocks: Iterator[tuple[bytes | bytearray, int]], at: int) -> Iterator[str]:
@@ -145,35 +161,93 @@ def _read_blocks(
     blocks: Iterator[tuple[bytes | bytearray, int]], names: Sequence[str], what: str,
     issues: list[ParseIssue], at: int = 0, row_no: int = 1,
 ) -> Iterator[tuple[list[tuple[str, ...]], list[int]]]:
-    """:func:`read_blocks` of blocks of whole lines (see :func:`_lines`):
+    """:func:`read_blocks` of blocks of whole lines (see :func:`_line_blocks`):
     the first begins ``at`` bytes into the file, on a line that is row
-    ``row_no``. Only at the file's start (``at`` 0) is a header read."""
+    ``row_no``. Only at the file's start (``at`` 0) is a header read. The
+    lines come from :func:`_pieces`; a piece that is a list of rows is
+    taken whole, and a ``csv.reader``'s rows are read one at a time under
+    the csv route's rules."""
     width = len(names)
     # tuples, not the reader's lists: the cyclic GC untracks a tuple of str,
     # but rescans every kept list on each pass
     rows: list[tuple[str, ...]] = []
     row_nos: list[int] = []
-    reader = csv.reader(_lines(blocks, at))
     try:
-        if not at:
-            _check_header(next(reader, None), names, what)
-        for row_no, row in enumerate(reader, start=row_no):
-            # blank rows are skipped; a non-blank first cell settles it quickly
-            if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
+        for row_no, piece in _pieces(blocks, names, what, at, row_no):
+            if isinstance(piece, list):  # every line a row
+                rows += piece
+                row_nos += range(row_no, row_no + len(piece))
+                while len(rows) >= _BLOCK_ROWS:
+                    yield rows[:_BLOCK_ROWS], row_nos[:_BLOCK_ROWS]
+                    rows, row_nos = rows[_BLOCK_ROWS:], row_nos[_BLOCK_ROWS:]
                 continue
-            if len(row) != width:
-                reason = f"expected {width} fields, got {len(row)}"
-                issues.append(ParseIssue(row_no, "(row)", reason))
-                continue
-            rows.append(tuple(row))
-            row_nos.append(row_no)
-            if len(rows) == _BLOCK_ROWS:
-                yield rows, row_nos
-                rows, row_nos = [], []
+            for row_no, row in enumerate(piece, start=row_no):
+                # blank rows are skipped; a non-blank first cell settles it quickly
+                if not (row and row[0].strip()) and not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    reason = f"expected {width} fields, got {len(row)}"
+                    issues.append(ParseIssue(row_no, "(row)", reason))
+                    continue
+                rows.append(tuple(row))
+                row_nos.append(row_no)
+                if len(rows) == _BLOCK_ROWS:
+                    yield rows, row_nos
+                    rows, row_nos = [], []
     except csv.Error as exc:
         raise CohortError(f"{what} is malformed: {exc}") from exc
     if rows:
         yield rows, row_nos
+
+
+def _pieces(
+    blocks: Iterator[tuple[bytes | bytearray, int]], names: Sequence[str], what: str,
+    at: int, row_no: int,
+) -> Iterator[tuple[int, list[tuple[str, ...]] | Iterator[list[str]]]]:
+    """The cells of the lines of :func:`_read_blocks`' blocks, a block at a
+    time, each piece with its first line's row number; the header, when
+    ``at`` is 0, is checked first.
+
+    A :func:`_tokenizable` block is cut at its newlines by ``str.split``.
+    When every line has ``width - 1`` commas, is within the csv module's
+    field limit and is not blank, as C-level passes over the lines check,
+    its cells are cut at the commas by one more ``split`` into its rows,
+    as tuples (the split route); else ``csv.reader`` reads its lines. From
+    the first block that is not tokenizable, ``csv.reader`` reads the rest
+    of the file (the csv route): a quoted cell may run on into the next
+    block.
+    """
+    width, limit = len(names), csv.field_size_limit()
+    header = not at
+    for buf, size in blocks:
+        data = buf[:size]
+        if not _tokenizable(data):
+            reader = csv.reader(_lines(chain([(data, size)], blocks), at))
+            if header:
+                _check_header(next(reader, None), names, what)
+            yield row_no, reader
+            return
+        at += size
+        lines = data.decode().split("\n")
+        if not lines[-1]:  # after the block's last newline
+            lines.pop()
+        if header:
+            _check_header(next(csv.reader([lines.pop(0)])), names, what)
+            header = False
+        if not lines:
+            continue
+        if (
+            max(map(len, lines)) <= limit
+            and all(map(str.strip, lines, repeat(_BLANK_CHARS)))
+            and list(map(str.count, lines, repeat(","))).count(width - 1) == len(lines)
+        ):
+            cells = ",".join(lines).split(",")
+            yield row_no, list(zip(*[iter(cells)] * width))
+        else:
+            yield row_no, csv.reader(lines)
+        row_no += len(lines)
+    if header:
+        _check_header(None, names, what)  # an empty file
 
 
 # a CSV cell holding any of these is quoted, with its " doubled

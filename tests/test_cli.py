@@ -751,6 +751,29 @@ def test_cli_import_loads_no_scipy(tmp_path, fit_dir, case, package):
     assert proc.stdout.strip() == "[]"
 
 
+def test_compare_child_loads_no_dataclasses(tmp_path, fit_dir):
+    # dataclasses and the inspect module it imports cost a compare child
+    # about 6 ms; SchoolScore, which compare does not use, is still a
+    # dataclass once asked for
+    src = str(Path(vamkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    scores = [str(fit_dir / f"school_scores_{code}.csv") for code in ("a8", "p8")]
+    argv = ["compare", "--scores", scores[0], "--scores", scores[1], "--out", str(tmp_path / "cmp")]
+    code = (
+        f"import sys, vamkit.cli; assert vamkit.cli.run({argv!r}) == 0; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules]); "
+        "import dataclasses; from vamkit.compare import SchoolScore; "
+        "print([f.name for f in dataclasses.fields(SchoolScore)])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, names = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert names == str(["school_id", "measure", "score", "n_pupils", "ci_low", "ci_high", "category"])
+
+
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports both with numpy")
 def test_fit_loads_no_numpy_ma_or_char(tmp_path, sim_dir):
     # numpy.ma (8-12 ms) is imported by np.unique without index outputs, as

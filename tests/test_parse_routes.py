@@ -29,11 +29,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from vamkit import cohort, csvio
+from vamkit import cli, cohort, csvio
 from vamkit.categories import PUPIL_FIELDS, SCHOOL_FIELDS
 from vamkit.cli import run
 from vamkit.cohort import PUPIL_COLUMNS, parse_pupils, parse_schools
-from vamkit.compare import SchoolScore
+from vamkit.compare import SCORE_COLUMNS, SchoolScore
 from vamkit.csvio import _BLOCK_ROWS, read_blocks
 from vamkit.errors import CohortError
 
@@ -510,3 +510,259 @@ def test_schools_sort_by_code_point(tmp_path):
     assert run(argv) == 0
     with open(tmp_path / "fit" / "school_scores_a8.csv", newline="", encoding="utf-8") as fh:
         assert [row[0] for row in csv.reader(fh)][1:] == sorted(ids)
+
+
+# --- csvio.read_blocks: the split route against the csv route ---------------
+
+SCORE_NAMES = list(SCORE_COLUMNS)
+SCORE_HEADER = ",".join(SCORE_NAMES)
+# over this test's lowered field limit, and under it
+LIMIT = 40
+
+
+def _score_row(i: int) -> str:
+    return f"S{i:04d},ap8,{i / 7:.6f},{i % 97},-0.5,0.{i},not_significant"
+
+
+# lines a score file may hold: good rows, blank and whitespace-only lines,
+# rows of the wrong width, a cell over the limit, and lines that send
+# their block to the csv route (non-ASCII, quote, carriage return, NUL)
+SCORE_LINES = {
+    "row": None, "empty": "", "space": " ", "tab": "\t", "commas": ",,,,,,",
+    "blank-cells": " ,\t, , ,\x0b, ,\x1f", "wide": _score_row(1) + ",x", "narrow": "S1,ap8,0.1",
+    "comma-line": ",", "long": "S" * (LIMIT + 1) + _score_row(1)[5:], "long-alone": "S" * (LIMIT + 1),
+    "long-blank": " " * (LIMIT + 1) + ",,,,,,", "non-ascii": "Sé" + _score_row(1)[5:],
+    "quote": '"S,1"' + _score_row(1)[5:], "cr": _score_row(1) + "\r", "nul": "S\0" + _score_row(1)[5:],
+}
+
+
+def read_both(data: bytes, tokenizable=csvio._tokenizable):
+    """Every block ``read_blocks`` yields (rows, numbers, issues so far),
+    its issues and its error, with small blocks of bytes and rows so that a
+    short file spans many of each, and the csv module's field limit
+    lowered."""
+    issues, blocks, error = [], [], None
+    old = csv.field_size_limit(LIMIT)
+    try:
+        with mock.patch.multiple(csvio, _BLOCK_BYTES=256, _BLOCK_ROWS=5, _tokenizable=tokenizable):
+            for rows, row_nos in read_blocks(data, SCORE_NAMES, "school_scores CSV", issues):
+                blocks.append((list(rows), list(row_nos), len(issues)))
+    except CohortError as exc:
+        error = str(exc)
+    finally:
+        csv.field_size_limit(old)
+    return blocks, issues, error
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    # about half good rows, so that some blocks hold nothing else
+    kinds=st.lists(st.one_of(st.just("row"), st.sampled_from(list(SCORE_LINES))), max_size=60),
+    bom=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_read_blocks_splits_as_the_csv_module_reads(kinds, bom, final_newline):
+    lines = [_score_row(i) if k == "row" else SCORE_LINES[k] for i, k in enumerate(kinds)]
+    text = "\n".join([SCORE_HEADER, *lines]) + ("\n" if final_newline else "")
+    data = (codecs.BOM_UTF8 if bom else b"") + text.encode()
+    split = read_both(data)
+    assert split == read_both(data, tokenizable=lambda data: False)
+    if split[2] is None:
+        rows = [row for block, _, _ in split[0] for row in block]
+        kept = [k for k in kinds if k in ("row", "non-ascii", "quote", "cr", "nul")]
+        assert len(rows) == len(kept)
+
+
+def test_score_file_takes_the_split_route(monkeypatch, tmp_path):
+    # a score file fit writes is ASCII with no quote: csv.reader reads
+    # its header's line and no other
+    rows = [_score_row(i) for i in range(2000)]
+    path = tmp_path / "scores.csv"
+    path.write_text("\n".join([SCORE_HEADER, *rows]) + "\n")
+    assert len(path.read_bytes()) > csvio._BLOCK_BYTES // 8
+    read = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines: read.append(list(lines)) or reader(read[-1]))
+    columns = cli._read_school_scores(path, {})
+    assert read == [[SCORE_HEADER]]
+    assert columns["school_id"] == [row.split(",")[0] for row in rows]
+    assert columns["score"] == [float(row.split(",")[2]) for row in rows]
+
+
+def _score_fault(index: int, cell: str) -> str:
+    rows = [_score_row(i).split(",") for i in range(1, 300)]
+    rows[250][index] = cell
+    return "\n".join([SCORE_HEADER, *map(",".join, rows)]) + "\n"
+
+
+# one score file per error message of cli._read_school_scores and the
+# reader under it, each fault after a few good rows
+SCORE_FAULTS = {
+    "wrong-width": (_score_fault(6, "not_significant,x"), "expected 7 fields, got 8"),
+    "empty-id": (_score_fault(0, " "), "column school_id: must not be empty"),
+    "long-id": (_score_fault(0, "S" * 65), "must be at most 64 characters"),
+    "nul-id": (_score_fault(0, "S\0"), "must not contain a NUL character"),
+    "bad-measure": (_score_fault(1, "zz"), "column measure: unknown value 'zz'"),
+    "mixed-measures": (_score_fault(1, "p8"), "expected ap8 as in row 1, got p8"),
+    "not-a-number": (_score_fault(2, "x"), "could not convert string to float: 'x'"),
+    "not-finite": (_score_fault(4, "inf"), "must be a finite number, got 'inf'"),
+    "bad-count": (_score_fault(3, "1.5"), "invalid literal for int()"),
+    "bad-category": (_score_fault(6, "great"), "column category: unknown value 'great'"),
+    "over-limit": (_score_fault(2, "1" * 200_000), "field larger than field limit"),
+    "header": (_score_fault(0, "S1").replace("ci_low", "ci_lo"), "header mismatch"),
+    "blank-header": ("\n" + _score_fault(0, "S1"), "header mismatch (missing columns: school_id"),
+    "empty": ("", "file is empty"),
+    "not-utf8": (_score_fault(0, "S\udcff"), "is not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORE_FAULTS))
+def test_score_file_faults_read_as_on_the_csv_route(tmp_path, case):
+    text, fragment = SCORE_FAULTS[case]
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    messages = []
+    for tokenizable in (csvio._tokenizable, lambda data: False):
+        with mock.patch.object(csvio, "_tokenizable", tokenizable):
+            with pytest.raises(CohortError) as exc:
+                cli._read_school_scores(path, {})
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert fragment in messages[0]
+
+
+# --- the byte route's spelling tables ---------------------------------------
+
+
+def unique_path(data: bytes):
+    """parse_pupils with every category block coded by np.unique: the
+    spelling tables never hit."""
+    with mock.patch.object(cohort._SpellingTable, "encode", lambda *args: None):
+        return byte_route(data)
+
+
+def _edited(edits: dict[int, dict[int, str]]) -> bytes:
+    """SWITCH_ROWS, four byte-route blocks, with the given cells replaced."""
+    rows = [row.split(",") for row in SWITCH_ROWS]
+    for r, cells in edits.items():
+        for column, text in cells.items():
+            rows[r][column] = text
+    return "\n".join([HEADER, *map(",".join, rows)]).encode() + b"\n"
+
+
+# the first row of each byte-route block of SWITCH_ROWS after the first,
+# give or take a row that an edit lengthens
+EDGES4 = [int(np.searchsorted(_row_starts, k * csvio._BLOCK_BYTES)) for k in (1, 2, 3)]
+MID = [EDGES4[0] // 2] + [(a + b) // 2 for a, b in zip(EDGES4, EDGES4[1:] + [len(SWITCH_ROWS)])]
+TABLE_CASES = {
+    # spellings first seen in the last block
+    "late-variant": {MID[3]: {5: " FEMALE ", 3: "07"}},
+    # a bad spelling in the first block and again after its table is built
+    "bad-again": {MID[0]: {6: "Martian"}, MID[2]: {6: "Martian"}, MID[3]: {4: "Smarch"}},
+    "variants-everywhere": {
+        r: {5: ["MALE", " female", "Female\t"][r % 3], 6: "white  british", 8: "SEN SUPPORT"}
+        for r in range(0, len(SWITCH_ROWS), 97)
+    },
+    # a wider ethnicity cell makes one block's gathered width 40, not 32
+    "wider-block": {MID[1]: {6: "Traveller of Irish Heritage" + " " * 8}},
+    # only short month spellings in the second block: width 8, not 16
+    "narrower-block": {r: {4: "May"} for r in range(EDGES4[0] - 50, EDGES4[1] + 50)},
+    # a new spelling in each block: the tables miss twice in a row and are
+    # given up before the last block
+    "variant-each-block": {r: {5: ["fEMALE", "FeMALE", "FEmALE", "FEMaLE"][k], 9: "N" * (k + 1)}
+                           for k, r in enumerate(MID)},
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_spelling_tables_code_as_the_unique_path(case):
+    data = _edited(TABLE_CASES[case])
+    assert cohort._tokenizable(data)
+    expected = unique_path(data)
+    assert_same_parse(byte_route(data), expected)
+    assert_same_parse(expected, csv_parse(data))
+
+
+def test_spelling_table_slot_collisions_code_as_the_unique_path(monkeypatch):
+    # two slots at most: learned spellings share slots, and a block that
+    # holds one left out of its table takes the np.unique path
+    data = _edited(TABLE_CASES["variants-everywhere"])
+    expected = unique_path(data)
+    monkeypatch.setattr(cohort, "_SLOT_BITS", 1)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: (
+        k.get("return_inverse") and sorts.append(1)) or unique(*a, **k))
+    assert_same_parse(byte_route(data), expected)
+    assert len(sorts) > 3 * 4  # most of the four blocks of most columns missed
+
+
+def test_spelling_table_checks_every_word(monkeypatch):
+    # one slot: of two spellings that share their first 8-byte word, the
+    # one left out of the table must miss, not take the other's code
+    monkeypatch.setattr(cohort, "_SLOT_BITS", 0)
+    spellings = [b"Any Other White Background", b"Any Other Black Background"]
+    cells = np.zeros((2, 32), dtype=np.uint8)
+    for row, text in zip(cells, spellings):
+        row[: len(text)] = list(text)
+    words = cells.view(np.uint64)
+    keys = cohort._keys(words)
+    table = cohort._SpellingTable()
+    table.learn(words, np.array([4, 7], dtype=np.int8))
+    assert table.encode(keys[:1], words[:1]).tolist() == [4]
+    assert table.encode(keys[1:], words[1:]) is None
+    assert table.encode(keys, words) is None
+
+
+def test_spelling_table_is_given_up_after_two_misses_in_a_row():
+    cells = np.zeros((3, 8), dtype=np.uint8)
+    for row, text in zip(cells, (b"Female", b"FEMALE", b"female")):
+        row[: len(text)] = list(text)
+    words = cells.view(np.uint64)
+    keys = cohort._keys(words)
+    table = cohort._SpellingTable()
+    table.learn(words[:1], np.array([1], dtype=np.int8))
+    assert table.encode(keys[1:2], words[1:2]) is None
+    table.learn(words[1:2], np.array([1], dtype=np.int8))
+    assert table.encode(keys[:2], words[:2]).tolist() == [1, 1]
+    assert table.encode(keys[2:], words[2:]) is None
+    assert table.encode(keys[:1], words[:1]).tolist() == [1]  # a hit ends the run
+    assert table.encode(keys[2:], words[2:]) is None
+    assert table.encode(keys[2:], words[2:]) is None
+    table.learn(words[2:], np.array([1], dtype=np.int8))
+    assert table.encode(keys[:1], words[:1]) is None and len(table.known) == 2
+
+
+@pytest.fixture(scope="module")
+def default_cohort_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert run(["simulate", "--seed", "612", "--schools", "300", "--out", str(out)]) == 0
+    return (out / "pupils.csv").read_bytes(), (out / "schools.csv").read_bytes()
+
+
+def test_simulate_output_sorts_one_block_per_category_column(default_cohort_files, monkeypatch):
+    # every later block of a simulated file is coded by its column's table
+    pupils, schools = default_cohort_files
+    assert len(pupils) > 5 * csvio._BLOCK_BYTES
+    expected = unique_path(pupils)
+    sorted_by = []
+    encode_cells = cohort._encode_cells
+    unique = np.unique
+
+    def recorded(f, *args):
+        def counted(*a, **k):
+            if k.get("return_inverse"):
+                sorted_by.append(f.name)
+            return unique(*a, **k)
+
+        monkeypatch.setattr(np, "unique", counted)
+        try:
+            return encode_cells(f, *args)
+        finally:
+            monkeypatch.setattr(np, "unique", unique)
+
+    monkeypatch.setattr(cohort, "_encode_cells", recorded)
+    assert_same_parse(byte_route(pupils), expected)
+    categories = [f.name for f in PUPIL_FIELDS if f.levels]
+    assert sorted(sorted_by) == sorted(categories)
